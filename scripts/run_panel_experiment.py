@@ -67,7 +67,7 @@ def main(argv=None):
                                rows=args.rows, cols=args.cols)
     cube = synthesize_cube(truth, alpha, dw, air,
                            noise_sigma=args.noise_sigma, rng_seed=args.seed)
-    panel, dull, shiny = default_panel_masks(args.rows, args.cols)
+    panel, eps60, eps90 = default_panel_masks(args.rows, args.cols)
     background = ~panel
 
     bands = BandSelection.from_grid(grid)
@@ -95,7 +95,8 @@ def main(argv=None):
               f"({args.threads} thread{'s' if args.threads > 1 else ''})")
         maps["hyper"] = (est.distance, np.ones_like(panel, dtype=bool))
 
-    for region, mask in (("dull panel", dull), ("shiny panel", shiny),
+    for region, mask in (("shiny panel cells (eps=0.6)", eps60),
+                         ("dull panel cells (eps=0.9)", eps90),
                          ("background", background)):
         print(f"\n{region}:")
         for name, (distances, valid) in maps.items():

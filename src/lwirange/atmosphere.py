@@ -207,13 +207,18 @@ def _gaussian_smooth(grid: SpectralGrid, values: np.ndarray, fwhm: float) -> np.
     return weight @ values
 
 
+def _tau(d, alpha):
+    """Unvalidated Beer-Lambert kernel 10^(-alpha d / 10), shared by the
+    simulator and the solver: (K,) for a scalar d, (P, K) for a (P,) d."""
+    # exponent grouped as (-d/10) * alpha so integer-dB cases stay exact
+    return np.power(10.0, np.multiply.outer(-d / 10.0, alpha))
+
+
 def transmittance(alpha: AttenuationSpectrum, d: float) -> Spectrum:
     """Beer-Lambert path transmittance 10^(-alpha d / 10), per band."""
     if d < 0:
         raise DomainError(f"path length must be >= 0 m, got {d}")
-    # exponent ordered as (-d/10) * alpha so integer-dB cases stay exact
-    values = np.power(10.0, (-d / 10.0) * alpha.values)
-    return Spectrum(alpha.grid, values, DIMENSIONLESS)
+    return Spectrum(alpha.grid, _tau(d, alpha.values), DIMENSIONLESS)
 
 
 def _check_line_coverage(grid: SpectralGrid, lines, species: str):

@@ -50,14 +50,19 @@ from .cube_io import (
     save_scene_truth,
 )
 from .errors import ConfigError, LwirError
-from .evaluation import default_patches, patch_stats, render_map, write_patch_stats_csv
+from .evaluation import (
+    _PALETTES,
+    default_patches,
+    patch_stats,
+    render_map,
+    write_patch_stats_csv,
+)
 from .forward_model import make_default_scene, synthesize_cube
 from .hyperspectral import SolverConfig, solve
 from .radiometry import DB_PER_M, Temperature
 
 _MODES = ("bi-hot", "bi-air", "quad", "hyper")
 _SCENES = ("panel",)
-_PALETTES = ("gray", "fire")
 _ENV_PREFIX = "LWIRANGE_"
 
 _DEFAULTS = {

@@ -2,12 +2,16 @@
 
 The single-pixel observation model, in microflicks:
 
-    L_obs = tau(d) * (eps * B(T) + L_ref - B(T_air)) + B(T_air)
-    L_ref = ((1 - eps) / pi) * (sum_q Omega_q L_D,q + (pi - sum_q Omega_q) * L_G)
+    L_obs = tau(d) * (eps * B(T) + (1 - eps) * mix - B(T_air)) + B(T_air)
+    mix   = (sum_q Omega_q L_D,q + (pi - sum_q Omega_q) * L_G) / pi
 
-with tau(d) = 10^(-alpha d / 10). The same batched evaluation routine
-serves both the simulator and the model-based solver, so a solver fed
-the noiseless truth reproduces the cube bit for bit.
+with tau(d) = 10^(-alpha d / 10). The model is written once, as four
+unvalidated kernels: ``atmosphere._tau`` for the path, :func:`_mix` for the
+sky-plus-ground light a pixel reflects, :func:`_contrast` for the surface
+term less B(T_air), and :func:`_radiance` for the sensor radiance. The
+simulator (:func:`radiance_model_batch`) and every objective, block update
+and gradient of the solver in :mod:`lwirange.hyperspectral` call these same
+kernels, so a solver fed the noiseless truth reproduces the cube bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atmosphere import AttenuationSpectrum, DownwellingSet
+from .atmosphere import AttenuationSpectrum, DownwellingSet, _tau
 from .errors import ConstraintError, DimensionError, DomainError, GridError
 from .radiometry import (
     MICROFLICK,
@@ -124,10 +128,27 @@ class SceneCube:
         return self.radiance.shape
 
 
-def _mix_q(omegas: np.ndarray, ld: np.ndarray) -> np.ndarray:
+def _mix(omegas: np.ndarray, ld: np.ndarray, ground: np.ndarray) -> np.ndarray:
+    """Light a Lambertian pixel reflects, per unit (1 - eps): (P, K).
+
+    omegas: (P, Q) projected solid angles; ld: (Q, K) downwelling radiance;
+    ground: (K,) or (P, K) ambient radiance filling the rest of the hemisphere.
+    """
     # einsum keeps per-row bit patterns independent of the batch size;
     # matmul does not, which would break the thread-count determinism contract
-    return np.einsum("pq,qk->pk", omegas, ld, optimize=False)
+    sky = np.einsum("pq,qk->pk", omegas, ld, optimize=False)
+    return (sky + (np.pi - omegas.sum(axis=1))[:, None] * ground) / np.pi
+
+
+def _contrast(bt: np.ndarray, eps: np.ndarray, mix: np.ndarray,
+              b_air: np.ndarray) -> np.ndarray:
+    """Surface-leaving radiance less the air blackbody: eps*B(T) + (1-eps)*mix - B_air."""
+    return eps * bt + (1.0 - eps) * mix - b_air
+
+
+def _radiance(tau: np.ndarray, contrast: np.ndarray, b_air: np.ndarray) -> np.ndarray:
+    """Sensor radiance: the contrast attenuated along the path, plus B_air."""
+    return tau * contrast + b_air
 
 
 def radiance_model_batch(
@@ -146,12 +167,9 @@ def radiance_model_batch(
     d, t_kelvin: (P,); eps: (P, K); omegas: (P, Q); ld: (Q, K);
     ground: (K,) or (P, K); b_air: (K,). Returns (P, K).
     """
-    tau = np.power(10.0, np.multiply.outer(-d / 10.0, alpha_values))
     bt = planck(wavelengths, t_kelvin[:, None])
-    s = _mix_q(omegas, ld)
-    w = omegas.sum(axis=1)
-    mix = (s + (np.pi - w)[:, None] * ground) / np.pi
-    return tau * (eps * bt + (1.0 - eps) * mix - b_air) + b_air
+    contrast = _contrast(bt, eps, _mix(omegas, ld, ground), b_air)
+    return _radiance(_tau(d, alpha_values), contrast, b_air)
 
 
 def _omega_check(omegas: np.ndarray):
@@ -177,9 +195,8 @@ def reflected_radiance(
     e = emissivity.values
     if np.any(e < 0) or np.any(e > 1):
         raise ConstraintError("emissivity must lie in [0, 1]")
-    sky = _mix_q(om[None, :], dw.values)[0]
-    total = sky + (np.pi - om.sum()) * ground_ambient.values
-    return Spectrum(dw.grid, (1.0 - e) / np.pi * total, MICROFLICK)
+    mix = _mix(om[None, :], dw.values, ground_ambient.values)[0]
+    return Spectrum(dw.grid, (1.0 - e) * mix, MICROFLICK)
 
 
 def observed_radiance(
@@ -268,8 +285,9 @@ def synthesize_cube(
 
 # ---------------------------------------------------------------------------
 # Shipped reflective-panel scene: a grass ramp with two vertical panels
-# whose cells alternate between dull and shiny emissivity. Panels see the
-# sky mostly near grazing angles; grass sees it near zenith.
+# whose cells alternate between eps = 0.6 (reflecting 0.4, the shiny cells)
+# and eps = 0.9 (reflecting 0.1, the dull ones). Panels see the sky mostly
+# near grazing angles; grass sees it near zenith.
 # ---------------------------------------------------------------------------
 
 _PANEL_SKY_PROFILE = np.array([0.0, 0.0, 0.02, 0.05, 0.10, 0.12, 0.14, 0.16, 0.20, 0.21])
@@ -306,15 +324,11 @@ def make_default_scene(
     eps = np.full((rows, cols, k), 0.98)
     om = np.tile(om_grass, (rows, cols, 1))
 
-    panel = np.zeros((rows, cols), dtype=bool)
-    r0, r1 = int(rows * 4 / 32), int(rows * 20 / 32)
-    panel[r0:r1, int(cols * 4 / 32):int(cols * 14 / 32)] = True
-    panel[r0:r1, int(cols * 18 / 32):int(cols * 28 / 32)] = True
-    checker = (np.add.outer(np.arange(rows), np.arange(cols)) % 2) == 0
+    panel, eps60, eps90 = default_panel_masks(rows, cols)
     d[panel] = 30.0
     t[panel] = 296.0
-    eps[panel & checker] = 0.6
-    eps[panel & ~checker] = 0.9
+    eps[eps60] = 0.6
+    eps[eps90] = 0.9
     om[panel] = om_panel
 
     ambient = planck(grid.wavelengths, air_temperature.kelvin)
@@ -323,7 +337,10 @@ def make_default_scene(
 
 
 def default_panel_masks(rows: int = 32, cols: int = 32):
-    """Masks for the fixture: (panel cells, dull eps=0.6 cells, shiny eps=0.9 cells)."""
+    """Masks for the fixture: (panel cells, eps = 0.6 cells, eps = 0.9 cells).
+
+    The eps = 0.6 cells reflect 0.4 of the incident sky, the eps = 0.9 cells 0.1.
+    """
     panel = np.zeros((rows, cols), dtype=bool)
     r0, r1 = int(rows * 4 / 32), int(rows * 20 / 32)
     panel[r0:r1, int(cols * 4 / 32):int(cols * 14 / 32)] = True

@@ -1,7 +1,8 @@
 """Joint per-pixel range / temperature / emissivity / sky-view inversion.
 
 Minimizes, per pixel, the squared radiance misfit of the path-attenuated
-emission-plus-reflection model, plus a band-smoothness penalty on emissivity
+emission-plus-reflection model, evaluated by the simulator's kernels in
+:mod:`lwirange.forward_model`, plus a band-smoothness penalty on emissivity
 and an optional anisotropic TV penalty on the range map.  The engine is a
 block-coordinate scheme: every block update is accept-guarded (a candidate
 is kept only if it does not increase that pixel's objective), so the
@@ -20,8 +21,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .atmosphere import _tau
 from .closed_form import FLAG_VALID, BandSelection, bispectral_air
 from .errors import ConfigError, ConstraintError, DimensionError, DomainError, GridError
+from .forward_model import _contrast, _mix, _radiance
 from .radiometry import (
     _planck_core,
     _planck_dT_core,
@@ -38,6 +41,40 @@ _T_DECAY = 0.8
 _D_SPAN0 = 4.0
 _D_DECAY = 0.8
 _MIN_SPAN = 0.02
+_GLOBAL_SCAN_POINTS = 41       # range candidates across [0, d_max]
+_LOCAL_SCAN_POINTS = 17        # range candidates across the local span
+_TEMPERATURE_SCAN_POINTS = 9
+_SKY_ADMM_ITERATIONS = 50
+
+# temperature box: air temperature +- _T_SPAN kelvin
+_T_SPAN = 12.0
+
+# multi-start warmup: range starts (None = the bispectral-air estimate),
+# relative per-pixel jitter on them, and flat emissivity starts; the _TOP_K
+# best warmup trajectories per pixel are refined
+_D_LADDER = (5.0, 10.0, 20.0, 40.0, 80.0, None, 160.0)
+_D_LADDER_TOP = max(b for b in _D_LADDER if b is not None)
+_INIT_JITTER = 0.01
+_EPS_STARTS = (0.95, 0.6)
+_TOP_K = 2
+
+# refinement stops a pixel once, after _SETTLE_ITERATIONS, its relative loss
+# decrease stays below _TOL for _PATIENCE iterations in a row
+_SETTLE_ITERATIONS = 25
+_TOL = 1e-8
+_PATIENCE = 5
+
+# profiled range polish: round r scans +-_POLISH_SPAN / (r + 1) meters
+_POLISH_SPAN = 3.0
+_POLISH_STEPS = 13
+
+# projected-gradient Armijo line search
+_ARMIJO_FACTOR = 0.5
+_ARMIJO_C = 1e-4
+_ARMIJO_BACKTRACKS = 12
+
+# proximal TV rounds when rho_d > 0
+_TV_ROUNDS = 2
 
 
 @dataclass
@@ -47,10 +84,20 @@ class SolverConfig:
     rho_eps / rho_d are the emissivity-smoothness and range-TV weights,
     d_max the range box bound.  q overrides the number of sky sectors used
     by the model (0 disables the sky term entirely; None takes the size of
-    the downwelling set).  The remaining fields control the multi-start
-    schedule, the scan/line-search step sizes, iteration budgets, stopping
-    (relative loss decrease below tol for patience iterations), and the rng
-    seed for the per-pixel initialization jitter.
+    the downwelling set), and zenith_angles_deg, when given, must match the
+    downwelling set's angles.  seed drives the per-pixel initialization
+    jitter; threads splits the image into row blocks.  warmup_iterations,
+    warmup_d_freeze (warmup iterations before the range block first runs),
+    refine_iterations and max_iterations (a cap on both) set the iteration
+    budgets; polish_rounds and armijo_iterations the number of profiled
+    range polish rounds and projected-gradient passes.  track_history
+    records the per-stage objective (threads=1 only).
+
+    The scan sizes, start ladders, stopping rule, line-search constants and
+    temperature box are module constants (``_T_SPAN0`` and the names after
+    it at the top of this module).  The solver fills the hemisphere the sky
+    sectors leave with ambient ground radiance, B(T_air); :func:`data_loss`
+    and :func:`gradients` take a ``ground_fill`` argument instead.
     """
 
     rho_eps: float = 1e5
@@ -58,32 +105,13 @@ class SolverConfig:
     d_max: float = 200.0
     q: int | None = None
     zenith_angles_deg: tuple[float, ...] | None = None
-    t_span: float = 12.0
     max_iterations: int = 2000
-    tol: float = 1e-8
-    patience: int = 5
     seed: int = 0
-    init_jitter: float = 0.01
-    d_ladder: tuple[float | None, ...] = (5.0, 10.0, 20.0, 40.0, 80.0, None, 160.0)
-    eps_starts: tuple[float, ...] = (0.95, 0.6)
     warmup_iterations: int = 14
     warmup_d_freeze: int = 6
     refine_iterations: int = 40
-    settle_iterations: int = 25
-    top_k: int = 2
     polish_rounds: int = 3
-    polish_span: float = 3.0
-    polish_steps: int = 13
     armijo_iterations: int = 2
-    armijo_factor: float = 0.5
-    armijo_c: float = 1e-4
-    armijo_backtracks: int = 12
-    tv_rounds: int = 2
-    global_scan_points: int = 41
-    local_scan_points: int = 17
-    temperature_scan_points: int = 9
-    sky_admm_iterations: int = 50
-    ground_fill: str = "ambient"
     threads: int = 1
     track_history: bool = False
 
@@ -95,46 +123,19 @@ class SolverConfig:
             v.append(f"rho_d must be >= 0, got {self.rho_d}")
         if not (self.d_max > 0.0):
             v.append(f"d_max must be > 0, got {self.d_max}")
+        elif self.d_max < _D_LADDER_TOP:
+            v.append(f"d_max must be >= {_D_LADDER_TOP}, the farthest range "
+                     f"start, got {self.d_max}")
         if self.q is not None and (self.q < 0 or int(self.q) != self.q):
             v.append(f"q must be a non-negative integer or None, got {self.q}")
-        if not (self.t_span > 0.0):
-            v.append(f"t_span must be > 0, got {self.t_span}")
-        if self.max_iterations < 1:
-            v.append(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (self.tol >= 0.0):
-            v.append(f"tol must be >= 0, got {self.tol}")
-        if self.patience < 1:
-            v.append(f"patience must be >= 1, got {self.patience}")
-        if not (self.init_jitter >= 0.0):
-            v.append(f"init_jitter must be >= 0, got {self.init_jitter}")
-        if len(self.d_ladder) == 0:
-            v.append("d_ladder must not be empty")
-        if any(b is not None and not (0.0 <= b <= self.d_max) for b in self.d_ladder):
-            v.append("d_ladder entries must lie in [0, d_max] or be None")
-        if len(self.eps_starts) == 0:
-            v.append("eps_starts must not be empty")
-        if any(not (0.0 <= e <= 1.0) for e in self.eps_starts):
-            v.append("eps_starts entries must lie in [0, 1]")
-        for name in ("warmup_iterations", "refine_iterations", "top_k",
-                     "polish_steps", "armijo_backtracks", "sky_admm_iterations"):
+        if self.seed < 0:
+            v.append(f"seed must be >= 0, got {self.seed}")
+        for name in ("max_iterations", "warmup_iterations", "refine_iterations"):
             if getattr(self, name) < 1:
                 v.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("warmup_d_freeze", "settle_iterations", "polish_rounds",
-                     "armijo_iterations", "tv_rounds"):
+        for name in ("warmup_d_freeze", "polish_rounds", "armijo_iterations"):
             if getattr(self, name) < 0:
                 v.append(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not (self.polish_span > 0.0):
-            v.append(f"polish_span must be > 0, got {self.polish_span}")
-        if not (0.0 < self.armijo_factor < 1.0):
-            v.append(f"armijo_factor must be in (0, 1), got {self.armijo_factor}")
-        if not (0.0 < self.armijo_c < 1.0):
-            v.append(f"armijo_c must be in (0, 1), got {self.armijo_c}")
-        for name in ("global_scan_points", "local_scan_points",
-                     "temperature_scan_points"):
-            if getattr(self, name) < 2:
-                v.append(f"{name} must be >= 2, got {getattr(self, name)}")
-        if self.ground_fill not in ("ambient", "none"):
-            v.append(f"ground_fill must be 'ambient' or 'none', got {self.ground_fill!r}")
         if self.threads < 1:
             v.append(f"threads must be >= 1, got {self.threads}")
         if self.rho_d > 0.0 and self.threads > 1:
@@ -222,26 +223,18 @@ class _Problem:
     t_hi: float
 
 
-def _tau(d, alpha):
-    # exponent grouped as (-d/10)*alpha; keeps round powers of ten exact
-    return np.power(10.0, np.multiply.outer(-d / 10.0, alpha))
+def _penalty(pr, eps):
+    return pr.rho_eps * (np.diff(eps, axis=1) ** 2).sum(1)
 
 
-def _mix_sky(om, sky):
-    # einsum is batch-size stable bit for bit, matmul is not
-    return np.einsum("pq,qk->pk", om, sky, optimize=False)
+def _misfit(pr, tau, bt, eps, mix):
+    # per-pixel objective from a precomputed path, B(T) and mix
+    r = _radiance(tau, _contrast(bt, eps, mix, pr.b_air), pr.b_air) - pr.y
+    return (r * r).sum(1) + _penalty(pr, eps)
 
 
-def _predict(pr, d, t, eps, smix, wsum):
-    tau = _tau(d, pr.alpha)
-    bt = _planck_core(pr.wav, t[:, None])
-    mix = (smix + (_PI - wsum)[:, None] * pr.ground) / _PI
-    return tau * (eps * bt + (1.0 - eps) * mix - pr.b_air) + pr.b_air
-
-
-def _loss(pr, d, t, eps, smix, wsum):
-    r = _predict(pr, d, t, eps, smix, wsum) - pr.y
-    return (r * r).sum(1) + pr.rho_eps * (np.diff(eps, axis=1) ** 2).sum(1)
+def _loss(pr, d, t, eps, mix):
+    return _misfit(pr, _tau(d, pr.alpha), _planck_core(pr.wav, t[:, None]), eps, mix)
 
 
 def _thomas(dl, dm, du, b):
@@ -264,8 +257,9 @@ def _thomas(dl, dm, du, b):
 
 def _eps_quick(pr, y, tau, bt, mix, eps, rounds=2):
     # few active-set rounds on the banded normal equations; callers guard
+    # the model is linear in eps: a * eps + b, with b the model at eps = 0
     a = tau * (bt - mix)
-    b = tau * (mix - pr.b_air) + pr.b_air
+    b = _radiance(tau, mix - pr.b_air, pr.b_air)
     rb = y - b
     rho = pr.rho_eps
     h_main = a * a + rho * 2.0
@@ -329,13 +323,13 @@ def _proj_cap_simplex(v):
     return z
 
 
-def _sky_block(pr, d, t, eps, om, act, iters):
+def _sky_block(pr, d, t, eps, om, act):
     # per-pixel box/cap-constrained quadratic in the sky weights via ADMM
     q = om.shape[1]
     tau = _tau(d, pr.alpha)
     bt = _planck_core(pr.wav, t[:, None])
     w = tau * (1.0 - eps) / _PI
-    y0 = tau * (eps * bt + (1.0 - eps) * pr.ground - pr.b_air) + pr.b_air
+    y0 = _radiance(tau, _contrast(bt, eps, pr.ground, pr.b_air), pr.b_air)
     base = pr.y - y0
     ekq = pr.sky.T - pr.ground[:, None]
     w2 = w * w
@@ -347,32 +341,28 @@ def _sky_block(pr, d, t, eps, om, act, iters):
     minv = np.linalg.inv(a)
     z = om.copy()
     u = np.zeros_like(om)
-    for _ in range(iters):
+    for _ in range(_SKY_ADMM_ITERATIONS):
         x = np.einsum("pqr,pr->pq", minv, 2.0 * rhs + rho_a[:, None] * (z - u),
                       optimize=False)
         z = _proj_cap_simplex(x + u)
         u = u + x - z
-    s0 = _mix_sky(om, pr.sky)
-    s1 = _mix_sky(z, pr.sky)
-    ln = _loss(pr, d, t, eps, s1, z.sum(1))
-    lo = _loss(pr, d, t, eps, s0, om.sum(1))
+    ln = _misfit(pr, tau, bt, eps, _mix(z, pr.sky, pr.ground))
+    lo = _misfit(pr, tau, bt, eps, _mix(om, pr.sky, pr.ground))
     ok = (ln <= lo) & act
     return np.where(ok[:, None], z, om)
 
 
-def _temp_block(pr, d, t, eps, smix, wsum, act, span, npts):
+def _temp_block(pr, d, t, eps, mix, act, span):
     # scan T around the current value, re-fitting emissivity per candidate
     tau = _tau(d, pr.alpha)
-    mix = (smix + (_PI - wsum)[:, None] * pr.ground) / _PI
-    best_l = _loss(pr, d, t, eps, smix, wsum)
+    best_l = _misfit(pr, tau, _planck_core(pr.wav, t[:, None]), eps, mix)
     best_t = t.copy()
     best_e = eps.copy()
-    for o in np.linspace(-span, span, npts):
+    for o in np.linspace(-span, span, _TEMPERATURE_SCAN_POINTS):
         tc = np.clip(t + o, pr.t_lo, pr.t_hi)
         bt = _planck_core(pr.wav, tc[:, None])
         ec = _eps_quick(pr, pr.y, tau, bt, mix, eps)
-        r = tau * (ec * bt + (1.0 - ec) * mix - pr.b_air) + pr.b_air - pr.y
-        lc = (r * r).sum(1) + pr.rho_eps * (np.diff(ec, axis=1) ** 2).sum(1)
+        lc = _misfit(pr, tau, bt, ec, mix)
         imp = (lc < best_l) & act
         best_t = np.where(imp, tc, best_t)
         best_e = np.where(imp[:, None], ec, best_e)
@@ -380,40 +370,29 @@ def _temp_block(pr, d, t, eps, smix, wsum, act, span, npts):
     return best_t, best_e
 
 
-def _dist_block(pr, d, t, eps, smix, wsum, act, local_span, ncand, nloc):
-    bt = _planck_core(pr.wav, t[:, None])
-    mix = (smix + (_PI - wsum)[:, None] * pr.ground) / _PI
-    core = eps * bt + (1.0 - eps) * mix - pr.b_air
-    pen = pr.rho_eps * (np.diff(eps, axis=1) ** 2).sum(1)
-    best_l = None
-    best_d = d.copy()
+def _dist_block(pr, d, t, eps, mix, act, local_span):
+    # scan d with everything else fixed: only the path term varies
+    core = _contrast(_planck_core(pr.wav, t[:, None]), eps, mix, pr.b_air)
+    pen = _penalty(pr, eps)
+
+    def score(tau):
+        r = _radiance(tau, core, pr.b_air) - pr.y
+        return (r * r).sum(1) + pen
+
     if local_span is None:
-        for dc in np.linspace(0.0, pr.d_max, ncand):
-            tau = np.power(10.0, (-dc / 10.0) * pr.alpha)[None, :]
-            r = tau * core + pr.b_air - pr.y
-            lc = (r * r).sum(1) + pen
-            if best_l is None:
-                best_l = lc.copy()
-                best_d = np.full_like(d, dc)
-            else:
-                imp = lc < best_l
-                best_d = np.where(imp, dc, best_d)
-                best_l = np.where(imp, lc, best_l)
+        # one range for every pixel, so each candidate's path is a (K,) vector
+        cands = np.linspace(0.0, pr.d_max, _GLOBAL_SCAN_POINTS)
     else:
-        for o in np.linspace(-local_span, local_span, nloc):
-            dc = np.clip(d + o, 0.0, pr.d_max)
-            tau = _tau(dc, pr.alpha)
-            r = tau * core + pr.b_air - pr.y
-            lc = (r * r).sum(1) + pen
-            if best_l is None:
-                best_l = lc.copy()
-                best_d = dc.copy()
-            else:
-                imp = lc < best_l
-                best_d = np.where(imp, dc, best_d)
-                best_l = np.where(imp, lc, best_l)
-    cur = _loss(pr, d, t, eps, smix, wsum)
-    ok = (best_l <= cur) & act
+        cands = [np.clip(d + o, 0.0, pr.d_max)
+                 for o in np.linspace(-local_span, local_span, _LOCAL_SCAN_POINTS)]
+    best_d = np.broadcast_to(cands[0], d.shape)
+    best_l = score(_tau(cands[0], pr.alpha))
+    for dc in cands[1:]:
+        lc = score(_tau(dc, pr.alpha))
+        imp = lc < best_l
+        best_d = np.where(imp, dc, best_d)
+        best_l = np.where(imp, lc, best_l)
+    ok = (best_l <= score(_tau(d, pr.alpha))) & act
     return np.where(ok, best_d, d)
 
 
@@ -425,32 +404,27 @@ def _feasible(d, eps, om, d_max):
     return ok
 
 
-def _phase(pr, cfg, d, t, eps, om, iters, *, min_iter, d_freeze,
+def _phase(pr, d, t, eps, om, iters, *, min_iter, d_freeze,
            count=None, hist=None, label="", extra_total=None):
     p = pr.y.shape[0]
     act = np.ones(p, dtype=bool)
     stall = np.zeros(p, dtype=np.int64)
     has_sky = pr.sky.shape[0] > 0
     for it in range(iters):
-        smix = _mix_sky(om, pr.sky)
-        wsum = om.sum(1)
-        l0 = _loss(pr, d, t, eps, smix, wsum)
+        mix = _mix(om, pr.sky, pr.ground)
+        l0 = _loss(pr, d, t, eps, mix)
         if has_sky:
-            om = _sky_block(pr, d, t, eps, om, act, cfg.sky_admm_iterations)
-            smix = _mix_sky(om, pr.sky)
-            wsum = om.sum(1)
-        t, eps = _temp_block(pr, d, t, eps, smix, wsum, act,
-                             span=max(_T_SPAN0 * _T_DECAY ** it, _MIN_SPAN),
-                             npts=cfg.temperature_scan_points)
+            om = _sky_block(pr, d, t, eps, om, act)
+            mix = _mix(om, pr.sky, pr.ground)
+        t, eps = _temp_block(pr, d, t, eps, mix, act,
+                             span=max(_T_SPAN0 * _T_DECAY ** it, _MIN_SPAN))
         if it >= d_freeze:
             if it % 10 == 0 and it < min_iter:
-                d = _dist_block(pr, d, t, eps, smix, wsum, act, None,
-                                cfg.global_scan_points, cfg.local_scan_points)
+                d = _dist_block(pr, d, t, eps, mix, act, None)
             else:
                 span = max(_D_SPAN0 * _D_DECAY ** (it - d_freeze), _MIN_SPAN)
-                d = _dist_block(pr, d, t, eps, smix, wsum, act, span,
-                                cfg.global_scan_points, cfg.local_scan_points)
-        l1 = _loss(pr, d, t, eps, smix, wsum)
+                d = _dist_block(pr, d, t, eps, mix, act, span)
+        l1 = _loss(pr, d, t, eps, mix)
         if count is not None:
             count += act
         if hist is not None:
@@ -458,27 +432,25 @@ def _phase(pr, cfg, d, t, eps, om, iters, *, min_iter, d_freeze,
             hist.append((label, it, tot, _feasible(d, eps, om, pr.d_max)))
         rel = (l0 - l1) / np.maximum(l0, 1e-300)
         if it >= min_iter:
-            stall = np.where(rel < cfg.tol, stall + 1, 0)
-            act = act & (stall < cfg.patience)
+            stall = np.where(rel < _TOL, stall + 1, 0)
+            act = act & (stall < _PATIENCE)
         if not act.any():
             break
     return d, t, eps, om
 
 
-def _polish_distance(pr, cfg, d, t, eps, om, span, steps):
+def _polish_distance(pr, d, t, eps, om, span):
     # profiled fine scan: each range candidate gets its own (T, eps) refit
-    smix = _mix_sky(om, pr.sky)
-    wsum = om.sum(1)
+    mix = _mix(om, pr.sky, pr.ground)
     act = np.ones(pr.y.shape[0], dtype=bool)
-    best_l = _loss(pr, d, t, eps, smix, wsum)
+    best_l = _loss(pr, d, t, eps, mix)
     best_d = d.copy()
     best_t = t.copy()
     best_e = eps.copy()
-    for o in np.linspace(-span, span, steps):
+    for o in np.linspace(-span, span, _POLISH_STEPS):
         dc = np.clip(d + o, 0.0, pr.d_max)
-        tc, ec = _temp_block(pr, dc, t, eps, smix, wsum, act, span=1.0,
-                             npts=cfg.temperature_scan_points)
-        lc = _loss(pr, dc, tc, ec, smix, wsum)
+        tc, ec = _temp_block(pr, dc, t, eps, mix, act, span=1.0)
+        lc = _loss(pr, dc, tc, ec, mix)
         imp = lc < best_l
         best_d = np.where(imp, dc, best_d)
         best_t = np.where(imp, tc, best_t)
@@ -488,13 +460,11 @@ def _polish_distance(pr, cfg, d, t, eps, om, span, steps):
 
 
 def _gradients_flat(pr, d, t, eps, om):
-    smix = _mix_sky(om, pr.sky)
-    wsum = om.sum(1)
     tau = _tau(d, pr.alpha)
     bt = _planck_core(pr.wav, t[:, None])
-    mix = (smix + (_PI - wsum)[:, None] * pr.ground) / _PI
-    core = eps * bt + (1.0 - eps) * mix - pr.b_air
-    r = tau * core + pr.b_air - pr.y
+    mix = _mix(om, pr.sky, pr.ground)
+    core = _contrast(bt, eps, mix, pr.b_air)
+    r = _radiance(tau, core, pr.b_air) - pr.y
     dtau = -(_LOG10 / 10.0) * pr.alpha[None, :] * tau
     g_d = (2.0 * r * dtau * core).sum(1)
     dbt = _planck_dT_core(pr.wav, t[:, None])
@@ -512,7 +482,7 @@ def _gradients_flat(pr, d, t, eps, om):
     return g_d, g_t, g_e, g_o
 
 
-def _backtrack_block(cfg, l0, step0, x, cand_of, dist2_of, loss_of):
+def _backtrack_block(l0, step0, x, cand_of, dist2_of, loss_of):
     """Projected-gradient backtracking for one variable block, all pixels.
 
     Accepts a candidate only if L(x+) <= L(x) - c/t * |x+ - x|^2, so every
@@ -523,11 +493,11 @@ def _backtrack_block(cfg, l0, step0, x, cand_of, dist2_of, loss_of):
     tcur = step0.copy()
     done = np.zeros(p, dtype=bool)
     lbest = l0.copy()
-    for _ in range(cfg.armijo_backtracks):
+    for _ in range(_ARMIJO_BACKTRACKS):
         cand = cand_of(tcur)
         lc = loss_of(cand)
         dx2 = dist2_of(cand)
-        need = l0 - cfg.armijo_c * dx2 / np.maximum(tcur, 1e-300)
+        need = l0 - _ARMIJO_C * dx2 / np.maximum(tcur, 1e-300)
         acc = (~done) & (lc <= need) & (dx2 > 0.0)
         if acc.any():
             mask = acc.reshape((-1,) + (1,) * (cand.ndim - 1))
@@ -536,34 +506,34 @@ def _backtrack_block(cfg, l0, step0, x, cand_of, dist2_of, loss_of):
         done |= acc
         if done.all():
             break
-        tcur = tcur * cfg.armijo_factor
+        tcur = tcur * _ARMIJO_FACTOR
     return accepted, lbest
 
 
-def _armijo_pass(pr, cfg, d, t, eps, om):
+def _armijo_pass(pr, d, t, eps, om):
     """One sweep of per-block projected-gradient line searches."""
 
     def cur_loss(dv, tv, ev, ov):
-        return _loss(pr, dv, tv, ev, _mix_sky(ov, pr.sky), ov.sum(1))
+        return _loss(pr, dv, tv, ev, _mix(ov, pr.sky, pr.ground))
 
     g_d, _, _, _ = _gradients_flat(pr, d, t, eps, om)
     l0 = cur_loss(d, t, eps, om)
     d, l0 = _backtrack_block(
-        cfg, l0, 0.5 / (np.abs(g_d) + 1e-30), d,
+        l0, 0.5 / (np.abs(g_d) + 1e-30), d,
         lambda tc: np.clip(d - tc * g_d, 0.0, pr.d_max),
         lambda c: (c - d) ** 2,
         lambda c: cur_loss(c, t, eps, om))
 
     _, g_t, _, _ = _gradients_flat(pr, d, t, eps, om)
     t, l0 = _backtrack_block(
-        cfg, l0, 0.25 / (np.abs(g_t) + 1e-30), t,
+        l0, 0.25 / (np.abs(g_t) + 1e-30), t,
         lambda tc: np.clip(t - tc * g_t, pr.t_lo, pr.t_hi),
         lambda c: (c - t) ** 2,
         lambda c: cur_loss(d, c, eps, om))
 
     _, _, g_e, _ = _gradients_flat(pr, d, t, eps, om)
     eps, l0 = _backtrack_block(
-        cfg, l0, 0.01 / (np.abs(g_e).max(1) + 1e-30), eps,
+        l0, 0.01 / (np.abs(g_e).max(1) + 1e-30), eps,
         lambda tc: np.clip(eps - tc[:, None] * g_e, 0.0, 1.0),
         lambda c: ((c - eps) ** 2).sum(1),
         lambda c: cur_loss(d, t, c, om))
@@ -571,7 +541,7 @@ def _armijo_pass(pr, cfg, d, t, eps, om):
     if om.shape[1] > 0:
         _, _, _, g_o = _gradients_flat(pr, d, t, eps, om)
         om, l0 = _backtrack_block(
-            cfg, l0, 0.05 / (np.abs(g_o).max(1) + 1e-30), om,
+            l0, 0.05 / (np.abs(g_o).max(1) + 1e-30), om,
             lambda tc: _proj_cap_simplex(om - tc[:, None] * g_o),
             lambda c: ((c - om) ** 2).sum(1),
             lambda c: cur_loss(d, t, eps, c))
@@ -689,7 +659,9 @@ def data_loss(params, cube, alpha, dw, air_temperature, ground_fill="ambient"):
     pr, _, _ = _build_problem(cube, alpha, dw, air_temperature, q, 0.0,
                               np.inf, 1.0, ground_fill)
     d, t, eps, om = _flatten_maps(params, q)
-    r = _predict(pr, d, t, eps, _mix_sky(om, pr.sky), om.sum(1)) - pr.y
+    core = _contrast(_planck_core(pr.wav, t[:, None]), eps, _mix(om, pr.sky, pr.ground),
+                     pr.b_air)
+    r = _radiance(_tau(d, pr.alpha), core, pr.b_air) - pr.y
     return float((r * r).sum())
 
 
@@ -800,13 +772,10 @@ def _solve_flat(pr, cfg, d0, t0, jit, init_state, track, rows, ncols):
 
     if init_state is None:
         dl = []
-        for idx, base in enumerate(cfg.d_ladder):
+        for idx, base in enumerate(_D_LADDER):
             vec = np.clip(d0, 1.0, pr.d_max) if base is None else np.full(p, float(base))
-            if cfg.init_jitter > 0.0:
-                vec = np.clip(vec * (1.0 + cfg.init_jitter * jit[:, idx]),
-                              0.0, pr.d_max)
-            dl.append(vec)
-        starts = [(dv, e0) for e0 in cfg.eps_starts for dv in dl]
+            dl.append(np.clip(vec * (1.0 + _INIT_JITTER * jit[:, idx]), 0.0, pr.d_max))
+        starts = [(dv, e0) for e0 in _EPS_STARTS for dv in dl]
         sn = len(starts)
         k = pr.wav.size
         ds = np.concatenate([s[0] for s in starts])
@@ -814,22 +783,22 @@ def _solve_flat(pr, cfg, d0, t0, jit, init_state, track, rows, ncols):
         ts = np.tile(t0, sn)
         os_ = np.zeros((sn * p, qe))
         prs = replace(pr, y=np.tile(pr.y, (sn, 1)))
-        ds, ts, es, os_ = _phase(prs, cfg, ds, ts, es, os_,
+        ds, ts, es, os_ = _phase(prs, ds, ts, es, os_,
                                  min(cfg.warmup_iterations, cfg.max_iterations),
                                  min_iter=10 ** 9, d_freeze=cfg.warmup_d_freeze)
-        ls = _loss(prs, ds, ts, es, _mix_sky(os_, prs.sky), os_.sum(1)).reshape(sn, p)
+        ls = _loss(prs, ds, ts, es, _mix(os_, prs.sky, prs.ground)).reshape(sn, p)
         order = np.argsort(ls, axis=0, kind="stable")
-        top = 1 if qe == 0 else min(cfg.top_k, sn)
+        top = 1 if qe == 0 else min(_TOP_K, sn)
         cands = []
         for r in range(top):
             ix = order[r] * p + np.arange(p)
             cnt = np.zeros(p, dtype=np.int64)
             dr, tr, er, orr = _phase(
-                pr, cfg, ds[ix], ts[ix], es[ix], os_[ix], refine_iters,
-                min_iter=cfg.settle_iterations, d_freeze=0, count=cnt,
+                pr, ds[ix], ts[ix], es[ix], os_[ix], refine_iters,
+                min_iter=_SETTLE_ITERATIONS, d_freeze=0, count=cnt,
                 hist=hist if r == 0 else None, label=f"refine{r}",
                 extra_total=extra_total)
-            lr = _loss(pr, dr, tr, er, _mix_sky(orr, pr.sky), orr.sum(1))
+            lr = _loss(pr, dr, tr, er, _mix(orr, pr.sky, pr.ground))
             cands.append((lr, dr, tr, er, orr, cnt))
         lb, db, tb, eb, ob, cb = cands[0]
         for lr, dr, tr, er, orr, cnt in cands[1:]:
@@ -844,55 +813,53 @@ def _solve_flat(pr, cfg, d0, t0, jit, init_state, track, rows, ncols):
     else:
         d, t, eps, om = init_state
         cnt = np.zeros(p, dtype=np.int64)
-        d, t, eps, om = _phase(pr, cfg, d, t, eps, om, refine_iters,
-                               min_iter=cfg.settle_iterations, d_freeze=0,
+        d, t, eps, om = _phase(pr, d, t, eps, om, refine_iters,
+                               min_iter=_SETTLE_ITERATIONS, d_freeze=0,
                                count=cnt, hist=hist, label="refine0",
                                extra_total=extra_total)
 
     if hist is not None:
-        lcur = _loss(pr, d, t, eps, _mix_sky(om, pr.sky), om.sum(1))
+        lcur = _loss(pr, d, t, eps, _mix(om, pr.sky, pr.ground))
         tot = float(lcur.sum()) + (extra_total(d) if extra_total else 0.0)
         hist.append(("merge", 0, tot, _feasible(d, eps, om, pr.d_max)))
 
     if qe > 0:
         ones = np.ones(p, dtype=bool)
         for rep in range(cfg.polish_rounds):
-            d, t, eps = _polish_distance(pr, cfg, d, t, eps, om,
-                                         span=cfg.polish_span / (rep + 1),
-                                         steps=cfg.polish_steps)
-            om = _sky_block(pr, d, t, eps, om, ones, cfg.sky_admm_iterations)
+            d, t, eps = _polish_distance(pr, d, t, eps, om,
+                                         span=_POLISH_SPAN / (rep + 1))
+            om = _sky_block(pr, d, t, eps, om, ones)
             if hist is not None:
-                lcur = _loss(pr, d, t, eps, _mix_sky(om, pr.sky), om.sum(1))
+                lcur = _loss(pr, d, t, eps, _mix(om, pr.sky, pr.ground))
                 tot = float(lcur.sum()) + (extra_total(d) if extra_total else 0.0)
                 hist.append(("polish", rep, tot, _feasible(d, eps, om, pr.d_max)))
 
     for i in range(cfg.armijo_iterations):
-        d, t, eps, om, lcur = _armijo_pass(pr, cfg, d, t, eps, om)
+        d, t, eps, om, lcur = _armijo_pass(pr, d, t, eps, om)
         if hist is not None:
             tot = float(lcur.sum()) + (extra_total(d) if extra_total else 0.0)
             hist.append(("armijo", i, tot, _feasible(d, eps, om, pr.d_max)))
 
     if cfg.rho_d > 0.0:
-        for rnd in range(cfg.tv_rounds):
-            smix = _mix_sky(om, pr.sky)
-            wsum = om.sum(1)
-            l_old = _loss(pr, d, t, eps, smix, wsum)
+        for rnd in range(_TV_ROUNDS):
+            mix = _mix(om, pr.sky, pr.ground)
+            l_old = _loss(pr, d, t, eps, mix)
             tot_old = float(l_old.sum()) + extra_total(d)
             dn = np.clip(_tv_denoise_map(d.reshape(rows, ncols), cfg.rho_d),
                          0.0, pr.d_max).reshape(-1)
-            l_new = _loss(pr, dn, t, eps, smix, wsum)
+            l_new = _loss(pr, dn, t, eps, mix)
             tot_new = float(l_new.sum()) + extra_total(dn)
             if tot_new > tot_old:
                 break
             d = dn
-            d, t, eps, om = _phase(pr, cfg, d, t, eps, om, 2,
+            d, t, eps, om = _phase(pr, d, t, eps, om, 2,
                                    min_iter=10 ** 9, d_freeze=10 ** 9)
             if hist is not None:
-                lcur = _loss(pr, d, t, eps, _mix_sky(om, pr.sky), om.sum(1))
+                lcur = _loss(pr, d, t, eps, _mix(om, pr.sky, pr.ground))
                 hist.append(("tv", rnd, float(lcur.sum()) + extra_total(d),
                              _feasible(d, eps, om, pr.d_max)))
 
-    loss_final = _loss(pr, d, t, eps, _mix_sky(om, pr.sky), om.sum(1))
+    loss_final = _loss(pr, d, t, eps, _mix(om, pr.sky, pr.ground))
     return d, t, eps, om, loss_final, cnt, hist
 
 
@@ -925,14 +892,14 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
                 [f"config zenith angles {want} do not match downwelling set {got}"])
 
     pr, m, n = _build_problem(cube, alpha, dw if q > 0 else None, air_temperature,
-                              q, cfg.rho_eps, cfg.d_max, cfg.t_span, cfg.ground_fill)
+                              q, cfg.rho_eps, cfg.d_max, _T_SPAN, "ambient")
 
     d0 = _default_distance_init(cube, alpha, air_temperature, cfg.d_max)
     t0 = _default_temperature_init(pr)
 
-    nladder = len(cfg.d_ladder)
+    nladder = len(_D_LADDER)
     jit = np.zeros((m * n, nladder))
-    if cfg.init_jitter > 0.0 and initial is None:
+    if initial is None:
         for pix in range(m * n):
             i, j = divmod(pix, n)
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i, j]))

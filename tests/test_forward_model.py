@@ -163,10 +163,10 @@ def test_observed_radiance_rejects_bad_inputs():
 def test_default_scene_layout():
     grid = make_default_grid(bands=16)
     truth = make_default_scene(grid, q=3, rows=32, cols=32)
-    panel, dull, shiny = default_panel_masks(32, 32)
-    assert panel.sum() == dull.sum() + shiny.sum()
-    assert np.all(truth.emissivity_cube[dull] == 0.6)
-    assert np.all(truth.emissivity_cube[shiny] == 0.9)
+    panel, eps60, eps90 = default_panel_masks(32, 32)
+    assert panel.sum() == eps60.sum() + eps90.sum()
+    assert np.all(truth.emissivity_cube[eps60] == 0.6)
+    assert np.all(truth.emissivity_cube[eps90] == 0.9)
     assert np.all(truth.emissivity_cube[~panel] == 0.98)
     assert np.all(truth.distance_map[panel] == 30.0)
     background = truth.distance_map[~panel]

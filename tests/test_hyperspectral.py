@@ -120,7 +120,7 @@ class TestDataLoss:
             "emissivity": tr.emissivity_cube,
             "solid_angles": tr.solid_angle_maps,
         }
-        assert data_loss(params, sc["cube"], sc["alpha"], sc["dw"], AIR) < 1e-18
+        assert data_loss(params, sc["cube"], sc["alpha"], sc["dw"], AIR) == 0.0
 
     def test_grid_mismatch_rejected(self):
         sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=0)
@@ -266,12 +266,12 @@ class TestConfig:
         assert SolverConfig().validate() == []
 
     def test_collects_every_violation(self):
-        cfg = SolverConfig(rho_eps=-1.0, d_max=0.0, t_span=-2.0, patience=0,
-                           armijo_factor=1.5, ground_fill="mirror",
+        cfg = SolverConfig(rho_eps=-1.0, d_max=0.0, q=-1, seed=-1,
+                           polish_rounds=-1, warmup_iterations=0,
                            rho_d=1.0, threads=4, track_history=True)
         msgs = cfg.validate()
-        for frag in ("rho_eps", "d_max", "t_span", "patience", "armijo_factor",
-                     "ground_fill", "requires threads=1", "track_history"):
+        for frag in ("rho_eps", "d_max", "q must", "seed", "polish_rounds",
+                     "warmup_iterations", "requires threads=1", "track_history"):
             assert any(frag in v for v in msgs), frag
         assert len(msgs) >= 8
 
@@ -279,8 +279,8 @@ class TestConfig:
         sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=10)
         with pytest.raises(ConfigError) as exc:
             solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                  SolverConfig(d_max=-5.0, tol=-1.0))
-        assert "d_max" in str(exc.value) and "tol" in str(exc.value)
+                  SolverConfig(d_max=-5.0, refine_iterations=0))
+        assert "d_max" in str(exc.value) and "refine_iterations" in str(exc.value)
 
     def test_solve_rejects_q_mismatch(self):
         sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=10)
@@ -338,8 +338,9 @@ class TestSolve:
         assert est.loss.max() < 1e-2
         assert est.iterations.min() >= 1
 
-    def test_truth_is_a_fixed_point(self):
-        sc = micro_scene(rows=3, cols=3, bands=16, q=2, noise_sigma=0.0, seed=1)
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_truth_is_a_fixed_point(self, q):
+        sc = micro_scene(rows=3, cols=3, bands=16, q=q, noise_sigma=0.0, seed=1)
         tr = sc["truth"]
         est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
                     initial=as_maps(tr))
