@@ -45,6 +45,7 @@ from .cube_io import (
     load_range_map,
     load_scene_cube,
     load_scene_truth,
+    load_truth_distance,
     read_cube,
     read_map,
     save_estimates,

@@ -43,7 +43,7 @@ from .cube_io import (
     load_estimates,
     load_range_map,
     load_scene_cube,
-    load_scene_truth,
+    load_truth_distance,
     save_estimates,
     save_range_map,
     save_scene_cube,
@@ -306,10 +306,9 @@ def _load_distance_input(path):
 
 def cmd_eval(s, args):
     estimate = _load_distance_input(args.est)
-    truth = load_scene_truth(args.truth)
-    shape = truth.distance_map.shape
-    patches = default_patches(shape, s["patches"])
-    rows = patch_stats(estimate, truth.distance_map, patches)
+    truth = load_truth_distance(args.truth)
+    patches = default_patches(truth.shape, s["patches"])
+    rows = patch_stats(estimate, truth, patches)
     write_patch_stats_csv(args.out, rows)
     print(f"wrote {len(rows)} patch rows to {args.out}")
     return 0

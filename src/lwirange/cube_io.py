@@ -10,6 +10,7 @@ writing the same data twice produces identical files.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -26,6 +27,25 @@ MAGIC = b"LWC1"
 _CREATED = "lwirange-0.1.0"
 _KINDS = ("cube", "map", "omega")
 _MAX_BODY_BYTES = 2 ** 62
+
+
+def _is_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _count(name, v, lo):
+    try:
+        if _is_number(v) and int(v) == v and v >= lo:
+            return int(v)
+    except (OverflowError, ValueError):  # inf, nan
+        pass
+    raise FormatError(f"{name} must be an integer >= {lo}, got {v!r}")
+
+
+def _numbers(name, v):
+    if not (isinstance(v, (list, tuple)) and all(_is_number(x) for x in v)):
+        raise FormatError(f"{name} must be a list of numbers, got {v!r}")
+    return tuple(float(x) for x in v)
 
 
 @dataclass
@@ -47,12 +67,13 @@ class CubeHeader:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise FormatError(f"unknown container kind {self.kind!r}")
-        for name in ("rows", "cols"):
+        self.rows = _count("rows", self.rows, 1)
+        self.cols = _count("cols", self.cols, 1)
+        self.bands = _count("bands", self.bands, 0)
+        for name in ("air_temperature_k", "noise_sigma"):
             v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise FormatError(f"{name} must be a positive integer, got {v}")
-        if int(self.bands) != self.bands or self.bands < 0:
-            raise FormatError(f"bands must be a non-negative integer, got {self.bands}")
+            if v is not None and not (_is_number(v) and abs(v) < np.inf):
+                raise FormatError(f"{name} must be a finite number, got {v!r}")
         if self.kind == "map" and self.bands != 1:
             raise FormatError(f"map containers carry one band, got {self.bands}")
         if self.kind == "cube" and self.bands < 1:
@@ -64,13 +85,13 @@ class CubeHeader:
                 raise FormatError(
                     f"omega sectors ({self.sectors}) must equal the third dim ({self.bands})")
         if self.wavelengths_um is not None:
-            w = tuple(float(x) for x in self.wavelengths_um)
+            w = _numbers("wavelengths_um", self.wavelengths_um)
             if len(w) != self.bands:
                 raise FormatError(
                     f"header lists {len(w)} wavelengths for {self.bands} bands")
             self.wavelengths_um = w
         if self.zenith_angles_deg is not None:
-            self.zenith_angles_deg = tuple(float(x) for x in self.zenith_angles_deg)
+            self.zenith_angles_deg = _numbers("zenith_angles_deg", self.zenith_angles_deg)
         nbytes = self.rows * self.cols * max(self.bands, 1) * 4
         if nbytes > _MAX_BODY_BYTES:
             raise FormatError(f"dims overflow the container ({nbytes} body bytes)")
@@ -104,11 +125,7 @@ class CubeHeader:
         missing = {"kind", "rows", "cols", "bands"} - set(d)
         if missing:
             raise FormatError(f"header missing keys: {sorted(missing)}")
-        kwargs = dict(d)
-        for key in ("wavelengths_um", "zenith_angles_deg"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**d)
 
 
 def _write_container(path, header: CubeHeader, body: bytes):
@@ -317,15 +334,20 @@ def save_scene_truth(dirpath, truth: SceneTruth, grid: SpectralGrid,
                truth.ground_ambient)
 
 
+def load_truth_distance(dirpath) -> np.ndarray:
+    """The (M, N) truth range map of a scene directory, in meters."""
+    _, d, _ = read_map(Path(dirpath) / "truth_distance.lwc")
+    return d.astype(np.float64)
+
+
 def load_scene_truth(dirpath) -> SceneTruth:
     src = Path(dirpath)
-    _, d, _ = read_map(src / "truth_distance.lwc")
     _, t, _ = read_map(src / "truth_temperature.lwc")
     _, eps = read_cube(src / "truth_emissivity.lwc")
     _, om = read_cube(src / "truth_solid_angles.lwc")
     _, ga = read_cube(src / "truth_ground.lwc")
     return SceneTruth(
-        distance_map=d.astype(np.float64),
+        distance_map=load_truth_distance(src),
         temperature_map=t.astype(np.float64),
         emissivity_cube=eps.astype(np.float64),
         solid_angle_maps=om.astype(np.float64),

@@ -234,6 +234,17 @@ def observed_radiance(
     return Spectrum(grid, out, MICROFLICK)
 
 
+def _pixel_normals(seed: int, rows: int, cols: int, count: int) -> np.ndarray:
+    """(rows, cols, count) standard normals, pixel (i, j) from its own
+    substream seeded by (seed, i, j): simulator noise and solver jitter."""
+    out = np.empty((rows, cols, count))
+    for i in range(rows):
+        for j in range(cols):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
+            out[i, j] = rng.standard_normal(count)
+    return out
+
+
 def synthesize_cube(
     truth: SceneTruth,
     alpha: AttenuationSpectrum,
@@ -275,11 +286,9 @@ def synthesize_cube(
     ).reshape(m, n, k)
 
     if noise_sigma > 0:
-        y = y.copy()
-        for i in range(m):
-            for j in range(n):
-                rng = np.random.default_rng(np.random.SeedSequence([rng_seed, i, j]))
-                y[i, j] += noise_sigma * rng.standard_normal(k)
+        noise = _pixel_normals(rng_seed, m, n, k)
+        noise *= noise_sigma
+        y += noise
     return SceneCube(y, alpha.grid, air_temperature, noise_sigma)
 
 

@@ -4,27 +4,30 @@ Minimizes, per pixel, the squared radiance misfit of the path-attenuated
 emission-plus-reflection model, evaluated by the simulator's kernels in
 :mod:`lwirange.forward_model`, plus a band-smoothness penalty on emissivity
 and an optional anisotropic TV penalty on the range map.  The engine is a
-block-coordinate scheme: every block update is accept-guarded (a candidate
-is kept only if it does not increase that pixel's objective), so the
-objective is non-increasing across accepted steps by construction.  A short
-multi-start warmup over a range ladder precedes refinement; an optional
-projected-gradient Armijo pass polishes the result.  All array reductions
-are row-independent, which makes results byte-identical for any row
-partitioning (thread count) and any edit to other pixels' data when the TV
-weight is zero.
+block-coordinate scheme: a multi-start warmup over a range ladder, then
+refinement of the best starts (a phase stops once every pixel has stalled),
+a profiled range polish, a projected-gradient Armijo pass and, when the TV
+weight is positive, proximal TV rounds.  Every step is accept-guarded: a
+candidate is kept only if it does not raise the objective its stage
+enforces, which is the data misfit plus emissivity smoothness up to the
+Armijo pass and that plus the TV term in the TV rounds.  All array
+reductions are row-independent, which makes results byte-identical for any
+row partitioning (thread count) and any edit to other pixels' data when the
+TV weight is zero.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .atmosphere import _tau
 from .closed_form import FLAG_VALID, BandSelection, bispectral_air
 from .errors import ConfigError, ConstraintError, DimensionError, DomainError, GridError
-from .forward_model import _contrast, _mix, _radiance
+from .forward_model import _contrast, _mix, _pixel_normals, _radiance
 from .radiometry import (
     _planck_core,
     _planck_dT_core,
@@ -58,8 +61,9 @@ _INIT_JITTER = 0.01
 _EPS_STARTS = (0.95, 0.6)
 _TOP_K = 2
 
-# refinement stops a pixel once, after _SETTLE_ITERATIONS, its relative loss
-# decrease stays below _TOL for _PATIENCE iterations in a row
+# a pixel has stalled once, after _SETTLE_ITERATIONS, its relative loss
+# decrease stays below _TOL for _PATIENCE iterations in a row; a refinement
+# phase stops once every pixel has stalled
 _SETTLE_ITERATIONS = 25
 _TOL = 1e-8
 _PATIENCE = 5
@@ -89,15 +93,18 @@ class SolverConfig:
     jitter; threads splits the image into row blocks.  warmup_iterations,
     warmup_d_freeze (warmup iterations before the range block first runs),
     refine_iterations and max_iterations (a cap on both) set the iteration
-    budgets; polish_rounds and armijo_iterations the number of profiled
-    range polish rounds and projected-gradient passes.  track_history
-    records the per-stage objective (threads=1 only).
+    budgets; a refinement phase ends early once every pixel has stalled.
+    polish_rounds and armijo_iterations set the number of profiled range
+    polish rounds and projected-gradient passes.  track_history (threads=1
+    only) records ``(stage, step, objective, feasible)`` per "refine0"
+    sweep, for the "merge", and per "polish", "armijo" and "tv" round, with
+    the objective that stage guards: data misfit plus smoothness, plus
+    rho_d * TV on "tv" entries, the first of which is the state received.
 
     The scan sizes, start ladders, stopping rule, line-search constants and
     temperature box are module constants (``_T_SPAN0`` and the names after
-    it at the top of this module).  The solver fills the hemisphere the sky
-    sectors leave with ambient ground radiance, B(T_air); :func:`data_loss`
-    and :func:`gradients` take a ``ground_fill`` argument instead.
+    it at the top of this module).  The hemisphere the sky sectors leave is
+    filled with ambient ground radiance, B(T_air).
     """
 
     rho_eps: float = 1e5
@@ -152,9 +159,10 @@ class EstimateMaps:
     distance (M,N) m; temperature (M,N) K; emissivity (M,N,K) in [0,1];
     solid_angles (M,N,Q) sr with non-negative entries summing to at most pi
     per pixel; loss (M,N) is the per-pixel data misfit plus the weighted
-    emissivity-smoothness penalty; iterations (M,N) counts refinement
-    iterations the winning trajectory spent on the pixel (== the configured
-    maximum when the pixel never met the stopping rule).
+    emissivity-smoothness penalty; iterations (M,N) counts the refinement
+    sweeps the winning start ran on the pixel before it stalled (== the
+    refinement budget when it never stalled).  history is the per-stage
+    record that SolverConfig.track_history asks for.
     """
 
     distance: np.ndarray
@@ -215,8 +223,7 @@ class _Problem:
     alpha: np.ndarray    # (K,) dB/m
     y: np.ndarray        # (P,K) observed
     sky: np.ndarray      # (Qe,K) downwelling rows; empty when the sky term is off
-    ground: np.ndarray   # (K,) ground-ambient fill
-    b_air: np.ndarray    # (K,) blackbody radiance at air temperature
+    b_air: np.ndarray    # (K,) B(T_air), also the ambient ground fill
     rho_eps: float
     d_max: float
     t_lo: float
@@ -323,15 +330,15 @@ def _proj_cap_simplex(v):
     return z
 
 
-def _sky_block(pr, d, t, eps, om, act):
+def _sky_block(pr, d, t, eps, om):
     # per-pixel box/cap-constrained quadratic in the sky weights via ADMM
     q = om.shape[1]
     tau = _tau(d, pr.alpha)
     bt = _planck_core(pr.wav, t[:, None])
     w = tau * (1.0 - eps) / _PI
-    y0 = _radiance(tau, _contrast(bt, eps, pr.ground, pr.b_air), pr.b_air)
+    y0 = _radiance(tau, _contrast(bt, eps, pr.b_air, pr.b_air), pr.b_air)
     base = pr.y - y0
-    ekq = pr.sky.T - pr.ground[:, None]
+    ekq = pr.sky.T - pr.b_air[:, None]
     w2 = w * w
     gm = np.einsum("pk,kq,kr->pqr", w2, ekq, ekq, optimize=False)
     rhs = np.einsum("pk,kq->pq", w * base, ekq, optimize=False)
@@ -346,13 +353,12 @@ def _sky_block(pr, d, t, eps, om, act):
                       optimize=False)
         z = _proj_cap_simplex(x + u)
         u = u + x - z
-    ln = _misfit(pr, tau, bt, eps, _mix(z, pr.sky, pr.ground))
-    lo = _misfit(pr, tau, bt, eps, _mix(om, pr.sky, pr.ground))
-    ok = (ln <= lo) & act
-    return np.where(ok[:, None], z, om)
+    ln = _misfit(pr, tau, bt, eps, _mix(z, pr.sky, pr.b_air))
+    lo = _misfit(pr, tau, bt, eps, _mix(om, pr.sky, pr.b_air))
+    return np.where((ln <= lo)[:, None], z, om)
 
 
-def _temp_block(pr, d, t, eps, mix, act, span):
+def _temp_block(pr, d, t, eps, mix, span):
     # scan T around the current value, re-fitting emissivity per candidate
     tau = _tau(d, pr.alpha)
     best_l = _misfit(pr, tau, _planck_core(pr.wav, t[:, None]), eps, mix)
@@ -363,14 +369,14 @@ def _temp_block(pr, d, t, eps, mix, act, span):
         bt = _planck_core(pr.wav, tc[:, None])
         ec = _eps_quick(pr, pr.y, tau, bt, mix, eps)
         lc = _misfit(pr, tau, bt, ec, mix)
-        imp = (lc < best_l) & act
+        imp = lc < best_l
         best_t = np.where(imp, tc, best_t)
         best_e = np.where(imp[:, None], ec, best_e)
         best_l = np.where(imp, lc, best_l)
     return best_t, best_e
 
 
-def _dist_block(pr, d, t, eps, mix, act, local_span):
+def _dist_block(pr, d, t, eps, mix, local_span):
     # scan d with everything else fixed: only the path term varies
     core = _contrast(_planck_core(pr.wav, t[:, None]), eps, mix, pr.b_air)
     pen = _penalty(pr, eps)
@@ -392,8 +398,7 @@ def _dist_block(pr, d, t, eps, mix, act, local_span):
         imp = lc < best_l
         best_d = np.where(imp, dc, best_d)
         best_l = np.where(imp, lc, best_l)
-    ok = (best_l <= score(_tau(d, pr.alpha))) & act
-    return np.where(ok, best_d, d)
+    return np.where(best_l <= score(_tau(d, pr.alpha)), best_d, d)
 
 
 def _feasible(d, eps, om, d_max):
@@ -404,52 +409,59 @@ def _feasible(d, eps, om, d_max):
     return ok
 
 
-def _phase(pr, d, t, eps, om, iters, *, min_iter, d_freeze,
-           count=None, hist=None, label="", extra_total=None):
-    p = pr.y.shape[0]
-    act = np.ones(p, dtype=bool)
-    stall = np.zeros(p, dtype=np.int64)
+def _pick(mask, a, b):
+    # per pixel: a where mask, else b; mask is (P,), a and b (P,) or (P, X)
+    return np.where(mask.reshape(mask.shape + (1,) * (a.ndim - 1)), a, b)
+
+
+def _phase(pr, d, t, eps, om, iters, *, min_iter, d_freeze, record=None):
+    # returns the state and the sweeps each pixel ran before it stalled; a
+    # stalled pixel keeps its state, so it does not depend on the others.
+    # The state before a sweep is kept only once some pixel has stalled,
+    # which leaves the warmup's peak memory at that of its blocks.
+    stall = np.zeros(pr.y.shape[0], dtype=np.int64)
+    ran = np.full(pr.y.shape[0], iters, dtype=np.int64)
     has_sky = pr.sky.shape[0] > 0
     for it in range(iters):
-        mix = _mix(om, pr.sky, pr.ground)
+        held = ran <= it
+        prev = (d, t, eps, om) if held.any() else None
+        mix = _mix(om, pr.sky, pr.b_air)
         l0 = _loss(pr, d, t, eps, mix)
         if has_sky:
-            om = _sky_block(pr, d, t, eps, om, act)
-            mix = _mix(om, pr.sky, pr.ground)
-        t, eps = _temp_block(pr, d, t, eps, mix, act,
+            om = _sky_block(pr, d, t, eps, om)
+            mix = _mix(om, pr.sky, pr.b_air)
+        t, eps = _temp_block(pr, d, t, eps, mix,
                              span=max(_T_SPAN0 * _T_DECAY ** it, _MIN_SPAN))
         if it >= d_freeze:
             if it % 10 == 0 and it < min_iter:
-                d = _dist_block(pr, d, t, eps, mix, act, None)
+                d = _dist_block(pr, d, t, eps, mix, None)
             else:
                 span = max(_D_SPAN0 * _D_DECAY ** (it - d_freeze), _MIN_SPAN)
-                d = _dist_block(pr, d, t, eps, mix, act, span)
+                d = _dist_block(pr, d, t, eps, mix, span)
+        if prev is not None:
+            d, t, eps, om = (_pick(held, a, b) for a, b in zip(prev, (d, t, eps, om)))
+            mix = _mix(om, pr.sky, pr.b_air)
         l1 = _loss(pr, d, t, eps, mix)
-        if count is not None:
-            count += act
-        if hist is not None:
-            tot = float(l1.sum()) + (extra_total(d) if extra_total else 0.0)
-            hist.append((label, it, tot, _feasible(d, eps, om, pr.d_max)))
-        rel = (l0 - l1) / np.maximum(l0, 1e-300)
+        if record is not None:
+            record(it, d, t, eps, om)
         if it >= min_iter:
-            stall = np.where(rel < _TOL, stall + 1, 0)
-            act = act & (stall < _PATIENCE)
-        if not act.any():
-            break
-    return d, t, eps, om
+            stall = np.where((l0 - l1) / np.maximum(l0, 1e-300) < _TOL, stall + 1, 0)
+            ran = np.where((stall >= _PATIENCE) & ~held, it + 1, ran)
+            if (ran <= it + 1).all():
+                break
+    return d, t, eps, om, ran
 
 
 def _polish_distance(pr, d, t, eps, om, span):
     # profiled fine scan: each range candidate gets its own (T, eps) refit
-    mix = _mix(om, pr.sky, pr.ground)
-    act = np.ones(pr.y.shape[0], dtype=bool)
+    mix = _mix(om, pr.sky, pr.b_air)
     best_l = _loss(pr, d, t, eps, mix)
     best_d = d.copy()
     best_t = t.copy()
     best_e = eps.copy()
     for o in np.linspace(-span, span, _POLISH_STEPS):
         dc = np.clip(d + o, 0.0, pr.d_max)
-        tc, ec = _temp_block(pr, dc, t, eps, mix, act, span=1.0)
+        tc, ec = _temp_block(pr, dc, t, eps, mix, span=1.0)
         lc = _loss(pr, dc, tc, ec, mix)
         imp = lc < best_l
         best_d = np.where(imp, dc, best_d)
@@ -462,7 +474,7 @@ def _polish_distance(pr, d, t, eps, om, span):
 def _gradients_flat(pr, d, t, eps, om):
     tau = _tau(d, pr.alpha)
     bt = _planck_core(pr.wav, t[:, None])
-    mix = _mix(om, pr.sky, pr.ground)
+    mix = _mix(om, pr.sky, pr.b_air)
     core = _contrast(bt, eps, mix, pr.b_air)
     r = _radiance(tau, core, pr.b_air) - pr.y
     dtau = -(_LOG10 / 10.0) * pr.alpha[None, :] * tau
@@ -474,7 +486,7 @@ def _gradients_flat(pr, d, t, eps, om):
     lap[:, 1:] += eps[:, 1:] - eps[:, :-1]
     g_e = 2.0 * r * tau * (bt - mix) + 2.0 * pr.rho_eps * lap
     if om.shape[1] > 0:
-        ekq = pr.sky.T - pr.ground[:, None]
+        ekq = pr.sky.T - pr.b_air[:, None]
         g_o = np.einsum("pk,kq->pq", 2.0 * r * tau * (1.0 - eps) / _PI, ekq,
                         optimize=False)
     else:
@@ -514,7 +526,7 @@ def _armijo_pass(pr, d, t, eps, om):
     """One sweep of per-block projected-gradient line searches."""
 
     def cur_loss(dv, tv, ev, ov):
-        return _loss(pr, dv, tv, ev, _mix(ov, pr.sky, pr.ground))
+        return _loss(pr, dv, tv, ev, _mix(ov, pr.sky, pr.b_air))
 
     g_d, _, _, _ = _gradients_flat(pr, d, t, eps, om)
     l0 = cur_loss(d, t, eps, om)
@@ -540,13 +552,13 @@ def _armijo_pass(pr, d, t, eps, om):
 
     if om.shape[1] > 0:
         _, _, _, g_o = _gradients_flat(pr, d, t, eps, om)
-        om, l0 = _backtrack_block(
+        om, _ = _backtrack_block(
             l0, 0.05 / (np.abs(g_o).max(1) + 1e-30), om,
             lambda tc: _proj_cap_simplex(om - tc[:, None] * g_o),
             lambda c: ((c - om) ** 2).sum(1),
             lambda c: cur_loss(d, t, eps, c))
 
-    return d, t, eps, om, l0
+    return d, t, eps, om
 
 
 def _tv1d_denoise(y, lam, iters=200):
@@ -587,8 +599,7 @@ def _tv_denoise_map(d2, lam):
 # public loss / gradient / projection operations
 # ----------------------------------------------------------------------
 
-def _build_problem(cube, alpha, dw, air_temperature, q, rho_eps, d_max,
-                   t_span, ground_fill):
+def _build_problem(cube, alpha, dw, air_temperature, q, rho_eps, d_max, t_span):
     if alpha.grid != cube.grid:
         raise GridError("attenuation grid does not match cube grid")
     wav = cube.grid.wavelengths
@@ -606,12 +617,11 @@ def _build_problem(cube, alpha, dw, air_temperature, q, rho_eps, d_max,
         sky = np.zeros((0, k))
     t_air = as_kelvin(air_temperature)
     b_air = _planck_core(wav, t_air)
-    ground = b_air if ground_fill == "ambient" else np.zeros(k)
     m, n = cube.radiance.shape[:2]
     y = cube.radiance.reshape(m * n, k).astype(float)
     t_lo = max(t_air - t_span, 1e-2)
     return _Problem(wav=wav, alpha=np.asarray(alpha.values, float),
-                    y=y, sky=sky, ground=ground, b_air=b_air, rho_eps=rho_eps,
+                    y=y, sky=sky, b_air=b_air, rho_eps=rho_eps,
                     d_max=d_max, t_lo=t_lo, t_hi=t_air + t_span), m, n
 
 
@@ -648,7 +658,7 @@ def _flatten_maps(params, q):
             e.reshape(m * n, k), o.reshape(m * n, q))
 
 
-def data_loss(params, cube, alpha, dw, air_temperature, ground_fill="ambient"):
+def data_loss(params, cube, alpha, dw, air_temperature):
     """Total squared radiance misfit of the model at params (no penalties)."""
     dmap, _, emap, omap = _param_arrays(params)
     q = omap.shape[2]
@@ -657,9 +667,9 @@ def data_loss(params, cube, alpha, dw, air_temperature, ground_fill="ambient"):
     if emap.shape[2] != cube.radiance.shape[2]:
         raise DimensionError("params and cube differ in band count")
     pr, _, _ = _build_problem(cube, alpha, dw, air_temperature, q, 0.0,
-                              np.inf, 1.0, ground_fill)
+                              np.inf, 1.0)
     d, t, eps, om = _flatten_maps(params, q)
-    core = _contrast(_planck_core(pr.wav, t[:, None]), eps, _mix(om, pr.sky, pr.ground),
+    core = _contrast(_planck_core(pr.wav, t[:, None]), eps, _mix(om, pr.sky, pr.b_air),
                      pr.b_air)
     r = _radiance(_tau(d, pr.alpha), core, pr.b_air) - pr.y
     return float((r * r).sum())
@@ -680,8 +690,7 @@ def tv_distance(d):
                  + np.abs(dd[:-1, 1:] - dd[:-1, :-1]).sum())
 
 
-def gradients(params, cube, alpha, dw, air_temperature, rho_eps,
-              ground_fill="ambient"):
+def gradients(params, cube, alpha, dw, air_temperature, rho_eps):
     """Analytic partials of data_loss + rho_eps*emissivity_smoothness.
 
     The TV term is excluded by design; it is handled by a proximal step,
@@ -689,7 +698,7 @@ def gradients(params, cube, alpha, dw, air_temperature, rho_eps,
     """
     q = _param_arrays(params)[3].shape[2]
     pr, m, n = _build_problem(cube, alpha, dw, air_temperature, q, rho_eps,
-                              np.inf, 1.0, ground_fill)
+                              np.inf, 1.0)
     d, t, eps, om = _flatten_maps(params, q)
     g_d, g_t, g_e, g_o = _gradients_flat(pr, d, t, eps, om)
     k = eps.shape[1]
@@ -757,18 +766,22 @@ def _default_temperature_init(pr):
     return np.clip(t0, pr.t_lo, pr.t_hi)
 
 
-def _solve_flat(pr, cfg, d0, t0, jit, init_state, track, rows, ncols):
+def _solve_flat(pr, cfg, d0, t0, jit, init_state, rows, ncols):
     qe = pr.sky.shape[0]
     p = pr.y.shape[0]
-    hist = [] if track else None
+    hist = [] if cfg.track_history else None
 
-    if cfg.rho_d > 0.0:
-        def extra_total(dflat):
-            return cfg.rho_d * tv_distance(dflat.reshape(rows, ncols))
-    else:
-        extra_total = None
+    def full_objective(d, loss):
+        # what the TV stage guards: data + smoothness + rho_d * TV
+        return float(loss.sum()) + cfg.rho_d * tv_distance(d.reshape(rows, ncols))
 
-    refine_iters = min(cfg.refine_iterations, cfg.max_iterations)
+    def record(label, it, d, t, eps, om):
+        # each entry holds the objective its stage guards (see SolverConfig)
+        if hist is None:
+            return
+        loss = _loss(pr, d, t, eps, _mix(om, pr.sky, pr.b_air))
+        tot = full_objective(d, loss) if label == "tv" else float(loss.sum())
+        hist.append((label, it, tot, _feasible(d, eps, om, pr.d_max)))
 
     if init_state is None:
         dl = []
@@ -783,84 +796,58 @@ def _solve_flat(pr, cfg, d0, t0, jit, init_state, track, rows, ncols):
         ts = np.tile(t0, sn)
         os_ = np.zeros((sn * p, qe))
         prs = replace(pr, y=np.tile(pr.y, (sn, 1)))
-        ds, ts, es, os_ = _phase(prs, ds, ts, es, os_,
-                                 min(cfg.warmup_iterations, cfg.max_iterations),
-                                 min_iter=10 ** 9, d_freeze=cfg.warmup_d_freeze)
-        ls = _loss(prs, ds, ts, es, _mix(os_, prs.sky, prs.ground)).reshape(sn, p)
+        ds, ts, es, os_, _ = _phase(prs, ds, ts, es, os_,
+                                    min(cfg.warmup_iterations, cfg.max_iterations),
+                                    min_iter=10 ** 9, d_freeze=cfg.warmup_d_freeze)
+        ls = _loss(prs, ds, ts, es, _mix(os_, prs.sky, prs.b_air)).reshape(sn, p)
         order = np.argsort(ls, axis=0, kind="stable")
         top = 1 if qe == 0 else min(_TOP_K, sn)
-        cands = []
-        for r in range(top):
-            ix = order[r] * p + np.arange(p)
-            cnt = np.zeros(p, dtype=np.int64)
-            dr, tr, er, orr = _phase(
-                pr, ds[ix], ts[ix], es[ix], os_[ix], refine_iters,
-                min_iter=_SETTLE_ITERATIONS, d_freeze=0, count=cnt,
-                hist=hist if r == 0 else None, label=f"refine{r}",
-                extra_total=extra_total)
-            lr = _loss(pr, dr, tr, er, _mix(orr, pr.sky, pr.ground))
-            cands.append((lr, dr, tr, er, orr, cnt))
-        lb, db, tb, eb, ob, cb = cands[0]
-        for lr, dr, tr, er, orr, cnt in cands[1:]:
-            imp = lr < lb
-            db = np.where(imp, dr, db)
-            tb = np.where(imp, tr, tb)
-            eb = np.where(imp[:, None], er, eb)
-            ob = np.where(imp[:, None], orr, ob)
-            cb = np.where(imp, cnt, cb)
-            lb = np.where(imp, lr, lb)
-        d, t, eps, om, cnt = db, tb, eb, ob, cb
+        init_states = [[a[order[r] * p + np.arange(p)] for a in (ds, ts, es, os_)]
+                       for r in range(top)]
     else:
-        d, t, eps, om = init_state
-        cnt = np.zeros(p, dtype=np.int64)
-        d, t, eps, om = _phase(pr, d, t, eps, om, refine_iters,
-                               min_iter=_SETTLE_ITERATIONS, d_freeze=0,
-                               count=cnt, hist=hist, label="refine0",
-                               extra_total=extra_total)
+        init_states = [init_state]
 
-    if hist is not None:
-        lcur = _loss(pr, d, t, eps, _mix(om, pr.sky, pr.ground))
-        tot = float(lcur.sum()) + (extra_total(d) if extra_total else 0.0)
-        hist.append(("merge", 0, tot, _feasible(d, eps, om, pr.d_max)))
+    # refine every starting state and keep, per pixel, the lowest final loss
+    for r, (d, t, eps, om) in enumerate(init_states):
+        d, t, eps, om, ran = _phase(
+            pr, d, t, eps, om, min(cfg.refine_iterations, cfg.max_iterations),
+            min_iter=_SETTLE_ITERATIONS, d_freeze=0,
+            record=partial(record, "refine0") if r == 0 else None)
+        cand = (_loss(pr, d, t, eps, _mix(om, pr.sky, pr.b_air)), d, t, eps, om, ran)
+        if r == 0:
+            best = cand
+        else:
+            imp = cand[0] < best[0]
+            best = tuple(_pick(imp, a, b) for a, b in zip(cand, best))
+    _, d, t, eps, om, ran = best
+    record("merge", 0, d, t, eps, om)
 
     if qe > 0:
-        ones = np.ones(p, dtype=bool)
         for rep in range(cfg.polish_rounds):
             d, t, eps = _polish_distance(pr, d, t, eps, om,
                                          span=_POLISH_SPAN / (rep + 1))
-            om = _sky_block(pr, d, t, eps, om, ones)
-            if hist is not None:
-                lcur = _loss(pr, d, t, eps, _mix(om, pr.sky, pr.ground))
-                tot = float(lcur.sum()) + (extra_total(d) if extra_total else 0.0)
-                hist.append(("polish", rep, tot, _feasible(d, eps, om, pr.d_max)))
+            om = _sky_block(pr, d, t, eps, om)
+            record("polish", rep, d, t, eps, om)
 
     for i in range(cfg.armijo_iterations):
-        d, t, eps, om, lcur = _armijo_pass(pr, d, t, eps, om)
-        if hist is not None:
-            tot = float(lcur.sum()) + (extra_total(d) if extra_total else 0.0)
-            hist.append(("armijo", i, tot, _feasible(d, eps, om, pr.d_max)))
+        d, t, eps, om = _armijo_pass(pr, d, t, eps, om)
+        record("armijo", i, d, t, eps, om)
 
     if cfg.rho_d > 0.0:
+        record("tv", 0, d, t, eps, om)
         for rnd in range(_TV_ROUNDS):
-            mix = _mix(om, pr.sky, pr.ground)
-            l_old = _loss(pr, d, t, eps, mix)
-            tot_old = float(l_old.sum()) + extra_total(d)
+            mix = _mix(om, pr.sky, pr.b_air)
+            tot_old = full_objective(d, _loss(pr, d, t, eps, mix))
             dn = np.clip(_tv_denoise_map(d.reshape(rows, ncols), cfg.rho_d),
                          0.0, pr.d_max).reshape(-1)
-            l_new = _loss(pr, dn, t, eps, mix)
-            tot_new = float(l_new.sum()) + extra_total(dn)
-            if tot_new > tot_old:
+            if full_objective(dn, _loss(pr, dn, t, eps, mix)) > tot_old:
                 break
-            d = dn
-            d, t, eps, om = _phase(pr, d, t, eps, om, 2,
-                                   min_iter=10 ** 9, d_freeze=10 ** 9)
-            if hist is not None:
-                lcur = _loss(pr, d, t, eps, _mix(om, pr.sky, pr.ground))
-                hist.append(("tv", rnd, float(lcur.sum()) + extra_total(d),
-                             _feasible(d, eps, om, pr.d_max)))
+            d, t, eps, om, _ = _phase(pr, dn, t, eps, om, 2,
+                                      min_iter=10 ** 9, d_freeze=10 ** 9)
+            record("tv", rnd + 1, d, t, eps, om)
 
-    loss_final = _loss(pr, d, t, eps, _mix(om, pr.sky, pr.ground))
-    return d, t, eps, om, loss_final, cnt, hist
+    loss_final = _loss(pr, d, t, eps, _mix(om, pr.sky, pr.b_air))
+    return d, t, eps, om, loss_final, ran, hist
 
 
 def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
@@ -869,8 +856,9 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     cube/alpha/dw must share one spectral grid. air_temperature feeds both
     the path term and the ambient ground fill. initial optionally replaces
     the multi-start warmup with a caller-supplied EstimateMaps state.
-    Deterministic for a fixed (seed, threads) pair, and independent of the
-    thread count outright.
+    The image is solved as min(threads, rows) row blocks, one thread each;
+    a single block runs in the calling thread.  Deterministic for a fixed
+    seed, and independent of the thread count outright.
     """
     cfg = config if config is not None else SolverConfig()
     violations = cfg.validate()
@@ -892,18 +880,10 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
                 [f"config zenith angles {want} do not match downwelling set {got}"])
 
     pr, m, n = _build_problem(cube, alpha, dw if q > 0 else None, air_temperature,
-                              q, cfg.rho_eps, cfg.d_max, _T_SPAN, "ambient")
+                              q, cfg.rho_eps, cfg.d_max, _T_SPAN)
 
     d0 = _default_distance_init(cube, alpha, air_temperature, cfg.d_max)
     t0 = _default_temperature_init(pr)
-
-    nladder = len(_D_LADDER)
-    jit = np.zeros((m * n, nladder))
-    if initial is None:
-        for pix in range(m * n):
-            i, j = divmod(pix, n)
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i, j]))
-            jit[pix] = rng.standard_normal(nladder)
 
     init_state = None
     if initial is not None:
@@ -912,35 +892,23 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         if initial.emissivity.shape[2] != pr.wav.size:
             raise DimensionError("initial maps do not match the cube band count")
         init_state = _flatten_maps(initial, q)
-
-    track = cfg.track_history and cfg.threads == 1
-
-    if cfg.threads == 1 or m == 1:
-        d, t, eps, om, loss_f, cnt, hist = _solve_flat(
-            pr, cfg, d0, t0, jit, init_state, track, m, n)
+        jit = np.zeros((m * n, len(_D_LADDER)))
     else:
-        blocks = np.array_split(np.arange(m), min(cfg.threads, m))
-        blocks = [b for b in blocks if b.size]
-        y3 = pr.y.reshape(m, n, pr.wav.size)
+        jit = _pixel_normals(cfg.seed, m, n, len(_D_LADDER)).reshape(m * n, -1)
 
-        def run(rows_idx):
-            sel = slice(rows_idx[0] * n, (rows_idx[-1] + 1) * n)
-            prb = replace(pr, y=y3[rows_idx[0]:rows_idx[-1] + 1].reshape(-1, pr.wav.size))
-            ini = None
-            if init_state is not None:
-                ini = tuple(a[sel] for a in init_state)
-            return _solve_flat(prb, cfg, d0[sel], t0[sel], jit[sel], ini,
-                               False, rows_idx.size, n)
+    def run(rows):
+        sel = slice(rows[0] * n, (rows[-1] + 1) * n)
+        ini = None if init_state is None else tuple(a[sel] for a in init_state)
+        return _solve_flat(replace(pr, y=pr.y[sel]), cfg, d0[sel], t0[sel],
+                           jit[sel], ini, rows.size, n)
 
+    blocks = np.array_split(np.arange(m), min(cfg.threads, m))
+    if len(blocks) == 1:
+        parts = [run(blocks[0])]
+    else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=len(blocks)) as ex:
             parts = list(ex.map(run, blocks))
-        d = np.concatenate([pt[0] for pt in parts])
-        t = np.concatenate([pt[1] for pt in parts])
-        eps = np.concatenate([pt[2] for pt in parts])
-        om = np.concatenate([pt[3] for pt in parts])
-        loss_f = np.concatenate([pt[4] for pt in parts])
-        cnt = np.concatenate([pt[5] for pt in parts])
-        hist = None
+    d, t, eps, om, loss_f, ran = (np.concatenate(a) for a in zip(*(pt[:6] for pt in parts)))
 
     k = pr.wav.size
     return EstimateMaps(
@@ -949,8 +917,8 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         emissivity=eps.reshape(m, n, k),
         solid_angles=om.reshape(m, n, q),
         loss=loss_f.reshape(m, n),
-        iterations=cnt.reshape(m, n),
-        history=hist,
+        iterations=ran.reshape(m, n),
+        history=parts[0][6],
     )
 
 

@@ -1,5 +1,7 @@
 """Command-line layering, validation, and the end-to-end file pipeline."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,17 @@ class TestRuntimeErrors:
             "--atmo", str(tmp_path), "--out", str(tmp_path / "o.lwc")])
         assert code == 1
         assert err.startswith("error[")
+        assert err.count("\n") == 1
+
+    def test_malformed_cube_header_exits_1(self, capsys, tmp_path):
+        cube = tmp_path / "cube.lwc"
+        hj = b'{"kind":"cube","rows":"abc","cols":1,"bands":1}'
+        cube.write_bytes(b"LWC1" + struct.pack("<I", len(hj)) + hj)
+        code, out, err = run(capsys, [
+            "range", "--cube", str(cube),
+            "--atmo", str(tmp_path), "--out", str(tmp_path / "o.lwc")])
+        assert code == 1
+        assert err.startswith("error[FormatError]: rows must be an integer")
         assert err.count("\n") == 1
 
     def test_missing_map_exits_1(self, capsys, tmp_path):

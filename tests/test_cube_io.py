@@ -1,5 +1,6 @@
 """Container format tests: bit-exact roundtrips and hostile-input errors."""
 
+import json
 import struct
 
 import numpy as np
@@ -19,6 +20,7 @@ from lwirange import (
     load_range_map,
     load_scene_cube,
     load_scene_truth,
+    load_truth_distance,
     read_cube,
     read_map,
     save_estimates,
@@ -149,6 +151,8 @@ class TestRoundTrip:
         npt.assert_array_equal(back.emissivity_cube, truth.emissivity_cube)
         npt.assert_array_equal(back.solid_angle_maps, truth.solid_angle_maps)
         npt.assert_array_equal(back.ground_ambient, truth.ground_ambient)
+        npt.assert_array_equal(load_truth_distance(tmp_path / "truth"),
+                               truth.distance_map)
 
 
 class TestHeader:
@@ -195,6 +199,31 @@ class TestHeader:
             CubeHeader.from_json(b"{not json")
         with pytest.raises(FormatError, match="JSON object"):
             CubeHeader.from_json(b"[1,2]")
+
+
+def rewrite_header(path, **changes):
+    """Replace header fields of an LWC1 file in place, keeping the body."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + hlen])
+    header.update(changes)
+    hj = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<I", len(hj)) + hj + raw[8 + hlen:])
+
+
+class TestMalformedHeaders:
+    @pytest.mark.parametrize("key,value", [
+        ("rows", "abc"), ("bands", "x"), ("rows", [1]), ("rows", None),
+        ("wavelengths_um", 5), ("zenith_angles_deg", 7), ("noise_sigma", "x"),
+        ("rows", 2.5), ("cols", float("inf")), ("air_temperature_k", "hot"),
+        ("noise_sigma", float("nan")),
+    ])
+    def test_raises_format_error(self, tmp_path, key, value):
+        path = tmp_path / "cube.lwc"
+        save_scene_cube(path, micro_scene(rows=2, cols=2, bands=8)["cube"])
+        rewrite_header(path, **{key: value})
+        with pytest.raises(FormatError, match=key):
+            load_scene_cube(path)
 
 
 class TestHostileFiles:

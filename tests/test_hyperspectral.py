@@ -24,7 +24,7 @@ from lwirange import (
 from helpers import AIR, micro_scene
 
 
-def naive_data_loss(params, cube, alpha, dw, t_air_kelvin, ground_fill="ambient"):
+def naive_data_loss(params, cube, alpha, dw, t_air_kelvin):
     """Scalar triple-loop mirror of the data term, different algebra order."""
     d = params["distance"]
     t = params["temperature"]
@@ -41,9 +41,8 @@ def naive_data_loss(params, cube, alpha, dw, t_air_kelvin, ground_fill="ambient"
                 bt = float(planck(wav[k], Temperature(float(t[i, j]))))
                 sky = sum(float(om[i, j, q]) * float(ld[q, k])
                           for q in range(om.shape[2]))
-                ground = b_air if ground_fill == "ambient" else 0.0
                 wsum = float(om[i, j].sum())
-                mix = (sky + (np.pi - wsum) * ground) / np.pi
+                mix = (sky + (np.pi - wsum) * b_air) / np.pi
                 pred = tau * float(eps[i, j, k]) * bt \
                     + tau * (1.0 - float(eps[i, j, k])) * mix \
                     + (1.0 - tau) * b_air
@@ -98,18 +97,6 @@ class TestDataLoss:
         got = data_loss(params, sc["cube"], sc["alpha"], sc["dw"], AIR)
         want = naive_data_loss(params, sc["cube"], sc["alpha"], sc["dw"], AIR.kelvin)
         npt.assert_allclose(got, want, rtol=1e-12)
-
-    def test_ground_fill_none_matches_naive(self):
-        sc = micro_scene(rows=2, cols=2, bands=8, q=2, noise_sigma=0.0, seed=4)
-        rng = np.random.default_rng(1)
-        params = random_params(rng, 2, 2, 8, 2)
-        got = data_loss(params, sc["cube"], sc["alpha"], sc["dw"], AIR,
-                        ground_fill="none")
-        want = naive_data_loss(params, sc["cube"], sc["alpha"], sc["dw"],
-                               AIR.kelvin, ground_fill="none")
-        npt.assert_allclose(got, want, rtol=1e-12)
-        assert got != pytest.approx(
-            data_loss(params, sc["cube"], sc["alpha"], sc["dw"], AIR), rel=1e-9)
 
     def test_zero_at_truth(self):
         sc = micro_scene(rows=3, cols=3, bands=12, q=2, noise_sigma=0.0, seed=6)
@@ -374,18 +361,22 @@ class TestSolve:
         npt.assert_array_equal(one.loss, two.loss)
         npt.assert_array_equal(one.iterations, two.iterations)
 
-    def test_history_is_feasible_and_monotone(self):
+    @pytest.mark.parametrize("rho_d", [0.0, 1.0])
+    def test_history_is_feasible_and_monotone(self, rho_d):
         sc = micro_scene(rows=3, cols=3, bands=12, q=2, noise_sigma=1.0, seed=13)
         est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                    SolverConfig(track_history=True))
+                    SolverConfig(track_history=True, rho_d=rho_d))
         hist = est.history
         assert hist and len(hist[0]) == 4
         labels = {h[0] for h in hist}
         assert labels <= {"refine0", "refine1", "merge", "polish", "armijo",
                           "tv"}
+        assert ("tv" in labels) == (rho_d > 0.0)
         assert all(h[3] for h in hist)
         # each stage non-increasing on its own; the accepted chain from the
-        # merge on is non-increasing across stages too
+        # merge to the last armijo pass is non-increasing across stages too.
+        # The tv entries carry the full objective, TV included, and start at
+        # the state the TV stage receives.
         by_label = {}
         for lab, step, tot, ok in hist:
             by_label.setdefault(lab, []).append(tot)
@@ -393,9 +384,15 @@ class TestSolve:
             for a, b in zip(seq, seq[1:]):
                 assert b <= a + 1e-12, lab
         chain = [tot for lab, _, tot, _ in hist
-                 if lab in ("merge", "polish", "armijo", "tv")]
+                 if lab in ("merge", "polish", "armijo")]
         for a, b in zip(chain, chain[1:]):
             assert b <= a + 1e-12
+        if rho_d > 0.0:
+            # at least one TV round was accepted, and the last entry is the
+            # full objective of the returned maps
+            assert len(by_label["tv"]) > 1
+            assert by_label["tv"][-1] == pytest.approx(
+                est.loss.sum() + rho_d * tv_distance(est.distance), rel=1e-12)
 
     def test_grid_mismatch_rejected(self):
         sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=0)
