@@ -9,8 +9,7 @@ column densities.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +163,6 @@ class AtmosphereParams:
     ozone_strength: float = 1.0
     water_lines: tuple = DEFAULT_WATER_LINES
     ozone_lines: tuple = DEFAULT_OZONE_LINES
-    isrf_fwhm: float = 0.0
     sky_temperature_drop: float = 35.0
     ozone_layer_temperature: float = 235.0
     water_sky_column: float = 10.0
@@ -173,8 +171,6 @@ class AtmosphereParams:
     def __post_init__(self):
         if self.water_vapor_strength < 0 or self.ozone_strength < 0:
             raise DomainError("species strengths must be >= 0")
-        if self.isrf_fwhm < 0:
-            raise DomainError("isrf_fwhm must be >= 0")
         for name, lines in (("water", self.water_lines), ("ozone", self.ozone_lines)):
             for c0, width, peak in lines:
                 if width <= 0:
@@ -197,14 +193,6 @@ def _line_profile(grid: SpectralGrid, lines, strength: float) -> np.ndarray:
     for c0, width, peak in lines:
         out += peak * np.exp(-0.5 * ((w - c0) / width) ** 2)
     return strength * out
-
-
-def _gaussian_smooth(grid: SpectralGrid, values: np.ndarray, fwhm: float) -> np.ndarray:
-    sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    w = grid.wavelengths
-    weight = np.exp(-0.5 * ((w[:, None] - w[None, :]) / sigma) ** 2)
-    weight /= weight.sum(axis=1, keepdims=True)
-    return weight @ values
 
 
 def _tau(d, alpha):
@@ -232,8 +220,6 @@ def synth_attenuation(params: AtmosphereParams, grid: SpectralGrid) -> Attenuati
     """Ground-level alpha(lambda): water lines only, ozone weight forced to zero."""
     _check_line_coverage(grid, params.water_lines, "water")
     values = _line_profile(grid, params.water_lines, params.water_vapor_strength)
-    if params.isrf_fwhm > 0:
-        values = _gaussian_smooth(grid, values, params.isrf_fwhm)
     return AttenuationSpectrum(Spectrum(grid, values, DB_PER_M))
 
 

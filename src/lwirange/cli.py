@@ -167,18 +167,21 @@ def _validate(s):
         if s[key] is None or s[key] < low:
             v.append(f"{key} must be an integer >= {low}, got {s[key]!r}")
     for key in ("rho_eps", "rho_d", "noise_sigma"):
-        if s[key] is None or s[key] < 0.0:
-            v.append(f"{key} must be >= 0, got {s[key]!r}")
-    if s["d_max"] is None or not s["d_max"] > 0.0:
-        v.append(f"d_max must be > 0, got {s['d_max']!r}")
+        if s[key] is None or not 0.0 <= s[key] < np.inf:
+            v.append(f"{key} must be finite and >= 0, got {s[key]!r}")
+    if s["d_max"] is None or not 0.0 < s["d_max"] < np.inf:
+        v.append(f"d_max must be finite and > 0, got {s['d_max']!r}")
     if s["q"] is not None and s["q"] < 0:
         v.append(f"q must be >= 0 or none, got {s['q']!r}")
     if s["bands"] is not None:
         b = s["bands"]
-        if any(x <= 0.0 for x in b):
-            v.append(f"bands must be positive wavelengths, got {b}")
+        if not all(0.0 < x < np.inf for x in b):
+            v.append(f"bands must be finite positive wavelengths, got {b}")
         elif b[0] == b[1]:
             v.append("the first two band wavelengths must differ")
+    for key in ("vmin", "vmax"):
+        if s[key] is not None and not np.isfinite(s[key]):
+            v.append(f"{key} must be finite or none, got {s[key]!r}")
     if s["vmin"] is not None and s["vmax"] is not None and not s["vmax"] > s["vmin"]:
         v.append(f"vmax must exceed vmin, got vmin={s['vmin']!r} vmax={s['vmax']!r}")
     return v
@@ -271,10 +274,12 @@ def cmd_range(s, args):
     mode = s["mode"]
     if mode == "hyper":
         dw = load_downwelling(Path(args.atmo) / "downwelling")
-        t_air = estimate_air_temperature(cube)
+        # the solver needs only the saturation line of the band set, which
+        # resolves on any grid; the water pair may not
+        lambda_sat = 13.0 if s["bands"] is None else s["bands"][4]
+        t_air = estimate_air_temperature(cube, lambda_sat=lambda_sat)
         cfg = SolverConfig(rho_eps=s["rho_eps"], rho_d=s["rho_d"],
-                           d_max=s["d_max"], q=s["q"], seed=s["seed"],
-                           threads=s["threads"])
+                           d_max=s["d_max"], q=s["q"], threads=s["threads"])
         est = solve(cube, alpha, dw, t_air, config=cfg)
         save_estimates(args.out, est, grid=cube.grid,
                        zenith_angles_deg=dw.zenith_angles_deg)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -138,21 +139,34 @@ def _write_container(path, header: CubeHeader, body: bytes):
 
 
 def _read_container(path):
-    raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:4] != MAGIC:
-        raise FormatError(
-            f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + hlen:
-        raise FormatError(
-            f"{path}: truncated header: expected {hlen} bytes, got {len(raw) - 8}")
-    header = CubeHeader.from_json(raw[8:8 + hlen])
-    body = raw[8 + hlen:]
-    expected = header.body_bytes()
-    if len(body) != expected:
-        raise FormatError(
-            f"{path}: truncated body: expected {expected} bytes, got {len(body)}")
-    return header, body
+    """Read an LWC1 file; returns (header, planes), each body plane read
+    straight from the file: ((M, N, K) float32,) for cube and omega
+    containers, ((M, N) float32, (M, N) uint8) for maps."""
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != MAGIC:
+            raise FormatError(
+                f"{path}: bad magic {head[:4]!r}, expected {MAGIC!r}")
+        (hlen,) = struct.unpack("<I", head[4:8])
+        raw = fh.read(hlen)
+        if len(raw) < hlen:
+            raise FormatError(
+                f"{path}: truncated header: expected {hlen} bytes, got {len(raw)}")
+        header = CubeHeader.from_json(raw)
+        expected = header.body_bytes()
+        got = os.fstat(fh.fileno()).st_size - 8 - hlen
+        if got != expected:
+            raise FormatError(
+                f"{path}: truncated body: expected {expected} bytes, got {got}")
+        shape = (header.rows, header.cols)
+        n = header.rows * header.cols
+        if header.kind == "map":
+            planes = (np.fromfile(fh, dtype="<f4", count=n).reshape(shape),
+                      np.fromfile(fh, dtype=np.uint8, count=n).reshape(shape))
+        else:
+            planes = (np.fromfile(fh, dtype="<f4", count=n * header.bands).reshape(
+                shape + (header.bands,)),)
+    return header, planes
 
 
 def write_cube(path, header: CubeHeader, data):
@@ -169,13 +183,11 @@ def write_cube(path, header: CubeHeader, data):
 
 def read_cube(path):
     """Read a cube/omega container; returns (header, float32 array)."""
-    header, body = _read_container(path)
+    header, planes = _read_container(path)
     if header.kind == "map":
         raise FormatError(
             f"{path}: kind mismatch: expected 'cube' or 'omega', found 'map'")
-    data = np.frombuffer(body, dtype="<f4").reshape(
-        header.rows, header.cols, header.bands).copy()
-    return header, data
+    return header, planes[0]
 
 
 def write_map(path, header: CubeHeader, values, flags):
@@ -196,16 +208,11 @@ def write_map(path, header: CubeHeader, values, flags):
 
 def read_map(path):
     """Read a map container; returns (header, float32 values, uint8 flags)."""
-    header, body = _read_container(path)
+    header, planes = _read_container(path)
     if header.kind != "map":
         raise FormatError(
             f"{path}: kind mismatch: expected 'map', found {header.kind!r}")
-    n = header.rows * header.cols
-    values = np.frombuffer(body[:n * 4], dtype="<f4").reshape(
-        header.rows, header.cols).copy()
-    flags = np.frombuffer(body[n * 4:], dtype=np.uint8).reshape(
-        header.rows, header.cols).copy()
-    return header, values, flags
+    return (header, *planes)
 
 
 # ----------------------------------------------------------------------

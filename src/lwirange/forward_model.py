@@ -117,8 +117,9 @@ class SceneCube:
             raise GridError("cube band count does not match the grid")
         if not np.all(np.isfinite(r)):
             raise ConstraintError("radiance must be finite")
-        if self.noise_sigma < 0:
-            raise DomainError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise DomainError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         r = r.copy()
         r.setflags(write=False)
         object.__setattr__(self, "radiance", r)
@@ -234,17 +235,6 @@ def observed_radiance(
     return Spectrum(grid, out, MICROFLICK)
 
 
-def _pixel_normals(seed: int, rows: int, cols: int, count: int) -> np.ndarray:
-    """(rows, cols, count) standard normals, pixel (i, j) from its own
-    substream seeded by (seed, i, j): simulator noise and solver jitter."""
-    out = np.empty((rows, cols, count))
-    for i in range(rows):
-        for j in range(cols):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
-            out[i, j] = rng.standard_normal(count)
-    return out
-
-
 def synthesize_cube(
     truth: SceneTruth,
     alpha: AttenuationSpectrum,
@@ -259,8 +249,8 @@ def synthesize_cube(
     from a per-pixel substream seeded by (seed, i, j), so serial and any
     parallel synthesis of the same scene agree bit for bit.
     """
-    if noise_sigma < 0:
-        raise DomainError("noise_sigma must be >= 0")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     m, n = truth.shape
     k = len(alpha.grid)
     q = 0 if dw is None else len(dw)
@@ -286,9 +276,10 @@ def synthesize_cube(
     ).reshape(m, n, k)
 
     if noise_sigma > 0:
-        noise = _pixel_normals(rng_seed, m, n, k)
-        noise *= noise_sigma
-        y += noise
+        for i in range(m):
+            for j in range(n):
+                rng = np.random.default_rng(np.random.SeedSequence([rng_seed, i, j]))
+                y[i, j] += noise_sigma * rng.standard_normal(k)
     return SceneCube(y, alpha.grid, air_temperature, noise_sigma)
 
 

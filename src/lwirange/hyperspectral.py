@@ -5,15 +5,15 @@ emission-plus-reflection model, evaluated by the simulator's kernels in
 :mod:`lwirange.forward_model`, plus a band-smoothness penalty on emissivity
 and an optional anisotropic TV penalty on the range map.  The engine is a
 block-coordinate scheme: a multi-start warmup over a range ladder, then
-refinement of the best starts (a phase stops once every pixel has stalled),
-a profiled range polish, a projected-gradient Armijo pass and, when the TV
-weight is positive, proximal TV rounds.  Every step is accept-guarded: a
-candidate is kept only if it does not raise the objective its stage
-enforces, which is the data misfit plus emissivity smoothness up to the
-Armijo pass and that plus the TV term in the TV rounds.  All array
-reductions are row-independent, which makes results byte-identical for any
-row partitioning (thread count) and any edit to other pixels' data when the
-TV weight is zero.
+refinement of each pixel's lowest-loss start (a phase stops once every
+pixel has stalled), a profiled range polish, a projected-gradient Armijo
+pass and, when the TV weight is positive, proximal TV rounds.  Every step is
+accept-guarded: a candidate is kept only if it does not raise the objective
+its stage enforces, which is the data misfit plus emissivity smoothness up
+to the Armijo pass and that plus the TV term in the TV rounds.  The search
+draws no random numbers, and all array reductions are row-independent,
+which makes results byte-identical for any row partitioning (thread count)
+and any edit to other pixels' data when the TV weight is zero.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .atmosphere import _tau
 from .closed_form import FLAG_VALID, BandSelection, bispectral_air
 from .errors import ConfigError, ConstraintError, DimensionError, DomainError, GridError
-from .forward_model import _contrast, _mix, _pixel_normals, _radiance
+from .forward_model import _contrast, _mix, _radiance
 from .radiometry import (
     _planck_core,
     _planck_dT_core,
@@ -52,14 +52,11 @@ _SKY_ADMM_ITERATIONS = 50
 # temperature box: air temperature +- _T_SPAN kelvin
 _T_SPAN = 12.0
 
-# multi-start warmup: range starts (None = the bispectral-air estimate),
-# relative per-pixel jitter on them, and flat emissivity starts; the _TOP_K
-# best warmup trajectories per pixel are refined
-_D_LADDER = (5.0, 10.0, 20.0, 40.0, 80.0, None, 160.0)
+# multi-start warmup: range starts (None = the bispectral-air estimate) and
+# flat emissivity starts; each pixel's lowest-loss warmup state is refined
+_D_LADDER = (5.0, 20.0, 80.0, None, 160.0)
 _D_LADDER_TOP = max(b for b in _D_LADDER if b is not None)
-_INIT_JITTER = 0.01
 _EPS_STARTS = (0.95, 0.6)
-_TOP_K = 2
 
 # a pixel has stalled once, after _SETTLE_ITERATIONS, its relative loss
 # decrease stays below _TOL for _PATIENCE iterations in a row; a refinement
@@ -89,17 +86,18 @@ class SolverConfig:
     d_max the range box bound.  q overrides the number of sky sectors used
     by the model (0 disables the sky term entirely; None takes the size of
     the downwelling set), and zenith_angles_deg, when given, must match the
-    downwelling set's angles.  seed drives the per-pixel initialization
-    jitter; threads splits the image into row blocks.  warmup_iterations,
-    warmup_d_freeze (warmup iterations before the range block first runs),
-    refine_iterations and max_iterations (a cap on both) set the iteration
-    budgets; a refinement phase ends early once every pixel has stalled.
-    polish_rounds and armijo_iterations set the number of profiled range
-    polish rounds and projected-gradient passes.  track_history (threads=1
-    only) records ``(stage, step, objective, feasible)`` per "refine0"
-    sweep, for the "merge", and per "polish", "armijo" and "tv" round, with
-    the objective that stage guards: data misfit plus smoothness, plus
-    rho_d * TV on "tv" entries, the first of which is the state received.
+    downwelling set's angles.  threads splits the image into row blocks.
+    warmup_iterations, warmup_d_freeze (warmup iterations before the range
+    block first runs), refine_iterations and max_iterations (a cap on both)
+    set the iteration budgets; every warmup start runs the whole warmup
+    budget, then each pixel's lowest-loss start is refined, and the
+    refinement ends early once every pixel has stalled.  polish_rounds and
+    armijo_iterations set the number of profiled range polish rounds and
+    projected-gradient passes.  track_history (threads=1 only) records
+    ``(stage, step, objective, feasible)`` per "refine" sweep and per
+    "polish", "armijo" and "tv" round, with the objective that stage guards:
+    data misfit plus smoothness, plus rho_d * TV on "tv" entries, the first
+    of which is the state received.
 
     The scan sizes, start ladders, stopping rule, line-search constants and
     temperature box are module constants (``_T_SPAN0`` and the names after
@@ -113,7 +111,6 @@ class SolverConfig:
     q: int | None = None
     zenith_angles_deg: tuple[float, ...] | None = None
     max_iterations: int = 2000
-    seed: int = 0
     warmup_iterations: int = 14
     warmup_d_freeze: int = 6
     refine_iterations: int = 40
@@ -124,19 +121,17 @@ class SolverConfig:
 
     def validate(self) -> list[str]:
         v = []
-        if not (self.rho_eps >= 0.0):
-            v.append(f"rho_eps must be >= 0, got {self.rho_eps}")
-        if not (self.rho_d >= 0.0):
-            v.append(f"rho_d must be >= 0, got {self.rho_d}")
-        if not (self.d_max > 0.0):
-            v.append(f"d_max must be > 0, got {self.d_max}")
+        if not (0.0 <= self.rho_eps < np.inf):
+            v.append(f"rho_eps must be finite and >= 0, got {self.rho_eps}")
+        if not (0.0 <= self.rho_d < np.inf):
+            v.append(f"rho_d must be finite and >= 0, got {self.rho_d}")
+        if not (0.0 < self.d_max < np.inf):
+            v.append(f"d_max must be finite and > 0, got {self.d_max}")
         elif self.d_max < _D_LADDER_TOP:
             v.append(f"d_max must be >= {_D_LADDER_TOP}, the farthest range "
                      f"start, got {self.d_max}")
         if self.q is not None and (self.q < 0 or int(self.q) != self.q):
             v.append(f"q must be a non-negative integer or None, got {self.q}")
-        if self.seed < 0:
-            v.append(f"seed must be >= 0, got {self.seed}")
         for name in ("max_iterations", "warmup_iterations", "refine_iterations"):
             if getattr(self, name) < 1:
                 v.append(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -160,9 +155,9 @@ class EstimateMaps:
     solid_angles (M,N,Q) sr with non-negative entries summing to at most pi
     per pixel; loss (M,N) is the per-pixel data misfit plus the weighted
     emissivity-smoothness penalty; iterations (M,N) counts the refinement
-    sweeps the winning start ran on the pixel before it stalled (== the
-    refinement budget when it never stalled).  history is the per-stage
-    record that SolverConfig.track_history asks for.
+    sweeps the pixel ran before it stalled (== the refinement budget when
+    it never stalled).  history is the per-stage record that
+    SolverConfig.track_history asks for.
     """
 
     distance: np.ndarray
@@ -766,9 +761,27 @@ def _default_temperature_init(pr):
     return np.clip(t0, pr.t_lo, pr.t_hi)
 
 
-def _solve_flat(pr, cfg, d0, t0, jit, init_state, rows, ncols):
-    qe = pr.sky.shape[0]
+def _warm_start(pr, cfg, d0, t0):
+    # warm up every (emissivity, range) start; return each pixel's best
     p = pr.y.shape[0]
+    dl = [np.clip(d0, 1.0, pr.d_max) if base is None else np.full(p, float(base))
+          for base in _D_LADDER]
+    sn = len(_EPS_STARTS) * len(dl)
+    ds = np.concatenate(dl * len(_EPS_STARTS))
+    es = np.concatenate([np.full((p, pr.wav.size), e0)
+                         for e0 in _EPS_STARTS for _ in dl])
+    ts = np.tile(t0, sn)
+    os_ = np.zeros((sn * p, pr.sky.shape[0]))
+    prs = replace(pr, y=np.tile(pr.y, (sn, 1)))
+    ds, ts, es, os_, _ = _phase(prs, ds, ts, es, os_,
+                                min(cfg.warmup_iterations, cfg.max_iterations),
+                                min_iter=10 ** 9, d_freeze=cfg.warmup_d_freeze)
+    ls = _loss(prs, ds, ts, es, _mix(os_, prs.sky, prs.b_air)).reshape(sn, p)
+    best = np.argmin(ls, axis=0) * p + np.arange(p)
+    return tuple(a[best] for a in (ds, ts, es, os_))
+
+
+def _solve_flat(pr, cfg, d0, t0, init_state, rows, ncols):
     hist = [] if cfg.track_history else None
 
     def full_objective(d, loss):
@@ -784,45 +797,12 @@ def _solve_flat(pr, cfg, d0, t0, jit, init_state, rows, ncols):
         hist.append((label, it, tot, _feasible(d, eps, om, pr.d_max)))
 
     if init_state is None:
-        dl = []
-        for idx, base in enumerate(_D_LADDER):
-            vec = np.clip(d0, 1.0, pr.d_max) if base is None else np.full(p, float(base))
-            dl.append(np.clip(vec * (1.0 + _INIT_JITTER * jit[:, idx]), 0.0, pr.d_max))
-        starts = [(dv, e0) for e0 in _EPS_STARTS for dv in dl]
-        sn = len(starts)
-        k = pr.wav.size
-        ds = np.concatenate([s[0] for s in starts])
-        es = np.concatenate([np.full((p, k), s[1]) for s in starts])
-        ts = np.tile(t0, sn)
-        os_ = np.zeros((sn * p, qe))
-        prs = replace(pr, y=np.tile(pr.y, (sn, 1)))
-        ds, ts, es, os_, _ = _phase(prs, ds, ts, es, os_,
-                                    min(cfg.warmup_iterations, cfg.max_iterations),
-                                    min_iter=10 ** 9, d_freeze=cfg.warmup_d_freeze)
-        ls = _loss(prs, ds, ts, es, _mix(os_, prs.sky, prs.b_air)).reshape(sn, p)
-        order = np.argsort(ls, axis=0, kind="stable")
-        top = 1 if qe == 0 else min(_TOP_K, sn)
-        init_states = [[a[order[r] * p + np.arange(p)] for a in (ds, ts, es, os_)]
-                       for r in range(top)]
-    else:
-        init_states = [init_state]
+        init_state = _warm_start(pr, cfg, d0, t0)
+    d, t, eps, om, ran = _phase(
+        pr, *init_state, min(cfg.refine_iterations, cfg.max_iterations),
+        min_iter=_SETTLE_ITERATIONS, d_freeze=0, record=partial(record, "refine"))
 
-    # refine every starting state and keep, per pixel, the lowest final loss
-    for r, (d, t, eps, om) in enumerate(init_states):
-        d, t, eps, om, ran = _phase(
-            pr, d, t, eps, om, min(cfg.refine_iterations, cfg.max_iterations),
-            min_iter=_SETTLE_ITERATIONS, d_freeze=0,
-            record=partial(record, "refine0") if r == 0 else None)
-        cand = (_loss(pr, d, t, eps, _mix(om, pr.sky, pr.b_air)), d, t, eps, om, ran)
-        if r == 0:
-            best = cand
-        else:
-            imp = cand[0] < best[0]
-            best = tuple(_pick(imp, a, b) for a, b in zip(cand, best))
-    _, d, t, eps, om, ran = best
-    record("merge", 0, d, t, eps, om)
-
-    if qe > 0:
+    if pr.sky.shape[0] > 0:
         for rep in range(cfg.polish_rounds):
             d, t, eps = _polish_distance(pr, d, t, eps, om,
                                          span=_POLISH_SPAN / (rep + 1))
@@ -857,8 +837,8 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     the path term and the ambient ground fill. initial optionally replaces
     the multi-start warmup with a caller-supplied EstimateMaps state.
     The image is solved as min(threads, rows) row blocks, one thread each;
-    a single block runs in the calling thread.  Deterministic for a fixed
-    seed, and independent of the thread count outright.
+    a single block runs in the calling thread.  Deterministic (the search
+    draws no random numbers) and independent of the thread count.
     """
     cfg = config if config is not None else SolverConfig()
     violations = cfg.validate()
@@ -892,15 +872,12 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         if initial.emissivity.shape[2] != pr.wav.size:
             raise DimensionError("initial maps do not match the cube band count")
         init_state = _flatten_maps(initial, q)
-        jit = np.zeros((m * n, len(_D_LADDER)))
-    else:
-        jit = _pixel_normals(cfg.seed, m, n, len(_D_LADDER)).reshape(m * n, -1)
 
     def run(rows):
         sel = slice(rows[0] * n, (rows[-1] + 1) * n)
         ini = None if init_state is None else tuple(a[sel] for a in init_state)
-        return _solve_flat(replace(pr, y=pr.y[sel]), cfg, d0[sel], t0[sel],
-                           jit[sel], ini, rows.size, n)
+        return _solve_flat(replace(pr, y=pr.y[sel]), cfg, d0[sel], t0[sel], ini,
+                           rows.size, n)
 
     blocks = np.array_split(np.arange(m), min(cfg.threads, m))
     if len(blocks) == 1:

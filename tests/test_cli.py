@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from lwirange.cli import main, resolve_settings, build_parser
+from lwirange.closed_form import estimate_air_temperature
+from lwirange.cube_io import load_scene_cube
+from lwirange.errors import LwirError
 
 
 def run(capsys, argv):
@@ -134,6 +137,19 @@ class TestValidation:
         assert "first two band wavelengths must differ" in err
 
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--noise-sigma", "nan"), ("--noise-sigma", "inf"), ("--rho-d", "nan"),
+        ("--rho-eps", "nan"), ("--rho-eps", "inf"), ("--d-max", "inf"),
+        ("--d-max", "nan"), ("--bands", "8.42,8.46,9.49,9.57,nan"),
+        ("--vmin", "-inf"),
+    ])
+    def test_non_finite_value_rejected(self, capsys, flag, value):
+        code, out, err = run(capsys, ["config-dump", f"{flag}={value}"])
+        assert code == 2
+        assert err.startswith("error[ConfigError]: ")
+        assert "finite" in err and out == ""
+
+
 class TestUsageErrors:
     def test_no_command_is_usage_error(self, capsys):
         assert run(capsys, [])[0] == 2
@@ -224,3 +240,46 @@ class TestPipeline:
                 "--seed", "11", "--noise-sigma", "0.5", "--q", "3"])
             assert code == 0, err
         assert (a / "cube.lwc").read_bytes() == (b / "cube.lwc").read_bytes()
+
+    def test_hyper_range_is_independent_of_seed(self, capsys, tmp_path):
+        # the solver draws no random numbers: --seed only seeds synth
+        atmo, scene = tmp_path / "atmo", tmp_path / "scene"
+        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
+        assert run(capsys, ["synth", "--atmo", str(atmo), "--out", str(scene),
+                            "--rows", "4", "--cols", "4",
+                            "--noise-sigma", "0.5"])[0] == 0
+        for seed in ("0", "7"):
+            code, _, err = run(capsys, [
+                "range", "--mode", "hyper", "--cube", str(scene / "cube.lwc"),
+                "--atmo", str(atmo), "--out", str(tmp_path / f"est{seed}"),
+                "--seed", seed])
+            assert code == 0, err
+        names = sorted(p.name for p in (tmp_path / "est0").iterdir())
+        assert len(names) == 6
+        for name in names:
+            assert ((tmp_path / "est0" / name).read_bytes()
+                    == (tmp_path / "est7" / name).read_bytes()), name
+
+    def test_hyper_range_estimates_air_temperature_at_bands(
+            self, capsys, tmp_path, monkeypatch):
+        atmo, scene = tmp_path / "atmo", tmp_path / "scene"
+        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
+        assert run(capsys, ["synth", "--atmo", str(atmo), "--out", str(scene),
+                            "--rows", "2", "--cols", "2"])[0] == 0
+        seen = []
+
+        def fake_solve(cube, alpha, dw, air_temperature, config=None):
+            seen.append(air_temperature.kelvin)
+            raise LwirError("stop after the air temperature")
+
+        monkeypatch.setattr("lwirange.cli.solve", fake_solve)
+        cube = load_scene_cube(scene / "cube.lwc")
+        for bands, lam in ((None, 13.0), ("8.42,8.46,9.49,9.57,12.0", 12.0)):
+            extra = [] if bands is None else ["--bands", bands]
+            code, _, err = run(capsys, [
+                "range", "--mode", "hyper", "--cube", str(scene / "cube.lwc"),
+                "--atmo", str(atmo), "--out", str(tmp_path / "est"), *extra])
+            assert code == 1 and "stop after" in err
+            want = estimate_air_temperature(cube, lambda_sat=lam).kelvin
+            assert seen[-1] == want
+        assert seen[0] != seen[1]

@@ -255,6 +255,15 @@ class TestHostileFiles:
         with pytest.raises(FormatError, match="truncated body: expected 32 bytes, got 29"):
             read_cube(path)
 
+    def test_over_long_body_rejected(self, tmp_path):
+        rng = np.random.default_rng(8)
+        path = tmp_path / "x.lwc"
+        write_map(path, CubeHeader(kind="map", rows=2, cols=2, bands=1),
+                  f32(rng, (2, 2)), np.zeros((2, 2), dtype=np.uint8))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="expected 20 bytes, got 21"):
+            read_map(path)
+
     def test_kind_mismatch_on_read_map(self, tmp_path):
         rng = np.random.default_rng(9)
         path = tmp_path / "c.lwc"

@@ -132,6 +132,15 @@ def test_noise_sigma_recorded_on_cube():
     assert s["cube"].air_temperature.kelvin == AIR.kelvin
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+def test_non_finite_or_negative_noise_sigma_rejected(sigma):
+    s = micro_scene(rows=2, cols=2, bands=8, q=1)
+    with pytest.raises(DomainError, match="noise_sigma"):
+        SceneCube(s["cube"].radiance, s["grid"], AIR, noise_sigma=sigma)
+    with pytest.raises(DomainError, match="noise_sigma"):
+        synthesize_cube(s["truth"], s["alpha"], s["dw"], AIR, noise_sigma=sigma)
+
+
 def test_scene_truth_validation():
     grid = make_default_grid(bands=8)
     good = flat_scene(grid, 10.0, 300.0, 0.5, q=1, omega=0.1)

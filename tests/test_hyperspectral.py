@@ -253,14 +253,23 @@ class TestConfig:
         assert SolverConfig().validate() == []
 
     def test_collects_every_violation(self):
-        cfg = SolverConfig(rho_eps=-1.0, d_max=0.0, q=-1, seed=-1,
+        cfg = SolverConfig(rho_eps=-1.0, d_max=0.0, q=-1, armijo_iterations=-1,
                            polish_rounds=-1, warmup_iterations=0,
                            rho_d=1.0, threads=4, track_history=True)
         msgs = cfg.validate()
-        for frag in ("rho_eps", "d_max", "q must", "seed", "polish_rounds",
-                     "warmup_iterations", "requires threads=1", "track_history"):
+        for frag in ("rho_eps", "d_max", "q must", "armijo_iterations",
+                     "polish_rounds", "warmup_iterations", "requires threads=1",
+                     "track_history"):
             assert any(frag in v for v in msgs), frag
         assert len(msgs) >= 8
+
+    @pytest.mark.parametrize("key,value", [
+        ("d_max", np.inf), ("d_max", np.nan), ("rho_eps", np.inf),
+        ("rho_d", np.inf), ("rho_d", np.nan),
+    ])
+    def test_rejects_non_finite_weights_and_bound(self, key, value):
+        msgs = SolverConfig(**{key: value}).validate()
+        assert any(key in v and "finite" in v for v in msgs), msgs
 
     def test_solve_raises_config_error(self):
         sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=10)
@@ -369,12 +378,12 @@ class TestSolve:
         hist = est.history
         assert hist and len(hist[0]) == 4
         labels = {h[0] for h in hist}
-        assert labels <= {"refine0", "refine1", "merge", "polish", "armijo",
-                          "tv"}
+        assert labels <= {"refine", "polish", "armijo", "tv"}
         assert ("tv" in labels) == (rho_d > 0.0)
         assert all(h[3] for h in hist)
         # each stage non-increasing on its own; the accepted chain from the
-        # merge to the last armijo pass is non-increasing across stages too.
+        # last refine sweep to the last armijo pass is non-increasing across
+        # stages too.
         # The tv entries carry the full objective, TV included, and start at
         # the state the TV stage receives.
         by_label = {}
@@ -383,8 +392,9 @@ class TestSolve:
         for lab, seq in by_label.items():
             for a, b in zip(seq, seq[1:]):
                 assert b <= a + 1e-12, lab
-        chain = [tot for lab, _, tot, _ in hist
-                 if lab in ("merge", "polish", "armijo")]
+        last_refine = max(i for i, h in enumerate(hist) if h[0] == "refine")
+        chain = [tot for lab, _, tot, _ in hist[last_refine:]
+                 if lab in ("refine", "polish", "armijo")]
         for a, b in zip(chain, chain[1:]):
             assert b <= a + 1e-12
         if rho_d > 0.0:
