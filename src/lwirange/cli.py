@@ -84,10 +84,6 @@ _DEFAULTS = {
     "patches": 8,
 }
 
-# keys that may resolve to None
-_OPTIONAL = {"q", "bands", "vmin", "vmax"}
-
-
 def _to_bands(text):
     parts = text.split(",")
     if len(parts) != 5:

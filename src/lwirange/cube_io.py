@@ -242,7 +242,7 @@ def load_scene_cube(path) -> SceneCube:
     if header.air_temperature_k is None:
         raise FormatError(f"{path}: cube header carries no air temperature")
     return SceneCube(
-        radiance=data.astype(np.float64),
+        radiance=data,
         grid=SpectralGrid(np.array(header.wavelengths_um)),
         air_temperature=Temperature(header.air_temperature_k),
         noise_sigma=header.noise_sigma if header.noise_sigma is not None else 0.0,

@@ -110,7 +110,8 @@ class SceneCube:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        r = np.asarray(self.radiance, dtype=np.float64)
+        # a fresh float64 copy, so the cube owns its array
+        r = np.array(self.radiance, dtype=np.float64)
         if r.ndim != 3:
             raise DimensionError("radiance cube must be 3-D (M, N, K)")
         if r.shape[2] != len(self.grid):
@@ -120,7 +121,6 @@ class SceneCube:
         if not 0.0 <= self.noise_sigma < np.inf:
             raise DomainError(
                 f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        r = r.copy()
         r.setflags(write=False)
         object.__setattr__(self, "radiance", r)
 

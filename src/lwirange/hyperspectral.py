@@ -7,13 +7,15 @@ and an optional anisotropic TV penalty on the range map.  The engine is a
 block-coordinate scheme: a multi-start warmup over a range ladder, then
 refinement of each pixel's lowest-loss start (a phase stops once every
 pixel has stalled), a profiled range polish, a projected-gradient Armijo
-pass and, when the TV weight is positive, proximal TV rounds.  Every step is
-accept-guarded: a candidate is kept only if it does not raise the objective
-its stage enforces, which is the data misfit plus emissivity smoothness up
-to the Armijo pass and that plus the TV term in the TV rounds.  The search
-draws no random numbers, and all array reductions are row-independent,
-which makes results byte-identical for any row partitioning (thread count)
-and any edit to other pixels' data when the TV weight is zero.
+pass and, when the TV weight is positive, proximal TV rounds.  Each
+temperature candidate refits emissivity by one banded least-squares solve,
+clipped to [0, 1].  Every step is accept-guarded: a candidate is kept only
+if it does not raise the objective its stage enforces, which is the data
+misfit plus emissivity smoothness up to the Armijo pass and that plus the
+TV term in the TV rounds.  The search draws no random numbers, and all
+array reductions are row-independent, which makes results byte-identical
+for any row partitioning (thread count) and any edit to other pixels' data
+when the TV weight is zero.
 """
 
 from __future__ import annotations
@@ -85,8 +87,7 @@ class SolverConfig:
     rho_eps / rho_d are the emissivity-smoothness and range-TV weights,
     d_max the range box bound.  q overrides the number of sky sectors used
     by the model (0 disables the sky term entirely; None takes the size of
-    the downwelling set), and zenith_angles_deg, when given, must match the
-    downwelling set's angles.  threads splits the image into row blocks.
+    the downwelling set).  threads splits the image into row blocks.
     warmup_iterations, warmup_d_freeze (warmup iterations before the range
     block first runs), refine_iterations and max_iterations (a cap on both)
     set the iteration budgets; every warmup start runs the whole warmup
@@ -109,7 +110,6 @@ class SolverConfig:
     rho_d: float = 0.0
     d_max: float = 200.0
     q: int | None = None
-    zenith_angles_deg: tuple[float, ...] | None = None
     max_iterations: int = 2000
     warmup_iterations: int = 14
     warmup_d_freeze: int = 6
@@ -239,17 +239,18 @@ def _loss(pr, d, t, eps, mix):
     return _misfit(pr, _tau(d, pr.alpha), _planck_core(pr.wav, t[:, None]), eps, mix)
 
 
-def _thomas(dl, dm, du, b):
-    # batched tridiagonal solve, all operands (P,K)
+def _thomas(dm, off, b):
+    # batched tridiagonal solve: diagonal dm and right side b (P,K), every
+    # off-diagonal entry the scalar off
     n = b.shape[1]
     cp = np.empty_like(b)
     dp = np.empty_like(b)
-    cp[:, 0] = du[:, 0] / dm[:, 0]
-    dp[:, 0] = b[:, 0] / dm[:, 0]
+    den = dm[:, 0]
+    dp[:, 0] = b[:, 0] / den
     for i in range(1, n):
-        den = dm[:, i] - dl[:, i] * cp[:, i - 1]
-        cp[:, i] = du[:, i] / den
-        dp[:, i] = (b[:, i] - dl[:, i] * dp[:, i - 1]) / den
+        cp[:, i - 1] = off / den
+        den = dm[:, i] - off * cp[:, i - 1]
+        dp[:, i] = (b[:, i] - off * dp[:, i - 1]) / den
     x = np.empty_like(b)
     x[:, -1] = dp[:, -1]
     for i in range(n - 2, -1, -1):
@@ -257,46 +258,18 @@ def _thomas(dl, dm, du, b):
     return x
 
 
-def _eps_quick(pr, y, tau, bt, mix, eps, rounds=2):
-    # few active-set rounds on the banded normal equations; callers guard
-    # the model is linear in eps: a * eps + b, with b the model at eps = 0
+def _eps_quick(pr, tau, bt, mix):
+    # the model is linear in eps, a * eps + b with b the model at eps = 0, so
+    # the refit solves the banded normal equations
+    # (diag(a^2) + rho_eps D'D) eps = a (y - b) once and clips to [0, 1];
+    # callers accept-guard the result
     a = tau * (bt - mix)
-    b = _radiance(tau, mix - pr.b_air, pr.b_air)
-    rb = y - b
+    rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
     rho = pr.rho_eps
-    h_main = a * a + rho * 2.0
-    h_main[:, 0] -= rho
-    h_main[:, -1] -= rho
-    g0 = a * rb
-    e = eps
-    lo = np.zeros_like(e, dtype=bool)
-    hi = np.zeros_like(e, dtype=bool)
-    for _ in range(rounds):
-        fixv = np.where(hi, 1.0, 0.0)
-        clamped = lo | hi
-        dmn = np.where(clamped, 1.0, h_main)
-        rhs = np.where(clamped, fixv, g0)
-        left_cl = np.zeros_like(clamped)
-        left_cl[:, 1:] = clamped[:, :-1]
-        right_cl = np.zeros_like(clamped)
-        right_cl[:, :-1] = clamped[:, 1:]
-        fixl = np.zeros_like(e)
-        fixl[:, 1:] = fixv[:, :-1]
-        fixr = np.zeros_like(e)
-        fixr[:, :-1] = fixv[:, 1:]
-        rhs = rhs + np.where(~clamped & left_cl, rho * fixl, 0.0) \
-                  + np.where(~clamped & right_cl, rho * fixr, 0.0)
-        dl2 = np.where(clamped | left_cl, 0.0, -rho)
-        du2 = np.where(clamped | right_cl, 0.0, -rho)
-        dl2[:, 0] = 0.0
-        du2[:, -1] = 0.0
-        x = _thomas(dl2, dmn, du2, rhs)
-        lo = x < 0.0
-        hi = x > 1.0
-        e = np.clip(x, 0.0, 1.0)
-        if not (lo | hi).any():
-            break
-    return e
+    dm = a * a + rho * 2.0
+    dm[:, 0] -= rho
+    dm[:, -1] -= rho
+    return np.clip(_thomas(dm, -rho, a * rb), 0.0, 1.0)
 
 
 def _proj_cap_simplex(v):
@@ -362,7 +335,7 @@ def _temp_block(pr, d, t, eps, mix, span):
     for o in np.linspace(-span, span, _TEMPERATURE_SCAN_POINTS):
         tc = np.clip(t + o, pr.t_lo, pr.t_hi)
         bt = _planck_core(pr.wav, tc[:, None])
-        ec = _eps_quick(pr, pr.y, tau, bt, mix, eps)
+        ec = _eps_quick(pr, tau, bt, mix)
         lc = _misfit(pr, tau, bt, ec, mix)
         imp = lc < best_l
         best_t = np.where(imp, tc, best_t)
@@ -852,12 +825,6 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
                  f"({'absent' if dw is None else len(dw)} sectors)"])
     else:
         q = len(dw) if dw is not None else 0
-    if cfg.zenith_angles_deg is not None and dw is not None and q > 0:
-        got = tuple(float(a) for a in dw.zenith_angles_deg)
-        want = tuple(float(a) for a in cfg.zenith_angles_deg)
-        if got != want:
-            raise ConfigError(
-                [f"config zenith angles {want} do not match downwelling set {got}"])
 
     pr, m, n = _build_problem(cube, alpha, dw if q > 0 else None, air_temperature,
                               q, cfg.rho_eps, cfg.d_max, _T_SPAN)

@@ -204,6 +204,17 @@ def test_scene_cube_wraps_radiance():
     assert np.all(np.isfinite(cube.radiance))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scene_cube_owns_a_read_only_float64_copy(dtype):
+    s = micro_scene(rows=2, cols=3, bands=8, q=1)
+    src = s["cube"].radiance.astype(dtype)
+    cube = SceneCube(src, s["grid"], AIR)
+    assert cube.radiance.dtype == np.float64
+    assert not cube.radiance.flags.writeable
+    assert not np.shares_memory(cube.radiance, src)
+    np.testing.assert_array_equal(cube.radiance, src.astype(np.float64))
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     d=st.floats(min_value=0.0, max_value=150.0),
