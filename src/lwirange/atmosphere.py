@@ -197,9 +197,11 @@ def _line_profile(grid: SpectralGrid, lines, strength: float) -> np.ndarray:
 
 def _tau(d, alpha):
     """Unvalidated Beer-Lambert kernel 10^(-alpha d / 10), shared by the
-    simulator and the solver: (K,) for a scalar d, (P, K) for a (P,) d."""
+    simulator and the solver. d and alpha broadcast: a (P, 1) d and a (K,)
+    alpha give the simulator's pixel-major (P, K), a (P,) d and a (K, 1)
+    alpha the solver's band-major (K, P), with the same bits per entry."""
     # exponent grouped as (-d/10) * alpha so integer-dB cases stay exact
-    return np.power(10.0, np.multiply.outer(-d / 10.0, alpha))
+    return np.power(10.0, (-d / 10.0) * alpha)
 
 
 def transmittance(alpha: AttenuationSpectrum, d: float) -> Spectrum:

@@ -240,8 +240,10 @@ def cmd_synth(s, args):
         alpha = _load_attenuation(args.atmo)
         dw = load_downwelling(Path(args.atmo) / "downwelling")
         grid = alpha.grid
-        if len(dw) != q:
-            q = len(dw)
+        if s["q"] is not None and s["q"] != len(dw):
+            raise ConfigError([f"config q={s['q']} does not match the downwelling "
+                               f"set ({len(dw)} sectors)"])
+        q = len(dw)
     else:
         alpha = synth_attenuation(params, grid)
         dw = synth_downwelling(params, grid, _zenith_angles(q))

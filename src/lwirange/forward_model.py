@@ -129,16 +129,26 @@ class SceneCube:
         return self.radiance.shape
 
 
-def _mix(omegas: np.ndarray, ld: np.ndarray, ground: np.ndarray) -> np.ndarray:
-    """Light a Lambertian pixel reflects, per unit (1 - eps): (P, K).
+def _mix(omegas: np.ndarray, ld: np.ndarray, ground: np.ndarray,
+         band_major: bool = False) -> np.ndarray:
+    """Light a Lambertian pixel reflects, per unit (1 - eps): (P, K), or
+    (K, P) when band_major.
 
     omegas: (P, Q) projected solid angles; ld: (Q, K) downwelling radiance;
-    ground: (K,) or (P, K) ambient radiance filling the rest of the hemisphere.
+    ground: ambient radiance filling the rest of the hemisphere, broadcast
+    against the result: (K,) or (P, K), or (K, 1) or (K, P) when band_major.
     """
     # einsum keeps per-row bit patterns independent of the batch size;
-    # matmul does not, which would break the thread-count determinism contract
+    # matmul does not, which would break the thread-count determinism
+    # contract. Both layouts sum over q in the same order, so they agree bit
+    # for bit up to the transpose. order="C" keeps a band-major result
+    # C-ordered, where einsum would follow the pixel-major operands.
+    rest = np.pi - omegas.sum(axis=1)
+    if band_major:
+        sky = np.einsum("pq,qk->kp", omegas, ld, optimize=False, order="C")
+        return (sky + rest * ground) / np.pi
     sky = np.einsum("pq,qk->pk", omegas, ld, optimize=False)
-    return (sky + (np.pi - omegas.sum(axis=1))[:, None] * ground) / np.pi
+    return (sky + rest[:, None] * ground) / np.pi
 
 
 def _contrast(bt: np.ndarray, eps: np.ndarray, mix: np.ndarray,
@@ -170,7 +180,7 @@ def radiance_model_batch(
     """
     bt = planck(wavelengths, t_kelvin[:, None])
     contrast = _contrast(bt, eps, _mix(omegas, ld, ground), b_air)
-    return _radiance(_tau(d, alpha_values), contrast, b_air)
+    return _radiance(_tau(d[:, None], alpha_values), contrast, b_air)
 
 
 def _omega_check(omegas: np.ndarray):

@@ -13,9 +13,17 @@ clipped to [0, 1].  Every step is accept-guarded: a candidate is kept only
 if it does not raise the objective its stage enforces, which is the data
 misfit plus emissivity smoothness up to the Armijo pass and that plus the
 TV term in the TV rounds.  The search draws no random numbers, and all
-array reductions are row-independent, which makes results byte-identical
-for any row partitioning (thread count) and any edit to other pixels' data
-when the TV weight is zero.
+array reductions are per pixel, which makes results byte-identical for any
+row partitioning (thread count) and any edit to other pixels' data when the
+TV weight is zero.
+
+The solver holds its per-band state band-major: observed radiance,
+emissivity, B(T), path transmittance, reflected light, residuals and every
+emissivity candidate are C-contiguous (K, P) arrays, K bands by P pixels,
+so each Thomas step, Planck and path evaluation and per-pixel sum over bands
+runs along contiguous rows of P values.  Range and temperature are (P,) and
+the sky weights (P, Q).  Only :func:`solve`, :func:`gradients` and
+:func:`data_loss` see the public (M, N, K) maps.
 """
 
 from __future__ import annotations
@@ -214,47 +222,79 @@ class EstimateMaps:
 
 @dataclass
 class _Problem:
-    wav: np.ndarray      # (K,) um
-    alpha: np.ndarray    # (K,) dB/m
-    y: np.ndarray        # (P,K) observed
-    sky: np.ndarray      # (Qe,K) downwelling rows; empty when the sky term is off
-    b_air: np.ndarray    # (K,) B(T_air), also the ambient ground fill
+    # per-band vectors are (K, 1) columns, which broadcast against the
+    # band-major (K, P) state
+    wav: np.ndarray      # (K, 1) um
+    alpha: np.ndarray    # (K, 1) dB/m
+    y: np.ndarray        # (K, P) observed, C-contiguous
+    sky: np.ndarray      # (Qe, K) downwelling rows; empty when the sky term is off
+    b_air: np.ndarray    # (K, 1) B(T_air), also the ambient ground fill
     rho_eps: float
     d_max: float
     t_lo: float
     t_hi: float
 
 
+def _band_sum(a):
+    # per-pixel sum of a (K, P) array over bands, in band order for any P.
+    # numpy adds the rows of a C-ordered array one by one, but reduces a
+    # single column, or a column-major array, pairwise, which would tie a
+    # pixel's bits to its batch size or its operands' memory order
+    a = np.ascontiguousarray(a)
+    return a.sum(0) if a.shape[1] > 1 else np.add.accumulate(a, 0)[-1]
+
+
+def _band_dot(a, b):
+    # sum over bands of a (K, P) times b (K, X): (P, X), in band order.
+    # einsum, not matmul, for the reason forward_model._mix gives; for a
+    # single pixel einsum may sum the bands in another order, so that case
+    # sums the rows of the (K, X) products instead
+    if a.shape[1] == 1:
+        return _band_sum(a * b)[None, :]
+    return np.einsum("kp,kx->px", a, b, optimize=False)
+
+
 def _penalty(pr, eps):
-    return pr.rho_eps * (np.diff(eps, axis=1) ** 2).sum(1)
+    return pr.rho_eps * _band_sum(np.diff(eps, axis=0) ** 2)
 
 
 def _misfit(pr, tau, bt, eps, mix):
     # per-pixel objective from a precomputed path, B(T) and mix
     r = _radiance(tau, _contrast(bt, eps, mix, pr.b_air), pr.b_air) - pr.y
-    return (r * r).sum(1) + _penalty(pr, eps)
+    return _band_sum(r * r) + _penalty(pr, eps)
+
+
+def _mix_of(pr, om):
+    return _mix(om, pr.sky, pr.b_air, band_major=True)
+
+
+def _sky_contrast(pr):
+    # (K, Q) downwelling less the ambient fill, C-ordered like the state
+    return np.ascontiguousarray(pr.sky.T - pr.b_air)
 
 
 def _loss(pr, d, t, eps, mix):
-    return _misfit(pr, _tau(d, pr.alpha), _planck_core(pr.wav, t[:, None]), eps, mix)
+    return _misfit(pr, _tau(d, pr.alpha), _planck_core(pr.wav, t), eps, mix)
 
 
 def _thomas(dm, off, b):
-    # batched tridiagonal solve: diagonal dm and right side b (P,K), every
-    # off-diagonal entry the scalar off
-    n = b.shape[1]
+    # batched tridiagonal solve down the band axis: diagonal dm and right
+    # side b (K, P), every off-diagonal entry the scalar off.  Every step
+    # writes into a row of P values, so the sweeps allocate no temporaries;
+    # x holds the forward sweep's right side, then the solution.
+    n = b.shape[0]
     cp = np.empty_like(b)
-    dp = np.empty_like(b)
-    den = dm[:, 0]
-    dp[:, 0] = b[:, 0] / den
-    for i in range(1, n):
-        cp[:, i - 1] = off / den
-        den = dm[:, i] - off * cp[:, i - 1]
-        dp[:, i] = (b[:, i] - off * dp[:, i - 1]) / den
     x = np.empty_like(b)
-    x[:, -1] = dp[:, -1]
+    den = dm[0].copy()
+    tmp = np.empty_like(den)
+    np.divide(b[0], den, out=x[0])
+    for i in range(1, n):
+        np.divide(off, den, out=cp[i - 1])
+        np.subtract(dm[i], np.multiply(off, cp[i - 1], out=tmp), out=den)
+        np.subtract(b[i], np.multiply(off, x[i - 1], out=tmp), out=x[i])
+        x[i] /= den
     for i in range(n - 2, -1, -1):
-        x[:, i] = dp[:, i] - cp[:, i] * x[:, i + 1]
+        x[i] -= np.multiply(cp[i], x[i + 1], out=tmp)
     return x
 
 
@@ -267,9 +307,10 @@ def _eps_quick(pr, tau, bt, mix):
     rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
     rho = pr.rho_eps
     dm = a * a + rho * 2.0
-    dm[:, 0] -= rho
-    dm[:, -1] -= rho
-    return np.clip(_thomas(dm, -rho, a * rb), 0.0, 1.0)
+    dm[0] -= rho
+    dm[-1] -= rho
+    x = _thomas(dm, -rho, a * rb)
+    return np.clip(x, 0.0, 1.0, out=x)
 
 
 def _proj_cap_simplex(v):
@@ -300,61 +341,62 @@ def _proj_cap_simplex(v):
 
 def _sky_block(pr, d, t, eps, om):
     # per-pixel box/cap-constrained quadratic in the sky weights via ADMM
-    q = om.shape[1]
+    p, q = om.shape
     tau = _tau(d, pr.alpha)
-    bt = _planck_core(pr.wav, t[:, None])
+    bt = _planck_core(pr.wav, t)
     w = tau * (1.0 - eps) / _PI
     y0 = _radiance(tau, _contrast(bt, eps, pr.b_air, pr.b_air), pr.b_air)
     base = pr.y - y0
-    ekq = pr.sky.T - pr.b_air[:, None]
-    w2 = w * w
-    gm = np.einsum("pk,kq,kr->pqr", w2, ekq, ekq, optimize=False)
-    rhs = np.einsum("pk,kq->pq", w * base, ekq, optimize=False)
+    ekq = _sky_contrast(pr)
+    # Gram matrices as w^2 (e_q e_r): one product per band and sector pair
+    ee = (ekq[:, :, None] * ekq[:, None, :]).reshape(-1, q * q)
+    gm = _band_dot(w * w, ee).reshape(p, q, q)
+    rhs = _band_dot(w * base, ekq)
     tr = np.einsum("pqq->p", gm)
     rho_a = tr / q + 1e-30
     a = 2.0 * gm + rho_a[:, None, None] * np.eye(q)[None, :, :]
     minv = np.linalg.inv(a)
     z = om.copy()
     u = np.zeros_like(om)
+    rhs2, rho_c = 2.0 * rhs, rho_a[:, None]
     for _ in range(_SKY_ADMM_ITERATIONS):
-        x = np.einsum("pqr,pr->pq", minv, 2.0 * rhs + rho_a[:, None] * (z - u),
-                      optimize=False)
+        x = np.einsum("pqr,pr->pq", minv, rhs2 + rho_c * (z - u), optimize=False)
         z = _proj_cap_simplex(x + u)
         u = u + x - z
-    ln = _misfit(pr, tau, bt, eps, _mix(z, pr.sky, pr.b_air))
-    lo = _misfit(pr, tau, bt, eps, _mix(om, pr.sky, pr.b_air))
+    ln = _misfit(pr, tau, bt, eps, _mix_of(pr, z))
+    lo = _misfit(pr, tau, bt, eps, _mix_of(pr, om))
     return np.where((ln <= lo)[:, None], z, om)
 
 
 def _temp_block(pr, d, t, eps, mix, span):
     # scan T around the current value, re-fitting emissivity per candidate
     tau = _tau(d, pr.alpha)
-    best_l = _misfit(pr, tau, _planck_core(pr.wav, t[:, None]), eps, mix)
+    best_l = _misfit(pr, tau, _planck_core(pr.wav, t), eps, mix)
     best_t = t.copy()
     best_e = eps.copy()
     for o in np.linspace(-span, span, _TEMPERATURE_SCAN_POINTS):
         tc = np.clip(t + o, pr.t_lo, pr.t_hi)
-        bt = _planck_core(pr.wav, tc[:, None])
+        bt = _planck_core(pr.wav, tc)
         ec = _eps_quick(pr, tau, bt, mix)
         lc = _misfit(pr, tau, bt, ec, mix)
         imp = lc < best_l
         best_t = np.where(imp, tc, best_t)
-        best_e = np.where(imp[:, None], ec, best_e)
+        best_e = np.where(imp, ec, best_e)
         best_l = np.where(imp, lc, best_l)
     return best_t, best_e
 
 
 def _dist_block(pr, d, t, eps, mix, local_span):
     # scan d with everything else fixed: only the path term varies
-    core = _contrast(_planck_core(pr.wav, t[:, None]), eps, mix, pr.b_air)
+    core = _contrast(_planck_core(pr.wav, t), eps, mix, pr.b_air)
     pen = _penalty(pr, eps)
 
     def score(tau):
         r = _radiance(tau, core, pr.b_air) - pr.y
-        return (r * r).sum(1) + pen
+        return _band_sum(r * r) + pen
 
     if local_span is None:
-        # one range for every pixel, so each candidate's path is a (K,) vector
+        # one range for every pixel, so each candidate's path is a (K, 1) column
         cands = np.linspace(0.0, pr.d_max, _GLOBAL_SCAN_POINTS)
     else:
         cands = [np.clip(d + o, 0.0, pr.d_max)
@@ -377,27 +419,23 @@ def _feasible(d, eps, om, d_max):
     return ok
 
 
-def _pick(mask, a, b):
-    # per pixel: a where mask, else b; mask is (P,), a and b (P,) or (P, X)
-    return np.where(mask.reshape(mask.shape + (1,) * (a.ndim - 1)), a, b)
-
-
 def _phase(pr, d, t, eps, om, iters, *, min_iter, d_freeze, record=None):
     # returns the state and the sweeps each pixel ran before it stalled; a
     # stalled pixel keeps its state, so it does not depend on the others.
     # The state before a sweep is kept only once some pixel has stalled,
     # which leaves the warmup's peak memory at that of its blocks.
-    stall = np.zeros(pr.y.shape[0], dtype=np.int64)
-    ran = np.full(pr.y.shape[0], iters, dtype=np.int64)
+    p = pr.y.shape[1]
+    stall = np.zeros(p, dtype=np.int64)
+    ran = np.full(p, iters, dtype=np.int64)
     has_sky = pr.sky.shape[0] > 0
     for it in range(iters):
         held = ran <= it
         prev = (d, t, eps, om) if held.any() else None
-        mix = _mix(om, pr.sky, pr.b_air)
+        mix = _mix_of(pr, om)
         l0 = _loss(pr, d, t, eps, mix)
         if has_sky:
             om = _sky_block(pr, d, t, eps, om)
-            mix = _mix(om, pr.sky, pr.b_air)
+            mix = _mix_of(pr, om)
         t, eps = _temp_block(pr, d, t, eps, mix,
                              span=max(_T_SPAN0 * _T_DECAY ** it, _MIN_SPAN))
         if it >= d_freeze:
@@ -407,8 +445,11 @@ def _phase(pr, d, t, eps, om, iters, *, min_iter, d_freeze, record=None):
                 span = max(_D_SPAN0 * _D_DECAY ** (it - d_freeze), _MIN_SPAN)
                 d = _dist_block(pr, d, t, eps, mix, span)
         if prev is not None:
-            d, t, eps, om = (_pick(held, a, b) for a, b in zip(prev, (d, t, eps, om)))
-            mix = _mix(om, pr.sky, pr.b_air)
+            # held is (P,): it broadcasts along the pixel axis of d, t and
+            # the (K, P) eps; the (P, Q) sky weights need it as a column
+            d, t, eps = (np.where(held, a, b) for a, b in zip(prev, (d, t, eps)))
+            om = np.where(held[:, None], prev[3], om)
+            mix = _mix_of(pr, om)
         l1 = _loss(pr, d, t, eps, mix)
         if record is not None:
             record(it, d, t, eps, om)
@@ -422,7 +463,7 @@ def _phase(pr, d, t, eps, om, iters, *, min_iter, d_freeze, record=None):
 
 def _polish_distance(pr, d, t, eps, om, span):
     # profiled fine scan: each range candidate gets its own (T, eps) refit
-    mix = _mix(om, pr.sky, pr.b_air)
+    mix = _mix_of(pr, om)
     best_l = _loss(pr, d, t, eps, mix)
     best_d = d.copy()
     best_t = t.copy()
@@ -434,29 +475,27 @@ def _polish_distance(pr, d, t, eps, om, span):
         imp = lc < best_l
         best_d = np.where(imp, dc, best_d)
         best_t = np.where(imp, tc, best_t)
-        best_e = np.where(imp[:, None], ec, best_e)
+        best_e = np.where(imp, ec, best_e)
         best_l = np.where(imp, lc, best_l)
     return best_d, best_t, best_e
 
 
 def _gradients_flat(pr, d, t, eps, om):
     tau = _tau(d, pr.alpha)
-    bt = _planck_core(pr.wav, t[:, None])
-    mix = _mix(om, pr.sky, pr.b_air)
+    bt = _planck_core(pr.wav, t)
+    mix = _mix_of(pr, om)
     core = _contrast(bt, eps, mix, pr.b_air)
     r = _radiance(tau, core, pr.b_air) - pr.y
-    dtau = -(_LOG10 / 10.0) * pr.alpha[None, :] * tau
-    g_d = (2.0 * r * dtau * core).sum(1)
-    dbt = _planck_dT_core(pr.wav, t[:, None])
-    g_t = (2.0 * r * tau * eps * dbt).sum(1)
+    dtau = -(_LOG10 / 10.0) * pr.alpha * tau
+    g_d = _band_sum(2.0 * r * dtau * core)
+    dbt = _planck_dT_core(pr.wav, t)
+    g_t = _band_sum(2.0 * r * tau * eps * dbt)
     lap = np.zeros_like(eps)
-    lap[:, :-1] += eps[:, :-1] - eps[:, 1:]
-    lap[:, 1:] += eps[:, 1:] - eps[:, :-1]
+    lap[:-1] += eps[:-1] - eps[1:]
+    lap[1:] += eps[1:] - eps[:-1]
     g_e = 2.0 * r * tau * (bt - mix) + 2.0 * pr.rho_eps * lap
     if om.shape[1] > 0:
-        ekq = pr.sky.T - pr.b_air[:, None]
-        g_o = np.einsum("pk,kq->pq", 2.0 * r * tau * (1.0 - eps) / _PI, ekq,
-                        optimize=False)
+        g_o = _band_dot(2.0 * r * tau * (1.0 - eps) / _PI, _sky_contrast(pr))
     else:
         g_o = np.zeros_like(om)
     return g_d, g_t, g_e, g_o
@@ -465,8 +504,9 @@ def _gradients_flat(pr, d, t, eps, om):
 def _backtrack_block(l0, step0, x, cand_of, dist2_of, loss_of):
     """Projected-gradient backtracking for one variable block, all pixels.
 
-    Accepts a candidate only if L(x+) <= L(x) - c/t * |x+ - x|^2, so every
-    accepted move strictly reduces the per-pixel objective.
+    x is (P,) or (X, P), the pixel axis last.  Accepts a candidate only if
+    L(x+) <= L(x) - c/t * |x+ - x|^2, so every accepted move strictly
+    reduces the per-pixel objective.
     """
     p = l0.shape[0]
     accepted = x.copy()
@@ -480,8 +520,7 @@ def _backtrack_block(l0, step0, x, cand_of, dist2_of, loss_of):
         need = l0 - _ARMIJO_C * dx2 / np.maximum(tcur, 1e-300)
         acc = (~done) & (lc <= need) & (dx2 > 0.0)
         if acc.any():
-            mask = acc.reshape((-1,) + (1,) * (cand.ndim - 1))
-            accepted = np.where(mask, cand, accepted)
+            accepted = np.where(acc, cand, accepted)
             lbest = np.where(acc, lc, lbest)
         done |= acc
         if done.all():
@@ -494,7 +533,7 @@ def _armijo_pass(pr, d, t, eps, om):
     """One sweep of per-block projected-gradient line searches."""
 
     def cur_loss(dv, tv, ev, ov):
-        return _loss(pr, dv, tv, ev, _mix(ov, pr.sky, pr.b_air))
+        return _loss(pr, dv, tv, ev, _mix_of(pr, ov))
 
     g_d, _, _, _ = _gradients_flat(pr, d, t, eps, om)
     l0 = cur_loss(d, t, eps, om)
@@ -513,18 +552,20 @@ def _armijo_pass(pr, d, t, eps, om):
 
     _, _, g_e, _ = _gradients_flat(pr, d, t, eps, om)
     eps, l0 = _backtrack_block(
-        l0, 0.01 / (np.abs(g_e).max(1) + 1e-30), eps,
-        lambda tc: np.clip(eps - tc[:, None] * g_e, 0.0, 1.0),
-        lambda c: ((c - eps) ** 2).sum(1),
+        l0, 0.01 / (np.abs(g_e).max(0) + 1e-30), eps,
+        lambda tc: np.clip(eps - tc * g_e, 0.0, 1.0),
+        lambda c: _band_sum((c - eps) ** 2),
         lambda c: cur_loss(d, t, c, om))
 
     if om.shape[1] > 0:
+        # the (P, Q) sky weights go through the block transposed, pixels last
         _, _, _, g_o = _gradients_flat(pr, d, t, eps, om)
-        om, _ = _backtrack_block(
-            l0, 0.05 / (np.abs(g_o).max(1) + 1e-30), om,
-            lambda tc: _proj_cap_simplex(om - tc[:, None] * g_o),
-            lambda c: ((c - om) ** 2).sum(1),
-            lambda c: cur_loss(d, t, eps, c))
+        om_t, _ = _backtrack_block(
+            l0, 0.05 / (np.abs(g_o).max(1) + 1e-30), om.T,
+            lambda tc: _proj_cap_simplex(om - tc[:, None] * g_o).T,
+            lambda c: ((c.T - om) ** 2).sum(1),
+            lambda c: cur_loss(d, t, eps, c.T))
+        om = np.ascontiguousarray(om_t.T)
 
     return d, t, eps, om
 
@@ -584,12 +625,12 @@ def _build_problem(cube, alpha, dw, air_temperature, q, rho_eps, d_max, t_span):
     else:
         sky = np.zeros((0, k))
     t_air = as_kelvin(air_temperature)
-    b_air = _planck_core(wav, t_air)
+    col = wav.reshape(k, 1)
     m, n = cube.radiance.shape[:2]
-    y = cube.radiance.reshape(m * n, k).astype(float)
+    y = np.ascontiguousarray(cube.radiance.reshape(m * n, k).T, dtype=float)
     t_lo = max(t_air - t_span, 1e-2)
-    return _Problem(wav=wav, alpha=np.asarray(alpha.values, float),
-                    y=y, sky=sky, b_air=b_air, rho_eps=rho_eps,
+    return _Problem(wav=col, alpha=np.asarray(alpha.values, float).reshape(k, 1),
+                    y=y, sky=sky, b_air=_planck_core(col, t_air), rho_eps=rho_eps,
                     d_max=d_max, t_lo=t_lo, t_hi=t_air + t_span), m, n
 
 
@@ -616,6 +657,7 @@ def _param_arrays(params):
 
 
 def _flatten_maps(params, q):
+    # the four maps as solver state: (P,), (P,), band-major (K, P), (P, Q)
     d, t, e, o = _param_arrays(params)
     m, n = d.shape
     k = e.shape[2]
@@ -623,7 +665,12 @@ def _flatten_maps(params, q):
         raise DimensionError(
             f"params carry {o.shape[2]} sky sectors, model has {q}")
     return (d.reshape(m * n), t.reshape(m * n),
-            e.reshape(m * n, k), o.reshape(m * n, q))
+            np.ascontiguousarray(e.reshape(m * n, k).T), o.reshape(m * n, q))
+
+
+def _band_maps(a, m, n):
+    # a band-major (K, P) array as a C-contiguous (M, N, K) map
+    return np.ascontiguousarray(a.T).reshape(m, n, a.shape[0])
 
 
 def data_loss(params, cube, alpha, dw, air_temperature):
@@ -637,8 +684,7 @@ def data_loss(params, cube, alpha, dw, air_temperature):
     pr, _, _ = _build_problem(cube, alpha, dw, air_temperature, q, 0.0,
                               np.inf, 1.0)
     d, t, eps, om = _flatten_maps(params, q)
-    core = _contrast(_planck_core(pr.wav, t[:, None]), eps, _mix(om, pr.sky, pr.b_air),
-                     pr.b_air)
+    core = _contrast(_planck_core(pr.wav, t), eps, _mix_of(pr, om), pr.b_air)
     r = _radiance(_tau(d, pr.alpha), core, pr.b_air) - pr.y
     return float((r * r).sum())
 
@@ -669,11 +715,10 @@ def gradients(params, cube, alpha, dw, air_temperature, rho_eps):
                               np.inf, 1.0)
     d, t, eps, om = _flatten_maps(params, q)
     g_d, g_t, g_e, g_o = _gradients_flat(pr, d, t, eps, om)
-    k = eps.shape[1]
     return {
         "distance": g_d.reshape(m, n),
         "temperature": g_t.reshape(m, n),
-        "emissivity": g_e.reshape(m, n, k),
+        "emissivity": _band_maps(g_e, m, n),
         "solid_angles": g_o.reshape(m, n, q),
     }
 
@@ -726,32 +771,31 @@ def _default_distance_init(cube, alpha, air_temperature, d_max):
 def _default_temperature_init(pr):
     # brightness temperature at the most transparent band, clipped to bounds
     bidx = int(np.argmin(pr.alpha))
-    lb = pr.y[:, bidx]
-    t0 = np.full(pr.y.shape[0], 0.5 * (pr.t_lo + pr.t_hi))
+    lb = pr.y[bidx]
+    t0 = np.full(lb.size, 0.5 * (pr.t_lo + pr.t_hi))
     pos = lb > 0.0
     if pos.any():
-        t0[pos] = brightness_temperature(float(pr.wav[bidx]), lb[pos])
+        t0[pos] = brightness_temperature(float(pr.wav[bidx, 0]), lb[pos])
     return np.clip(t0, pr.t_lo, pr.t_hi)
 
 
 def _warm_start(pr, cfg, d0, t0):
     # warm up every (emissivity, range) start; return each pixel's best
-    p = pr.y.shape[0]
+    k, p = pr.y.shape
     dl = [np.clip(d0, 1.0, pr.d_max) if base is None else np.full(p, float(base))
           for base in _D_LADDER]
     sn = len(_EPS_STARTS) * len(dl)
     ds = np.concatenate(dl * len(_EPS_STARTS))
-    es = np.concatenate([np.full((p, pr.wav.size), e0)
-                         for e0 in _EPS_STARTS for _ in dl])
+    es = np.tile(np.repeat(_EPS_STARTS, len(dl) * p), (k, 1))
     ts = np.tile(t0, sn)
     os_ = np.zeros((sn * p, pr.sky.shape[0]))
-    prs = replace(pr, y=np.tile(pr.y, (sn, 1)))
+    prs = replace(pr, y=np.tile(pr.y, (1, sn)))
     ds, ts, es, os_, _ = _phase(prs, ds, ts, es, os_,
                                 min(cfg.warmup_iterations, cfg.max_iterations),
                                 min_iter=10 ** 9, d_freeze=cfg.warmup_d_freeze)
-    ls = _loss(prs, ds, ts, es, _mix(os_, prs.sky, prs.b_air)).reshape(sn, p)
+    ls = _loss(prs, ds, ts, es, _mix_of(prs, os_)).reshape(sn, p)
     best = np.argmin(ls, axis=0) * p + np.arange(p)
-    return tuple(a[best] for a in (ds, ts, es, os_))
+    return ds[best], ts[best], es[:, best], os_[best]
 
 
 def _solve_flat(pr, cfg, d0, t0, init_state, rows, ncols):
@@ -765,7 +809,7 @@ def _solve_flat(pr, cfg, d0, t0, init_state, rows, ncols):
         # each entry holds the objective its stage guards (see SolverConfig)
         if hist is None:
             return
-        loss = _loss(pr, d, t, eps, _mix(om, pr.sky, pr.b_air))
+        loss = _loss(pr, d, t, eps, _mix_of(pr, om))
         tot = full_objective(d, loss) if label == "tv" else float(loss.sum())
         hist.append((label, it, tot, _feasible(d, eps, om, pr.d_max)))
 
@@ -789,7 +833,7 @@ def _solve_flat(pr, cfg, d0, t0, init_state, rows, ncols):
     if cfg.rho_d > 0.0:
         record("tv", 0, d, t, eps, om)
         for rnd in range(_TV_ROUNDS):
-            mix = _mix(om, pr.sky, pr.b_air)
+            mix = _mix_of(pr, om)
             tot_old = full_objective(d, _loss(pr, d, t, eps, mix))
             dn = np.clip(_tv_denoise_map(d.reshape(rows, ncols), cfg.rho_d),
                          0.0, pr.d_max).reshape(-1)
@@ -799,7 +843,7 @@ def _solve_flat(pr, cfg, d0, t0, init_state, rows, ncols):
                                       min_iter=10 ** 9, d_freeze=10 ** 9)
             record("tv", rnd + 1, d, t, eps, om)
 
-    loss_final = _loss(pr, d, t, eps, _mix(om, pr.sky, pr.b_air))
+    loss_final = _loss(pr, d, t, eps, _mix_of(pr, om))
     return d, t, eps, om, loss_final, ran, hist
 
 
@@ -836,15 +880,18 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     if initial is not None:
         if initial.distance.shape != (m, n):
             raise DimensionError("initial maps do not match the cube image shape")
-        if initial.emissivity.shape[2] != pr.wav.size:
+        if initial.emissivity.shape[2] != pr.wav.shape[0]:
             raise DimensionError("initial maps do not match the cube band count")
         init_state = _flatten_maps(initial, q)
 
     def run(rows):
         sel = slice(rows[0] * n, (rows[-1] + 1) * n)
-        ini = None if init_state is None else tuple(a[sel] for a in init_state)
-        return _solve_flat(replace(pr, y=pr.y[sel]), cfg, d0[sel], t0[sel], ini,
-                           rows.size, n)
+        ini = None
+        if init_state is not None:
+            d_i, t_i, e_i, o_i = init_state
+            ini = (d_i[sel], t_i[sel], np.ascontiguousarray(e_i[:, sel]), o_i[sel])
+        return _solve_flat(replace(pr, y=np.ascontiguousarray(pr.y[:, sel])), cfg,
+                           d0[sel], t0[sel], ini, rows.size, n)
 
     blocks = np.array_split(np.arange(m), min(cfg.threads, m))
     if len(blocks) == 1:
@@ -852,13 +899,14 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=len(blocks)) as ex:
             parts = list(ex.map(run, blocks))
-    d, t, eps, om, loss_f, ran = (np.concatenate(a) for a in zip(*(pt[:6] for pt in parts)))
+    d, t, eps, om, loss_f, ran = zip(*(pt[:6] for pt in parts))
+    d, t, om, loss_f, ran = (np.concatenate(a) for a in (d, t, om, loss_f, ran))
+    eps = np.concatenate(eps, axis=1)
 
-    k = pr.wav.size
     return EstimateMaps(
         distance=d.reshape(m, n),
         temperature=t.reshape(m, n),
-        emissivity=eps.reshape(m, n, k),
+        emissivity=_band_maps(eps, m, n),
         solid_angles=om.reshape(m, n, q),
         loss=loss_f.reshape(m, n),
         iterations=ran.reshape(m, n),

@@ -184,6 +184,24 @@ class TestRuntimeErrors:
         assert err.startswith("error[FormatError]: rows must be an integer")
         assert err.count("\n") == 1
 
+    def test_synth_rejects_q_that_does_not_match_atmo(self, capsys, tmp_path):
+        # the same mismatch range --mode hyper rejects; an unset --q takes
+        # the downwelling set's sector count
+        atmo = tmp_path / "atmo"
+        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
+        code, out, err = run(capsys, [
+            "synth", "--atmo", str(atmo), "--out", str(tmp_path / "s3"),
+            "--rows", "2", "--cols", "2", "--q", "3"])
+        assert code == 2
+        assert err.startswith("error[ConfigError]: config q=3 does not match")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s3").exists()
+        for q in ([], ["--q", "10"]):
+            code, _, err = run(capsys, [
+                "synth", "--atmo", str(atmo), "--out", str(tmp_path / "s10"),
+                "--rows", "2", "--cols", "2", *q])
+            assert code == 0, err
+
     def test_missing_map_exits_1(self, capsys, tmp_path):
         code, out, err = run(capsys, [
             "render", "--map", str(tmp_path / "nope.lwc"),

@@ -11,6 +11,7 @@ from helpers import AIR, attenuation_from, flat_scene, micro_scene
 from lwirange.atmosphere import (
     AtmosphereParams,
     DownwellingSet,
+    _tau,
     make_default_grid,
     synth_attenuation,
     synth_downwelling,
@@ -18,6 +19,7 @@ from lwirange.atmosphere import (
 from lwirange.errors import ConstraintError, DomainError
 from lwirange.forward_model import (
     SceneCube,
+    _mix,
     SceneTruth,
     default_panel_masks,
     make_default_scene,
@@ -231,3 +233,22 @@ def test_noiseless_radiance_always_positive(d, t, eps):
                        ground=amb)
     cube = synthesize_cube(truth, alpha, dw, AIR)
     assert np.all(cube.radiance > 0.0)
+
+
+@pytest.mark.parametrize("p,q,k", [(1, 1, 1), (1, 10, 64), (7, 3, 5), (64, 2, 8),
+                                   (300, 10, 64)])
+def test_shared_kernels_agree_bit_for_bit_in_both_layouts(p, q, k):
+    # the simulator calls _tau and _mix pixel-major, (P, K), and the solver
+    # band-major, (K, P); every entry must carry the same bits in both
+    rng = np.random.default_rng(100 * p + k)
+    d = rng.uniform(0.0, 200.0, p)
+    alpha = rng.uniform(0.0, 0.05, k)
+    np.testing.assert_array_equal(_tau(d, alpha[:, None]), _tau(d[:, None], alpha).T)
+    om = rng.uniform(0.0, np.pi / q, (p, q))
+    ld = rng.uniform(100.0, 900.0, (q, k))
+    for ground in (rng.uniform(300.0, 600.0, k), rng.uniform(300.0, 600.0, (p, k))):
+        pixel_major = _mix(om, ld, ground)
+        band_major = _mix(om, ld, ground[:, None] if ground.ndim == 1 else ground.T,
+                          band_major=True)
+        assert band_major.flags.c_contiguous
+        np.testing.assert_array_equal(band_major, pixel_major.T)

@@ -1,5 +1,7 @@
 """Tests for the full-spectrum constrained solver and its building blocks."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -21,7 +23,18 @@ from lwirange import (
     solve_no_sky,
     tv_distance,
 )
-from lwirange.hyperspectral import _eps_quick, _Problem, _thomas
+from lwirange.atmosphere import _tau
+from lwirange.hyperspectral import (
+    _build_problem,
+    _dist_block,
+    _eps_quick,
+    _mix_of,
+    _Problem,
+    _sky_block,
+    _temp_block,
+    _thomas,
+)
+from lwirange.radiometry import _planck_core
 from helpers import AIR, micro_scene
 
 
@@ -183,40 +196,78 @@ class TestGradients:
 
 
 class TestEmissivityRefit:
+    # operands are band-major, (K, P), as the solver holds them
     @pytest.mark.parametrize("k", [1, 2, 3, 9])
     def test_thomas_matches_dense_solve(self, k):
         rng = np.random.default_rng(20 + k)
         p = 6
         off = -rng.uniform(0.1, 4.0)
-        dm = 2.0 * abs(off) + rng.uniform(0.1, 5.0, (p, k))
-        b = rng.normal(0.0, 3.0, (p, k))
+        dm = 2.0 * abs(off) + rng.uniform(0.1, 5.0, (p, k)).T
+        b = rng.normal(0.0, 3.0, (p, k)).T.copy()
         x = _thomas(dm, off, b)
         for i in range(p):
-            a = np.diag(dm[i]) + off * (np.eye(k, k=1) + np.eye(k, k=-1))
-            npt.assert_allclose(x[i], np.linalg.solve(a, b[i]), rtol=1e-12, atol=1e-12)
+            a = np.diag(dm[:, i]) + off * (np.eye(k, k=1) + np.eye(k, k=-1))
+            npt.assert_allclose(x[:, i], np.linalg.solve(a, b[:, i]),
+                                rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_eps_quick_is_clipped_dense_least_squares(self, k):
         rng = np.random.default_rng(40 + k)
         p = 64
-        wav = np.linspace(8.0, 13.0, k)
+        wav = np.linspace(8.0, 13.0, k)[:, None]
         rho = 30.0
-        pr = _Problem(wav=wav, alpha=np.zeros(k), y=rng.uniform(200.0, 900.0, (p, k)),
-                      sky=np.zeros((0, k)), b_air=rng.uniform(300.0, 600.0, k),
+        pr = _Problem(wav=wav, alpha=np.zeros((k, 1)),
+                      y=rng.uniform(200.0, 900.0, (p, k)).T.copy(),
+                      sky=np.zeros((0, k)), b_air=rng.uniform(300.0, 600.0, (k, 1)),
                       rho_eps=rho, d_max=200.0, t_lo=280.0, t_hi=310.0)
-        tau = rng.uniform(0.5, 1.0, (p, k))
-        bt = rng.uniform(500.0, 1000.0, (p, k))
-        mix = rng.uniform(100.0, 400.0, (p, k))
+        tau = rng.uniform(0.5, 1.0, (p, k)).T
+        bt = rng.uniform(500.0, 1000.0, (p, k)).T
+        mix = rng.uniform(100.0, 400.0, (p, k)).T
         got = _eps_quick(pr, tau, bt, mix)
         a = tau * (bt - mix)
         r = pr.y - (tau * (mix - pr.b_air) + pr.b_air)
         dtd = np.diff(np.eye(k), axis=0).T @ np.diff(np.eye(k), axis=0)
-        free = np.array([np.linalg.solve(np.diag(a[i] ** 2) + rho * dtd, a[i] * r[i])
-                         for i in range(p)])
+        free = np.array([np.linalg.solve(np.diag(a[:, i] ** 2) + rho * dtd, a[:, i] * r[:, i])
+                         for i in range(p)]).T
         # the draw must exercise the clip on both sides and the interior
         assert (free < 0.0).any() and (free > 1.0).any()
         assert ((free > 0.0) & (free < 1.0)).any()
         npt.assert_allclose(got, np.clip(free, 0.0, 1.0), rtol=1e-10, atol=1e-12)
+
+
+class TestBatchIndependence:
+    # each block's result for a pixel must not depend on which other pixels
+    # share its batch: the thread-count contract rests on this, and a BLAS
+    # product (matmul) in place of an einsum would break it
+    @pytest.mark.parametrize("cols", [[4], [0, 9], [1, 2, 6, 7, 11]])
+    def test_blocks_match_on_a_column_subset(self, cols):
+        sc = micro_scene(rows=3, cols=4, bands=12, q=3, noise_sigma=0.5, seed=21)
+        pr, m, n = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR, 3,
+                                  1e5, 200.0, 12.0)
+        p, k = m * n, 12
+        rng = np.random.default_rng(7)
+        d = rng.uniform(5.0, 60.0, p)
+        t = rng.uniform(290.0, 300.0, p)
+        eps = rng.uniform(0.5, 1.0, (k, p))
+        om = rng.uniform(0.0, 0.9, (p, 3))
+        tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
+
+        def part(a):
+            return np.ascontiguousarray(a[..., cols])
+
+        sub = replace(pr, y=part(pr.y))
+        ds, ts, es, mixs = d[cols], t[cols], part(eps), part(mix)
+        npt.assert_array_equal(_eps_quick(sub, part(tau), part(bt), mixs),
+                               _eps_quick(pr, tau, bt, mix)[:, cols])
+        npt.assert_array_equal(_sky_block(sub, ds, ts, es, om[cols]),
+                               _sky_block(pr, d, t, eps, om)[cols])
+        t_sub, e_sub = _temp_block(sub, ds, ts, es, mixs, span=2.0)
+        t_all, e_all = _temp_block(pr, d, t, eps, mix, span=2.0)
+        npt.assert_array_equal(t_sub, t_all[cols])
+        npt.assert_array_equal(e_sub, e_all[:, cols])
+        for span in (None, 3.0):
+            npt.assert_array_equal(_dist_block(sub, ds, ts, es, mixs, span),
+                                   _dist_block(pr, d, t, eps, mix, span)[cols])
 
 
 class TestProject:
