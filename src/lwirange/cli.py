@@ -84,6 +84,12 @@ _DEFAULTS = {
     "patches": 8,
 }
 
+_HELP = {
+    "threads": "hyper mode: the number of row blocks, each solved in its own "
+               "worker process (default 1, in this process)",
+}
+
+
 def _to_bands(text):
     parts = text.split(",")
     if len(parts) != 5:
@@ -353,7 +359,8 @@ _DISPATCH = {
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     for key in _DEFAULTS:
-        shared.add_argument(f"--{key.replace('_', '-')}", default=None)
+        shared.add_argument(f"--{key.replace('_', '-')}", default=None,
+                            help=_HELP.get(key))
     shared.add_argument("--config", default=None, help="key=value settings file")
 
     parser = argparse.ArgumentParser(

@@ -23,7 +23,13 @@ class SpectrumParseError(LwirError, ValueError):
     def __init__(self, path, line_no, message):
         self.path = str(path)
         self.line_no = line_no
+        self.message = message
         super().__init__(f"{self.path}:{line_no}: {message}")
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so the error survives
+        # pickling, e.g. on its way back from a worker process
+        return type(self), (self.path, self.line_no, self.message)
 
 
 class ConstraintError(LwirError, ValueError):
@@ -52,3 +58,6 @@ class ConfigError(LwirError, ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+    def __reduce__(self):
+        return type(self), (self.violations,)

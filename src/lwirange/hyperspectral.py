@@ -14,7 +14,7 @@ if it does not raise the objective its stage enforces, which is the data
 misfit plus emissivity smoothness up to the Armijo pass and that plus the
 TV term in the TV rounds.  The search draws no random numbers, and all
 array reductions are per pixel, which makes results byte-identical for any
-row partitioning (thread count) and any edit to other pixels' data when the
+row partitioning (worker count) and any edit to other pixels' data when the
 TV weight is zero.
 
 The solver holds its per-band state band-major: observed radiance,
@@ -24,6 +24,13 @@ so each Thomas step, Planck and path evaluation and per-pixel sum over bands
 runs along contiguous rows of P values.  Range and temperature are (P,) and
 the sky weights (P, Q).  Only :func:`solve`, :func:`gradients` and
 :func:`data_loss` see the public (M, N, K) maps.
+
+Each sweep carries the model terms beside the state: path transmittance
+tau(d), B(T), the reflected mix(om) and the per-pixel loss.  A block takes
+the terms it reads and returns the ones it changed with the loss at the
+accepted state, so a sweep evaluates each term once, not once per block.
+Every kernel is elementwise or per pixel, so a carried term has the bits a
+recomputation at the same state would have.
 """
 
 from __future__ import annotations
@@ -95,7 +102,8 @@ class SolverConfig:
     rho_eps / rho_d are the emissivity-smoothness and range-TV weights,
     d_max the range box bound.  q overrides the number of sky sectors used
     by the model (0 disables the sky term entirely; None takes the size of
-    the downwelling set).  threads splits the image into row blocks.
+    the downwelling set).  threads is the number of row blocks, each solved
+    in its own worker process.
     warmup_iterations, warmup_d_freeze (warmup iterations before the range
     block first runs), refine_iterations and max_iterations (a cap on both)
     set the iteration budgets; every warmup start runs the whole warmup
@@ -298,13 +306,15 @@ def _thomas(dm, off, b):
     return x
 
 
-def _eps_quick(pr, tau, bt, mix):
+def _eps_quick(pr, tau, bt, mix, rb=None):
     # the model is linear in eps, a * eps + b with b the model at eps = 0, so
     # the refit solves the banded normal equations
     # (diag(a^2) + rho_eps D'D) eps = a (y - b) once and clips to [0, 1];
-    # callers accept-guard the result
+    # callers accept-guard the result.  rb = y - b does not depend on T, so
+    # a temperature scan passes it in once for all its candidates
     a = tau * (bt - mix)
-    rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
+    if rb is None:
+        rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
     rho = pr.rho_eps
     dm = a * a + rho * 2.0
     dm[0] -= rho
@@ -318,32 +328,39 @@ def _proj_cap_simplex(v):
     z = np.maximum(v, 0.0)
     if z.shape[1] == 0:
         return z
-    s = z.sum(1)
-    over = s > _PI
-    if over.any():
-        zo = z[over]
-        u = np.sort(zo, axis=1)[:, ::-1]
-        css = np.cumsum(u, axis=1) - _PI
-        idx = np.arange(1, zo.shape[1] + 1)
-        cond = u * idx > css
-        rmax = cond.shape[1] - 1 - cond[:, ::-1].argmax(1)
-        th = css[np.arange(zo.shape[0]), rmax] / (rmax + 1)
-        z[over] = np.maximum(zo - th[:, None], 0.0)
+    over = z.sum(1) > _PI
+    if not over.any():
+        return z
+    # only the rows over the cap move, so only they are projected and checked
+    zo = z[over]
+    u = np.sort(zo, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - _PI
+    idx = np.arange(1, zo.shape[1] + 1)
+    cond = u * idx > css
+    rmax = cond.shape[1] - 1 - cond[:, ::-1].argmax(1)
+    th = css[np.arange(zo.shape[0]), rmax] / (rmax + 1)
+    zo = np.maximum(zo - th[:, None], 0.0)
     # roundoff can leave sums a few ulp above the cap; pull them inside
     for _ in range(4):
-        s = z.sum(1)
+        s = zo.sum(1)
         bad = s > _PI
         if not bad.any():
             break
-        z[bad] *= ((_PI * (1.0 - 1e-16)) / s[bad])[:, None]
+        zo[bad] *= ((_PI * (1.0 - 1e-16)) / s[bad])[:, None]
+    z[over] = zo
     return z
 
 
-def _sky_block(pr, d, t, eps, om):
-    # per-pixel box/cap-constrained quadratic in the sky weights via ADMM
+def _pick(imp, new, old):
+    # per-pixel choice between two tuples of terms: the (P,) mask broadcasts
+    # along the pixel axis of (P,) and band-major (K, P) arrays
+    return tuple(np.where(imp, a, b) for a, b in zip(new, old))
+
+
+def _sky_block(pr, tau, bt, eps, om, mix, loss):
+    # per-pixel box/cap-constrained quadratic in the sky weights via ADMM;
+    # returns the accepted (om, mix, loss)
     p, q = om.shape
-    tau = _tau(d, pr.alpha)
-    bt = _planck_core(pr.wav, t)
     w = tau * (1.0 - eps) / _PI
     y0 = _radiance(tau, _contrast(bt, eps, pr.b_air, pr.b_air), pr.b_air)
     base = pr.y - y0
@@ -363,32 +380,31 @@ def _sky_block(pr, d, t, eps, om):
         x = np.einsum("pqr,pr->pq", minv, rhs2 + rho_c * (z - u), optimize=False)
         z = _proj_cap_simplex(x + u)
         u = u + x - z
-    ln = _misfit(pr, tau, bt, eps, _mix_of(pr, z))
-    lo = _misfit(pr, tau, bt, eps, _mix_of(pr, om))
-    return np.where((ln <= lo)[:, None], z, om)
+    mz = _mix_of(pr, z)
+    lz = _misfit(pr, tau, bt, eps, mz)
+    acc = lz <= loss
+    return np.where(acc[:, None], z, om), np.where(acc, mz, mix), np.where(acc, lz, loss)
 
 
-def _temp_block(pr, d, t, eps, mix, span):
-    # scan T around the current value, re-fitting emissivity per candidate
-    tau = _tau(d, pr.alpha)
-    best_l = _misfit(pr, tau, _planck_core(pr.wav, t), eps, mix)
-    best_t = t.copy()
-    best_e = eps.copy()
+def _temp_block(pr, tau, t, eps, mix, loss, span):
+    # scan T around the current value, re-fitting emissivity per candidate;
+    # returns the accepted (T, eps, B(T), loss)
+    rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
+    best = (t, eps, loss)
     for o in np.linspace(-span, span, _TEMPERATURE_SCAN_POINTS):
         tc = np.clip(t + o, pr.t_lo, pr.t_hi)
         bt = _planck_core(pr.wav, tc)
-        ec = _eps_quick(pr, tau, bt, mix)
+        ec = _eps_quick(pr, tau, bt, mix, rb)
         lc = _misfit(pr, tau, bt, ec, mix)
-        imp = lc < best_l
-        best_t = np.where(imp, tc, best_t)
-        best_e = np.where(imp, ec, best_e)
-        best_l = np.where(imp, lc, best_l)
-    return best_t, best_e
+        best = _pick(lc < best[2], (tc, ec, lc), best)
+    t, eps, loss = best
+    return t, eps, _planck_core(pr.wav, t), loss
 
 
-def _dist_block(pr, d, t, eps, mix, local_span):
-    # scan d with everything else fixed: only the path term varies
-    core = _contrast(_planck_core(pr.wav, t), eps, mix, pr.b_air)
+def _dist_block(pr, d, bt, eps, mix, loss, local_span):
+    # scan d with everything else fixed: only the path term varies; returns
+    # the accepted (d, tau, loss)
+    core = _contrast(bt, eps, mix, pr.b_air)
     pen = _penalty(pr, eps)
 
     def score(tau):
@@ -405,10 +421,9 @@ def _dist_block(pr, d, t, eps, mix, local_span):
     best_l = score(_tau(cands[0], pr.alpha))
     for dc in cands[1:]:
         lc = score(_tau(dc, pr.alpha))
-        imp = lc < best_l
-        best_d = np.where(imp, dc, best_d)
-        best_l = np.where(imp, lc, best_l)
-    return np.where(best_l <= score(_tau(d, pr.alpha)), best_d, d)
+        best_d, best_l = _pick(lc < best_l, (dc, lc), (best_d, best_l))
+    d, loss = _pick(best_l <= loss, (best_d, best_l), (d, loss))
+    return d, _tau(d, pr.alpha), loss
 
 
 def _feasible(d, eps, om, d_max):
@@ -420,64 +435,57 @@ def _feasible(d, eps, om, d_max):
 
 
 def _phase(pr, d, t, eps, om, iters, *, min_iter, d_freeze, record=None):
-    # returns the state and the sweeps each pixel ran before it stalled; a
-    # stalled pixel keeps its state, so it does not depend on the others.
-    # The state before a sweep is kept only once some pixel has stalled,
-    # which leaves the warmup's peak memory at that of its blocks.
+    # returns the state, its per-pixel loss and the sweeps each pixel ran
+    # before it stalled; a stalled pixel keeps its state and terms, so it
+    # does not depend on the others.  The state before a sweep is kept only
+    # once some pixel has stalled, which leaves the warmup's peak memory at
+    # that of its blocks.
     p = pr.y.shape[1]
     stall = np.zeros(p, dtype=np.int64)
     ran = np.full(p, iters, dtype=np.int64)
     has_sky = pr.sky.shape[0] > 0
+    tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
+    loss = _misfit(pr, tau, bt, eps, mix)
     for it in range(iters):
         held = ran <= it
-        prev = (d, t, eps, om) if held.any() else None
-        mix = _mix_of(pr, om)
-        l0 = _loss(pr, d, t, eps, mix)
+        prev = (d, t, eps, tau, bt, mix, loss, om) if held.any() else None
+        l0 = loss
         if has_sky:
-            om = _sky_block(pr, d, t, eps, om)
-            mix = _mix_of(pr, om)
-        t, eps = _temp_block(pr, d, t, eps, mix,
-                             span=max(_T_SPAN0 * _T_DECAY ** it, _MIN_SPAN))
+            om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
+        t, eps, bt, loss = _temp_block(pr, tau, t, eps, mix, loss,
+                                       span=max(_T_SPAN0 * _T_DECAY ** it, _MIN_SPAN))
         if it >= d_freeze:
             if it % 10 == 0 and it < min_iter:
-                d = _dist_block(pr, d, t, eps, mix, None)
+                span = None
             else:
                 span = max(_D_SPAN0 * _D_DECAY ** (it - d_freeze), _MIN_SPAN)
-                d = _dist_block(pr, d, t, eps, mix, span)
+            d, tau, loss = _dist_block(pr, d, bt, eps, mix, loss, span)
         if prev is not None:
-            # held is (P,): it broadcasts along the pixel axis of d, t and
-            # the (K, P) eps; the (P, Q) sky weights need it as a column
-            d, t, eps = (np.where(held, a, b) for a, b in zip(prev, (d, t, eps)))
-            om = np.where(held[:, None], prev[3], om)
-            mix = _mix_of(pr, om)
-        l1 = _loss(pr, d, t, eps, mix)
+            # held is (P,): the (P, Q) sky weights need it as a column
+            d, t, eps, tau, bt, mix, loss = _pick(held, prev[:7],
+                                                  (d, t, eps, tau, bt, mix, loss))
+            om = np.where(held[:, None], prev[7], om)
         if record is not None:
             record(it, d, t, eps, om)
         if it >= min_iter:
-            stall = np.where((l0 - l1) / np.maximum(l0, 1e-300) < _TOL, stall + 1, 0)
+            stall = np.where((l0 - loss) / np.maximum(l0, 1e-300) < _TOL, stall + 1, 0)
             ran = np.where((stall >= _PATIENCE) & ~held, it + 1, ran)
             if (ran <= it + 1).all():
                 break
-    return d, t, eps, om, ran
+    return d, t, eps, om, loss, ran
 
 
-def _polish_distance(pr, d, t, eps, om, span):
-    # profiled fine scan: each range candidate gets its own (T, eps) refit
-    mix = _mix_of(pr, om)
-    best_l = _loss(pr, d, t, eps, mix)
-    best_d = d.copy()
-    best_t = t.copy()
-    best_e = eps.copy()
+def _polish_distance(pr, d, tau, t, eps, bt, mix, loss, span):
+    # profiled fine scan: each range candidate gets its own (T, eps) refit;
+    # returns the accepted (d, tau, T, eps, B(T), loss)
+    best = (d, tau, t, eps, bt, loss)
     for o in np.linspace(-span, span, _POLISH_STEPS):
         dc = np.clip(d + o, 0.0, pr.d_max)
-        tc, ec = _temp_block(pr, dc, t, eps, mix, span=1.0)
-        lc = _loss(pr, dc, tc, ec, mix)
-        imp = lc < best_l
-        best_d = np.where(imp, dc, best_d)
-        best_t = np.where(imp, tc, best_t)
-        best_e = np.where(imp, ec, best_e)
-        best_l = np.where(imp, lc, best_l)
-    return best_d, best_t, best_e
+        tc = _tau(dc, pr.alpha)
+        cand = (dc, tc) + _temp_block(pr, tc, t, eps, mix,
+                                      _misfit(pr, tc, bt, eps, mix), span=1.0)
+        best = _pick(cand[-1] < best[-1], cand, best)
+    return best
 
 
 def _gradients_flat(pr, d, t, eps, om):
@@ -790,11 +798,10 @@ def _warm_start(pr, cfg, d0, t0):
     ts = np.tile(t0, sn)
     os_ = np.zeros((sn * p, pr.sky.shape[0]))
     prs = replace(pr, y=np.tile(pr.y, (1, sn)))
-    ds, ts, es, os_, _ = _phase(prs, ds, ts, es, os_,
-                                min(cfg.warmup_iterations, cfg.max_iterations),
-                                min_iter=10 ** 9, d_freeze=cfg.warmup_d_freeze)
-    ls = _loss(prs, ds, ts, es, _mix_of(prs, os_)).reshape(sn, p)
-    best = np.argmin(ls, axis=0) * p + np.arange(p)
+    ds, ts, es, os_, ls, _ = _phase(prs, ds, ts, es, os_,
+                                    min(cfg.warmup_iterations, cfg.max_iterations),
+                                    min_iter=10 ** 9, d_freeze=cfg.warmup_d_freeze)
+    best = np.argmin(ls.reshape(sn, p), axis=0) * p + np.arange(p)
     return ds[best], ts[best], es[:, best], os_[best]
 
 
@@ -815,15 +822,16 @@ def _solve_flat(pr, cfg, d0, t0, init_state, rows, ncols):
 
     if init_state is None:
         init_state = _warm_start(pr, cfg, d0, t0)
-    d, t, eps, om, ran = _phase(
+    d, t, eps, om, loss, ran = _phase(
         pr, *init_state, min(cfg.refine_iterations, cfg.max_iterations),
         min_iter=_SETTLE_ITERATIONS, d_freeze=0, record=partial(record, "refine"))
 
     if pr.sky.shape[0] > 0:
+        tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
         for rep in range(cfg.polish_rounds):
-            d, t, eps = _polish_distance(pr, d, t, eps, om,
-                                         span=_POLISH_SPAN / (rep + 1))
-            om = _sky_block(pr, d, t, eps, om)
+            d, tau, t, eps, bt, loss = _polish_distance(
+                pr, d, tau, t, eps, bt, mix, loss, span=_POLISH_SPAN / (rep + 1))
+            om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
             record("polish", rep, d, t, eps, om)
 
     for i in range(cfg.armijo_iterations):
@@ -839,8 +847,8 @@ def _solve_flat(pr, cfg, d0, t0, init_state, rows, ncols):
                          0.0, pr.d_max).reshape(-1)
             if full_objective(dn, _loss(pr, dn, t, eps, mix)) > tot_old:
                 break
-            d, t, eps, om, _ = _phase(pr, dn, t, eps, om, 2,
-                                      min_iter=10 ** 9, d_freeze=10 ** 9)
+            d, t, eps, om, _, _ = _phase(pr, dn, t, eps, om, 2,
+                                         min_iter=10 ** 9, d_freeze=10 ** 9)
             record("tv", rnd + 1, d, t, eps, om)
 
     loss_final = _loss(pr, d, t, eps, _mix_of(pr, om))
@@ -853,9 +861,10 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     cube/alpha/dw must share one spectral grid. air_temperature feeds both
     the path term and the ambient ground fill. initial optionally replaces
     the multi-start warmup with a caller-supplied EstimateMaps state.
-    The image is solved as min(threads, rows) row blocks, one thread each;
-    a single block runs in the calling thread.  Deterministic (the search
-    draws no random numbers) and independent of the thread count.
+    The image is solved as min(threads, rows) row blocks, each in its own
+    worker process, forked from the caller; a single block runs in the
+    calling process.  Deterministic (the search draws no random numbers)
+    and independent of the number of blocks.
     """
     cfg = config if config is not None else SolverConfig()
     violations = cfg.validate()
@@ -884,21 +893,27 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
             raise DimensionError("initial maps do not match the cube band count")
         init_state = _flatten_maps(initial, q)
 
-    def run(rows):
+    def job(rows):
+        # _solve_flat's arguments for one row block, all picklable
         sel = slice(rows[0] * n, (rows[-1] + 1) * n)
         ini = None
         if init_state is not None:
             d_i, t_i, e_i, o_i = init_state
             ini = (d_i[sel], t_i[sel], np.ascontiguousarray(e_i[:, sel]), o_i[sel])
-        return _solve_flat(replace(pr, y=np.ascontiguousarray(pr.y[:, sel])), cfg,
-                           d0[sel], t0[sel], ini, rows.size, n)
+        return (replace(pr, y=np.ascontiguousarray(pr.y[:, sel])), cfg,
+                d0[sel], t0[sel], ini, rows.size, n)
 
-    blocks = np.array_split(np.arange(m), min(cfg.threads, m))
-    if len(blocks) == 1:
-        parts = [run(blocks[0])]
+    jobs = [job(rows) for rows in np.array_split(np.arange(m), min(cfg.threads, m))]
+    if len(jobs) == 1:
+        parts = [_solve_flat(*jobs[0])]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(blocks)) as ex:
-            parts = list(ex.map(run, blocks))
+        import multiprocessing
+
+        # fork, so that the workers inherit the loaded modules and do not
+        # re-import a caller's __main__, which may lack a main guard
+        with concurrent.futures.ProcessPoolExecutor(
+                len(jobs), mp_context=multiprocessing.get_context("fork")) as ex:
+            parts = list(ex.map(_solve_flat, *zip(*jobs)))
     d, t, eps, om, loss_f, ran = zip(*(pt[:6] for pt in parts))
     d, t, om, loss_f, ran = (np.concatenate(a) for a in (d, t, om, loss_f, ran))
     eps = np.concatenate(eps, axis=1)

@@ -28,7 +28,10 @@ from lwirange.hyperspectral import (
     _build_problem,
     _dist_block,
     _eps_quick,
+    _flatten_maps,
+    _loss,
     _mix_of,
+    _phase,
     _Problem,
     _sky_block,
     _temp_block,
@@ -251,23 +254,81 @@ class TestBatchIndependence:
         eps = rng.uniform(0.5, 1.0, (k, p))
         om = rng.uniform(0.0, 0.9, (p, 3))
         tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
+        loss = _loss(pr, d, t, eps, mix)
 
         def part(a):
             return np.ascontiguousarray(a[..., cols])
 
+        def assert_terms_match(got, want):
+            # every returned term; the (P, Q) sky weights have pixels first
+            for g, w in zip(got, want, strict=True):
+                npt.assert_array_equal(g, w[cols] if w.shape == om.shape else part(w))
+
         sub = replace(pr, y=part(pr.y))
-        ds, ts, es, mixs = d[cols], t[cols], part(eps), part(mix)
-        npt.assert_array_equal(_eps_quick(sub, part(tau), part(bt), mixs),
+        ds, ts, es, oms = d[cols], t[cols], part(eps), om[cols]
+        taus, bts, mixs, ls = part(tau), part(bt), part(mix), loss[cols]
+        npt.assert_array_equal(_eps_quick(sub, taus, bts, mixs),
                                _eps_quick(pr, tau, bt, mix)[:, cols])
-        npt.assert_array_equal(_sky_block(sub, ds, ts, es, om[cols]),
-                               _sky_block(pr, d, t, eps, om)[cols])
-        t_sub, e_sub = _temp_block(sub, ds, ts, es, mixs, span=2.0)
-        t_all, e_all = _temp_block(pr, d, t, eps, mix, span=2.0)
-        npt.assert_array_equal(t_sub, t_all[cols])
-        npt.assert_array_equal(e_sub, e_all[:, cols])
+        assert_terms_match(_sky_block(sub, taus, bts, es, oms, mixs, ls),
+                           _sky_block(pr, tau, bt, eps, om, mix, loss))
+        assert_terms_match(_temp_block(sub, taus, ts, es, mixs, ls, span=2.0),
+                           _temp_block(pr, tau, t, eps, mix, loss, span=2.0))
         for span in (None, 3.0):
-            npt.assert_array_equal(_dist_block(sub, ds, ts, es, mixs, span),
-                                   _dist_block(pr, d, t, eps, mix, span)[cols])
+            assert_terms_match(_dist_block(sub, ds, bts, es, mixs, ls, span),
+                               _dist_block(pr, d, bt, eps, mix, loss, span))
+
+
+class TestCarriedTerms:
+    # the blocks and _phase carry tau, B(T), mix and the loss beside the
+    # state; each carried term must have the bits of a recomputation
+    def _problem(self, noise_sigma, seed):
+        sc = micro_scene(rows=3, cols=3, bands=12, q=2, noise_sigma=noise_sigma,
+                         seed=seed)
+        pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR, 2,
+                                  1e5, 200.0, 12.0)
+        return sc, pr
+
+    def test_blocks_return_terms_of_their_state(self):
+        _, pr = self._problem(0.5, 21)
+        rng = np.random.default_rng(8)
+        p, k = pr.y.shape[1], pr.y.shape[0]
+        d = rng.uniform(5.0, 60.0, p)
+        t = rng.uniform(290.0, 300.0, p)
+        eps = rng.uniform(0.5, 1.0, (k, p))
+        om = rng.uniform(0.0, 0.9, (p, 2))
+        tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
+        loss = _loss(pr, d, t, eps, mix)
+        om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
+        npt.assert_array_equal(mix, _mix_of(pr, om))
+        npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
+        t, eps, bt, loss = _temp_block(pr, tau, t, eps, mix, loss, span=2.0)
+        npt.assert_array_equal(bt, _planck_core(pr.wav, t))
+        npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
+        for span in (None, 3.0):
+            d, tau, loss = _dist_block(pr, d, bt, eps, mix, loss, span)
+            npt.assert_array_equal(tau, _tau(d, pr.alpha))
+            npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
+
+    def test_warmup_phase_loss_is_loss_of_its_state(self):
+        _, pr = self._problem(0.5, 4)
+        p, k = pr.y.shape[1], pr.y.shape[0]
+        d, t, eps, om, loss, _ = _phase(
+            pr, np.full(p, 20.0), np.full(p, 296.0), np.full((k, p), 0.95),
+            np.zeros((p, 2)), 14, min_iter=10 ** 9, d_freeze=6)
+        npt.assert_array_equal(loss, _loss(pr, d, t, eps, _mix_of(pr, om)))
+
+    def test_refine_phase_loss_survives_the_held_restore(self):
+        # noiseless and started at truth, with every other pixel's range
+        # moved 20% off: the pixels at truth stall early and are held while
+        # the others run on
+        sc, pr = self._problem(0.0, 1)
+        d, t, eps, om = _flatten_maps(as_maps(sc["truth"]), 2)
+        d = d.copy()
+        d[::2] *= 1.2
+        d, t, eps, om, loss, ran = _phase(pr, d, t, eps, om, 40, min_iter=3,
+                                          d_freeze=0)
+        assert ran.min() < ran.max()
+        npt.assert_array_equal(loss, _loss(pr, d, t, eps, _mix_of(pr, om)))
 
 
 class TestProject:
@@ -451,6 +512,17 @@ class TestSolve:
         npt.assert_array_equal(one.solid_angles, two.solid_angles)
         npt.assert_array_equal(one.loss, two.loss)
         npt.assert_array_equal(one.iterations, two.iterations)
+
+    @pytest.mark.parametrize("rows, threads", [(5, 3), (3, 8)])
+    def test_uneven_and_oversized_splits_do_not_change_bits(self, rows, threads):
+        # 5 rows in blocks of 2, 2 and 1; 3 rows in 3 blocks, not 8
+        sc = micro_scene(rows=rows, cols=2, bands=12, q=2, noise_sigma=0.5, seed=14)
+        one = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(threads=1))
+        many = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
+                     SolverConfig(threads=threads))
+        for name in ("distance", "temperature", "emissivity", "solid_angles",
+                     "loss", "iterations"):
+            npt.assert_array_equal(getattr(one, name), getattr(many, name))
 
     @pytest.mark.parametrize("rho_d", [0.0, 1.0])
     def test_history_is_feasible_and_monotone(self, rho_d):
