@@ -264,11 +264,18 @@ def save_spectrum(path, spectrum: Spectrum) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read_utf8(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpectrumParseError(path, 0, f"not UTF-8 text: {exc}") from None
+
+
 def load_spectrum(path, expected_unit: str) -> Spectrum:
     path = Path(path)
     unit = None
     wavelengths, values = [], []
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(_read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -285,6 +292,8 @@ def load_spectrum(path, expected_unit: str) -> Spectrum:
             values.append(float(parts[1]))
         except ValueError:
             raise SpectrumParseError(path, line_no, f"non-numeric field in {line!r}") from None
+        if not np.isfinite(values[-1]):
+            raise SpectrumParseError(path, line_no, f"non-finite value in {line!r}")
     if not wavelengths:
         raise SpectrumParseError(path, 0, "no data rows")
     if unit is not None and unit != expected_unit:
@@ -309,7 +318,7 @@ def load_downwelling(dir_path) -> DownwellingSet:
     d = Path(dir_path)
     index = d / "angles.csv"
     angles, names = [], []
-    for line_no, raw in enumerate(index.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(_read_utf8(index).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -320,12 +329,21 @@ def load_downwelling(dir_path) -> DownwellingSet:
             angles.append(float(parts[0]))
         except ValueError:
             raise SpectrumParseError(index, line_no, f"bad zenith angle {parts[0]!r}") from None
-        names.append(parts[1].strip())
+        name = parts[1].strip()
+        if "\x00" in name:
+            raise SpectrumParseError(index, line_no, f"bad file name {name!r}")
+        names.append((line_no, name))
     if not angles:
         raise SpectrumParseError(index, 0, "no angle rows")
-    spectra = [load_spectrum(d / name, MICROFLICK) for name in names]
+    spectra = []
+    for line_no, name in names:
+        try:
+            spectra.append(load_spectrum(d / name, MICROFLICK))
+        except OSError as exc:
+            # the index names a file that cannot be read: the index is at fault
+            raise SpectrumParseError(index, line_no, f"cannot read {name!r}: {exc}") from None
     grid = spectra[0].grid
-    for name, s in zip(names[1:], spectra[1:]):
+    for (_, name), s in zip(names[1:], spectra[1:]):
         if s.grid != grid:
             raise GridError(f"{d / name}: grid differs from the first angle file")
     block = np.stack([s.values for s in spectra])

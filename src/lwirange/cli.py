@@ -85,8 +85,9 @@ _DEFAULTS = {
 }
 
 _HELP = {
-    "threads": "hyper mode: the number of row blocks, each solved in its own "
-               "worker process (default 1, in this process)",
+    "threads": "hyper mode: the number of row blocks, solved in a pool of at "
+               "most as many worker processes as usable cores (default 1, in "
+               "this process)",
 }
 
 
@@ -136,6 +137,9 @@ def _read_config_file(path, settings, violations):
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         violations.append(f"config: cannot read {path}: {exc}")
+        return
+    except UnicodeDecodeError as exc:
+        violations.append(f"config: {path} is not UTF-8 text: {exc}")
         return
     for line_no, line in enumerate(raw.splitlines(), start=1):
         line = line.strip()

@@ -299,6 +299,10 @@ def load_estimates(dirpath) -> EstimateMaps:
     for field_name, (fname, _) in _EST_FILES.items():
         _, values, _ = read_map(src / fname)
         parts[field_name] = values.astype(np.float64)
+    it = parts["iterations"]
+    if not np.all(np.isfinite(it) & (it >= 0) & (it == np.floor(it))):
+        raise FormatError(f"{src / 'iterations.lwc'}: iteration counts must be "
+                          "whole numbers >= 0")
     _, eps = read_cube(src / "emissivity.lwc")
     _, om = read_cube(src / "solid_angles.lwc")
     return EstimateMaps(
@@ -307,7 +311,7 @@ def load_estimates(dirpath) -> EstimateMaps:
         emissivity=eps.astype(np.float64),
         solid_angles=om.astype(np.float64),
         loss=parts["loss"],
-        iterations=parts["iterations"].astype(np.int64),
+        iterations=it.astype(np.int64),
     )
 
 

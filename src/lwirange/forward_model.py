@@ -255,9 +255,11 @@ def synthesize_cube(
 ) -> SceneCube:
     """Per-pixel observation model plus i.i.d. Gaussian noise.
 
-    dw may be None for a scene with no sky sectors (Q = 0). Noise is drawn
-    from a per-pixel substream seeded by (seed, i, j), so serial and any
-    parallel synthesis of the same scene agree bit for bit.
+    dw may be None for a scene with no sky sectors (Q = 0). The cube is built
+    one image row at a time, and row i's noise is drawn as one (N, K) block
+    from a substream seeded by (seed, i): pixel (i, j) takes draws j*K to
+    (j+1)*K - 1 of it. So reruns agree bit for bit, and the top-left corner
+    of a cube equals the cube synthesized from that corner of the truth.
     """
     if not 0.0 <= noise_sigma < np.inf:
         raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
@@ -271,25 +273,26 @@ def synthesize_cube(
     if dw is not None and dw.grid != alpha.grid:
         raise GridError("attenuation and downwelling grids differ")
 
-    p = m * n
     b_air = planck(alpha.grid.wavelengths, air_temperature.kelvin)
-    y = radiance_model_batch(
-        alpha.grid.wavelengths,
-        alpha.values,
-        truth.distance_map.reshape(p),
-        truth.temperature_map.reshape(p),
-        truth.emissivity_cube.reshape(p, k),
-        truth.solid_angle_maps.reshape(p, q),
-        np.zeros((0, k)) if dw is None else dw.values,
-        truth.ground_ambient.reshape(p, k),
-        b_air,
-    ).reshape(m, n, k)
-
-    if noise_sigma > 0:
-        for i in range(m):
-            for j in range(n):
-                rng = np.random.default_rng(np.random.SeedSequence([rng_seed, i, j]))
-                y[i, j] += noise_sigma * rng.standard_normal(k)
+    ld = np.zeros((0, k)) if dw is None else dw.values
+    y = np.empty((m, n, k))
+    # every kernel is elementwise or a row-stable einsum, so each row carries
+    # the bits it would carry in a whole-image batch
+    for i in range(m):
+        y[i] = radiance_model_batch(
+            alpha.grid.wavelengths,
+            alpha.values,
+            truth.distance_map[i],
+            truth.temperature_map[i],
+            truth.emissivity_cube[i],
+            truth.solid_angle_maps[i],
+            ld,
+            truth.ground_ambient[i],
+            b_air,
+        )
+        if noise_sigma > 0:
+            rng = np.random.default_rng(np.random.SeedSequence([rng_seed, i]))
+            y[i] += noise_sigma * rng.standard_normal((n, k))
     return SceneCube(y, alpha.grid, air_temperature, noise_sigma)
 
 

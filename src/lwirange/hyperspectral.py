@@ -36,6 +36,7 @@ recomputation at the same state would have.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -102,8 +103,8 @@ class SolverConfig:
     rho_eps / rho_d are the emissivity-smoothness and range-TV weights,
     d_max the range box bound.  q overrides the number of sky sectors used
     by the model (0 disables the sky term entirely; None takes the size of
-    the downwelling set).  threads is the number of row blocks, each solved
-    in its own worker process.
+    the downwelling set).  threads is the number of row blocks, solved in
+    a pool of at most as many worker processes as there are usable cores.
     warmup_iterations, warmup_d_freeze (warmup iterations before the range
     block first runs), refine_iterations and max_iterations (a cap on both)
     set the iteration budgets; every warmup start runs the whole warmup
@@ -855,16 +856,25 @@ def _solve_flat(pr, cfg, d0, t0, init_state, rows, ncols):
     return d, t, eps, om, loss_final, ran, hist
 
 
+def _usable_cores():
+    """Cores this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     """Estimate per-pixel range, temperature, emissivity and sky weights.
 
     cube/alpha/dw must share one spectral grid. air_temperature feeds both
     the path term and the ambient ground fill. initial optionally replaces
     the multi-start warmup with a caller-supplied EstimateMaps state.
-    The image is solved as min(threads, rows) row blocks, each in its own
-    worker process, forked from the caller; a single block runs in the
-    calling process.  Deterministic (the search draws no random numbers)
-    and independent of the number of blocks.
+    The image is solved as min(threads, rows) row blocks in a pool of
+    min(blocks, usable cores) worker processes, forked from the caller; a
+    single block runs in the calling process.  Deterministic (the search
+    draws no random numbers) and independent of the number of blocks and
+    of workers.
     """
     cfg = config if config is not None else SolverConfig()
     violations = cfg.validate()
@@ -910,9 +920,11 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         import multiprocessing
 
         # fork, so that the workers inherit the loaded modules and do not
-        # re-import a caller's __main__, which may lack a main guard
+        # re-import a caller's __main__, which may lack a main guard; more
+        # workers than usable cores would only contend for them
         with concurrent.futures.ProcessPoolExecutor(
-                len(jobs), mp_context=multiprocessing.get_context("fork")) as ex:
+                min(len(jobs), _usable_cores()),
+                mp_context=multiprocessing.get_context("fork")) as ex:
             parts = list(ex.map(_solve_flat, *zip(*jobs)))
     d, t, eps, om, loss_f, ran = zip(*(pt[:6] for pt in parts))
     d, t, om, loss_f, ran = (np.concatenate(a) for a in (d, t, om, loss_f, ran))

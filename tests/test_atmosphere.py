@@ -174,6 +174,32 @@ def test_spectrum_csv_parse_errors_carry_line_numbers(tmp_path):
         load_spectrum(p3, DB_PER_M)
 
 
+def test_spectrum_csv_rejects_non_utf8_and_non_finite(tmp_path):
+    p = tmp_path / "bin.csv"
+    p.write_bytes(b"\xff\xfe")
+    with pytest.raises(SpectrumParseError, match="not UTF-8"):
+        load_spectrum(p, DB_PER_M)
+    for line_no, body in ((2, "# unit: dB/m\n8.0,nan\n"), (1, "8.0,1e400\n9.0,0.1\n")):
+        p.write_text(body)
+        with pytest.raises(SpectrumParseError, match="non-finite") as exc:
+            load_spectrum(p, DB_PER_M)
+        assert exc.value.line_no == line_no
+
+
+def test_downwelling_index_errors_name_the_index_line(tmp_path):
+    dw = synth_downwelling(PARAMS, GRID, (0.0, 42.0))
+    save_downwelling(tmp_path / "dw", dw)
+    index = tmp_path / "dw" / "angles.csv"
+    index.write_bytes(b"0.0,angle_00.csv\n\xff,angle_01.csv\n")
+    with pytest.raises(SpectrumParseError, match="not UTF-8"):
+        load_downwelling(tmp_path / "dw")
+    for name in ("missing.csv", "", "angle_\x0000.csv"):
+        index.write_text(f"# zenith_deg,filename\n0.0,angle_00.csv\n42.0,{name}\n")
+        with pytest.raises(SpectrumParseError) as exc:
+            load_downwelling(tmp_path / "dw")
+        assert exc.value.path == str(index) and exc.value.line_no == 3
+
+
 def test_downwelling_roundtrip(tmp_path):
     dw = synth_downwelling(PARAMS, GRID, (0.0, 42.0, 80.0))
     save_downwelling(tmp_path / "dw", dw)

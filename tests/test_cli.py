@@ -114,6 +114,14 @@ class TestValidation:
         assert code == 2
         assert "config: cannot read" in err
 
+    def test_non_utf8_config_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"rows=4\n\xff=1\n")
+        code, out, err = run(capsys, ["config-dump", "--config", str(cfg)])
+        assert code == 2
+        assert err.startswith("error[ConfigError]: ")
+        assert "is not UTF-8 text" in err
+
     def test_bad_value_names_source_and_key(self, capsys, clean_env):
         clean_env.setenv("LWIRANGE_SEED", "abc")
         code, out, err = run(capsys, ["config-dump"])

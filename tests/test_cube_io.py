@@ -287,6 +287,20 @@ class TestHostileFiles:
         with pytest.raises(FormatError, match="kind mismatch"):
             load_scene_cube(path)
 
+    @pytest.mark.parametrize("count", [np.nan, np.inf, -1.0, 2.5])
+    def test_estimates_reject_bad_iteration_counts(self, tmp_path, count):
+        m, n = 2, 2
+        est = EstimateMaps(
+            distance=np.ones((m, n)), temperature=np.full((m, n), 300.0),
+            emissivity=np.full((m, n, 3), 0.5), solid_angles=np.zeros((m, n, 1)),
+            loss=np.zeros((m, n)), iterations=np.zeros((m, n), dtype=np.int64))
+        save_estimates(tmp_path / "est", est)
+        write_map(tmp_path / "est" / "iterations.lwc",
+                  CubeHeader(kind="map", rows=m, cols=n, bands=1, unit="count"),
+                  np.full((m, n), count), np.zeros((m, n), dtype=np.uint8))
+        with pytest.raises(FormatError, match="iteration counts"):
+            load_estimates(tmp_path / "est")
+
     def test_scene_cube_needs_grid_and_temperature(self, tmp_path):
         rng = np.random.default_rng(11)
         path = tmp_path / "c.lwc"

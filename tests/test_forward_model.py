@@ -114,8 +114,58 @@ def test_synthesis_is_deterministic_per_seed():
     assert not np.array_equal(a.radiance, c.radiance)
 
 
+def _random_truth(rng, m, n, k, q):
+    om = rng.uniform(0.0, np.pi / max(q, 1), (m, n, q))
+    return SceneTruth(
+        distance_map=rng.uniform(0.0, 200.0, (m, n)),
+        temperature_map=rng.uniform(270.0, 320.0, (m, n)),
+        emissivity_cube=rng.uniform(0.0, 1.0, (m, n, k)),
+        solid_angle_maps=om,
+        ground_ambient=rng.uniform(100.0, 1000.0, (m, n, k)),
+    )
+
+
+@pytest.mark.parametrize("q", [3, 0])
+def test_noiseless_cube_is_the_batch_model_over_the_flat_image(q):
+    # synthesize_cube evaluates row by row; the bits must be those of one
+    # whole-image batch
+    rng = np.random.default_rng(30 + q)
+    grid = make_default_grid(bands=12)
+    params = AtmosphereParams(air_temperature=AIR)
+    alpha = synth_attenuation(params, grid)
+    dw = synth_downwelling(params, grid, (0.0, 40.0, 70.0)) if q else None
+    m, n, k = 7, 5, len(grid)
+    truth = _random_truth(rng, m, n, k, q)
+    cube = synthesize_cube(truth, alpha, dw, AIR)
+    p = m * n
+    flat = radiance_model_batch(
+        grid.wavelengths, alpha.values,
+        truth.distance_map.reshape(p), truth.temperature_map.reshape(p),
+        truth.emissivity_cube.reshape(p, k), truth.solid_angle_maps.reshape(p, q),
+        np.zeros((0, k)) if dw is None else dw.values,
+        truth.ground_ambient.reshape(p, k), planck(grid.wavelengths, AIR.kelvin))
+    np.testing.assert_array_equal(cube.radiance, flat.reshape(m, n, k))
+
+
+@pytest.mark.parametrize("r, c", [(1, 1), (3, 2), (7, 5)])
+def test_noisy_corner_is_the_cube_of_the_corner_truth(r, c):
+    # row i's noise is the first N*K draws of stream (seed, i), so a corner
+    # of a scene draws exactly what the corner alone draws
+    s = micro_scene(rows=7, cols=5, bands=8, q=2, noise_sigma=1.5, seed=9)
+    t = s["truth"]
+    corner = SceneTruth(
+        distance_map=t.distance_map[:r, :c],
+        temperature_map=t.temperature_map[:r, :c],
+        emissivity_cube=t.emissivity_cube[:r, :c],
+        solid_angle_maps=t.solid_angle_maps[:r, :c],
+        ground_ambient=t.ground_ambient[:r, :c],
+    )
+    small = synthesize_cube(corner, s["alpha"], s["dw"], AIR, 1.5, rng_seed=9)
+    np.testing.assert_array_equal(small.radiance, s["cube"].radiance[:r, :c])
+
+
 def test_noise_field_is_positional_not_content_dependent():
-    """The (seed, i, j) substream must not shift when the truth changes."""
+    """The row stream (seed, i) must not shift when the truth changes."""
     s1 = micro_scene(rows=4, cols=4, bands=8, q=1, noise_sigma=2.0, seed=7)
     noise1 = s1["cube"].radiance - micro_scene(rows=4, cols=4, bands=8, q=1,
                                                noise_sigma=0.0, seed=7)["cube"].radiance

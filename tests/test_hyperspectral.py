@@ -524,6 +524,28 @@ class TestSolve:
                      "loss", "iterations"):
             npt.assert_array_equal(getattr(one, name), getattr(many, name))
 
+    def test_pool_is_capped_at_the_usable_cores(self, monkeypatch):
+        # 3 row blocks on one usable core: one worker takes all three blocks
+        import concurrent.futures
+        from lwirange import hyperspectral
+
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        sc = micro_scene(rows=5, cols=2, bands=12, q=2, noise_sigma=0.5, seed=14)
+        one = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(threads=1))
+        monkeypatch.setattr(hyperspectral, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        three = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(threads=3))
+        assert sizes == [1]
+        for name in ("distance", "temperature", "emissivity", "solid_angles",
+                     "loss", "iterations"):
+            npt.assert_array_equal(getattr(one, name), getattr(three, name))
+
     @pytest.mark.parametrize("rho_d", [0.0, 1.0])
     def test_history_is_feasible_and_monotone(self, rho_d):
         sc = micro_scene(rows=3, cols=3, bands=12, q=2, noise_sigma=1.0, seed=13)
