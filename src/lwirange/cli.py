@@ -62,7 +62,6 @@ from .hyperspectral import SolverConfig, solve
 from .radiometry import DB_PER_M, Temperature
 
 _MODES = ("bi-hot", "bi-air", "quad", "hyper")
-_SCENES = ("panel",)
 _ENV_PREFIX = "LWIRANGE_"
 
 _DEFAULTS = {
@@ -74,7 +73,6 @@ _DEFAULTS = {
     "rho_d": 0.0,
     "d_max": 200.0,
     "bands": None,
-    "scene": "panel",
     "rows": 32,
     "cols": 32,
     "noise_sigma": 0.0,
@@ -85,9 +83,9 @@ _DEFAULTS = {
 }
 
 _HELP = {
-    "threads": "hyper mode: the number of row blocks, solved in a pool of at "
-               "most as many worker processes as usable cores (default 1, in "
-               "this process)",
+    "threads": "hyper mode: the most row blocks to solve at once, one worker "
+               "process each, capped at the rows and the usable cores "
+               "(default 1, in this process)",
 }
 
 
@@ -107,7 +105,6 @@ _CONVERTERS = {
     "rho_d": float,
     "d_max": float,
     "bands": _to_bands,
-    "scene": str,
     "rows": int,
     "cols": int,
     "noise_sigma": float,
@@ -164,8 +161,6 @@ def _validate(s):
     v = []
     if s["mode"] not in _MODES:
         v.append(f"mode must be one of {_MODES}, got {s['mode']!r}")
-    if s["scene"] not in _SCENES:
-        v.append(f"scene must be one of {_SCENES}, got {s['scene']!r}")
     if s["palette"] not in _PALETTES:
         v.append(f"palette must be one of {_PALETTES}, got {s['palette']!r}")
     for key, low in (("seed", 0), ("threads", 1), ("rows", 1), ("cols", 1),
@@ -228,35 +223,38 @@ def _load_attenuation(atmo_dir):
         load_spectrum(Path(atmo_dir) / "attenuation.csv", DB_PER_M))
 
 
-def cmd_atmo(s, args):
+def _default_atmosphere(q):
+    """The built-in attenuation and downwelling set, with q sky sectors
+    (None for one per default zenith angle)."""
     grid = make_default_grid()
     params = AtmosphereParams(air_temperature=_AIR_DEFAULT)
-    alpha = synth_attenuation(params, grid)
-    q = len(DEFAULT_ZENITH_ANGLES) if s["q"] is None else s["q"]
-    dw = synth_downwelling(params, grid, _zenith_angles(q))
+    if q is None:
+        q = len(DEFAULT_ZENITH_ANGLES)
+    return (synth_attenuation(params, grid),
+            synth_downwelling(params, grid, _zenith_angles(q)))
+
+
+def cmd_atmo(s, args):
+    alpha, dw = _default_atmosphere(s["q"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_spectrum(out / "attenuation.csv", alpha.spectrum)
     save_downwelling(out / "downwelling", dw)
-    print(f"wrote attenuation + {q} downwelling spectra to {out}")
+    print(f"wrote attenuation + {len(dw)} downwelling spectra to {out}")
     return 0
 
 
 def cmd_synth(s, args):
-    grid = make_default_grid()
-    params = AtmosphereParams(air_temperature=_AIR_DEFAULT)
-    q = 10 if s["q"] is None else s["q"]
     if args.atmo:
         alpha = _load_attenuation(args.atmo)
         dw = load_downwelling(Path(args.atmo) / "downwelling")
-        grid = alpha.grid
         if s["q"] is not None and s["q"] != len(dw):
             raise ConfigError([f"config q={s['q']} does not match the downwelling "
                                f"set ({len(dw)} sectors)"])
-        q = len(dw)
     else:
-        alpha = synth_attenuation(params, grid)
-        dw = synth_downwelling(params, grid, _zenith_angles(q))
+        alpha, dw = _default_atmosphere(s["q"])
+    grid = alpha.grid
+    q = len(dw)
     truth = make_default_scene(grid, q=q, air_temperature=_AIR_DEFAULT,
                                rows=s["rows"], cols=s["cols"])
     cube = synthesize_cube(truth, alpha, dw, _AIR_DEFAULT,

@@ -129,13 +129,15 @@ class CubeHeader:
         return cls(**d)
 
 
-def _write_container(path, header: CubeHeader, body: bytes):
+def _write_container(path, header: CubeHeader, *planes):
+    # each body plane is written straight from its C-ordered array buffer
     hj = header.to_json()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(hj)))
         fh.write(hj)
-        fh.write(body)
+        for plane in planes:
+            fh.write(plane)
 
 
 def _read_container(path):
@@ -178,7 +180,7 @@ def write_cube(path, header: CubeHeader, data):
         raise DimensionError(
             f"data shape {arr.shape} does not match header "
             f"({header.rows}, {header.cols}, {header.bands})")
-    _write_container(path, header, arr.astype("<f4").tobytes(order="C"))
+    _write_container(path, header, np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def read_cube(path):
@@ -202,8 +204,8 @@ def write_map(path, header: CubeHeader, values, flags):
             f"({header.rows}, {header.cols})")
     if flg.shape != val.shape:
         raise DimensionError(f"flags shape {flg.shape} does not match values")
-    body = val.astype("<f4").tobytes(order="C") + flg.astype(np.uint8).tobytes(order="C")
-    _write_container(path, header, body)
+    _write_container(path, header, np.ascontiguousarray(val, dtype="<f4"),
+                     np.ascontiguousarray(flg, dtype=np.uint8))
 
 
 def read_map(path):

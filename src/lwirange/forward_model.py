@@ -102,7 +102,12 @@ class SceneTruth:
 
 @dataclass(frozen=True, eq=False)
 class SceneCube:
-    """Observed radiance cube plus acquisition metadata."""
+    """Observed radiance cube plus acquisition metadata.
+
+    The cube holds its radiance as a read-only float64 array: a read-only
+    float64 array that owns its memory is taken over as given, anything
+    else is copied, so the cube never aliases a caller's writable array.
+    """
 
     radiance: np.ndarray        # (M, N, K) microflick
     grid: SpectralGrid
@@ -110,8 +115,10 @@ class SceneCube:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        # a fresh float64 copy, so the cube owns its array
-        r = np.array(self.radiance, dtype=np.float64)
+        r = self.radiance
+        if not (isinstance(r, np.ndarray) and r.dtype == np.float64
+                and r.flags.owndata and not r.flags.writeable):
+            r = np.array(r, dtype=np.float64)
         if r.ndim != 3:
             raise DimensionError("radiance cube must be 3-D (M, N, K)")
         if r.shape[2] != len(self.grid):
@@ -293,6 +300,8 @@ def synthesize_cube(
         if noise_sigma > 0:
             rng = np.random.default_rng(np.random.SeedSequence([rng_seed, i]))
             y[i] += noise_sigma * rng.standard_normal((n, k))
+    # read-only, so the cube holds this array rather than a copy of it
+    y.setflags(write=False)
     return SceneCube(y, alpha.grid, air_temperature, noise_sigma)
 
 

@@ -5,9 +5,9 @@ emission-plus-reflection model, evaluated by the simulator's kernels in
 :mod:`lwirange.forward_model`, plus a band-smoothness penalty on emissivity
 and an optional anisotropic TV penalty on the range map.  The engine is a
 block-coordinate scheme: a multi-start warmup over a range ladder, then
-refinement of each pixel's lowest-loss start (a phase stops once every
-pixel has stalled), a profiled range polish, a projected-gradient Armijo
-pass and, when the TV weight is positive, proximal TV rounds.  Each
+refinement of each pixel's lowest-loss start, a profiled range polish, a
+projected-gradient Armijo pass and, when the TV weight is positive,
+proximal TV rounds.  Every phase runs a fixed number of sweeps.  Each
 temperature candidate refits emissivity by one banded least-squares solve,
 clipped to [0, 1].  Every step is accept-guarded: a candidate is kept only
 if it does not raise the objective its stage enforces, which is the data
@@ -76,12 +76,8 @@ _D_LADDER = (5.0, 20.0, 80.0, None, 160.0)
 _D_LADDER_TOP = max(b for b in _D_LADDER if b is not None)
 _EPS_STARTS = (0.95, 0.6)
 
-# a pixel has stalled once, after _SETTLE_ITERATIONS, its relative loss
-# decrease stays below _TOL for _PATIENCE iterations in a row; a refinement
-# phase stops once every pixel has stalled
-_SETTLE_ITERATIONS = 25
-_TOL = 1e-8
-_PATIENCE = 5
+# the range block scans the whole box on every 10th sweep before this one
+_GLOBAL_SCAN_UNTIL = 25
 
 # profiled range polish: round r scans +-_POLISH_SPAN / (r + 1) meters
 _POLISH_SPAN = 3.0
@@ -103,13 +99,13 @@ class SolverConfig:
     rho_eps / rho_d are the emissivity-smoothness and range-TV weights,
     d_max the range box bound.  q overrides the number of sky sectors used
     by the model (0 disables the sky term entirely; None takes the size of
-    the downwelling set).  threads is the number of row blocks, solved in
-    a pool of at most as many worker processes as there are usable cores.
-    warmup_iterations, warmup_d_freeze (warmup iterations before the range
-    block first runs), refine_iterations and max_iterations (a cap on both)
-    set the iteration budgets; every warmup start runs the whole warmup
-    budget, then each pixel's lowest-loss start is refined, and the
-    refinement ends early once every pixel has stalled.  polish_rounds and
+    the downwelling set).  threads caps the number of row blocks, each
+    solved in its own worker process; there are never more blocks than
+    rows or usable cores.  warmup_iterations, warmup_d_freeze (warmup
+    sweeps before the range block first runs), refine_iterations and
+    max_iterations (a cap on both) set the sweep counts; every warmup start
+    runs the whole warmup budget, then each pixel's lowest-loss start runs
+    the whole refinement budget.  polish_rounds and
     armijo_iterations set the number of profiled range polish rounds and
     projected-gradient passes.  track_history (threads=1 only) records
     ``(stage, step, objective, feasible)`` per "refine" sweep and per
@@ -117,7 +113,7 @@ class SolverConfig:
     data misfit plus smoothness, plus rho_d * TV on "tv" entries, the first
     of which is the state received.
 
-    The scan sizes, start ladders, stopping rule, line-search constants and
+    The scan sizes, start ladders, line-search constants and
     temperature box are module constants (``_T_SPAN0`` and the names after
     it at the top of this module).  The hemisphere the sky sectors leave is
     filled with ambient ground radiance, B(T_air).
@@ -172,8 +168,8 @@ class EstimateMaps:
     solid_angles (M,N,Q) sr with non-negative entries summing to at most pi
     per pixel; loss (M,N) is the per-pixel data misfit plus the weighted
     emissivity-smoothness penalty; iterations (M,N) counts the refinement
-    sweeps the pixel ran before it stalled (== the refinement budget when
-    it never stalled).  history is the per-stage record that
+    sweeps the pixel ran, the refinement budget at every pixel of a
+    :func:`solve`.  history is the per-stage record that
     SolverConfig.track_history asks for.
     """
 
@@ -435,45 +431,25 @@ def _feasible(d, eps, om, d_max):
     return ok
 
 
-def _phase(pr, d, t, eps, om, iters, *, min_iter, d_freeze, record=None):
-    # returns the state, its per-pixel loss and the sweeps each pixel ran
-    # before it stalled; a stalled pixel keeps its state and terms, so it
-    # does not depend on the others.  The state before a sweep is kept only
-    # once some pixel has stalled, which leaves the warmup's peak memory at
-    # that of its blocks.
-    p = pr.y.shape[1]
-    stall = np.zeros(p, dtype=np.int64)
-    ran = np.full(p, iters, dtype=np.int64)
+def _phase(pr, d, t, eps, om, iters, *, d_freeze, record=None):
+    # runs iters sweeps; returns the state and its per-pixel loss
     has_sky = pr.sky.shape[0] > 0
     tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
     loss = _misfit(pr, tau, bt, eps, mix)
     for it in range(iters):
-        held = ran <= it
-        prev = (d, t, eps, tau, bt, mix, loss, om) if held.any() else None
-        l0 = loss
         if has_sky:
             om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
         t, eps, bt, loss = _temp_block(pr, tau, t, eps, mix, loss,
                                        span=max(_T_SPAN0 * _T_DECAY ** it, _MIN_SPAN))
         if it >= d_freeze:
-            if it % 10 == 0 and it < min_iter:
+            if it % 10 == 0 and it < _GLOBAL_SCAN_UNTIL:
                 span = None
             else:
                 span = max(_D_SPAN0 * _D_DECAY ** (it - d_freeze), _MIN_SPAN)
             d, tau, loss = _dist_block(pr, d, bt, eps, mix, loss, span)
-        if prev is not None:
-            # held is (P,): the (P, Q) sky weights need it as a column
-            d, t, eps, tau, bt, mix, loss = _pick(held, prev[:7],
-                                                  (d, t, eps, tau, bt, mix, loss))
-            om = np.where(held[:, None], prev[7], om)
         if record is not None:
             record(it, d, t, eps, om)
-        if it >= min_iter:
-            stall = np.where((l0 - loss) / np.maximum(l0, 1e-300) < _TOL, stall + 1, 0)
-            ran = np.where((stall >= _PATIENCE) & ~held, it + 1, ran)
-            if (ran <= it + 1).all():
-                break
-    return d, t, eps, om, loss, ran
+    return d, t, eps, om, loss
 
 
 def _polish_distance(pr, d, tau, t, eps, bt, mix, loss, span):
@@ -799,9 +775,9 @@ def _warm_start(pr, cfg, d0, t0):
     ts = np.tile(t0, sn)
     os_ = np.zeros((sn * p, pr.sky.shape[0]))
     prs = replace(pr, y=np.tile(pr.y, (1, sn)))
-    ds, ts, es, os_, ls, _ = _phase(prs, ds, ts, es, os_,
-                                    min(cfg.warmup_iterations, cfg.max_iterations),
-                                    min_iter=10 ** 9, d_freeze=cfg.warmup_d_freeze)
+    ds, ts, es, os_, ls = _phase(prs, ds, ts, es, os_,
+                                 min(cfg.warmup_iterations, cfg.max_iterations),
+                                 d_freeze=cfg.warmup_d_freeze)
     best = np.argmin(ls.reshape(sn, p), axis=0) * p + np.arange(p)
     return ds[best], ts[best], es[:, best], os_[best]
 
@@ -823,9 +799,9 @@ def _solve_flat(pr, cfg, d0, t0, init_state, rows, ncols):
 
     if init_state is None:
         init_state = _warm_start(pr, cfg, d0, t0)
-    d, t, eps, om, loss, ran = _phase(
-        pr, *init_state, min(cfg.refine_iterations, cfg.max_iterations),
-        min_iter=_SETTLE_ITERATIONS, d_freeze=0, record=partial(record, "refine"))
+    d, t, eps, om, loss = _phase(pr, *init_state,
+                                 min(cfg.refine_iterations, cfg.max_iterations),
+                                 d_freeze=0, record=partial(record, "refine"))
 
     if pr.sky.shape[0] > 0:
         tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
@@ -848,12 +824,11 @@ def _solve_flat(pr, cfg, d0, t0, init_state, rows, ncols):
                          0.0, pr.d_max).reshape(-1)
             if full_objective(dn, _loss(pr, dn, t, eps, mix)) > tot_old:
                 break
-            d, t, eps, om, _, _ = _phase(pr, dn, t, eps, om, 2,
-                                         min_iter=10 ** 9, d_freeze=10 ** 9)
+            d, t, eps, om, _ = _phase(pr, dn, t, eps, om, 2, d_freeze=2)
             record("tv", rnd + 1, d, t, eps, om)
 
     loss_final = _loss(pr, d, t, eps, _mix_of(pr, om))
-    return d, t, eps, om, loss_final, ran, hist
+    return d, t, eps, om, loss_final, hist
 
 
 def _usable_cores():
@@ -870,9 +845,9 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     cube/alpha/dw must share one spectral grid. air_temperature feeds both
     the path term and the ambient ground fill. initial optionally replaces
     the multi-start warmup with a caller-supplied EstimateMaps state.
-    The image is solved as min(threads, rows) row blocks in a pool of
-    min(blocks, usable cores) worker processes, forked from the caller; a
-    single block runs in the calling process.  Deterministic (the search
+    The image is solved as min(threads, rows, usable cores) row blocks,
+    one worker process per block, forked from the caller; a single block
+    runs in the calling process.  Deterministic (the search
     draws no random numbers) and independent of the number of blocks and
     of workers.
     """
@@ -913,21 +888,20 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         return (replace(pr, y=np.ascontiguousarray(pr.y[:, sel])), cfg,
                 d0[sel], t0[sel], ini, rows.size, n)
 
-    jobs = [job(rows) for rows in np.array_split(np.arange(m), min(cfg.threads, m))]
+    blocks = min(cfg.threads, m, _usable_cores())
+    jobs = [job(rows) for rows in np.array_split(np.arange(m), blocks)]
     if len(jobs) == 1:
         parts = [_solve_flat(*jobs[0])]
     else:
         import multiprocessing
 
         # fork, so that the workers inherit the loaded modules and do not
-        # re-import a caller's __main__, which may lack a main guard; more
-        # workers than usable cores would only contend for them
+        # re-import a caller's __main__, which may lack a main guard
         with concurrent.futures.ProcessPoolExecutor(
-                min(len(jobs), _usable_cores()),
-                mp_context=multiprocessing.get_context("fork")) as ex:
+                len(jobs), mp_context=multiprocessing.get_context("fork")) as ex:
             parts = list(ex.map(_solve_flat, *zip(*jobs)))
-    d, t, eps, om, loss_f, ran = zip(*(pt[:6] for pt in parts))
-    d, t, om, loss_f, ran = (np.concatenate(a) for a in (d, t, om, loss_f, ran))
+    d, t, eps, om, loss_f = zip(*(pt[:5] for pt in parts))
+    d, t, om, loss_f = (np.concatenate(a) for a in (d, t, om, loss_f))
     eps = np.concatenate(eps, axis=1)
 
     return EstimateMaps(
@@ -936,8 +910,9 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         emissivity=_band_maps(eps, m, n),
         solid_angles=om.reshape(m, n, q),
         loss=loss_f.reshape(m, n),
-        iterations=ran.reshape(m, n),
-        history=parts[0][6],
+        iterations=np.full((m, n), min(cfg.refine_iterations, cfg.max_iterations),
+                           dtype=np.int64),
+        history=parts[0][5],
     )
 
 

@@ -1,6 +1,8 @@
 """Scene synthesis: batch observation model, noise seeding, default fixture."""
 
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -265,6 +267,21 @@ def test_scene_cube_owns_a_read_only_float64_copy(dtype):
     assert not cube.radiance.flags.writeable
     assert not np.shares_memory(cube.radiance, src)
     np.testing.assert_array_equal(cube.radiance, src.astype(np.float64))
+
+
+def test_synthesize_cube_holds_one_copy_of_the_cube():
+    # the cube built row by row is handed to SceneCube, not copied again
+    s = micro_scene(rows=48, cols=48, bands=32, q=2)
+    synth = partial(synthesize_cube, s["truth"], s["alpha"], s["dw"], AIR,
+                    noise_sigma=1.0, rng_seed=5)
+    synth()  # the first noise draw imports modules; keep them out of the peak
+    tracemalloc.start()
+    try:
+        cube = synth()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cube.radiance.nbytes
 
 
 @settings(deadline=None, max_examples=40)
