@@ -280,8 +280,10 @@ def cmd_range(s, args):
     mode = s["mode"]
     if mode == "hyper":
         dw = load_downwelling(Path(args.atmo) / "downwelling")
-        # the solver needs only the saturation line of the band set, which
-        # resolves on any grid; the water pair may not
+        # --bands sets only the saturation line here, which resolves on any
+        # grid; the water pair may not.  The solver's range start reads the
+        # default water and ozone bands whatever --bands says, and falls
+        # back to flat starts where they do not resolve
         lambda_sat = 13.0 if s["bands"] is None else s["bands"][4]
         t_air = estimate_air_temperature(cube, lambda_sat=lambda_sat)
         cfg = SolverConfig(rho_eps=s["rho_eps"], rho_d=s["rho_d"],

@@ -4,18 +4,21 @@ Minimizes, per pixel, the squared radiance misfit of the path-attenuated
 emission-plus-reflection model, evaluated by the simulator's kernels in
 :mod:`lwirange.forward_model`, plus a band-smoothness penalty on emissivity
 and an optional anisotropic TV penalty on the range map.  The engine is a
-block-coordinate scheme: a multi-start warmup over a range ladder, then
-refinement of each pixel's lowest-loss start, a profiled range polish, a
-projected-gradient Armijo pass and, when the TV weight is positive,
-proximal TV rounds.  Every phase runs a fixed number of sweeps.  Each
-temperature candidate refits emissivity by one banded least-squares solve,
-clipped to [0, 1].  Every step is accept-guarded: a candidate is kept only
-if it does not raise the objective its stage enforces, which is the data
-misfit plus emissivity smoothness up to the Armijo pass and that plus the
-TV term in the TV rounds.  The search draws no random numbers, and all
-array reductions are per pixel, which makes results byte-identical for any
-row partitioning (worker count) and any edit to other pixels' data when the
-TV weight is zero.
+block-coordinate scheme: a warmup from each pixel's closed-form range
+estimate (quadspectral with the sky term on, bispectral-air with it off)
+and two flat emissivity starts, then refinement of each pixel's lowest-loss
+start, a profiled range polish, a projected-gradient Armijo pass and, when
+the TV weight is positive, proximal TV rounds.  On a grid where no closed
+form resolves, the warmup starts from a ladder of flat ranges instead.
+Every phase runs a fixed number of sweeps.  Each temperature candidate
+refits emissivity by one banded least-squares solve, clipped to [0, 1].
+Every step is accept-guarded: a candidate is kept only if it does not raise
+the objective its stage enforces, which is the data misfit plus emissivity
+smoothness up to the Armijo pass and that plus the TV term in the TV
+rounds.  The search draws no random numbers, and all array reductions are
+per pixel, which makes results byte-identical for any row partitioning
+(worker count) and any edit to other pixels' data when the TV weight is
+zero.
 
 The solver holds its per-band state band-major: observed radiance,
 emissivity, B(T), path transmittance, reflected light, residuals and every
@@ -43,8 +46,21 @@ from functools import partial
 import numpy as np
 
 from .atmosphere import _tau
-from .closed_form import FLAG_VALID, BandSelection, bispectral_air
-from .errors import ConfigError, ConstraintError, DimensionError, DomainError, GridError
+from .closed_form import (
+    FLAG_VALID,
+    BandSelection,
+    bispectral_air,
+    fit_ozone_slope,
+    quadspectral,
+)
+from .errors import (
+    ConfigError,
+    ConstraintError,
+    DegenerateFitError,
+    DimensionError,
+    DomainError,
+    GridError,
+)
 from .forward_model import _contrast, _mix, _radiance
 from .radiometry import (
     _planck_core,
@@ -70,10 +86,10 @@ _SKY_ADMM_ITERATIONS = 50
 # temperature box: air temperature +- _T_SPAN kelvin
 _T_SPAN = 12.0
 
-# multi-start warmup: range starts (None = the bispectral-air estimate) and
-# flat emissivity starts; each pixel's lowest-loss warmup state is refined
-_D_LADDER = (5.0, 20.0, 80.0, None, 160.0)
-_D_LADDER_TOP = max(b for b in _D_LADDER if b is not None)
+# warmup starts: flat ranges, as fractions of d_max, where no closed-form
+# range resolves, and flat emissivities; each pixel's lowest-loss warmup
+# state is refined
+_D_LADDER = (0.025, 0.1, 0.4, 0.5, 0.8)
 _EPS_STARTS = (0.95, 0.6)
 
 # the range block scans the whole box on every 10th sweep before this one
@@ -104,16 +120,16 @@ class SolverConfig:
     rows or usable cores.  warmup_iterations, warmup_d_freeze (warmup
     sweeps before the range block first runs), refine_iterations and
     max_iterations (a cap on both) set the sweep counts; every warmup start
-    runs the whole warmup budget, then each pixel's lowest-loss start runs
-    the whole refinement budget.  polish_rounds and
-    armijo_iterations set the number of profiled range polish rounds and
-    projected-gradient passes.  track_history (threads=1 only) records
+    (each range start times each emissivity start) runs the whole warmup
+    budget, then each pixel's lowest-loss start runs the whole refinement
+    budget.  polish_rounds and armijo_iterations set the number of profiled
+    range polish rounds and projected-gradient passes.  track_history (threads=1 only) records
     ``(stage, step, objective, feasible)`` per "refine" sweep and per
     "polish", "armijo" and "tv" round, with the objective that stage guards:
     data misfit plus smoothness, plus rho_d * TV on "tv" entries, the first
     of which is the state received.
 
-    The scan sizes, start ladders, line-search constants and
+    The scan sizes, warmup starts, line-search constants and
     temperature box are module constants (``_T_SPAN0`` and the names after
     it at the top of this module).  The hemisphere the sky sectors leave is
     filled with ambient ground radiance, B(T_air).
@@ -140,9 +156,6 @@ class SolverConfig:
             v.append(f"rho_d must be finite and >= 0, got {self.rho_d}")
         if not (0.0 < self.d_max < np.inf):
             v.append(f"d_max must be finite and > 0, got {self.d_max}")
-        elif self.d_max < _D_LADDER_TOP:
-            v.append(f"d_max must be >= {_D_LADDER_TOP}, the farthest range "
-                     f"start, got {self.d_max}")
         if self.q is not None and (self.q < 0 or int(self.q) != self.q):
             v.append(f"q must be a non-negative integer or None, got {self.q}")
         for name in ("max_iterations", "warmup_iterations", "refine_iterations"):
@@ -741,16 +754,27 @@ def project(params, d_max):
 # solve
 # ----------------------------------------------------------------------
 
-def _default_distance_init(cube, alpha, air_temperature, d_max):
+def _range_starts(cube, alpha, dw, air_temperature, d_max):
+    """The warmup's (P,) range starts.
+
+    One start where the default band selection resolves on the grid: the
+    quadspectral estimate when dw is given (the sky term is on), else the
+    bispectral-air one, clipped to [1, d_max] and d_max / 2 at flagged
+    pixels.  Where neither estimator can run, the flat _D_LADDER starts.
+    """
     try:
         bands = BandSelection.from_grid(cube.grid)
-        rm = bispectral_air(cube, bands, alpha, air_temperature)
-        d0 = np.where(rm.validity == FLAG_VALID,
-                      np.clip(rm.distances, 0.0, d_max), d_max / 2.0)
-    except (GridError, DomainError):
+        if dw is None:
+            rm = bispectral_air(cube, bands, alpha, air_temperature)
+        else:
+            rm = quadspectral(cube, bands, alpha, air_temperature,
+                              fit_ozone_slope(dw, bands))
+    except (GridError, DomainError, DegenerateFitError):
         m, n = cube.radiance.shape[:2]
-        d0 = np.full((m, n), d_max / 2.0)
-    return d0.reshape(-1)
+        return [np.full(m * n, f * d_max) for f in _D_LADDER]
+    d0 = np.where(rm.validity == FLAG_VALID,
+                  np.clip(rm.distances, 1.0, d_max), d_max / 2.0)
+    return [d0.reshape(-1)]
 
 
 def _default_temperature_init(pr):
@@ -764,14 +788,13 @@ def _default_temperature_init(pr):
     return np.clip(t0, pr.t_lo, pr.t_hi)
 
 
-def _warm_start(pr, cfg, d0, t0):
-    # warm up every (emissivity, range) start; return each pixel's best
+def _warm_start(pr, cfg, d_starts, t0):
+    # warm up every (emissivity, range) start; return each pixel's best,
+    # the first start on a tie
     k, p = pr.y.shape
-    dl = [np.clip(d0, 1.0, pr.d_max) if base is None else np.full(p, float(base))
-          for base in _D_LADDER]
-    sn = len(_EPS_STARTS) * len(dl)
-    ds = np.concatenate(dl * len(_EPS_STARTS))
-    es = np.tile(np.repeat(_EPS_STARTS, len(dl) * p), (k, 1))
+    sn = len(_EPS_STARTS) * len(d_starts)
+    ds = np.concatenate(d_starts * len(_EPS_STARTS))
+    es = np.tile(np.repeat(_EPS_STARTS, len(d_starts) * p), (k, 1))
     ts = np.tile(t0, sn)
     os_ = np.zeros((sn * p, pr.sky.shape[0]))
     prs = replace(pr, y=np.tile(pr.y, (1, sn)))
@@ -782,7 +805,7 @@ def _warm_start(pr, cfg, d0, t0):
     return ds[best], ts[best], es[:, best], os_[best]
 
 
-def _solve_flat(pr, cfg, d0, t0, init_state, rows, ncols):
+def _solve_flat(pr, cfg, d_starts, t0, init_state, rows, ncols):
     hist = [] if cfg.track_history else None
 
     def full_objective(d, loss):
@@ -798,7 +821,7 @@ def _solve_flat(pr, cfg, d0, t0, init_state, rows, ncols):
         hist.append((label, it, tot, _feasible(d, eps, om, pr.d_max)))
 
     if init_state is None:
-        init_state = _warm_start(pr, cfg, d0, t0)
+        init_state = _warm_start(pr, cfg, d_starts, t0)
     d, t, eps, om, loss = _phase(pr, *init_state,
                                  min(cfg.refine_iterations, cfg.max_iterations),
                                  d_freeze=0, record=partial(record, "refine"))
@@ -843,8 +866,10 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     """Estimate per-pixel range, temperature, emissivity and sky weights.
 
     cube/alpha/dw must share one spectral grid. air_temperature feeds both
-    the path term and the ambient ground fill. initial optionally replaces
-    the multi-start warmup with a caller-supplied EstimateMaps state.
+    the path term and the ambient ground fill. Each pixel warms up from
+    its closed-form range estimate (see _range_starts) with every
+    emissivity start; initial optionally replaces that warmup with a
+    caller-supplied EstimateMaps state.
     The image is solved as min(threads, rows, usable cores) row blocks,
     one worker process per block, forked from the caller; a single block
     runs in the calling process.  Deterministic (the search
@@ -864,10 +889,11 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     else:
         q = len(dw) if dw is not None else 0
 
-    pr, m, n = _build_problem(cube, alpha, dw if q > 0 else None, air_temperature,
+    sky_dw = dw if q > 0 else None
+    pr, m, n = _build_problem(cube, alpha, sky_dw, air_temperature,
                               q, cfg.rho_eps, cfg.d_max, _T_SPAN)
 
-    d0 = _default_distance_init(cube, alpha, air_temperature, cfg.d_max)
+    d_starts = _range_starts(cube, alpha, sky_dw, air_temperature, cfg.d_max)
     t0 = _default_temperature_init(pr)
 
     init_state = None
@@ -886,7 +912,7 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
             d_i, t_i, e_i, o_i = init_state
             ini = (d_i[sel], t_i[sel], np.ascontiguousarray(e_i[:, sel]), o_i[sel])
         return (replace(pr, y=np.ascontiguousarray(pr.y[:, sel])), cfg,
-                d0[sel], t0[sel], ini, rows.size, n)
+                [d[sel] for d in d_starts], t0[sel], ini, rows.size, n)
 
     blocks = min(cfg.threads, m, _usable_cores())
     jobs = [job(rows) for rows in np.array_split(np.arange(m), blocks)]

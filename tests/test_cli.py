@@ -7,7 +7,7 @@ import pytest
 
 from lwirange.cli import main, resolve_settings, build_parser
 from lwirange.closed_form import estimate_air_temperature
-from lwirange.cube_io import load_scene_cube
+from lwirange.cube_io import load_estimates, load_scene_cube
 from lwirange.errors import LwirError
 
 
@@ -285,6 +285,20 @@ class TestPipeline:
         for name in names:
             assert ((tmp_path / "est0" / name).read_bytes()
                     == (tmp_path / "est7" / name).read_bytes()), name
+
+    def test_hyper_range_keeps_to_a_short_d_max(self, capsys, tmp_path):
+        atmo, scene = tmp_path / "atmo", tmp_path / "scene"
+        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
+        assert run(capsys, ["synth", "--atmo", str(atmo), "--out", str(scene),
+                            "--rows", "3", "--cols", "3",
+                            "--noise-sigma", "0.5"])[0] == 0
+        code, _, err = run(capsys, [
+            "range", "--mode", "hyper", "--cube", str(scene / "cube.lwc"),
+            "--atmo", str(atmo), "--out", str(tmp_path / "est"),
+            "--d-max", "100"])
+        assert code == 0, err
+        d = load_estimates(tmp_path / "est").distance
+        assert d.shape == (3, 3) and d.max() <= 100.0
 
     def test_hyper_range_estimates_air_temperature_at_bands(
             self, capsys, tmp_path, monkeypatch):

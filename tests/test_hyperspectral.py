@@ -24,6 +24,13 @@ from lwirange import (
     tv_distance,
 )
 from lwirange.atmosphere import _tau
+from lwirange.closed_form import (
+    FLAG_VALID,
+    BandSelection,
+    bispectral_air,
+    fit_ozone_slope,
+    quadspectral,
+)
 from lwirange.hyperspectral import (
     _build_problem,
     _dist_block,
@@ -32,6 +39,7 @@ from lwirange.hyperspectral import (
     _mix_of,
     _phase,
     _Problem,
+    _range_starts,
     _sky_block,
     _temp_block,
     _thomas,
@@ -398,6 +406,11 @@ class TestConfig:
     def test_default_config_is_clean(self):
         assert SolverConfig().validate() == []
 
+    def test_short_d_max_is_clean(self):
+        # the warmup's flat range starts scale with d_max, so any positive
+        # bound is valid
+        assert SolverConfig(d_max=100.0).validate() == []
+
     def test_collects_every_violation(self):
         cfg = SolverConfig(rho_eps=-1.0, d_max=0.0, q=-1, armijo_iterations=-1,
                            polish_rounds=-1, warmup_iterations=0,
@@ -462,6 +475,58 @@ class TestEstimateMaps:
                          loss=maps.loss, iterations=maps.iterations)
 
 
+class TestRangeStarts:
+    D_MAX = 200.0
+
+    @staticmethod
+    def flag_one_pixel(sc):
+        # a pixel whose first water band equals the air radiance there has a
+        # zero bispectral-air and quadspectral denominator, so it is flagged
+        cube = sc["cube"]
+        bands = BandSelection.from_grid(cube.grid)
+        rad = cube.radiance.copy()
+        rad[1, 2, bands.index1] = planck(
+            float(cube.grid.wavelengths[bands.index1]), AIR)
+        return replace(cube, radiance=rad), bands
+
+    def check_one_start(self, starts, rm):
+        assert len(starts) == 1
+        ok = rm.validity == FLAG_VALID
+        assert not ok[1, 2] and ok.sum() == ok.size - 1
+        want = np.where(ok, np.clip(rm.distances, 1.0, self.D_MAX), self.D_MAX / 2.0)
+        npt.assert_array_equal(starts[0], want.reshape(-1))
+
+    def test_quadspectral_start_with_the_sky_term(self):
+        sc = micro_scene(rows=3, cols=4, bands=64, q=2, noise_sigma=0.5, seed=2)
+        cube, bands = self.flag_one_pixel(sc)
+        starts = _range_starts(cube, sc["alpha"], sc["dw"], AIR, self.D_MAX)
+        rm = quadspectral(cube, bands, sc["alpha"], AIR,
+                          fit_ozone_slope(sc["dw"], bands))
+        self.check_one_start(starts, rm)
+
+    def test_bispectral_air_start_without_the_sky_term(self):
+        sc = micro_scene(rows=3, cols=4, bands=64, q=0, noise_sigma=0.5, seed=2)
+        cube, bands = self.flag_one_pixel(sc)
+        starts = _range_starts(cube, sc["alpha"], None, AIR, self.D_MAX)
+        self.check_one_start(starts, bispectral_air(cube, bands, sc["alpha"], AIR))
+
+    @pytest.mark.parametrize("bands, q", [(16, 2), (64, 1)])
+    def test_ladder_where_no_closed_form_resolves(self, bands, q):
+        # 16 bands put both water bands on one grid sample; one sky sector
+        # fits no ozone slope
+        sc = micro_scene(rows=2, cols=3, bands=bands, q=q, seed=0)
+        starts = _range_starts(sc["cube"], sc["alpha"], sc["dw"], AIR, self.D_MAX)
+        assert len(starts) == 5
+        for start, want in zip(starts, (5.0, 20.0, 80.0, 100.0, 160.0)):
+            npt.assert_array_equal(start, np.full(6, want))
+
+    def test_solve_with_one_sky_sector(self):
+        sc = micro_scene(rows=2, cols=2, bands=64, q=1, noise_sigma=0.5, seed=4)
+        est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR)
+        assert est.solid_angles.shape == (2, 2, 1)
+        assert np.all((est.distance >= 0.0) & (est.distance <= 200.0))
+
+
 class TestSolve:
     def test_recovers_noiseless_scene(self):
         sc = micro_scene(rows=4, cols=4, bands=16, q=2, noise_sigma=0.0, seed=3)
@@ -472,6 +537,15 @@ class TestSolve:
         assert np.median(rel) < 0.01
         assert est.loss.max() < 1e-2
         npt.assert_array_equal(est.iterations, SolverConfig().refine_iterations)
+
+    def test_recovers_noiseless_scene_from_the_quadspectral_start(self):
+        # 64 bands resolve the closed forms, so each pixel warms up from its
+        # quadspectral range; test_recovers_noiseless_scene covers the ladder
+        sc = micro_scene(rows=4, cols=4, bands=64, q=2, noise_sigma=0.0, seed=3)
+        tr = sc["truth"]
+        est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR)
+        rel = np.abs(est.distance - tr.distance_map) / tr.distance_map
+        assert rel.max() < 0.02
 
     @pytest.mark.parametrize("q", [0, 2])
     def test_truth_is_a_fixed_point(self, q):
