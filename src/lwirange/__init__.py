@@ -36,7 +36,6 @@ from .closed_form import (
     bispectral_hot,
     estimate_air_temperature,
     fit_ozone_slope,
-    ozone_difference_map,
     quadspectral,
 )
 from .cube_io import (
@@ -72,11 +71,8 @@ from .evaluation import (
     PATCH_CSV_COLUMNS,
     PatchSpec,
     default_patches,
-    kmeans_emissivity,
     patch_stats,
     render_map,
-    sky_fraction_mask,
-    within_cluster_ss,
     write_patch_stats_csv,
 )
 from .forward_model import (
@@ -101,11 +97,9 @@ from .hyperspectral import (
     tv_distance,
 )
 from .radiometry import (
-    CODATA,
     DB_PER_M,
     DIMENSIONLESS,
     MICROFLICK,
-    PhysicalConstants,
     SpectralGrid,
     Spectrum,
     Temperature,

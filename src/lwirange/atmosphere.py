@@ -79,15 +79,21 @@ DEFAULT_ZENITH_ANGLES = (0.0, 30.0, 60.0, 70.0, 80.0, 82.0, 84.0, 86.0, 88.0, 89
 _ZENITH_CAP_DEG = 89.9
 _DEFAULT_BAND_TARGETS = (8.42, 8.46, 9.49, 9.57, 13.0)
 
+# the sky columns scale opacity along the vertical path relative to one
+# meter of ground path; the ozone layer radiates at its own temperature
+_WATER_SKY_COLUMN = 10.0
+_OZONE_SKY_COLUMN = 1.94
+_OZONE_LAYER_TEMPERATURE = 235.0
 
-def make_default_grid(bands: int = 64, start: float = 8.0, stop: float = 13.2) -> SpectralGrid:
-    """Uniform LWIR grid with the estimator bands snapped onto exact samples."""
+
+def make_default_grid(bands: int = 64) -> SpectralGrid:
+    """Uniform 8-13.2 um grid with the estimator bands snapped onto exact
+    samples."""
     if bands < 8:
         raise GridError("default grid needs at least 8 bands")
-    w = np.linspace(start, stop, bands)
+    w = np.linspace(8.0, 13.2, bands)
     for lb in _DEFAULT_BAND_TARGETS:
-        if start <= lb <= stop:
-            w[int(np.argmin(np.abs(w - lb)))] = lb
+        w[int(np.argmin(np.abs(w - lb)))] = lb
     return SpectralGrid(w)
 
 
@@ -153,32 +159,18 @@ class DownwellingSet:
 class AtmosphereParams:
     """Knobs of the synthetic atmosphere generator.
 
-    Strengths scale the line peaks; the sky columns scale opacity along
-    the vertical path relative to one meter of ground path. The ozone
-    species never contributes to ground-level attenuation.
+    Strengths scale the peaks of the default water and ozone lines. The
+    ozone species never contributes to ground-level attenuation.
     """
 
     air_temperature: Temperature = Temperature(295.0)
     water_vapor_strength: float = 1.0
     ozone_strength: float = 1.0
-    water_lines: tuple = DEFAULT_WATER_LINES
-    ozone_lines: tuple = DEFAULT_OZONE_LINES
     sky_temperature_drop: float = 35.0
-    ozone_layer_temperature: float = 235.0
-    water_sky_column: float = 10.0
-    ozone_sky_column: float = 1.94
 
     def __post_init__(self):
         if self.water_vapor_strength < 0 or self.ozone_strength < 0:
             raise DomainError("species strengths must be >= 0")
-        for name, lines in (("water", self.water_lines), ("ozone", self.ozone_lines)):
-            for c0, width, peak in lines:
-                if width <= 0:
-                    raise DomainError(f"{name} line at {c0} um has non-positive width")
-                if peak < 0:
-                    raise DomainError(f"{name} line at {c0} um has negative peak")
-        if self.ozone_layer_temperature <= 0:
-            raise DomainError("ozone layer temperature must be > 0 K")
         if self.air_temperature.kelvin - self.sky_temperature_drop <= 0:
             raise DomainError("sky temperature drop exceeds the air temperature")
 
@@ -220,8 +212,8 @@ def _check_line_coverage(grid: SpectralGrid, lines, species: str):
 
 def synth_attenuation(params: AtmosphereParams, grid: SpectralGrid) -> AttenuationSpectrum:
     """Ground-level alpha(lambda): water lines only, ozone weight forced to zero."""
-    _check_line_coverage(grid, params.water_lines, "water")
-    values = _line_profile(grid, params.water_lines, params.water_vapor_strength)
+    _check_line_coverage(grid, DEFAULT_WATER_LINES, "water")
+    values = _line_profile(grid, DEFAULT_WATER_LINES, params.water_vapor_strength)
     return AttenuationSpectrum(Spectrum(grid, values, DB_PER_M))
 
 
@@ -236,17 +228,17 @@ def synth_downwelling(
     angles = np.asarray(zenith_angles_deg, dtype=np.float64)
     if np.any(angles < 0.0) or np.any(angles >= 90.0):
         raise DomainError("zenith angles must lie in [0, 90) degrees")
-    _check_line_coverage(grid, params.water_lines, "water")
-    _check_line_coverage(grid, params.ozone_lines, "ozone")
+    _check_line_coverage(grid, DEFAULT_WATER_LINES, "water")
+    _check_line_coverage(grid, DEFAULT_OZONE_LINES, "ozone")
 
-    wp = _line_profile(grid, params.water_lines, params.water_vapor_strength)
-    op = _line_profile(grid, params.ozone_lines, params.ozone_strength)
+    wp = _line_profile(grid, DEFAULT_WATER_LINES, params.water_vapor_strength)
+    op = _line_profile(grid, DEFAULT_OZONE_LINES, params.ozone_strength)
     airmass = 1.0 / np.cos(np.radians(np.minimum(angles, _ZENITH_CAP_DEG)))[:, None]
 
     b_sky = planck(grid.wavelengths, params.sky_temperature)
-    b_oz = planck(grid.wavelengths, params.ozone_layer_temperature)
-    t_water = np.power(10.0, -wp[None, :] * params.water_sky_column * airmass / 10.0)
-    t_ozone = np.power(10.0, -op[None, :] * params.ozone_sky_column * airmass / 10.0)
+    b_oz = planck(grid.wavelengths, _OZONE_LAYER_TEMPERATURE)
+    t_water = np.power(10.0, -wp[None, :] * _WATER_SKY_COLUMN * airmass / 10.0)
+    t_ozone = np.power(10.0, -op[None, :] * _OZONE_SKY_COLUMN * airmass / 10.0)
     radiances = (1.0 - t_water) * b_sky[None, :] + (1.0 - t_ozone) * b_oz[None, :]
     return DownwellingSet(angles, radiances, grid)
 

@@ -35,7 +35,6 @@ __all__ = [
     "bispectral_air",
     "fit_ozone_slope",
     "quadspectral",
-    "ozone_difference_map",
 ]
 
 FLAG_VALID = 0
@@ -152,8 +151,6 @@ def _log_ratio_map(num: np.ndarray, den: np.ndarray, coef: float) -> RangeMap:
 
 def estimate_air_temperature(cube: SceneCube, lambda_sat: float = 13.0) -> Temperature:
     """Median brightness temperature at the saturated band."""
-    if isinstance(lambda_sat, BandSelection):
-        lambda_sat = lambda_sat.lambda_sat
     idx = cube.grid.nearest_index(float(lambda_sat))
     lam = float(cube.grid.wavelengths[idx])
     radiance = _band_values(cube, idx)
@@ -174,10 +171,7 @@ def bispectral_hot(
     return _log_ratio_map(num, den, -10.0 / (a2 - a1))
 
 
-def _air_band_radiance(cube, bands, air_temperature, air_radiance):
-    if air_radiance is not None:
-        b1, b2 = air_radiance
-        return float(b1), float(b2)
+def _air_band_radiance(cube, bands, air_temperature):
     tk = air_temperature.kelvin
     return (
         planck(float(cube.grid.wavelengths[bands.index1]), tk),
@@ -190,15 +184,10 @@ def bispectral_air(
     bands: BandSelection,
     alpha: AttenuationSpectrum,
     air_temperature: Temperature,
-    air_radiance=None,
 ) -> RangeMap:
-    """Two-band ratio after subtracting path air emission.
-
-    air_radiance optionally overrides (B(lambda1; T_air), B(lambda2; T_air)),
-    e.g. for consistently rescaled inputs.
-    """
+    """Two-band ratio after subtracting path air emission."""
     a1, a2 = _check_alpha(cube, alpha, bands)
-    b1, b2 = _air_band_radiance(cube, bands, air_temperature, air_radiance)
+    b1, b2 = _air_band_radiance(cube, bands, air_temperature)
     num = _band_values(cube, bands.index2) - b2
     den = _band_values(cube, bands.index1) - b1
     return _log_ratio_map(num, den, -10.0 / (a2 - a1))
@@ -225,7 +214,6 @@ def quadspectral(
     alpha: AttenuationSpectrum,
     air_temperature: Temperature,
     slope,
-    air_radiance=None,
 ) -> RangeMap:
     """Air-corrected ratio with the reflected-downwelling bias removed.
 
@@ -234,15 +222,8 @@ def quadspectral(
     """
     a1, a2 = _check_alpha(cube, alpha, bands)
     s = slope.s if isinstance(slope, OzoneSlope) else float(slope)
-    b1, b2 = _air_band_radiance(cube, bands, air_temperature, air_radiance)
+    b1, b2 = _air_band_radiance(cube, bands, air_temperature)
     b_hat = s * (_band_values(cube, bands.index4) - _band_values(cube, bands.index3))
     num = _band_values(cube, bands.index2) - b2 - b_hat
     den = _band_values(cube, bands.index1) - b1
     return _log_ratio_map(num, den, -10.0 / (a2 - a1))
-
-
-def ozone_difference_map(cube: SceneCube, bands: BandSelection) -> np.ndarray:
-    """Absolute radiance difference across the ozone band; the reflection cue."""
-    return np.abs(
-        _band_values(cube, bands.index4) - _band_values(cube, bands.index3)
-    )

@@ -1,7 +1,8 @@
-"""Patch statistics, emissivity clustering, sky masks, and map rendering."""
+"""Patch statistics of range maps against truth, and map rendering."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,8 @@ class PatchSpec:
 
 def default_patches(shape, size=8):
     """Non-overlapping size x size tiling; partial edge tiles are skipped."""
+    if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size < 1:
+        raise DomainError(f"patch size must be an integer >= 1, got {size!r}")
     m, n = shape
     out = []
     for i in range(0, m - size + 1, size):
@@ -97,63 +100,6 @@ def write_patch_stats_csv(path, rows):
             str(r["n_valid"]),
         ]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def kmeans_emissivity(eps_cube, k, seed=0, max_iter=100):
-    """Lloyd clustering of per-pixel emissivity spectra.
-
-    Returns (labels (M,N) int array, centers (k, K)). Deterministic for a
-    fixed seed. An emptied cluster is re-seeded to the point farthest from
-    its assigned center, which keeps the within-cluster sum of squares
-    non-increasing across iterations.
-    """
-    e = np.asarray(eps_cube, dtype=np.float64)
-    if e.ndim != 3:
-        raise DimensionError(f"emissivity cube must be (M,N,K), got {e.shape}")
-    if k < 1:
-        raise DomainError(f"need k >= 1 clusters, got {k}")
-    m, n, kb = e.shape
-    x = e.reshape(m * n, kb)
-    p = x.shape[0]
-    if k > p:
-        raise DomainError(f"k={k} exceeds the number of pixels {p}")
-    rng = np.random.default_rng(seed)
-    centers = x[rng.choice(p, size=k, replace=False)].copy()
-    labels = np.zeros(p, dtype=np.int64)
-    for _ in range(max_iter):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        for c in range(k):
-            sel = new_labels == c
-            if sel.any():
-                centers[c] = x[sel].mean(axis=0)
-            else:
-                dist_to_own = d2[np.arange(p), new_labels]
-                far = int(dist_to_own.argmax())
-                centers[c] = x[far]
-                new_labels[far] = c
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
-        labels = new_labels
-    return labels.reshape(m, n), centers
-
-
-def within_cluster_ss(eps_cube, labels, centers):
-    e = np.asarray(eps_cube, dtype=np.float64)
-    m, n, kb = e.shape
-    x = e.reshape(m * n, kb)
-    lab = np.asarray(labels).reshape(m * n)
-    return float(((x - centers[lab]) ** 2).sum())
-
-
-def sky_fraction_mask(estimates, threshold):
-    """Pixels whose estimated sky-view fraction sum(omega)/pi exceeds threshold.
-
-    No default threshold is claimed; pass one explicitly.
-    """
-    frac = estimates.solid_angles.sum(axis=2) / np.pi
-    return frac > float(threshold)
 
 
 _PALETTES = ("gray", "fire")

@@ -39,6 +39,7 @@ recomputation at the same state would have.
 from __future__ import annotations
 
 import concurrent.futures
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -150,27 +151,35 @@ class SolverConfig:
 
     def validate(self) -> list[str]:
         v = []
-        if not (0.0 <= self.rho_eps < np.inf):
-            v.append(f"rho_eps must be finite and >= 0, got {self.rho_eps}")
-        if not (0.0 <= self.rho_d < np.inf):
-            v.append(f"rho_d must be finite and >= 0, got {self.rho_d}")
-        if not (0.0 < self.d_max < np.inf):
-            v.append(f"d_max must be finite and > 0, got {self.d_max}")
-        if self.q is not None and (self.q < 0 or int(self.q) != self.q):
-            v.append(f"q must be a non-negative integer or None, got {self.q}")
-        for name in ("max_iterations", "warmup_iterations", "refine_iterations"):
-            if getattr(self, name) < 1:
-                v.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("warmup_d_freeze", "polish_rounds", "armijo_iterations"):
-            if getattr(self, name) < 0:
-                v.append(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.threads < 1:
-            v.append(f"threads must be >= 1, got {self.threads}")
-        if self.rho_d > 0.0 and self.threads > 1:
+        if not (_is_real(self.rho_eps) and 0.0 <= self.rho_eps < np.inf):
+            v.append(f"rho_eps must be finite and >= 0, got {self.rho_eps!r}")
+        if not (_is_real(self.rho_d) and 0.0 <= self.rho_d < np.inf):
+            v.append(f"rho_d must be finite and >= 0, got {self.rho_d!r}")
+        if not (_is_real(self.d_max) and 0.0 < self.d_max < np.inf):
+            v.append(f"d_max must be finite and > 0, got {self.d_max!r}")
+        if self.q is not None and not (_is_int(self.q) and self.q >= 0):
+            v.append(f"q must be a non-negative integer or None, got {self.q!r}")
+        for name, low in (("max_iterations", 1), ("warmup_iterations", 1),
+                          ("refine_iterations", 1), ("warmup_d_freeze", 0),
+                          ("polish_rounds", 0), ("armijo_iterations", 0),
+                          ("threads", 1)):
+            x = getattr(self, name)
+            if not (_is_int(x) and x >= low):
+                v.append(f"{name} must be an integer >= {low}, got {x!r}")
+        many = _is_int(self.threads) and self.threads > 1
+        if many and _is_real(self.rho_d) and self.rho_d > 0.0:
             v.append("rho_d > 0 couples pixels across rows; requires threads=1")
-        if self.track_history and self.threads > 1:
+        if many and self.track_history:
             v.append("track_history requires threads=1")
         return v
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass

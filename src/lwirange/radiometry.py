@@ -8,15 +8,13 @@ applied once, here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GridError, UnitMismatchError
 
 __all__ = [
-    "PhysicalConstants",
-    "CODATA",
     "Temperature",
     "SpectralGrid",
     "Spectrum",
@@ -29,20 +27,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA 2018 exact values."""
-
-    h: float = 6.62607015e-34   # J s
-    c: float = 2.99792458e8     # m / s
-    kB: float = 1.380649e-23    # J / K
-
-    def __post_init__(self):
-        if not (self.h > 0 and self.c > 0 and self.kB > 0):
-            raise DomainError("physical constants must be strictly positive")
-
-
-CODATA = PhysicalConstants()
+# CODATA 2018 exact values
+_H = 6.62607015e-34   # J s
+_C = 2.99792458e8     # m / s
+_KB = 1.380649e-23    # J / K
 
 # SI spectral radiance per um -> microflick
 _SI_TO_MICROFLICK = 100.0
@@ -138,38 +126,38 @@ def _check_positive(lam_um, t_kelvin):
     return lam, t
 
 
-def _planck_core(lam, tk, constants: PhysicalConstants = CODATA):
+def _planck_core(lam, tk):
     # unvalidated kernel shared by the simulator and the solver hot loops
     lam_m = lam * 1e-6
-    x = constants.h * constants.c / (lam_m * constants.kB * tk)
+    x = _H * _C / (lam_m * _KB * tk)
     with np.errstate(over="ignore"):
         return (
-            2.0 * constants.h * constants.c**2 / lam_m**5 / np.expm1(x)
+            2.0 * _H * _C**2 / lam_m**5 / np.expm1(x)
         ) * _RADIANCE_SCALE
 
 
-def _planck_dT_core(lam, tk, constants: PhysicalConstants = CODATA):
+def _planck_dT_core(lam, tk):
     lam_m = lam * 1e-6
-    x = constants.h * constants.c / (lam_m * constants.kB * tk)
-    scale = 2.0 * constants.h * constants.c**2 / lam_m**5 * _RADIANCE_SCALE
+    x = _H * _C / (lam_m * _KB * tk)
+    scale = 2.0 * _H * _C**2 / lam_m**5 * _RADIANCE_SCALE
     v = np.exp(-x)
     return scale * v / np.expm1(-x) ** 2 * (x / tk)
 
 
-def planck(lam_um, t, constants: PhysicalConstants = CODATA):
+def planck(lam_um, t):
     """Blackbody spectral radiance B(lambda; T) in microflicks.
 
     lam_um : wavelength in um, scalar or array
     t      : Temperature, kelvin scalar, or array (broadcast against lam_um)
     """
     lam, tk = _check_positive(lam_um, as_kelvin(t))
-    out = _planck_core(lam, tk, constants)
+    out = _planck_core(lam, tk)
     if np.isscalar(lam_um) and np.isscalar(as_kelvin(t)):
         return float(out)
     return out
 
 
-def brightness_temperature(lam_um, radiance_microflick, constants: PhysicalConstants = CODATA):
+def brightness_temperature(lam_um, radiance_microflick):
     """Invert Planck's law at one wavelength.
 
     Returns a Temperature for scalar input, an array of kelvins otherwise.
@@ -182,21 +170,21 @@ def brightness_temperature(lam_um, radiance_microflick, constants: PhysicalConst
         raise DomainError("radiance must be finite and > 0 for inversion")
     lam_m = lam * 1e-6
     rad_si = rad / _RADIANCE_SCALE
-    x = np.log1p(2.0 * constants.h * constants.c**2 / (lam_m**5 * rad_si))
-    kelvin = constants.h * constants.c / (lam_m * constants.kB * x)
+    x = np.log1p(2.0 * _H * _C**2 / (lam_m**5 * rad_si))
+    kelvin = _H * _C / (lam_m * _KB * x)
     if np.isscalar(lam_um) and np.isscalar(radiance_microflick):
         return Temperature(float(kelvin))
     return kelvin
 
 
-def planck_dT(lam_um, t, constants: PhysicalConstants = CODATA):
+def planck_dT(lam_um, t):
     """Temperature derivative dB/dT in microflick per kelvin.
 
     Evaluated as B_scale * e^-x / expm1(-x)^2 * x / T, which stays finite
     for arbitrarily large x (cold/short-wave limit underflows to 0).
     """
     lam, tk = _check_positive(lam_um, as_kelvin(t))
-    out = _planck_dT_core(lam, tk, constants)
+    out = _planck_dT_core(lam, tk)
     if np.isscalar(lam_um) and np.isscalar(as_kelvin(t)):
         return float(out)
     return out

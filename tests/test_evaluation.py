@@ -1,4 +1,4 @@
-"""Patch statistics, emissivity clustering and map rendering."""
+"""Patch tiling and statistics, the patch CSV, and map rendering."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,15 +7,11 @@ import pytest
 from lwirange import (
     DimensionError,
     DomainError,
-    EstimateMaps,
     PATCH_CSV_COLUMNS,
     PatchSpec,
     default_patches,
-    kmeans_emissivity,
     patch_stats,
     render_map,
-    sky_fraction_mask,
-    within_cluster_ss,
     write_patch_stats_csv,
 )
 from lwirange.closed_form import FLAG_VALID, FLAG_ZERO_DENOMINATOR, RangeMap
@@ -47,6 +43,11 @@ class TestPatchSpec:
         assert [p.label for p in patches] == ["p0_0", "p1_0"]
         assert all(p.rows == p.cols == 8 for p in patches)
         assert patches[1].i == 8 and patches[1].j == 0
+
+    @pytest.mark.parametrize("size", [0, -1, 2.5, "8", True])
+    def test_default_patches_reject_bad_size(self, size):
+        with pytest.raises(DomainError, match="patch size"):
+            default_patches((16, 16), size=size)
 
 
 class TestPatchStats:
@@ -109,82 +110,6 @@ class TestPatchStats:
         pats = [PatchSpec(2, 2, 2, 2, label="z"), PatchSpec(0, 0, 2, 2, label="a")]
         rows = patch_stats(rm, np.zeros((4, 4)), pats)
         assert [r["label"] for r in rows] == ["z", "a"]
-
-
-class TestKmeans:
-    def three_cluster_cube(self):
-        # three spectrally distinct materials on a 6x6 image
-        rng = np.random.default_rng(17)
-        k = 8
-        protos = np.stack([np.full(k, 0.95), np.full(k, 0.6),
-                           np.linspace(0.2, 0.9, k)])
-        labels = rng.integers(0, 3, (6, 6))
-        cube = protos[labels] + rng.normal(0.0, 0.004, (6, 6, k))
-        return np.clip(cube, 0.0, 1.0), labels
-
-    def test_recovers_separated_clusters(self):
-        cube, want = self.three_cluster_cube()
-        labels, centers = kmeans_emissivity(cube, 3, seed=0)
-        assert labels.shape == (6, 6) and labels.dtype == np.int64
-        assert centers.shape == (3, 8)
-        # same partition up to label permutation
-        for a in range(3):
-            got = labels[want == a]
-            assert (got == got[0]).all()
-        # distinct ids across the three materials
-        ids = {int(labels[want == a][0]) for a in range(3)}
-        assert ids == {0, 1, 2}
-
-    def test_deterministic_for_fixed_seed(self):
-        cube, _ = self.three_cluster_cube()
-        l1, c1 = kmeans_emissivity(cube, 3, seed=5)
-        l2, c2 = kmeans_emissivity(cube, 3, seed=5)
-        npt.assert_array_equal(l1, l2)
-        npt.assert_array_equal(c1, c2)
-
-    def test_centers_minimize_within_cluster_ss_locally(self):
-        cube, _ = self.three_cluster_cube()
-        labels, centers = kmeans_emissivity(cube, 3, seed=0)
-        wcss = within_cluster_ss(cube, labels, centers)
-        # jiggling any center can only increase the objective
-        worse = centers.copy()
-        worse[0] += 0.01
-        assert within_cluster_ss(cube, labels, worse) > wcss
-
-    def test_handles_duplicate_points(self):
-        cube = np.zeros((2, 2, 4))
-        cube[0, 0] = 0.9
-        labels, centers = kmeans_emissivity(cube, 3, seed=1)
-        assert labels.shape == (2, 2)
-        assert np.isfinite(centers).all()
-
-    def test_rejects_bad_k(self):
-        cube = np.zeros((2, 2, 4))
-        with pytest.raises(DomainError):
-            kmeans_emissivity(cube, 0)
-        with pytest.raises(DomainError, match="exceeds"):
-            kmeans_emissivity(cube, 5)
-
-    def test_rejects_flat_input(self):
-        with pytest.raises(DimensionError):
-            kmeans_emissivity(np.zeros((4, 4)), 2)
-
-
-class TestSkyMask:
-    def test_threshold_semantics(self):
-        m, n, q = 2, 2, 2
-        om = np.zeros((m, n, q))
-        om[0, 0] = (1.0, 1.0)   # fraction 2/pi ~ 0.64
-        om[0, 1] = (0.3, 0.0)   # fraction ~ 0.095
-        est = EstimateMaps(distance=np.ones((m, n)),
-                           temperature=np.full((m, n), 295.0),
-                           emissivity=np.full((m, n, 3), 0.9),
-                           solid_angles=om,
-                           loss=np.zeros((m, n)),
-                           iterations=np.zeros((m, n), dtype=np.int64))
-        mask = sky_fraction_mask(est, 0.5)
-        npt.assert_array_equal(mask, [[True, False], [False, False]])
-        assert sky_fraction_mask(est, 0.05)[0, 1]
 
 
 class TestRender:

@@ -430,6 +430,21 @@ class TestConfig:
         msgs = SolverConfig(**{key: value}).validate()
         assert any(key in v and "finite" in v for v in msgs), msgs
 
+    @pytest.mark.parametrize("key,value", [
+        ("q", np.nan), ("q", np.inf), ("rho_d", "1"), ("rho_eps", None),
+        ("d_max", "200"), ("threads", 2.5), ("warmup_iterations", 2.5),
+        ("refine_iterations", "40"), ("polish_rounds", 1.0),
+    ])
+    def test_reports_malformed_values(self, key, value):
+        msgs = SolverConfig(**{key: value}).validate()
+        assert any(v.startswith(f"{key} must") for v in msgs), msgs
+
+    def test_solve_rejects_non_integer_count(self):
+        sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=10)
+        with pytest.raises(ConfigError, match="warmup_iterations"):
+            solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
+                  SolverConfig(warmup_iterations=2.5))
+
     def test_solve_raises_config_error(self):
         sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=10)
         with pytest.raises(ConfigError) as exc:

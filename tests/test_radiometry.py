@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from lwirange.errors import DomainError, GridError, UnitMismatchError
 from lwirange.radiometry import (
-    CODATA,
+    _C,
+    _H,
+    _KB,
     DB_PER_M,
     MICROFLICK,
     SpectralGrid,
@@ -160,6 +162,6 @@ def test_spectrum_unit_tag_and_length_check():
 
 
 def test_constants_are_exact_si_definitions():
-    assert CODATA.h == 6.62607015e-34
-    assert CODATA.c == 2.99792458e8
-    assert CODATA.kB == 1.380649e-23
+    assert _H == 6.62607015e-34
+    assert _C == 2.99792458e8
+    assert _KB == 1.380649e-23
