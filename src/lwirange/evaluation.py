@@ -25,6 +25,10 @@ class PatchSpec:
     label: str = ""
 
     def __post_init__(self):
+        for name in ("i", "j", "rows", "cols"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise DomainError(f"patch {name} must be an integer, got {v!r}")
         if self.i < 0 or self.j < 0:
             raise DomainError(f"patch origin must be non-negative, got ({self.i}, {self.j})")
         if self.rows < 1 or self.cols < 1:

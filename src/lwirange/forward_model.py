@@ -121,6 +121,8 @@ class SceneCube:
             r = np.array(r, dtype=np.float64)
         if r.ndim != 3:
             raise DimensionError("radiance cube must be 3-D (M, N, K)")
+        if 0 in r.shape:
+            raise DimensionError(f"radiance cube has an empty axis: {r.shape}")
         if r.shape[2] != len(self.grid):
             raise GridError("cube band count does not match the grid")
         if not np.all(np.isfinite(r)):
@@ -353,9 +355,10 @@ def make_default_scene(
     eps[eps90] = 0.9
     om[panel] = om_panel
 
+    # one ambient spectrum at every pixel: a read-only broadcast view, not
+    # an (M, N, K) copy of it
     ambient = planck(grid.wavelengths, air_temperature.kelvin)
-    ground = np.broadcast_to(ambient, (rows, cols, k)).copy()
-    return SceneTruth(d, t, eps, om, ground)
+    return SceneTruth(d, t, eps, om, np.broadcast_to(ambient, (rows, cols, k)))
 
 
 def default_panel_masks(rows: int = 32, cols: int = 32):

@@ -12,6 +12,10 @@ the TV weight is positive, proximal TV rounds.  On a grid where no closed
 form resolves, the warmup starts from a ladder of flat ranges instead.
 Every phase runs a fixed number of sweeps.  Each temperature candidate
 refits emissivity by one banded least-squares solve, clipped to [0, 1].
+The temperature and range scans rank their candidates by cheaper forms of
+the misfit, equal to it up to rounding: the residual of the model, which is
+linear in emissivity, and the path tau(d) tau(o) factored about the current
+range.  Only each scan's winner is scored with the exact objective.
 Every step is accept-guarded: a candidate is kept only if it does not raise
 the objective its stage enforces, which is the data misfit plus emissivity
 smoothness up to the Armijo pass and that plus the TV term in the TV
@@ -325,13 +329,15 @@ def _thomas(dm, off, b):
     return x
 
 
-def _eps_quick(pr, tau, bt, mix, rb=None):
+def _eps_quick(pr, tau, bt, mix, rb=None, a=None):
     # the model is linear in eps, a * eps + b with b the model at eps = 0, so
     # the refit solves the banded normal equations
     # (diag(a^2) + rho_eps D'D) eps = a (y - b) once and clips to [0, 1];
     # callers accept-guard the result.  rb = y - b does not depend on T, so
-    # a temperature scan passes it in once for all its candidates
-    a = tau * (bt - mix)
+    # a temperature scan passes it in once for all its candidates; the scan
+    # also passes each candidate's a = tau (B(T) - mix), which it ranks by
+    if a is None:
+        a = tau * (bt - mix)
     if rb is None:
         rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
     rho = pr.rho_eps
@@ -405,44 +411,84 @@ def _sky_block(pr, tau, bt, eps, om, mix, loss):
     return np.where(acc[:, None], z, om), np.where(acc, mz, mix), np.where(acc, lz, loss)
 
 
-def _temp_block(pr, tau, t, eps, mix, loss, span):
-    # scan T around the current value, re-fitting emissivity per candidate;
-    # returns the accepted (T, eps, B(T), loss)
-    rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
-    best = (t, eps, loss)
+def _linear_loss(pr, a, rb, eps):
+    # the misfit plus penalty of eps where the model is linear in eps,
+    # a * eps + b with rb = y - b: _misfit up to rounding, for ranking
+    r = a * eps - rb
+    return _band_sum(r * r) + _penalty(pr, eps)
+
+
+def _temp_candidates(pr, t, span):
+    # the temperature scan's (T, B(T)) candidates around t, one at a time
     for o in np.linspace(-span, span, _TEMPERATURE_SCAN_POINTS):
         tc = np.clip(t + o, pr.t_lo, pr.t_hi)
-        bt = _planck_core(pr.wav, tc)
-        ec = _eps_quick(pr, tau, bt, mix, rb)
-        lc = _misfit(pr, tau, bt, ec, mix)
-        best = _pick(lc < best[2], (tc, ec, lc), best)
-    t, eps, loss = best
-    return t, eps, _planck_core(pr.wav, t), loss
+        yield tc, _planck_core(pr.wav, tc)
 
 
-def _dist_block(pr, d, bt, eps, mix, loss, local_span):
+def _temp_block(pr, tau, t, eps, bt, mix, loss, span, cands=None):
+    # scan T around the current value, re-fitting emissivity per candidate;
+    # returns the accepted (T, eps, B(T), loss).  Candidates are ranked by
+    # _linear_loss; only the winner pays the exact misfit, and it is
+    # accepted where that does not exceed the carried loss.  cands, the
+    # _temp_candidates(pr, t, span), may be passed in by a caller that scans
+    # the same T along several paths
+    rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
+    best = None
+    for tc, btc in cands if cands is not None else _temp_candidates(pr, t, span):
+        a = tau * (btc - mix)
+        ec = _eps_quick(pr, tau, btc, mix, rb, a)
+        lc = _linear_loss(pr, a, rb, ec)
+        if best is None:
+            # the candidates may be shared, so the running best owns copies
+            best = (tc.copy(), ec, btc.copy(), lc)
+            continue
+        imp = lc < best[3]
+        for dst, src in zip(best, (tc, ec, btc, lc)):
+            np.copyto(dst, src, where=imp)
+    tb, eb, bb, _ = best
+    lb = _misfit(pr, tau, bb, eb, mix)
+    return _pick(lb <= loss, (tb, eb, bb, lb), (t, eps, bt, loss))
+
+
+def _shifted_path(pr, d, tau, o):
+    # the range candidate d + o, clipped to [0, d_max], and the path it is
+    # ranked by: tau(d) tau(o), which is tau(d + o) up to rounding, or the
+    # exact path of the clipped range where d + o leaves the box
+    shifted = d + o
+    dc = np.clip(shifted, 0.0, pr.d_max)
+    path = tau * _tau(o, pr.alpha)
+    clipped = dc != shifted
+    if clipped.any():
+        path[:, clipped] = _tau(dc[clipped], pr.alpha)
+    return dc, path
+
+
+def _dist_block(pr, d, tau, bt, eps, mix, loss, local_span):
     # scan d with everything else fixed: only the path term varies; returns
-    # the accepted (d, tau, loss)
+    # the accepted (d, tau, loss).  Only the winner pays the exact path and
+    # misfit, and it is accepted where that does not exceed the carried loss
     core = _contrast(bt, eps, mix, pr.b_air)
     pen = _penalty(pr, eps)
 
-    def score(tau):
-        r = _radiance(tau, core, pr.b_air) - pr.y
+    def score(path):
+        r = _radiance(path, core, pr.b_air) - pr.y
         return _band_sum(r * r) + pen
 
     if local_span is None:
         # one range for every pixel, so each candidate's path is a (K, 1) column
-        cands = np.linspace(0.0, pr.d_max, _GLOBAL_SCAN_POINTS)
+        cands = ((dc, _tau(dc, pr.alpha))
+                 for dc in np.linspace(0.0, pr.d_max, _GLOBAL_SCAN_POINTS))
     else:
-        cands = [np.clip(d + o, 0.0, pr.d_max)
-                 for o in np.linspace(-local_span, local_span, _LOCAL_SCAN_POINTS)]
-    best_d = np.broadcast_to(cands[0], d.shape)
-    best_l = score(_tau(cands[0], pr.alpha))
-    for dc in cands[1:]:
-        lc = score(_tau(dc, pr.alpha))
+        cands = (_shifted_path(pr, d, tau, o)
+                 for o in np.linspace(-local_span, local_span, _LOCAL_SCAN_POINTS))
+    dc, path = next(cands)
+    best_d, best_l = np.broadcast_to(dc, d.shape), score(path)
+    for dc, path in cands:
+        lc = score(path)
         best_d, best_l = _pick(lc < best_l, (dc, lc), (best_d, best_l))
-    d, loss = _pick(best_l <= loss, (best_d, best_l), (d, loss))
-    return d, _tau(d, pr.alpha), loss
+    tau_b = _tau(best_d, pr.alpha)
+    loss_b = score(tau_b)
+    return _pick(loss_b <= loss, (best_d, tau_b, loss_b), (d, tau, loss))
 
 
 def _feasible(d, eps, om, d_max):
@@ -461,14 +507,14 @@ def _phase(pr, d, t, eps, om, iters, *, d_freeze, record=None):
     for it in range(iters):
         if has_sky:
             om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
-        t, eps, bt, loss = _temp_block(pr, tau, t, eps, mix, loss,
+        t, eps, bt, loss = _temp_block(pr, tau, t, eps, bt, mix, loss,
                                        span=max(_T_SPAN0 * _T_DECAY ** it, _MIN_SPAN))
         if it >= d_freeze:
             if it % 10 == 0 and it < _GLOBAL_SCAN_UNTIL:
                 span = None
             else:
                 span = max(_D_SPAN0 * _D_DECAY ** (it - d_freeze), _MIN_SPAN)
-            d, tau, loss = _dist_block(pr, d, bt, eps, mix, loss, span)
+            d, tau, loss = _dist_block(pr, d, tau, bt, eps, mix, loss, span)
         if record is not None:
             record(it, d, t, eps, om)
     return d, t, eps, om, loss
@@ -476,13 +522,15 @@ def _phase(pr, d, t, eps, om, iters, *, d_freeze, record=None):
 
 def _polish_distance(pr, d, tau, t, eps, bt, mix, loss, span):
     # profiled fine scan: each range candidate gets its own (T, eps) refit;
-    # returns the accepted (d, tau, T, eps, B(T), loss)
+    # returns the accepted (d, tau, T, eps, B(T), loss).  T is fixed within
+    # the round, so every range candidate scans the same T candidates
     best = (d, tau, t, eps, bt, loss)
+    temps = list(_temp_candidates(pr, t, 1.0))
     for o in np.linspace(-span, span, _POLISH_STEPS):
         dc = np.clip(d + o, 0.0, pr.d_max)
         tc = _tau(dc, pr.alpha)
-        cand = (dc, tc) + _temp_block(pr, tc, t, eps, mix,
-                                      _misfit(pr, tc, bt, eps, mix), span=1.0)
+        cand = (dc, tc) + _temp_block(pr, tc, t, eps, bt, mix,
+                                      _misfit(pr, tc, bt, eps, mix), 1.0, temps)
         best = _pick(cand[-1] < best[-1], cand, best)
     return best
 

@@ -38,6 +38,19 @@ class TestPatchSpec:
         with pytest.raises(DomainError, match="size"):
             PatchSpec(i=0, j=0, rows=0, cols=3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("rows", 2.5), ("cols", 2.0), ("i", "0"), ("j", None), ("i", 1.0),
+        ("rows", True), ("j", np.float64(3.0)),
+    ])
+    def test_rejects_non_integer_fields(self, field, value):
+        kw = {"i": 0, "j": 0, "rows": 2, "cols": 2, field: value}
+        with pytest.raises(DomainError, match=f"patch {field} must be an integer"):
+            PatchSpec(**kw)
+
+    def test_accepts_numpy_integers(self):
+        p = PatchSpec(np.int64(1), np.int32(2), rows=np.uint8(3), cols=np.int64(4))
+        assert p.slices() == (slice(1, 4), slice(2, 6))
+
     def test_default_patches_skip_partial_tiles(self):
         patches = default_patches((17, 9), size=8)
         assert [p.label for p in patches] == ["p0_0", "p1_0"]

@@ -18,7 +18,7 @@ from lwirange.atmosphere import (
     synth_attenuation,
     synth_downwelling,
 )
-from lwirange.errors import ConstraintError, DomainError
+from lwirange.errors import ConstraintError, DimensionError, DomainError
 from lwirange.forward_model import (
     SceneCube,
     _mix,
@@ -267,6 +267,24 @@ def test_scene_cube_owns_a_read_only_float64_copy(dtype):
     assert not cube.radiance.flags.writeable
     assert not np.shares_memory(cube.radiance, src)
     np.testing.assert_array_equal(cube.radiance, src.astype(np.float64))
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 8), (4, 0, 8), (4, 4, 0)])
+def test_scene_cube_rejects_an_empty_image(shape):
+    s = micro_scene(rows=2, cols=2, bands=8, q=1)
+    with pytest.raises(DimensionError, match="empty axis"):
+        SceneCube(np.zeros(shape), s["grid"], AIR)
+
+
+def test_default_scene_ground_is_one_read_only_spectrum():
+    grid = make_default_grid(bands=8)
+    truth = make_default_scene(grid, q=2, air_temperature=AIR, rows=5, cols=6)
+    g = truth.ground_ambient
+    assert g.shape == (5, 6, 8) and not g.flags.writeable
+    # every pixel reads the same spectrum, not a copy of it
+    assert np.shares_memory(g[0, 0], g[4, 5])
+    np.testing.assert_array_equal(g, np.broadcast_to(planck(grid.wavelengths, AIR.kelvin),
+                                                     g.shape))
 
 
 def test_synthesize_cube_holds_one_copy_of_the_cube():

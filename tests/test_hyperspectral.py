@@ -35,15 +35,20 @@ from lwirange.hyperspectral import (
     _build_problem,
     _dist_block,
     _eps_quick,
+    _linear_loss,
     _loss,
+    _misfit,
     _mix_of,
     _phase,
     _Problem,
     _range_starts,
+    _shifted_path,
     _sky_block,
     _temp_block,
+    _temp_candidates,
     _thomas,
 )
+from lwirange.forward_model import _radiance
 from lwirange.radiometry import _planck_core
 from helpers import AIR, micro_scene
 
@@ -278,11 +283,11 @@ class TestBatchIndependence:
                                _eps_quick(pr, tau, bt, mix)[:, cols])
         assert_terms_match(_sky_block(sub, taus, bts, es, oms, mixs, ls),
                            _sky_block(pr, tau, bt, eps, om, mix, loss))
-        assert_terms_match(_temp_block(sub, taus, ts, es, mixs, ls, span=2.0),
-                           _temp_block(pr, tau, t, eps, mix, loss, span=2.0))
+        assert_terms_match(_temp_block(sub, taus, ts, es, bts, mixs, ls, span=2.0),
+                           _temp_block(pr, tau, t, eps, bt, mix, loss, span=2.0))
         for span in (None, 3.0):
-            assert_terms_match(_dist_block(sub, ds, bts, es, mixs, ls, span),
-                               _dist_block(pr, d, bt, eps, mix, loss, span))
+            assert_terms_match(_dist_block(sub, ds, taus, bts, es, mixs, ls, span),
+                               _dist_block(pr, d, tau, bt, eps, mix, loss, span))
 
 
 class TestCarriedTerms:
@@ -308,11 +313,11 @@ class TestCarriedTerms:
         om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
         npt.assert_array_equal(mix, _mix_of(pr, om))
         npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
-        t, eps, bt, loss = _temp_block(pr, tau, t, eps, mix, loss, span=2.0)
+        t, eps, bt, loss = _temp_block(pr, tau, t, eps, bt, mix, loss, span=2.0)
         npt.assert_array_equal(bt, _planck_core(pr.wav, t))
         npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
         for span in (None, 3.0):
-            d, tau, loss = _dist_block(pr, d, bt, eps, mix, loss, span)
+            d, tau, loss = _dist_block(pr, d, tau, bt, eps, mix, loss, span)
             npt.assert_array_equal(tau, _tau(d, pr.alpha))
             npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
 
@@ -333,6 +338,106 @@ class TestCarriedTerms:
             pr, np.full(p, 40.0), np.full(p, 296.0), np.full((k, p), 0.9),
             np.zeros((p, 2)), 30, d_freeze=0)
         npt.assert_array_equal(loss, _loss(pr, d, t, eps, _mix_of(pr, om)))
+
+
+class TestCandidateScans:
+    # the temperature and range scans rank their candidates by a cheaper
+    # form of the objective and guard only the winner with the exact one
+    def _state(self, seed):
+        sc = micro_scene(rows=3, cols=4, bands=12, q=3, noise_sigma=0.5, seed=21)
+        pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR, 3,
+                                  1e5, 200.0, 12.0)
+        rng = np.random.default_rng(seed)
+        p, k = pr.y.shape[1], pr.y.shape[0]
+        d = rng.uniform(5.0, 60.0, p)
+        t = rng.uniform(290.0, 300.0, p)
+        eps = rng.uniform(0.5, 1.0, (k, p))
+        om = rng.uniform(0.0, 0.9, (p, 3))
+        mix = _mix_of(pr, om)
+        return pr, d, t, eps, mix, _loss(pr, d, t, eps, mix)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ranking_loss_is_the_misfit(self, seed):
+        pr, d, t, eps, mix, _ = self._state(seed)
+        tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
+        a = tau * (bt - mix)
+        rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
+        # at a random emissivity and at the refit one
+        for e in (eps, _eps_quick(pr, tau, bt, mix)):
+            npt.assert_allclose(_linear_loss(pr, a, rb, e),
+                                _misfit(pr, tau, bt, e, mix), rtol=1e-9)
+
+    def test_temperature_winner_is_the_exact_argmin(self):
+        pr, d, t, eps, mix, _ = self._state(3)
+        tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
+        exact = []
+        for tc, bc in _temp_candidates(pr, t, 2.0):
+            ec = _eps_quick(pr, tau, bc, mix)
+            exact.append((tc, _misfit(pr, tau, bc, ec, mix)))
+        win = np.argmin([lc for _, lc in exact], axis=0)
+        cols = np.arange(t.size)
+        got_t, _, got_bt, got_l = _temp_block(pr, tau, t, eps, bt, mix,
+                                              np.full(t.size, np.inf), 2.0)
+        npt.assert_array_equal(got_t, np.array([tc for tc, _ in exact])[win, cols])
+        npt.assert_array_equal(got_l, np.array([lc for _, lc in exact])[win, cols])
+        npt.assert_array_equal(got_bt, _planck_core(pr.wav, got_t))
+
+    def test_factored_local_path(self):
+        pr, d, *_ = self._state(4)
+        d[:3] = (0.5, 3.0, 198.5)   # near the box, so some candidates clip
+        tau = _tau(d, pr.alpha)
+        n_clipped = 0
+        for o in np.linspace(-4.0, 4.0, 17):
+            dc, path = _shifted_path(pr, d, tau, o)
+            npt.assert_array_equal(dc, np.clip(d + o, 0.0, pr.d_max))
+            exact = _tau(dc, pr.alpha)
+            clipped = (d + o < 0.0) | (d + o > pr.d_max)
+            n_clipped += clipped.sum()
+            npt.assert_array_equal(path[:, clipped], exact[:, clipped])
+            # the product rounds the exponents of tau(d) and tau(o) apart, so
+            # its relative error grows with the exponent: 1e-14 down to
+            # tau = 1e-10, and 1e-14 per ten decades on near-opaque bands
+            rel = np.abs(path / exact - 1.0)[:, ~clipped]
+            decades = -np.log10(exact[:, ~clipped])
+            assert (rel <= 1e-14 * np.maximum(1.0, decades / 10.0)).all()
+        assert n_clipped > 0
+
+    def test_blocks_keep_the_carried_state_where_no_candidate_improves(self):
+        pr, d, t, eps, mix, loss = self._state(5)
+        tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
+        # a carried loss of 0 at every other pixel, which no candidate reaches
+        keep = np.arange(t.size) % 2 == 0
+        floor = np.where(keep, 0.0, loss)
+
+        def check(got, free, carried):
+            for g, f, c in zip(got, free, carried, strict=True):
+                assert g[..., keep].tobytes() == np.ascontiguousarray(c[..., keep]).tobytes()
+                assert g[..., ~keep].tobytes() == np.ascontiguousarray(f[..., ~keep]).tobytes()
+            # the guard is what kept those pixels: unguarded, they move
+            assert not np.array_equal(free[-1][keep], loss[keep])
+
+        check(_temp_block(pr, tau, t, eps, bt, mix, floor, 2.0),
+              _temp_block(pr, tau, t, eps, bt, mix, loss, 2.0), (t, eps, bt, floor))
+        for span in (None, 3.0):
+            check(_dist_block(pr, d, tau, bt, eps, mix, floor, span),
+                  _dist_block(pr, d, tau, bt, eps, mix, loss, span), (d, tau, floor))
+
+    def test_shared_temperature_candidates_keep_the_bits(self):
+        # the range polish scans one set of T candidates along every path
+        pr, d, t, eps, mix, _ = self._state(6)
+        bt = _planck_core(pr.wav, t)
+        temps = list(_temp_candidates(pr, t, 1.0))
+        before = [(tc.copy(), bc.copy()) for tc, bc in temps]
+        for o in (-2.0, 0.0, 1.5):
+            path = _tau(np.clip(d + o, 0.0, pr.d_max), pr.alpha)
+            lc = _misfit(pr, path, bt, eps, mix)
+            shared = _temp_block(pr, path, t, eps, bt, mix, lc, 1.0, temps)
+            own = _temp_block(pr, path, t, eps, bt, mix, lc, 1.0)
+            for g, w in zip(shared, own, strict=True):
+                assert g.tobytes() == w.tobytes()
+        # no scan wrote into the candidates it shares
+        for (tc, bc), (t0, b0) in zip(temps, before, strict=True):
+            assert tc.tobytes() == t0.tobytes() and bc.tobytes() == b0.tobytes()
 
 
 class TestProject:
