@@ -80,9 +80,7 @@ from .forward_model import (
     SceneTruth,
     default_panel_masks,
     make_default_scene,
-    observed_radiance,
     radiance_model_batch,
-    reflected_radiance,
     synthesize_cube,
 )
 from .hyperspectral import (

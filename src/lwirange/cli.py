@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .atmosphere import (
+    _DEFAULT_BAND_TARGETS,
     DEFAULT_ZENITH_ANGLES,
     AtmosphereParams,
     AttenuationSpectrum,
@@ -64,14 +65,15 @@ from .radiometry import DB_PER_M, Temperature
 _MODES = ("bi-hot", "bi-air", "quad", "hyper")
 _ENV_PREFIX = "LWIRANGE_"
 
+_SOLVER = SolverConfig()
 _DEFAULTS = {
     "mode": "hyper",
     "seed": 0,
-    "threads": 1,
-    "q": None,
-    "rho_eps": 1e5,
-    "rho_d": 0.0,
-    "d_max": 200.0,
+    "threads": _SOLVER.threads,
+    "q": _SOLVER.q,
+    "rho_eps": _SOLVER.rho_eps,
+    "rho_d": _SOLVER.rho_d,
+    "d_max": _SOLVER.d_max,
     "bands": None,
     "rows": 32,
     "cols": 32,
@@ -267,11 +269,8 @@ def cmd_synth(s, args):
     return 0
 
 
-def _bands_for(s, grid):
-    if s["bands"] is None:
-        return BandSelection.from_grid(grid)
-    b = s["bands"]
-    return BandSelection.from_grid(grid, *b[:4], lambda_sat=b[4])
+def _band_targets(s):
+    return _DEFAULT_BAND_TARGETS if s["bands"] is None else s["bands"]
 
 
 def cmd_range(s, args):
@@ -284,8 +283,7 @@ def cmd_range(s, args):
         # grid; the water pair may not.  The solver's range start reads the
         # default water and ozone bands whatever --bands says, and falls
         # back to flat starts where they do not resolve
-        lambda_sat = 13.0 if s["bands"] is None else s["bands"][4]
-        t_air = estimate_air_temperature(cube, lambda_sat=lambda_sat)
+        t_air = estimate_air_temperature(cube, lambda_sat=_band_targets(s)[4])
         cfg = SolverConfig(rho_eps=s["rho_eps"], rho_d=s["rho_d"],
                            d_max=s["d_max"], q=s["q"], threads=s["threads"])
         est = solve(cube, alpha, dw, t_air, config=cfg)
@@ -293,7 +291,7 @@ def cmd_range(s, args):
                        zenith_angles_deg=dw.zenith_angles_deg)
         print(f"wrote estimate maps to {args.out}")
         return 0
-    bands = _bands_for(s, cube.grid)
+    bands = BandSelection.from_grid(cube.grid, *_band_targets(s))
     if mode == "bi-hot":
         rm = bispectral_hot(cube, bands, alpha)
     elif mode == "bi-air":

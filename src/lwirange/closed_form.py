@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atmosphere import AttenuationSpectrum, DownwellingSet
+from .atmosphere import _DEFAULT_BAND_TARGETS, AttenuationSpectrum, DownwellingSet
 from .errors import AllInvalidError, DegenerateFitError, DomainError, GridError
 from .forward_model import SceneCube
 from .radiometry import SpectralGrid, Temperature, brightness_temperature, planck
@@ -65,11 +65,11 @@ class BandSelection:
     def from_grid(
         cls,
         grid: SpectralGrid,
-        lambda1: float = 8.42,
-        lambda2: float = 8.46,
-        lambda3: float = 9.49,
-        lambda4: float = 9.57,
-        lambda_sat: float = 13.0,
+        lambda1: float = _DEFAULT_BAND_TARGETS[0],
+        lambda2: float = _DEFAULT_BAND_TARGETS[1],
+        lambda3: float = _DEFAULT_BAND_TARGETS[2],
+        lambda4: float = _DEFAULT_BAND_TARGETS[3],
+        lambda_sat: float = _DEFAULT_BAND_TARGETS[4],
     ) -> "BandSelection":
         idx = [grid.nearest_index(l) for l in (lambda1, lambda2, lambda3, lambda4, lambda_sat)]
         if idx[0] == idx[1]:
@@ -149,7 +149,8 @@ def _log_ratio_map(num: np.ndarray, den: np.ndarray, coef: float) -> RangeMap:
     return RangeMap(dist, flags)
 
 
-def estimate_air_temperature(cube: SceneCube, lambda_sat: float = 13.0) -> Temperature:
+def estimate_air_temperature(cube: SceneCube,
+                             lambda_sat: float = _DEFAULT_BAND_TARGETS[4]) -> Temperature:
     """Median brightness temperature at the saturated band."""
     idx = cube.grid.nearest_index(float(lambda_sat))
     lam = float(cube.grid.wavelengths[idx])

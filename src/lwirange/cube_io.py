@@ -10,7 +10,6 @@ writing the same data twice produces identical files.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import struct
 from dataclasses import dataclass, asdict
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .closed_form import RangeMap
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, _is_real
 from .forward_model import SceneCube, SceneTruth
 from .hyperspectral import EstimateMaps
 from .radiometry import MICROFLICK, SpectralGrid, Temperature
@@ -30,13 +29,9 @@ _KINDS = ("cube", "map", "omega")
 _MAX_BODY_BYTES = 2 ** 62
 
 
-def _is_number(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
 def _count(name, v, lo):
     try:
-        if _is_number(v) and int(v) == v and v >= lo:
+        if _is_real(v) and int(v) == v and v >= lo:
             return int(v)
     except (OverflowError, ValueError):  # inf, nan
         pass
@@ -44,7 +39,7 @@ def _count(name, v, lo):
 
 
 def _numbers(name, v):
-    if not (isinstance(v, (list, tuple)) and all(_is_number(x) for x in v)):
+    if not (isinstance(v, (list, tuple)) and all(_is_real(x) for x in v)):
         raise FormatError(f"{name} must be a list of numbers, got {v!r}")
     return tuple(float(x) for x in v)
 
@@ -73,7 +68,7 @@ class CubeHeader:
         self.bands = _count("bands", self.bands, 0)
         for name in ("air_temperature_k", "noise_sigma"):
             v = getattr(self, name)
-            if v is not None and not (_is_number(v) and abs(v) < np.inf):
+            if v is not None and not (_is_real(v) and abs(v) < np.inf):
                 raise FormatError(f"{name} must be a finite number, got {v!r}")
         if self.kind == "map" and self.bands != 1:
             raise FormatError(f"map containers carry one band, got {self.bands}")

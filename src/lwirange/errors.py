@@ -1,4 +1,17 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the number predicates
+that validation of outside values shares."""
+
+import numbers
+
+
+def _is_int(x) -> bool:
+    """An integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A real number, not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class LwirError(Exception):

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .closed_form import RangeMap
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _is_int
 
 PATCH_CSV_COLUMNS = ("label", "mean_m", "std_m", "truth_median_m", "n_valid")
 
@@ -27,7 +26,7 @@ class PatchSpec:
     def __post_init__(self):
         for name in ("i", "j", "rows", "cols"):
             v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+            if not _is_int(v):
                 raise DomainError(f"patch {name} must be an integer, got {v!r}")
         if self.i < 0 or self.j < 0:
             raise DomainError(f"patch origin must be non-negative, got ({self.i}, {self.j})")
@@ -40,7 +39,7 @@ class PatchSpec:
 
 def default_patches(shape, size=8):
     """Non-overlapping size x size tiling; partial edge tiles are skipped."""
-    if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size < 1:
+    if not _is_int(size) or size < 1:
         raise DomainError(f"patch size must be an integer >= 1, got {size!r}")
     m, n = shape
     out = []

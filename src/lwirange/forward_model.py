@@ -22,36 +22,78 @@ import numpy as np
 
 from .atmosphere import AttenuationSpectrum, DownwellingSet, _tau
 from .errors import ConstraintError, DimensionError, DomainError, GridError
-from .radiometry import (
-    MICROFLICK,
-    SpectralGrid,
-    Spectrum,
-    Temperature,
-    planck,
-)
+from .radiometry import SpectralGrid, Temperature, planck
 
 __all__ = [
     "SceneTruth",
     "SceneCube",
-    "reflected_radiance",
-    "observed_radiance",
     "synthesize_cube",
     "make_default_scene",
     "radiance_model_batch",
 ]
 
-_OMEGA_SUM_TOL = 1e-9
+# float32 storage (LWC1) rounds each sky weight by at most 2^-24 relative,
+# so weights built on the pi cap may sum this far above it once loaded
+_OMEGA_CAP = np.pi * (1.0 + 2.0 ** -23)
+
+
+def _state_maps(distance, temperature, emissivity, sky_weights):
+    """The four state maps as float64 arrays: distance and temperature
+    (M, N), emissivity (M, N, K), sky weights (M, N, Q).
+
+    Checks shapes only, and raises DimensionError where they disagree.
+    """
+    d, t, e, o = (np.asarray(a, dtype=np.float64)
+                  for a in (distance, temperature, emissivity, sky_weights))
+    if d.ndim != 2:
+        raise DimensionError(f"distance map must be 2-D, got shape {d.shape}")
+    if t.shape != d.shape:
+        raise DimensionError(f"temperature map shape {t.shape} != {d.shape}")
+    if e.ndim != 3 or e.shape[:2] != d.shape:
+        raise DimensionError(f"emissivity must be (M, N, K), got {e.shape}")
+    if o.ndim != 3 or o.shape[:2] != d.shape:
+        raise DimensionError(f"sky weights must be (M, N, Q), got {o.shape}")
+    return d, t, e, o
+
+
+def _span(a):
+    # (min, max) of a: NaN where a holds a NaN, (inf, -inf) where a is empty
+    return a.min(initial=np.inf), a.max(initial=-np.inf)
+
+
+def _check_feasible(d, t, e, o):
+    """Raise ConstraintError unless the state maps are feasible.
+
+    Every value is finite, distance >= 0, emissivity in [0, 1], and sky
+    weights >= 0 with per-pixel sums <= pi * (1 + 2^-23), the allowance
+    being float32 rounding.  Each check is a min/max reduction, which
+    carries a NaN through without a full-size boolean temporary.
+    """
+    for name, a, low, high in (("distance", d, 0.0, np.inf),
+                               ("temperature", t, -np.inf, np.inf),
+                               ("emissivity", e, 0.0, 1.0),
+                               ("sky weights", o, 0.0, np.inf)):
+        lo, hi = _span(a)
+        if not (-np.inf < lo and hi < np.inf):
+            raise ConstraintError(f"{name} must be finite")
+        if not (low <= lo and hi <= high):
+            raise ConstraintError(f"{name} must lie in [{low}, {high}]")
+    if not _span(o.sum(axis=2))[1] <= _OMEGA_CAP:
+        raise ConstraintError("per-pixel sky weights must sum to at most pi")
 
 
 @dataclass(frozen=True, eq=False)
 class SceneTruth:
     """Per-pixel ground truth driving the simulator.
 
-    distance_map     (M, N) meters
-    temperature_map  (M, N) kelvin
+    distance_map     (M, N) meters, >= 0
+    temperature_map  (M, N) kelvin, > 0
     emissivity_cube  (M, N, K) in [0, 1]
-    solid_angle_maps (M, N, Q) projected solid angles, >= 0, row sums <= pi
-    ground_ambient   (M, N, K) microflick, smooth in wavelength
+    solid_angle_maps (M, N, Q) projected solid angles, >= 0, per-pixel sums
+                     <= pi * (1 + 2^-23), which allows for float32 storage
+    ground_ambient   (M, N, K) microflick, >= 0, smooth in wavelength
+
+    Every value must be finite; a violation raises ConstraintError.
     """
 
     distance_map: np.ndarray
@@ -61,34 +103,17 @@ class SceneTruth:
     ground_ambient: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.distance_map, dtype=np.float64)
-        t = np.asarray(self.temperature_map, dtype=np.float64)
-        e = np.asarray(self.emissivity_cube, dtype=np.float64)
-        o = np.asarray(self.solid_angle_maps, dtype=np.float64)
+        d, t, e, o = _state_maps(self.distance_map, self.temperature_map,
+                                 self.emissivity_cube, self.solid_angle_maps)
         g = np.asarray(self.ground_ambient, dtype=np.float64)
-        if d.ndim != 2:
-            raise DimensionError("distance_map must be 2-D")
-        m, n = d.shape
-        if t.shape != (m, n):
-            raise DimensionError("temperature_map shape mismatch")
-        if e.ndim != 3 or e.shape[:2] != (m, n):
-            raise DimensionError("emissivity_cube shape mismatch")
-        if o.ndim != 3 or o.shape[:2] != (m, n):
-            raise DimensionError("solid_angle_maps shape mismatch")
         if g.shape != e.shape:
             raise DimensionError("ground_ambient shape mismatch")
-        if np.any(d < 0) or not np.all(np.isfinite(d)):
-            raise ConstraintError("distances must be finite and >= 0")
-        if np.any(t <= 0):
+        _check_feasible(d, t, e, o)
+        if not _span(t)[0] > 0.0:
             raise ConstraintError("temperatures must be > 0 K")
-        if np.any(e < 0) or np.any(e > 1):
-            raise ConstraintError("emissivities must lie in [0, 1]")
-        if np.any(o < 0):
-            raise ConstraintError("solid angles must be >= 0")
-        if np.any(o.sum(axis=2) > np.pi * (1 + _OMEGA_SUM_TOL)):
-            raise ConstraintError("per-pixel solid angles must sum to at most pi")
-        if np.any(g < 0):
-            raise ConstraintError("ground ambient radiance must be >= 0")
+        lo, hi = _span(g)
+        if not (0.0 <= lo and hi < np.inf):
+            raise ConstraintError("ground ambient radiance must be finite and >= 0")
         for name, arr in (("distance_map", d), ("temperature_map", t),
                           ("emissivity_cube", e), ("solid_angle_maps", o),
                           ("ground_ambient", g)):
@@ -190,68 +215,6 @@ def radiance_model_batch(
     bt = planck(wavelengths, t_kelvin[:, None])
     contrast = _contrast(bt, eps, _mix(omegas, ld, ground), b_air)
     return _radiance(_tau(d[:, None], alpha_values), contrast, b_air)
-
-
-def _omega_check(omegas: np.ndarray):
-    if np.any(omegas < 0):
-        raise ConstraintError("solid angles must be >= 0")
-    if omegas.sum() > np.pi * (1 + _OMEGA_SUM_TOL):
-        raise ConstraintError("solid angles must sum to at most pi")
-
-
-def reflected_radiance(
-    emissivity: Spectrum,
-    omegas,
-    dw: DownwellingSet,
-    ground_ambient: Spectrum,
-) -> Spectrum:
-    """Reflected sky-plus-ambient term for a single Lambertian pixel."""
-    om = np.asarray(omegas, dtype=np.float64)
-    if om.shape != (len(dw),):
-        raise DimensionError(f"expected {len(dw)} solid angles, got {om.shape}")
-    _omega_check(om)
-    if emissivity.grid != dw.grid or ground_ambient.grid != dw.grid:
-        raise GridError("emissivity, downwelling, and ambient must share a grid")
-    e = emissivity.values
-    if np.any(e < 0) or np.any(e > 1):
-        raise ConstraintError("emissivity must lie in [0, 1]")
-    mix = _mix(om[None, :], dw.values, ground_ambient.values)[0]
-    return Spectrum(dw.grid, (1.0 - e) * mix, MICROFLICK)
-
-
-def observed_radiance(
-    d: float,
-    temperature: Temperature,
-    emissivity: Spectrum,
-    omegas,
-    ground_ambient: Spectrum,
-    alpha: AttenuationSpectrum,
-    dw: DownwellingSet,
-    air_temperature: Temperature,
-) -> Spectrum:
-    """Single-pixel sensor radiance; at d = 0 this is eps*B + L_ref."""
-    if d < 0:
-        raise DomainError("distance must be >= 0")
-    om = np.asarray(omegas, dtype=np.float64)
-    _omega_check(om)
-    if np.any(emissivity.values < 0) or np.any(emissivity.values > 1):
-        raise ConstraintError("emissivity must lie in [0, 1]")
-    grid = alpha.grid
-    if emissivity.grid != grid or dw.grid != grid or ground_ambient.grid != grid:
-        raise GridError("all spectra must share the attenuation grid")
-    b_air = planck(grid.wavelengths, air_temperature.kelvin)
-    out = radiance_model_batch(
-        grid.wavelengths,
-        alpha.values,
-        np.array([float(d)]),
-        np.array([temperature.kelvin]),
-        emissivity.values[None, :],
-        om[None, :],
-        dw.values,
-        ground_ambient.values,
-        b_air,
-    )[0]
-    return Spectrum(grid, out, MICROFLICK)
 
 
 def synthesize_cube(

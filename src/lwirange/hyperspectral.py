@@ -43,7 +43,6 @@ recomputation at the same state would have.
 from __future__ import annotations
 
 import concurrent.futures
-import numbers
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -65,8 +64,16 @@ from .errors import (
     DimensionError,
     DomainError,
     GridError,
+    _is_int,
+    _is_real,
 )
-from .forward_model import _contrast, _mix, _radiance
+from .forward_model import (
+    _check_feasible,
+    _contrast,
+    _mix,
+    _radiance,
+    _state_maps,
+)
 from .radiometry import (
     _planck_core,
     _planck_dT_core,
@@ -178,25 +185,19 @@ class SolverConfig:
         return v
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 @dataclass
 class EstimateMaps:
     """Solver output: per-pixel state plus final per-pixel objective.
 
-    distance (M,N) m; temperature (M,N) K; emissivity (M,N,K) in [0,1];
-    solid_angles (M,N,Q) sr with non-negative entries summing to at most pi
-    per pixel; loss (M,N) is the per-pixel data misfit plus the weighted
+    distance (M,N) m, >= 0; temperature (M,N) K; emissivity (M,N,K) in
+    [0,1]; solid_angles (M,N,Q) sr with non-negative entries summing to at
+    most pi * (1 + 2^-23) per pixel, which allows for float32 storage; loss
+    (M,N) is the per-pixel data misfit plus the weighted
     emissivity-smoothness penalty; iterations (M,N) counts the refinement
     sweeps the pixel ran, the refinement budget at every pixel of a
     :func:`solve`.  history is the per-stage record that
-    SolverConfig.track_history asks for.
+    SolverConfig.track_history asks for.  The four state maps and the loss
+    must be finite; a violation raises ConstraintError.
     """
 
     distance: np.ndarray
@@ -208,33 +209,15 @@ class EstimateMaps:
     history: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        d = np.asarray(self.distance, dtype=float)
-        t = np.asarray(self.temperature, dtype=float)
-        e = np.asarray(self.emissivity, dtype=float)
-        o = np.asarray(self.solid_angles, dtype=float)
+        d, t, e, o = _state_maps(self.distance, self.temperature,
+                                 self.emissivity, self.solid_angles)
         ls = np.asarray(self.loss, dtype=float)
         it = np.asarray(self.iterations)
-        if d.ndim != 2:
-            raise DimensionError(f"distance must be 2-d, got shape {d.shape}")
-        m, n = d.shape
-        if t.shape != (m, n) or ls.shape != (m, n) or it.shape != (m, n):
-            raise DimensionError("temperature/loss/iterations shape mismatch")
-        if e.ndim != 3 or e.shape[:2] != (m, n):
-            raise DimensionError(f"emissivity must be (M,N,K), got {e.shape}")
-        if o.ndim != 3 or o.shape[:2] != (m, n):
-            raise DimensionError(f"solid_angles must be (M,N,Q), got {o.shape}")
-        for name, a in (("distance", d), ("temperature", t), ("emissivity", e),
-                        ("solid_angles", o), ("loss", ls)):
-            if not np.all(np.isfinite(a)):
-                raise ConstraintError(f"{name} must be finite")
-        if np.any(d < 0.0):
-            raise ConstraintError("distance must be >= 0")
-        if np.any(e < 0.0) or np.any(e > 1.0):
-            raise ConstraintError("emissivity must lie in [0, 1]")
-        if np.any(o < 0.0):
-            raise ConstraintError("solid_angles must be >= 0")
-        if o.shape[2] > 0 and np.any(o.sum(axis=2) > _PI + 1e-9):
-            raise ConstraintError("per-pixel solid angles must sum to <= pi")
+        if ls.shape != d.shape or it.shape != d.shape:
+            raise DimensionError("loss/iterations shape mismatch")
+        _check_feasible(d, t, e, o)
+        if not np.isfinite(ls).all():
+            raise ConstraintError("loss must be finite")
         self.distance = d
         self.temperature = t
         self.emissivity = e
@@ -692,23 +675,10 @@ def _build_problem(cube, alpha, dw, air_temperature, q, rho_eps, d_max, t_span):
 def _param_arrays(params):
     """Pull the four parameter maps out of an EstimateMaps, a mapping, or
     any object carrying the attributes. Values need not be feasible."""
+    names = ("distance", "temperature", "emissivity", "solid_angles")
     if isinstance(params, dict):
-        fields = [params[k] for k in ("distance", "temperature",
-                                      "emissivity", "solid_angles")]
-    else:
-        fields = [getattr(params, k) for k in ("distance", "temperature",
-                                               "emissivity", "solid_angles")]
-    d, t, e, o = (np.asarray(f, dtype=float) for f in fields)
-    if d.ndim != 2:
-        raise DimensionError(f"distance must be 2-d, got shape {d.shape}")
-    m, n = d.shape
-    if t.shape != (m, n):
-        raise DimensionError(f"temperature shape {t.shape} != {(m, n)}")
-    if e.ndim != 3 or e.shape[:2] != (m, n):
-        raise DimensionError(f"emissivity must be (M,N,K), got {e.shape}")
-    if o.ndim != 3 or o.shape[:2] != (m, n):
-        raise DimensionError(f"solid_angles must be (M,N,Q), got {o.shape}")
-    return d, t, e, o
+        return _state_maps(*(params[k] for k in names))
+    return _state_maps(*(getattr(params, k) for k in names))
 
 
 def _flatten_maps(params, q):

@@ -32,6 +32,7 @@ from lwirange import (
 )
 from lwirange.closed_form import RangeMap
 from lwirange.forward_model import SceneTruth
+from lwirange.hyperspectral import _proj_cap_simplex
 from helpers import micro_scene
 
 
@@ -153,6 +154,37 @@ class TestRoundTrip:
         npt.assert_array_equal(back.ground_ambient, truth.ground_ambient)
         npt.assert_array_equal(load_truth_distance(tmp_path / "truth"),
                                truth.distance_map)
+
+    def test_sky_weights_on_the_cap_survive_float32_storage(self, tmp_path):
+        # weights projected onto the cap sum to pi in float64; float32
+        # storage rounds each by up to 2^-24 relative, so the loaded sums
+        # land a little above pi and must still be accepted
+        rng = np.random.default_rng(0)
+        m, n, k, q = 8, 8, 4, 3
+        om = _proj_cap_simplex(rng.uniform(0.0, 10.0, (m * n, q))).reshape(m, n, q)
+        stored = om.astype(np.float32).astype(np.float64)
+        assert stored.sum(axis=2).max() > np.pi * (1 + 1e-9)
+        grid = SpectralGrid(np.linspace(8.0, 13.2, k))
+        est = EstimateMaps(
+            distance=np.full((m, n), 10.0),
+            temperature=np.full((m, n), 295.0),
+            emissivity=np.full((m, n, k), 0.5),
+            solid_angles=om,
+            loss=np.zeros((m, n)),
+            iterations=np.zeros((m, n), dtype=np.int64),
+        )
+        save_estimates(tmp_path / "est", est, grid)
+        npt.assert_array_equal(load_estimates(tmp_path / "est").solid_angles, stored)
+        truth = SceneTruth(
+            distance_map=est.distance,
+            temperature_map=est.temperature,
+            emissivity_cube=est.emissivity,
+            solid_angle_maps=om,
+            ground_ambient=np.full((m, n, k), 100.0),
+        )
+        save_scene_truth(tmp_path / "truth", truth, grid)
+        npt.assert_array_equal(
+            load_scene_truth(tmp_path / "truth").solid_angle_maps, stored)
 
 
 class TestHeader:

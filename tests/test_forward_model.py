@@ -25,12 +25,10 @@ from lwirange.forward_model import (
     SceneTruth,
     default_panel_masks,
     make_default_scene,
-    observed_radiance,
     radiance_model_batch,
-    reflected_radiance,
     synthesize_cube,
 )
-from lwirange.radiometry import MICROFLICK, Spectrum, Temperature, planck
+from lwirange.radiometry import planck
 
 
 def naive_observation(wav, alpha, d, t, eps, omegas, ld, ground, b_air):
@@ -91,21 +89,6 @@ def test_opaque_limit_converges_to_air_radiance():
                                np.zeros((1, 0)), np.zeros((0, 8)),
                                np.zeros((1, 8)), b_air)
     np.testing.assert_allclose(got[0], b_air, rtol=1e-12)
-
-
-def test_synthesize_matches_single_pixel_path():
-    s = micro_scene(rows=3, cols=2, bands=10, q=2)
-    cube, truth, alpha, dw = s["cube"], s["truth"], s["alpha"], s["dw"]
-    i, j = 1, 1
-    single = observed_radiance(
-        float(truth.distance_map[i, j]),
-        Temperature(float(truth.temperature_map[i, j])),
-        Spectrum(s["grid"], truth.emissivity_cube[i, j], "dimensionless"),
-        truth.solid_angle_maps[i, j],
-        Spectrum(s["grid"], truth.ground_ambient[i, j], MICROFLICK),
-        alpha, dw, AIR,
-    )
-    np.testing.assert_allclose(cube.radiance[i, j], single.values, rtol=1e-12)
 
 
 def test_synthesis_is_deterministic_per_seed():
@@ -207,20 +190,19 @@ def test_scene_truth_validation():
         flat_scene(grid, 10.0, 300.0, 0.5, q=2, omega=2.0)  # sums past pi
 
 
-def test_observed_radiance_rejects_bad_inputs():
-    s = micro_scene(bands=8, q=1)
-    grid = s["grid"]
-    eps = Spectrum(grid, np.full(8, 0.5), "dimensionless")
-    amb = Spectrum(grid, np.zeros(8), MICROFLICK)
-    with pytest.raises(DomainError):
-        observed_radiance(-2.0, Temperature(300.0), eps, np.zeros(1), amb,
-                          s["alpha"], s["dw"], AIR)
-    bad_eps = Spectrum(grid, np.full(8, 1.2), "dimensionless")
+_TRUTH_FIELDS = ("distance_map", "temperature_map", "emissivity_cube",
+                 "solid_angle_maps", "ground_ambient")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", _TRUTH_FIELDS)
+def test_scene_truth_rejects_non_finite_values(field, bad):
+    grid = make_default_grid(bands=8)
+    good = flat_scene(grid, 10.0, 300.0, 0.5, q=2, omega=0.1, ground=50.0)
+    maps = {f: np.array(getattr(good, f)) for f in _TRUTH_FIELDS}
+    maps[field][0, 0] = bad
     with pytest.raises(ConstraintError):
-        observed_radiance(2.0, Temperature(300.0), bad_eps, np.zeros(1), amb,
-                          s["alpha"], s["dw"], AIR)
-    with pytest.raises(ConstraintError):
-        reflected_radiance(eps, np.full(1, 4.0), s["dw"], amb)
+        SceneTruth(**maps)
 
 
 def test_default_scene_layout():

@@ -1,0 +1,64 @@
+"""Static checks on the package source, read with ast: every ``__all__``
+entry names a module-level definition, and no module but the package
+``__init__`` imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+_PKG = Path(__file__).resolve().parent.parent / "src" / "lwirange"
+
+
+def _modules():
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+            for p in sorted(_PKG.glob("*.py"))}
+
+
+def _defined(tree):
+    """Names bound at module level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_bound_by(node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def _bound_by(node):
+    # `import a.b` binds a; `from m import x as y` binds y
+    return [(a.asname or a.name).split(".")[0] for a in node.names]
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def test_every_all_entry_resolves():
+    missing = {name: sorted(set(_exported(tree)) - _defined(tree))
+               for name, tree in _modules().items()}
+    assert not {k: v for k, v in missing.items() if v}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = {}
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue  # re-exports are its purpose
+        imported = {b for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for b in _bound_by(node)}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used.update(_exported(tree))
+        if imported - used:
+            unused[name] = sorted(imported - used)
+    assert not unused

@@ -20,10 +20,12 @@ from lwirange.cli import _DEFAULTS, resolve_settings
 from lwirange.cube_io import (
     load_estimates,
     load_scene_cube,
+    load_scene_truth,
     read_cube,
     read_map,
     save_estimates,
     save_scene_cube,
+    save_scene_truth,
 )
 from lwirange.errors import ConfigError, LwirError
 from lwirange.hyperspectral import EstimateMaps
@@ -75,6 +77,7 @@ def valid(tmp_path_factory):
     save_scene_cube(root / "cube.lwc", sc["cube"])
     save_spectrum(root / "attenuation.csv", sc["alpha"].spectrum)
     save_downwelling(root / "dw", sc["dw"])
+    save_scene_truth(root / "truth", sc["truth"], sc["grid"])
     m, n, k = sc["cube"].shape
     save_estimates(root / "est", EstimateMaps(
         distance=sc["truth"].distance_map,
@@ -119,6 +122,18 @@ def test_estimates_loader(valid, work, name, content):
     shutil.copytree(valid / "est", est, dirs_exist_ok=True)
     (est / name).write_bytes(_apply((est / name).read_bytes(), content))
     _typed_or_returns(lambda: load_estimates(est))
+
+
+@_SETTINGS
+@given(name=st.sampled_from(["truth_distance.lwc", "truth_temperature.lwc",
+                             "truth_emissivity.lwc", "truth_solid_angles.lwc",
+                             "truth_ground.lwc"]),
+       content=_CONTENT)
+def test_scene_truth_loader(valid, work, name, content):
+    truth = work / "truth"
+    shutil.copytree(valid / "truth", truth, dirs_exist_ok=True)
+    (truth / name).write_bytes(_apply((truth / name).read_bytes(), content))
+    _typed_or_returns(lambda: load_scene_truth(truth))
 
 
 @_SETTINGS
