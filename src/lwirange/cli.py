@@ -70,7 +70,7 @@ _DEFAULTS = {
     "mode": "hyper",
     "seed": 0,
     "threads": _SOLVER.threads,
-    "q": _SOLVER.q,
+    "q": None,
     "rho_eps": _SOLVER.rho_eps,
     "rho_d": _SOLVER.rho_d,
     "d_max": _SOLVER.d_max,
@@ -246,18 +246,29 @@ def cmd_atmo(s, args):
     return 0
 
 
+def _downwelling_set(s, atmo_dir):
+    """The downwelling set in atmo_dir under the q setting: as loaded for
+    q = none, None (the sky term off) for q = 0, and any other q must be
+    the set's sector count."""
+    dw = load_downwelling(Path(atmo_dir) / "downwelling")
+    if s["q"] == 0:
+        return None
+    if s["q"] is not None and s["q"] != len(dw):
+        raise ConfigError([f"config q={s['q']} does not match the downwelling "
+                           f"set ({len(dw)} sectors)"])
+    return dw
+
+
 def cmd_synth(s, args):
     if args.atmo:
         alpha = _load_attenuation(args.atmo)
-        dw = load_downwelling(Path(args.atmo) / "downwelling")
-        if s["q"] is not None and s["q"] != len(dw):
-            raise ConfigError([f"config q={s['q']} does not match the downwelling "
-                               f"set ({len(dw)} sectors)"])
+        dw = _downwelling_set(s, args.atmo)
     else:
         alpha, dw = _default_atmosphere(s["q"])
     grid = alpha.grid
-    q = len(dw)
-    truth = make_default_scene(grid, q=q, air_temperature=_AIR_DEFAULT,
+    # the default scene needs a sky sector, so q = 0 raises DomainError here
+    truth = make_default_scene(grid, q=0 if dw is None else len(dw),
+                               air_temperature=_AIR_DEFAULT,
                                rows=s["rows"], cols=s["cols"])
     cube = synthesize_cube(truth, alpha, dw, _AIR_DEFAULT,
                            noise_sigma=s["noise_sigma"], rng_seed=s["seed"])
@@ -278,17 +289,18 @@ def cmd_range(s, args):
     alpha = _load_attenuation(args.atmo)
     mode = s["mode"]
     if mode == "hyper":
-        dw = load_downwelling(Path(args.atmo) / "downwelling")
+        dw = _downwelling_set(s, args.atmo)
         # --bands sets only the saturation line here, which resolves on any
         # grid; the water pair may not.  The solver's range start reads the
         # default water and ozone bands whatever --bands says, and falls
         # back to flat starts where they do not resolve
         t_air = estimate_air_temperature(cube, lambda_sat=_band_targets(s)[4])
         cfg = SolverConfig(rho_eps=s["rho_eps"], rho_d=s["rho_d"],
-                           d_max=s["d_max"], q=s["q"], threads=s["threads"])
+                           d_max=s["d_max"], threads=s["threads"])
         est = solve(cube, alpha, dw, t_air, config=cfg)
+        # zenith angles only where there are sky sectors to label
         save_estimates(args.out, est, grid=cube.grid,
-                       zenith_angles_deg=dw.zenith_angles_deg)
+                       zenith_angles_deg=None if dw is None else dw.zenith_angles_deg)
         print(f"wrote estimate maps to {args.out}")
         return 0
     bands = BandSelection.from_grid(cube.grid, *_band_targets(s))

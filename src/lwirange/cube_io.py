@@ -87,7 +87,11 @@ class CubeHeader:
                     f"header lists {len(w)} wavelengths for {self.bands} bands")
             self.wavelengths_um = w
         if self.zenith_angles_deg is not None:
-            self.zenith_angles_deg = _numbers("zenith_angles_deg", self.zenith_angles_deg)
+            z = _numbers("zenith_angles_deg", self.zenith_angles_deg)
+            if self.kind == "omega" and len(z) != self.sectors:
+                raise FormatError(
+                    f"header lists {len(z)} zenith angles for {self.sectors} sectors")
+            self.zenith_angles_deg = z
         nbytes = self.rows * self.cols * max(self.bands, 1) * 4
         if nbytes > _MAX_BODY_BYTES:
             raise FormatError(f"dims overflow the container ({nbytes} body bytes)")
@@ -259,87 +263,74 @@ def load_range_map(path) -> RangeMap:
     return RangeMap(distances=values.astype(np.float64), validity=flags)
 
 
-_EST_FILES = {
-    "distance": ("distance.lwc", "m"),
-    "temperature": ("temperature.lwc", "K"),
-    "loss": ("loss.lwc", "microflick^2"),
-    "iterations": ("iterations.lwc", "count"),
-}
+# the two state directories, one (attribute, file, kind, unit) row per file
+_EST_FILES = (
+    ("distance", "distance.lwc", "map", "m"),
+    ("temperature", "temperature.lwc", "map", "K"),
+    ("loss", "loss.lwc", "map", "microflick^2"),
+    ("iterations", "iterations.lwc", "map", "count"),
+    ("emissivity", "emissivity.lwc", "cube", "dimensionless"),
+    ("solid_angles", "solid_angles.lwc", "omega", "sr"),
+)
+_TRUTH_FILES = (
+    ("distance_map", "truth_distance.lwc", "map", "m"),
+    ("temperature_map", "truth_temperature.lwc", "map", "K"),
+    ("emissivity_cube", "truth_emissivity.lwc", "cube", "dimensionless"),
+    ("solid_angle_maps", "truth_solid_angles.lwc", "omega", "sr"),
+    ("ground_ambient", "truth_ground.lwc", "cube", MICROFLICK),
+)
+
+
+def _save_state(dirpath, state, files, grid, zenith_angles_deg):
+    out = Path(dirpath)
+    out.mkdir(parents=True, exist_ok=True)
+    m, n = state.shape
+    zeros = np.zeros((m, n), dtype=np.uint8)
+    wav = None if grid is None else tuple(grid.wavelengths)
+    ang = None if zenith_angles_deg is None else tuple(zenith_angles_deg)
+    for attr, fname, kind, unit in files:
+        a = getattr(state, attr)
+        if kind == "map":
+            write_map(out / fname, _map_header(m, n, unit), a, zeros)
+        else:
+            write_cube(out / fname, CubeHeader(
+                kind=kind, rows=m, cols=n, bands=a.shape[2], unit=unit,
+                wavelengths_um=wav if kind == "cube" else None,
+                zenith_angles_deg=ang if kind == "omega" else None), a)
+
+
+def _load_state(dirpath, files):
+    """{attribute: float64 array} of a state directory."""
+    src = Path(dirpath)
+    parts = {}
+    for attr, fname, kind, _ in files:
+        if kind == "map":
+            _, a, _ = read_map(src / fname)
+        else:
+            _, a = read_cube(src / fname)
+        parts[attr] = a.astype(np.float64)
+    return parts
 
 
 def save_estimates(dirpath, est: EstimateMaps, grid: SpectralGrid | None = None,
                    zenith_angles_deg=None):
     """Write one EstimateMaps as a directory of LWC1 files."""
-    out = Path(dirpath)
-    out.mkdir(parents=True, exist_ok=True)
-    m, n = est.distance.shape
-    zeros = np.zeros((m, n), dtype=np.uint8)
-    for field_name, (fname, unit) in _EST_FILES.items():
-        write_map(out / fname, _map_header(m, n, unit),
-                  getattr(est, field_name), zeros)
-    k = est.emissivity.shape[2]
-    eh = CubeHeader(kind="cube", rows=m, cols=n, bands=k,
-                    wavelengths_um=None if grid is None else tuple(grid.wavelengths),
-                    unit="dimensionless")
-    write_cube(out / "emissivity.lwc", eh, est.emissivity)
-    q = est.solid_angles.shape[2]
-    oh = CubeHeader(kind="omega", rows=m, cols=n, bands=q, sectors=q,
-                    unit="sr",
-                    zenith_angles_deg=None if zenith_angles_deg is None
-                    else tuple(zenith_angles_deg))
-    write_cube(out / "solid_angles.lwc", oh, est.solid_angles)
+    _save_state(dirpath, est, _EST_FILES, grid, zenith_angles_deg)
 
 
 def load_estimates(dirpath) -> EstimateMaps:
-    src = Path(dirpath)
-    parts = {}
-    for field_name, (fname, _) in _EST_FILES.items():
-        _, values, _ = read_map(src / fname)
-        parts[field_name] = values.astype(np.float64)
+    parts = _load_state(dirpath, _EST_FILES)
     it = parts["iterations"]
     if not np.all(np.isfinite(it) & (it >= 0) & (it == np.floor(it))):
-        raise FormatError(f"{src / 'iterations.lwc'}: iteration counts must be "
-                          "whole numbers >= 0")
-    _, eps = read_cube(src / "emissivity.lwc")
-    _, om = read_cube(src / "solid_angles.lwc")
-    return EstimateMaps(
-        distance=parts["distance"],
-        temperature=parts["temperature"],
-        emissivity=eps.astype(np.float64),
-        solid_angles=om.astype(np.float64),
-        loss=parts["loss"],
-        iterations=it.astype(np.int64),
-    )
+        raise FormatError(f"{Path(dirpath) / 'iterations.lwc'}: iteration counts "
+                          "must be whole numbers >= 0")
+    parts["iterations"] = it.astype(np.int64)
+    return EstimateMaps(**parts)
 
 
 def save_scene_truth(dirpath, truth: SceneTruth, grid: SpectralGrid,
                      zenith_angles_deg=None):
-    out = Path(dirpath)
-    out.mkdir(parents=True, exist_ok=True)
-    m, n = truth.distance_map.shape
-    zeros = np.zeros((m, n), dtype=np.uint8)
-    write_map(out / "truth_distance.lwc", _map_header(m, n, "m"),
-              truth.distance_map, zeros)
-    write_map(out / "truth_temperature.lwc", _map_header(m, n, "K"),
-              truth.temperature_map, zeros)
-    k = truth.emissivity_cube.shape[2]
-    write_cube(out / "truth_emissivity.lwc",
-               CubeHeader(kind="cube", rows=m, cols=n, bands=k,
-                          wavelengths_um=tuple(grid.wavelengths),
-                          unit="dimensionless"),
-               truth.emissivity_cube)
-    q = truth.solid_angle_maps.shape[2]
-    write_cube(out / "truth_solid_angles.lwc",
-               CubeHeader(kind="omega", rows=m, cols=n, bands=q, sectors=q,
-                          unit="sr",
-                          zenith_angles_deg=None if zenith_angles_deg is None
-                          else tuple(zenith_angles_deg)),
-               truth.solid_angle_maps)
-    write_cube(out / "truth_ground.lwc",
-               CubeHeader(kind="cube", rows=m, cols=n, bands=k,
-                          wavelengths_um=tuple(grid.wavelengths),
-                          unit=MICROFLICK),
-               truth.ground_ambient)
+    _save_state(dirpath, truth, _TRUTH_FILES, grid, zenith_angles_deg)
 
 
 def load_truth_distance(dirpath) -> np.ndarray:
@@ -349,15 +340,8 @@ def load_truth_distance(dirpath) -> np.ndarray:
 
 
 def load_scene_truth(dirpath) -> SceneTruth:
-    src = Path(dirpath)
-    _, t, _ = read_map(src / "truth_temperature.lwc")
-    _, eps = read_cube(src / "truth_emissivity.lwc")
-    _, om = read_cube(src / "truth_solid_angles.lwc")
-    _, ga = read_cube(src / "truth_ground.lwc")
-    return SceneTruth(
-        distance_map=load_truth_distance(src),
-        temperature_map=t.astype(np.float64),
-        emissivity_cube=eps.astype(np.float64),
-        solid_angle_maps=om.astype(np.float64),
-        ground_ambient=ga.astype(np.float64),
-    )
+    parts = _load_state(dirpath, _TRUTH_FILES)
+    # handed over read-only, so SceneTruth adopts the arrays uncopied
+    for a in parts.values():
+        a.setflags(write=False)
+    return SceneTruth(**parts)

@@ -82,6 +82,21 @@ def _check_feasible(d, t, e, o):
         raise ConstraintError("per-pixel sky weights must sum to at most pi")
 
 
+def _read_only_f64(a):
+    """a as a read-only float64 array.  A read-only float64 array whose
+    memory no writable array shares is taken over as given; anything else
+    is copied, so the result never aliases a caller's writable array."""
+    b = a
+    while isinstance(b, np.ndarray) and not b.flags.writeable:
+        b = b.base
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and not isinstance(b, np.ndarray)):
+        return a
+    a = np.array(a, dtype=np.float64)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class SceneTruth:
     """Per-pixel ground truth driving the simulator.
@@ -93,7 +108,9 @@ class SceneTruth:
                      <= pi * (1 + 2^-23), which allows for float32 storage
     ground_ambient   (M, N, K) microflick, >= 0, smooth in wavelength
 
-    Every value must be finite; a violation raises ConstraintError.
+    Every value must be finite; a violation raises ConstraintError.  The
+    maps are held as read-only float64 arrays (see :func:`_read_only_f64`),
+    so the truth never freezes or aliases a caller's writable array.
     """
 
     distance_map: np.ndarray
@@ -103,9 +120,12 @@ class SceneTruth:
     ground_ambient: np.ndarray
 
     def __post_init__(self):
+        for name in ("distance_map", "temperature_map", "emissivity_cube",
+                     "solid_angle_maps", "ground_ambient"):
+            object.__setattr__(self, name, _read_only_f64(getattr(self, name)))
         d, t, e, o = _state_maps(self.distance_map, self.temperature_map,
                                  self.emissivity_cube, self.solid_angle_maps)
-        g = np.asarray(self.ground_ambient, dtype=np.float64)
+        g = self.ground_ambient
         if g.shape != e.shape:
             raise DimensionError("ground_ambient shape mismatch")
         _check_feasible(d, t, e, o)
@@ -114,11 +134,6 @@ class SceneTruth:
         lo, hi = _span(g)
         if not (0.0 <= lo and hi < np.inf):
             raise ConstraintError("ground ambient radiance must be finite and >= 0")
-        for name, arr in (("distance_map", d), ("temperature_map", t),
-                          ("emissivity_cube", e), ("solid_angle_maps", o),
-                          ("ground_ambient", g)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def shape(self):
@@ -129,9 +144,8 @@ class SceneTruth:
 class SceneCube:
     """Observed radiance cube plus acquisition metadata.
 
-    The cube holds its radiance as a read-only float64 array: a read-only
-    float64 array that owns its memory is taken over as given, anything
-    else is copied, so the cube never aliases a caller's writable array.
+    The cube holds its radiance as a read-only float64 array (see
+    :func:`_read_only_f64`), so it never aliases a caller's writable array.
     """
 
     radiance: np.ndarray        # (M, N, K) microflick
@@ -140,10 +154,7 @@ class SceneCube:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        r = self.radiance
-        if not (isinstance(r, np.ndarray) and r.dtype == np.float64
-                and r.flags.owndata and not r.flags.writeable):
-            r = np.array(r, dtype=np.float64)
+        r = _read_only_f64(self.radiance)
         if r.ndim != 3:
             raise DimensionError("radiance cube must be 3-D (M, N, K)")
         if 0 in r.shape:
@@ -155,7 +166,6 @@ class SceneCube:
         if not 0.0 <= self.noise_sigma < np.inf:
             raise DomainError(
                 f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        r.setflags(write=False)
         object.__setattr__(self, "radiance", r)
 
     @property
@@ -306,10 +316,12 @@ def make_default_scene(
     om_panel = _resample_profile(_PANEL_SKY_PROFILE, q, 0.5 * np.pi)
     om_grass = _resample_profile(_GRASS_SKY_PROFILE, q, 0.85 * np.pi)
 
-    d = np.tile(np.linspace(5.0, 60.0, rows)[:, None], (1, cols))
+    # each map owns its memory (np.tile would return a view of a writable
+    # array), so SceneTruth adopts it once it is read-only
+    d = np.repeat(np.linspace(5.0, 60.0, rows)[:, None], cols, axis=1)
     t = np.full((rows, cols), 295.5)
     eps = np.full((rows, cols, k), 0.98)
-    om = np.tile(om_grass, (rows, cols, 1))
+    om = np.broadcast_to(om_grass, (rows, cols, q)).copy()
 
     panel, eps60, eps90 = default_panel_masks(rows, cols)
     d[panel] = 30.0
@@ -321,6 +333,8 @@ def make_default_scene(
     # one ambient spectrum at every pixel: a read-only broadcast view, not
     # an (M, N, K) copy of it
     ambient = planck(grid.wavelengths, air_temperature.kelvin)
+    for a in (d, t, eps, om, ambient):
+        a.setflags(write=False)
     return SceneTruth(d, t, eps, om, np.broadcast_to(ambient, (rows, cols, k)))
 
 

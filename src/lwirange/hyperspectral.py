@@ -125,13 +125,14 @@ class SolverConfig:
     """Knobs for :func:`solve`.
 
     rho_eps / rho_d are the emissivity-smoothness and range-TV weights,
-    d_max the range box bound.  q overrides the number of sky sectors used
-    by the model (0 disables the sky term entirely; None takes the size of
-    the downwelling set).  threads caps the number of row blocks, each
-    solved in its own worker process; there are never more blocks than
-    rows or usable cores.  warmup_iterations, warmup_d_freeze (warmup
-    sweeps before the range block first runs), refine_iterations and
-    max_iterations (a cap on both) set the sweep counts; every warmup start
+    d_max the range box bound.  No setting picks the sky sectors: the
+    model has one per spectrum of the downwelling set passed to
+    :func:`solve`, and none when that is None.  threads caps the number of
+    row blocks, each solved in its own worker process; there are never
+    more blocks than rows or usable cores.  warmup_iterations,
+    warmup_d_freeze (warmup sweeps before the range block first runs),
+    refine_iterations and max_iterations (a cap on both) set the sweep
+    counts; every warmup start
     (each range start times each emissivity start) runs the whole warmup
     budget, then each pixel's lowest-loss start runs the whole refinement
     budget.  polish_rounds and armijo_iterations set the number of profiled
@@ -150,7 +151,6 @@ class SolverConfig:
     rho_eps: float = 1e5
     rho_d: float = 0.0
     d_max: float = 200.0
-    q: int | None = None
     max_iterations: int = 2000
     warmup_iterations: int = 14
     warmup_d_freeze: int = 6
@@ -168,8 +168,6 @@ class SolverConfig:
             v.append(f"rho_d must be finite and >= 0, got {self.rho_d!r}")
         if not (_is_real(self.d_max) and 0.0 < self.d_max < np.inf):
             v.append(f"d_max must be finite and > 0, got {self.d_max!r}")
-        if self.q is not None and not (_is_int(self.q) and self.q >= 0):
-            v.append(f"q must be a non-negative integer or None, got {self.q!r}")
         for name, low in (("max_iterations", 1), ("warmup_iterations", 1),
                           ("refine_iterations", 1), ("warmup_d_freeze", 0),
                           ("polish_rounds", 0), ("armijo_iterations", 0),
@@ -334,8 +332,6 @@ def _eps_quick(pr, tau, bt, mix, rb=None, a=None):
 def _proj_cap_simplex(v):
     """Euclidean projection of rows of v onto {x >= 0, sum(x) <= pi}."""
     z = np.maximum(v, 0.0)
-    if z.shape[1] == 0:
-        return z
     over = z.sum(1) > _PI
     if not over.any():
         return z
@@ -646,22 +642,18 @@ def _tv_denoise_map(d2, lam):
 # public loss / gradient / projection operations
 # ----------------------------------------------------------------------
 
-def _build_problem(cube, alpha, dw, air_temperature, q, rho_eps, d_max, t_span):
+def _build_problem(cube, alpha, dw, air_temperature, rho_eps, d_max, t_span):
+    # one sky sector per downwelling spectrum; none when dw is None
     if alpha.grid != cube.grid:
         raise GridError("attenuation grid does not match cube grid")
     wav = cube.grid.wavelengths
     k = wav.size
-    if q > 0:
-        if dw is None:
-            raise DimensionError("sky model requested but no downwelling set given")
-        if dw.grid != cube.grid:
-            raise GridError("downwelling grid does not match cube grid")
-        if len(dw) != q:
-            raise DimensionError(
-                f"model uses q={q} sky sectors but downwelling set has {len(dw)}")
-        sky = np.asarray(dw.values, dtype=float)
-    else:
+    if dw is None:
         sky = np.zeros((0, k))
+    elif dw.grid != cube.grid:
+        raise GridError("downwelling grid does not match cube grid")
+    else:
+        sky = np.asarray(dw.values, dtype=float)
     t_air = as_kelvin(air_temperature)
     col = wav.reshape(k, 1)
     m, n = cube.radiance.shape[:2]
@@ -682,7 +674,8 @@ def _param_arrays(params):
 
 
 def _flatten_maps(params, q):
-    # the four maps as solver state: (P,), (P,), band-major (K, P), (P, Q)
+    # the four maps as solver state: (P,), (P,), band-major (K, P), (P, Q);
+    # the one check that a caller's sky weights match the model's q sectors
     d, t, e, o = _param_arrays(params)
     m, n = d.shape
     k = e.shape[2]
@@ -700,15 +693,13 @@ def _band_maps(a, m, n):
 
 def data_loss(params, cube, alpha, dw, air_temperature):
     """Total squared radiance misfit of the model at params (no penalties)."""
-    dmap, _, emap, omap = _param_arrays(params)
-    q = omap.shape[2]
+    dmap, _, emap, _ = _param_arrays(params)
     if dmap.shape != cube.radiance.shape[:2]:
         raise DimensionError("params and cube differ in image shape")
     if emap.shape[2] != cube.radiance.shape[2]:
         raise DimensionError("params and cube differ in band count")
-    pr, _, _ = _build_problem(cube, alpha, dw, air_temperature, q, 0.0,
-                              np.inf, 1.0)
-    d, t, eps, om = _flatten_maps(params, q)
+    pr, _, _ = _build_problem(cube, alpha, dw, air_temperature, 0.0, np.inf, 1.0)
+    d, t, eps, om = _flatten_maps(params, pr.sky.shape[0])
     core = _contrast(_planck_core(pr.wav, t), eps, _mix_of(pr, om), pr.b_air)
     r = _radiance(_tau(d, pr.alpha), core, pr.b_air) - pr.y
     return float((r * r).sum())
@@ -735,9 +726,9 @@ def gradients(params, cube, alpha, dw, air_temperature, rho_eps):
     The TV term is excluded by design; it is handled by a proximal step,
     not by gradient descent.
     """
-    q = _param_arrays(params)[3].shape[2]
-    pr, m, n = _build_problem(cube, alpha, dw, air_temperature, q, rho_eps,
+    pr, m, n = _build_problem(cube, alpha, dw, air_temperature, rho_eps,
                               np.inf, 1.0)
+    q = pr.sky.shape[0]
     d, t, eps, om = _flatten_maps(params, q)
     g_d, g_t, g_e, g_o = _gradients_flat(pr, d, t, eps, om)
     return {
@@ -892,11 +883,13 @@ def _usable_cores():
 def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     """Estimate per-pixel range, temperature, emissivity and sky weights.
 
-    cube/alpha/dw must share one spectral grid. air_temperature feeds both
-    the path term and the ambient ground fill. Each pixel warms up from
-    its closed-form range estimate (see _range_starts) with every
-    emissivity start; initial optionally replaces that warmup with a
-    caller-supplied EstimateMaps state.
+    cube/alpha/dw must share one spectral grid. The model fits one sky
+    weight per spectrum of the downwelling set dw; dw=None turns the sky
+    term off. air_temperature feeds both the path term and the ambient
+    ground fill. Each pixel warms up from its closed-form range estimate
+    (see _range_starts) with every emissivity start; initial optionally
+    replaces that warmup with a caller-supplied EstimateMaps state, whose
+    sky weights must carry one sector per downwelling spectrum.
     The image is solved as min(threads, rows, usable cores) row blocks,
     one worker process per block, forked from the caller; a single block
     runs in the calling process.  Deterministic (the search
@@ -907,20 +900,11 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     violations = cfg.validate()
     if violations:
         raise ConfigError(violations)
-    if cfg.q is not None:
-        q = int(cfg.q)
-        if q != 0 and (dw is None or len(dw) != q):
-            raise ConfigError(
-                [f"config q={q} does not match the downwelling set "
-                 f"({'absent' if dw is None else len(dw)} sectors)"])
-    else:
-        q = len(dw) if dw is not None else 0
+    pr, m, n = _build_problem(cube, alpha, dw, air_temperature,
+                              cfg.rho_eps, cfg.d_max, _T_SPAN)
+    q = pr.sky.shape[0]
 
-    sky_dw = dw if q > 0 else None
-    pr, m, n = _build_problem(cube, alpha, sky_dw, air_temperature,
-                              q, cfg.rho_eps, cfg.d_max, _T_SPAN)
-
-    d_starts = _range_starts(cube, alpha, sky_dw, air_temperature, cfg.d_max)
+    d_starts = _range_starts(cube, alpha, dw, air_temperature, cfg.d_max)
     t0 = _default_temperature_init(pr)
 
     init_state = None
@@ -970,7 +954,6 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
 
 
 def solve_no_sky(cube, alpha, air_temperature, config=None):
-    """Downwelling-neglecting baseline: the same engine with the sky term off."""
-    cfg = config if config is not None else SolverConfig()
-    cfg = replace(cfg, q=0)
-    return solve(cube, alpha, None, air_temperature, cfg)
+    """Downwelling-neglecting baseline: :func:`solve` with no downwelling
+    set, which turns the sky term off (zero sky sectors)."""
+    return solve(cube, alpha, None, air_temperature, config)

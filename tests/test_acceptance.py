@@ -171,8 +171,7 @@ def test_criterion_02_reduction_chain():
     # zero sky sectors: the full solver equals the sky-free baseline bit for bit
     sc = micro_scene(rows=6, cols=6, bands=16, q=0, noise_sigma=0.5, seed=21)
     a = solve_no_sky(sc["cube"], sc["alpha"], Temperature(295.0))
-    b = solve(sc["cube"], sc["alpha"], None, Temperature(295.0),
-              SolverConfig(q=0))
+    b = solve(sc["cube"], sc["alpha"], None, Temperature(295.0))
     hyper_matches = all([
         np.array_equal(a.distance, b.distance),
         np.array_equal(a.temperature, b.temperature),

@@ -5,10 +5,13 @@ import struct
 import numpy as np
 import pytest
 
+from lwirange.atmosphere import AttenuationSpectrum, load_spectrum
 from lwirange.cli import main, resolve_settings, build_parser
 from lwirange.closed_form import estimate_air_temperature
-from lwirange.cube_io import load_estimates, load_scene_cube
+from lwirange.cube_io import load_estimates, load_scene_cube, read_cube
 from lwirange.errors import LwirError
+from lwirange.hyperspectral import solve_no_sky
+from lwirange.radiometry import DB_PER_M
 
 
 def run(capsys, argv):
@@ -210,6 +213,31 @@ class TestRuntimeErrors:
                 "--rows", "2", "--cols", "2", *q])
             assert code == 0, err
 
+    def test_hyper_range_rejects_q_that_does_not_match_atmo(self, capsys, tmp_path):
+        atmo, scene = tmp_path / "atmo", tmp_path / "scene"
+        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
+        assert run(capsys, ["synth", "--atmo", str(atmo), "--out", str(scene),
+                            "--rows", "2", "--cols", "2"])[0] == 0
+        code, _, err = run(capsys, [
+            "range", "--mode", "hyper", "--cube", str(scene / "cube.lwc"),
+            "--atmo", str(atmo), "--out", str(tmp_path / "est"), "--q", "3"])
+        assert code == 2
+        assert err == ("error[ConfigError]: config q=3 does not match the "
+                       "downwelling set (10 sectors)\n")
+        assert not (tmp_path / "est").exists()
+
+    def test_synth_with_q_0_has_no_sky_sector_to_build(self, capsys, tmp_path):
+        # q = 0 turns the sky term off, and the default scene needs a sector
+        atmo = tmp_path / "atmo"
+        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
+        code, _, err = run(capsys, [
+            "synth", "--atmo", str(atmo), "--out", str(tmp_path / "s0"),
+            "--rows", "2", "--cols", "2", "--q", "0"])
+        assert code == 1
+        assert err.startswith("error[DomainError]: default scene needs at least "
+                              "one sky sector")
+        assert not (tmp_path / "s0").exists()
+
     def test_missing_map_exits_1(self, capsys, tmp_path):
         code, out, err = run(capsys, [
             "render", "--map", str(tmp_path / "nope.lwc"),
@@ -299,6 +327,29 @@ class TestPipeline:
         assert code == 0, err
         d = load_estimates(tmp_path / "est").distance
         assert d.shape == (3, 3) and d.max() <= 100.0
+
+    def test_hyper_range_with_q_0_is_the_no_sky_solve(self, capsys, tmp_path):
+        atmo, scene, est = tmp_path / "atmo", tmp_path / "scene", tmp_path / "est"
+        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
+        assert run(capsys, ["synth", "--atmo", str(atmo), "--out", str(scene),
+                            "--rows", "3", "--cols", "3",
+                            "--noise-sigma", "0.5"])[0] == 0
+        code, _, err = run(capsys, [
+            "range", "--mode", "hyper", "--cube", str(scene / "cube.lwc"),
+            "--atmo", str(atmo), "--out", str(est), "--q", "0"])
+        assert code == 0, err
+        header, _ = read_cube(est / "solid_angles.lwc")
+        assert header.sectors == 0 and header.zenith_angles_deg is None
+        cube = load_scene_cube(scene / "cube.lwc")
+        alpha = AttenuationSpectrum(load_spectrum(atmo / "attenuation.csv", DB_PER_M))
+        want = solve_no_sky(cube, alpha,
+                            estimate_air_temperature(cube, lambda_sat=13.0))
+        got = load_estimates(est)
+        for name in ("distance", "temperature", "emissivity", "solid_angles",
+                     "loss"):
+            np.testing.assert_array_equal(
+                getattr(got, name),
+                getattr(want, name).astype(np.float32).astype(np.float64), name)
 
     def test_hyper_range_estimates_air_temperature_at_bands(
             self, capsys, tmp_path, monkeypatch):

@@ -258,6 +258,27 @@ class TestMalformedHeaders:
             load_scene_cube(path)
 
 
+class TestOmegaHeader:
+    @pytest.mark.parametrize("angles", [(), (0.0,), (0.0, 30.0, 60.0)])
+    def test_zenith_angles_must_match_the_sectors(self, angles):
+        with pytest.raises(FormatError, match="zenith angles for 2 sectors"):
+            CubeHeader(kind="omega", rows=1, cols=1, bands=2,
+                       zenith_angles_deg=angles)
+
+    def test_no_sectors_no_zenith_angles(self, tmp_path):
+        m, n, k = 2, 2, 4
+        est = EstimateMaps(
+            distance=np.full((m, n), 10.0), temperature=np.full((m, n), 295.0),
+            emissivity=np.full((m, n, k), 0.5), solid_angles=np.zeros((m, n, 0)),
+            loss=np.zeros((m, n)), iterations=np.zeros((m, n), dtype=np.int64))
+        save_estimates(tmp_path / "est", est)
+        header, om = read_cube(tmp_path / "est" / "solid_angles.lwc")
+        assert header.sectors == 0 and header.zenith_angles_deg is None
+        assert om.shape == (m, n, 0)
+        with pytest.raises(FormatError, match="1 zenith angles for 0 sectors"):
+            save_estimates(tmp_path / "bad", est, zenith_angles_deg=(0.0,))
+
+
 class TestHostileFiles:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.lwc"

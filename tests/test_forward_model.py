@@ -269,6 +269,59 @@ def test_default_scene_ground_is_one_read_only_spectrum():
                                                      g.shape))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scene_truth_leaves_the_callers_arrays_writable(dtype):
+    t = make_default_scene(make_default_grid(bands=8), q=2, rows=3, cols=4)
+    maps = [np.array(a, dtype=dtype) for a in (
+        t.distance_map, t.temperature_map, t.emissivity_cube,
+        t.solid_angle_maps, t.ground_ambient)]
+    truth = SceneTruth(*maps)
+    for a in maps:
+        assert a.flags.writeable
+    maps[0][0, 0] = 2.0
+    assert truth.distance_map[0, 0] == t.distance_map[0, 0]
+    assert not truth.distance_map.flags.writeable
+
+
+def test_scene_truth_adopts_read_only_float64_arrays():
+    t = make_default_scene(make_default_grid(bands=8), q=2, rows=3, cols=4)
+    again = SceneTruth(t.distance_map, t.temperature_map, t.emissivity_cube,
+                       t.solid_angle_maps, t.ground_ambient)
+    assert again.distance_map is t.distance_map
+    assert again.ground_ambient is t.ground_ambient
+
+
+def test_a_read_only_view_of_writable_memory_is_copied():
+    s = micro_scene(rows=3, cols=4, bands=8, q=2)
+    t = s["truth"]
+    g = np.array(t.ground_ambient[0, 0])
+    truth = SceneTruth(t.distance_map, t.temperature_map, t.emissivity_cube,
+                       t.solid_angle_maps, np.broadcast_to(g, (3, 4, 8)))
+    r = np.array(s["cube"].radiance)
+    view = r.view()
+    view.setflags(write=False)
+    cube = SceneCube(view, s["grid"], AIR)
+    g[0] = r[0, 0, 0] = -5.0
+    assert truth.ground_ambient[0, 0, 0] == t.ground_ambient[0, 0, 0]
+    assert cube.radiance[0, 0, 0] == s["cube"].radiance[0, 0, 0]
+
+
+def test_default_scene_builds_each_map_once():
+    # every map is handed to SceneTruth read-only and owning its memory, so
+    # the truth adopts it rather than copying it
+    grid = make_default_grid(bands=8)
+    make_default_scene(grid, q=40, rows=2, cols=2)
+    tracemalloc.start()
+    try:
+        truth = make_default_scene(grid, q=40, rows=64, cols=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    maps = (truth.distance_map, truth.temperature_map, truth.emissivity_cube,
+            truth.solid_angle_maps)
+    assert peak < 1.25 * sum(a.nbytes for a in maps)
+
+
 def test_synthesize_cube_holds_one_copy_of_the_cube():
     # the cube built row by row is handed to SceneCube, not copied again
     s = micro_scene(rows=48, cols=48, bands=32, q=2)

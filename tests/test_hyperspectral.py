@@ -138,6 +138,19 @@ class TestDataLoss:
         }
         assert data_loss(params, sc["cube"], sc["alpha"], sc["dw"], AIR) == 0.0
 
+    @pytest.mark.parametrize("q, with_dw", [(0, True), (2, False), (3, True)])
+    def test_sky_weights_must_match_the_downwelling_set(self, q, with_dw):
+        # one sky sector per downwelling spectrum: a set given with
+        # zero-sector params is refused, not ignored
+        sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=0)
+        dw = sc["dw"] if with_dw else None
+        params = random_params(np.random.default_rng(1), 2, 2, 8, q)
+        want = f"params carry {q} sky sectors, model has {2 if with_dw else 0}"
+        with pytest.raises(DimensionError, match=want):
+            data_loss(params, sc["cube"], sc["alpha"], dw, AIR)
+        with pytest.raises(DimensionError, match=want):
+            gradients(params, sc["cube"], sc["alpha"], dw, AIR, rho_eps=1.0)
+
     def test_grid_mismatch_rejected(self):
         sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=0)
         other = micro_scene(rows=2, cols=2, bands=9, q=2, seed=0)
@@ -257,7 +270,7 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("cols", [[4], [0, 9], [1, 2, 6, 7, 11]])
     def test_blocks_match_on_a_column_subset(self, cols):
         sc = micro_scene(rows=3, cols=4, bands=12, q=3, noise_sigma=0.5, seed=21)
-        pr, m, n = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR, 3,
+        pr, m, n = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
                                   1e5, 200.0, 12.0)
         p, k = m * n, 12
         rng = np.random.default_rng(7)
@@ -296,7 +309,7 @@ class TestCarriedTerms:
     def _problem(self, noise_sigma, seed):
         sc = micro_scene(rows=3, cols=3, bands=12, q=2, noise_sigma=noise_sigma,
                          seed=seed)
-        pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR, 2,
+        pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
                                   1e5, 200.0, 12.0)
         return sc, pr
 
@@ -345,7 +358,7 @@ class TestCandidateScans:
     # form of the objective and guard only the winner with the exact one
     def _state(self, seed):
         sc = micro_scene(rows=3, cols=4, bands=12, q=3, noise_sigma=0.5, seed=21)
-        pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR, 3,
+        pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
                                   1e5, 200.0, 12.0)
         rng = np.random.default_rng(seed)
         p, k = pr.y.shape[1], pr.y.shape[0]
@@ -517,15 +530,15 @@ class TestConfig:
         assert SolverConfig(d_max=100.0).validate() == []
 
     def test_collects_every_violation(self):
-        cfg = SolverConfig(rho_eps=-1.0, d_max=0.0, q=-1, armijo_iterations=-1,
+        cfg = SolverConfig(rho_eps=-1.0, d_max=0.0, armijo_iterations=-1,
                            polish_rounds=-1, warmup_iterations=0,
                            rho_d=1.0, threads=4, track_history=True)
         msgs = cfg.validate()
-        for frag in ("rho_eps", "d_max", "q must", "armijo_iterations",
+        for frag in ("rho_eps", "d_max", "armijo_iterations",
                      "polish_rounds", "warmup_iterations", "requires threads=1",
                      "track_history"):
             assert any(frag in v for v in msgs), frag
-        assert len(msgs) >= 8
+        assert len(msgs) >= 7
 
     @pytest.mark.parametrize("key,value", [
         ("d_max", np.inf), ("d_max", np.nan), ("rho_eps", np.inf),
@@ -536,7 +549,7 @@ class TestConfig:
         assert any(key in v and "finite" in v for v in msgs), msgs
 
     @pytest.mark.parametrize("key,value", [
-        ("q", np.nan), ("q", np.inf), ("rho_d", "1"), ("rho_eps", None),
+        ("rho_d", "1"), ("rho_eps", None),
         ("d_max", "200"), ("threads", 2.5), ("warmup_iterations", 2.5),
         ("refine_iterations", "40"), ("polish_rounds", 1.0),
     ])
@@ -556,11 +569,6 @@ class TestConfig:
             solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
                   SolverConfig(d_max=-5.0, refine_iterations=0))
         assert "d_max" in str(exc.value) and "refine_iterations" in str(exc.value)
-
-    def test_solve_rejects_q_mismatch(self):
-        sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=10)
-        with pytest.raises(ConfigError):
-            solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(q=5))
 
 
 class TestEstimateMaps:
@@ -682,7 +690,7 @@ class TestSolve:
     def test_no_sky_equals_zero_q_config(self):
         sc = micro_scene(rows=3, cols=3, bands=12, q=0, noise_sigma=0.0, seed=5)
         a = solve_no_sky(sc["cube"], sc["alpha"], AIR)
-        b = solve(sc["cube"], sc["alpha"], None, AIR, SolverConfig(q=0))
+        b = solve(sc["cube"], sc["alpha"], None, AIR)
         npt.assert_array_equal(a.distance, b.distance)
         npt.assert_array_equal(a.temperature, b.temperature)
         npt.assert_array_equal(a.emissivity, b.emissivity)
@@ -785,9 +793,12 @@ class TestSolve:
             solve(sc["cube"], other["alpha"], sc["dw"], AIR)
 
     def test_missing_downwelling_rejected(self):
+        # without a downwelling set the model has no sky sectors, so initial
+        # maps that carry two do not fit it
         sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=0)
-        with pytest.raises((DimensionError, ConfigError)):
-            solve(sc["cube"], sc["alpha"], None, AIR, SolverConfig(q=2))
+        with pytest.raises(DimensionError, match="2 sky sectors, model has 0"):
+            solve(sc["cube"], sc["alpha"], None, AIR,
+                  initial=as_maps(sc["truth"]))
 
     def test_initial_shape_mismatch_rejected(self):
         sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=0)

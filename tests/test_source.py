@@ -1,6 +1,7 @@
 """Static checks on the package source, read with ast: every ``__all__``
-entry names a module-level definition, and no module but the package
-``__init__`` imports a name it never uses."""
+entry names a module-level definition, no module but the package
+``__init__`` imports a name it never uses, and every ``SolverConfig`` field
+is read outside its own ``validate``."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,22 @@ def test_no_module_imports_a_name_it_does_not_use():
         if imported - used:
             unused[name] = sorted(imported - used)
     assert not unused
+
+
+def test_every_solver_config_field_is_read():
+    # a field that only validate reads is a knob that changes nothing.  A
+    # read is any attribute load of the field's name, so this catches a dead
+    # field, not one shadowed by a same-named attribute of another object
+    modules = _modules()
+    cls = next(node for node in modules["hyperspectral.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "SolverConfig")
+    fields = {node.target.id for node in cls.body
+              if isinstance(node, ast.AnnAssign)}
+    validate = next(node for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "validate")
+    inside = {id(node) for node in ast.walk(validate)}
+    read = {node.attr for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in inside}
+    dead = sorted(fields - read)
+    assert fields and not dead, dead
