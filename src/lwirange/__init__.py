@@ -40,6 +40,7 @@ from .closed_form import (
 )
 from .cube_io import (
     CubeHeader,
+    load_cube_grid,
     load_estimates,
     load_range_map,
     load_scene_cube,

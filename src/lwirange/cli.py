@@ -24,6 +24,7 @@ from .atmosphere import (
     DEFAULT_ZENITH_ANGLES,
     AtmosphereParams,
     AttenuationSpectrum,
+    DownwellingSet,
     load_downwelling,
     load_spectrum,
     make_default_grid,
@@ -41,6 +42,7 @@ from .closed_form import (
     quadspectral,
 )
 from .cube_io import (
+    load_cube_grid,
     load_estimates,
     load_range_map,
     load_scene_cube,
@@ -50,7 +52,7 @@ from .cube_io import (
     save_scene_cube,
     save_scene_truth,
 )
-from .errors import ConfigError, LwirError
+from .errors import ConfigError, GridError, LwirError
 from .evaluation import (
     _PALETTES,
     default_patches,
@@ -60,7 +62,7 @@ from .evaluation import (
 )
 from .forward_model import make_default_scene, synthesize_cube
 from .hyperspectral import SolverConfig, solve
-from .radiometry import DB_PER_M, Temperature
+from .radiometry import DB_PER_M, Spectrum, Temperature
 
 _MODES = ("bi-hot", "bi-air", "quad", "hyper")
 _ENV_PREFIX = "LWIRANGE_"
@@ -284,11 +286,42 @@ def _band_targets(s):
     return _DEFAULT_BAND_TARGETS if s["bands"] is None else s["bands"]
 
 
-def cmd_range(s, args):
-    cube = load_scene_cube(args.cube)
+def _closed_form_range(s, args):
+    """The range map of a bi-hot, bi-air or quad run, from only the bands
+    the estimator reads: the band selection is made on the cube's full
+    grid, and the cube, the attenuation spectrum and (quad) the downwelling
+    set are cut to those at most five bands.  Every estimator works per
+    band and per pixel, so the map is the one the full cube gives."""
+    grid = load_cube_grid(args.cube)
+    targets = _band_targets(s)
+    full = BandSelection.from_grid(grid, *targets)
+    keep = sorted({full.index1, full.index2, full.index3, full.index4,
+                   full.index_sat})
+    cube = load_scene_cube(args.cube, keep)
     alpha = _load_attenuation(args.atmo)
-    mode = s["mode"]
-    if mode == "hyper":
+    if alpha.grid != grid:
+        raise GridError("attenuation grid does not match the cube grid")
+    alpha = AttenuationSpectrum(Spectrum(cube.grid, alpha.values[keep], DB_PER_M))
+    bands = BandSelection.from_grid(cube.grid, *targets)
+    if s["mode"] == "bi-hot":
+        return bispectral_hot(cube, bands, alpha)
+    t_air = estimate_air_temperature(cube, lambda_sat=bands.lambda_sat)
+    if s["mode"] == "bi-air":
+        return bispectral_air(cube, bands, alpha, t_air)
+    dw = _downwelling_set(s, args.atmo)
+    if dw is None:
+        raise ConfigError(["config q=0 turns the sky term off, and quad mode "
+                           "needs the downwelling set"])
+    if dw.grid != grid:
+        raise GridError("downwelling grid does not match the cube grid")
+    dw = DownwellingSet(dw.zenith_angles_deg, dw.values[:, keep], cube.grid)
+    return quadspectral(cube, bands, alpha, t_air, fit_ozone_slope(dw, bands))
+
+
+def cmd_range(s, args):
+    if s["mode"] == "hyper":
+        cube = load_scene_cube(args.cube)
+        alpha = _load_attenuation(args.atmo)
         dw = _downwelling_set(s, args.atmo)
         # --bands sets only the saturation line here, which resolves on any
         # grid; the water pair may not.  The solver's range start reads the
@@ -303,17 +336,7 @@ def cmd_range(s, args):
                        zenith_angles_deg=None if dw is None else dw.zenith_angles_deg)
         print(f"wrote estimate maps to {args.out}")
         return 0
-    bands = BandSelection.from_grid(cube.grid, *_band_targets(s))
-    if mode == "bi-hot":
-        rm = bispectral_hot(cube, bands, alpha)
-    elif mode == "bi-air":
-        t_air = estimate_air_temperature(cube, lambda_sat=bands.lambda_sat)
-        rm = bispectral_air(cube, bands, alpha, t_air)
-    else:
-        t_air = estimate_air_temperature(cube, lambda_sat=bands.lambda_sat)
-        dw = load_downwelling(Path(args.atmo) / "downwelling")
-        slope = fit_ozone_slope(dw, bands)
-        rm = quadspectral(cube, bands, alpha, t_air, slope)
+    rm = _closed_form_range(s, args)
     save_range_map(args.out, rm)
     n_ok = int(rm.valid_mask.sum())
     print(f"wrote range map to {args.out} ({n_ok}/{rm.distances.size} valid)")

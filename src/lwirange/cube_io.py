@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .closed_form import RangeMap
-from .errors import DimensionError, FormatError, _is_real
+from .errors import ConstraintError, DimensionError, FormatError, GridError, _is_real
 from .forward_model import SceneCube, SceneTruth
 from .hyperspectral import EstimateMaps
 from .radiometry import MICROFLICK, SpectralGrid, Temperature
@@ -27,6 +27,8 @@ MAGIC = b"LWC1"
 _CREATED = "lwirange-0.1.0"
 _KINDS = ("cube", "map", "omega")
 _MAX_BODY_BYTES = 2 ** 62
+# the cube reader streams its body in chunks of about this many bytes
+_CHUNK_BYTES = 1 << 20
 
 
 def _count(name, v, lo):
@@ -139,26 +141,33 @@ def _write_container(path, header: CubeHeader, *planes):
             fh.write(plane)
 
 
+def _read_header(fh, path) -> CubeHeader:
+    """Check the magic, header and body length of the LWC1 file open at its
+    start in fh; returns the header, with fh at the start of the body."""
+    head = fh.read(8)
+    if len(head) < 8 or head[:4] != MAGIC:
+        raise FormatError(
+            f"{path}: bad magic {head[:4]!r}, expected {MAGIC!r}")
+    (hlen,) = struct.unpack("<I", head[4:8])
+    raw = fh.read(hlen)
+    if len(raw) < hlen:
+        raise FormatError(
+            f"{path}: truncated header: expected {hlen} bytes, got {len(raw)}")
+    header = CubeHeader.from_json(raw)
+    expected = header.body_bytes()
+    got = os.fstat(fh.fileno()).st_size - 8 - hlen
+    if got != expected:
+        raise FormatError(
+            f"{path}: truncated body: expected {expected} bytes, got {got}")
+    return header
+
+
 def _read_container(path):
     """Read an LWC1 file; returns (header, planes), each body plane read
     straight from the file: ((M, N, K) float32,) for cube and omega
     containers, ((M, N) float32, (M, N) uint8) for maps."""
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8 or head[:4] != MAGIC:
-            raise FormatError(
-                f"{path}: bad magic {head[:4]!r}, expected {MAGIC!r}")
-        (hlen,) = struct.unpack("<I", head[4:8])
-        raw = fh.read(hlen)
-        if len(raw) < hlen:
-            raise FormatError(
-                f"{path}: truncated header: expected {hlen} bytes, got {len(raw)}")
-        header = CubeHeader.from_json(raw)
-        expected = header.body_bytes()
-        got = os.fstat(fh.fileno()).st_size - 8 - hlen
-        if got != expected:
-            raise FormatError(
-                f"{path}: truncated body: expected {expected} bytes, got {got}")
+        header = _read_header(fh, path)
         shape = (header.rows, header.cols)
         n = header.rows * header.cols
         if header.kind == "map":
@@ -234,17 +243,87 @@ def save_scene_cube(path, cube: SceneCube):
     write_cube(path, header, cube.radiance)
 
 
-def load_scene_cube(path) -> SceneCube:
-    header, data = read_cube(path)
+def _scene_cube_header(fh, path):
+    """(header, grid) of the scene cube file open at its start in fh, with
+    fh left at the start of the body."""
+    header = _read_header(fh, path)
     if header.kind != "cube":
         raise FormatError(f"{path}: kind mismatch: expected 'cube', found {header.kind!r}")
     if header.wavelengths_um is None:
         raise FormatError(f"{path}: cube header carries no wavelength grid")
     if header.air_temperature_k is None:
         raise FormatError(f"{path}: cube header carries no air temperature")
+    return header, SpectralGrid(np.array(header.wavelengths_um))
+
+
+def load_cube_grid(path) -> SpectralGrid:
+    """The wavelength grid of a scene cube file, read from its header after
+    every header and length check :func:`load_scene_cube` makes."""
+    with open(path, "rb") as fh:
+        return _scene_cube_header(fh, path)[1]
+
+
+def _band_indices(keep, bands):
+    """keep as a sorted array of distinct band indices (every band for None)."""
+    if keep is None:
+        return np.arange(bands)
+    keep = list(keep)
+    idx = np.asarray(keep)
+    if not (idx.ndim == 1 and idx.size and idx.dtype.kind in "iu"
+            and 0 <= idx.min() and idx.max() < bands):
+        raise GridError(f"band indices must be integers in [0, {bands}), got {keep}")
+    # a mask, not np.unique, which imports numpy.ma on first use (about
+    # 20 ms of a CLI launch)
+    mask = np.zeros(bands, dtype=bool)
+    mask[idx] = True
+    return np.flatnonzero(mask)
+
+
+def _read_bands(fh, path, header, idx):
+    """The (M, N, len(idx)) radiance at band indices idx, as a read-only
+    float64 array, from the float32 cube body at fh.
+
+    The body streams through one reused buffer of whole spectra, about
+    _CHUNK_BYTES long, and every value of it, kept or not, must be finite.
+    float32 to float64 is exact, so the bands equal those of a whole read.
+    """
+    k = header.bands
+    px = header.rows * header.cols
+    step = min(px, max(1, _CHUNK_BYTES // (4 * k)))
+    buf = np.empty((step, k), dtype="<f4")
+    out = np.empty((header.rows, header.cols, idx.size))
+    flat = out.reshape(px, idx.size)
+    cols = slice(None) if idx.size == k else idx
+    for start in range(0, px, step):
+        chunk = buf[:min(step, px - start)]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise FormatError(
+                f"{path}: truncated body: the file shrank while it was read")
+        if not np.isfinite(chunk).all():
+            raise ConstraintError("radiance must be finite")
+        flat[start:start + chunk.shape[0]] = chunk[:, cols]
+    out.setflags(write=False)
+    return out
+
+
+def load_scene_cube(path, keep=None) -> SceneCube:
+    """Read a scene cube file, keeping the bands at the indices keep lists
+    (every band for None).
+
+    The cube comes back on the sub-grid of the kept bands, in grid order,
+    each band once, so a closed-form estimator reads its five bands of a
+    64-band cube and holds 5/64 of the float64 cube.  Every value of the
+    body must be finite, kept or not (ConstraintError); a bad header, kind
+    or body length raises FormatError, and an index off the grid GridError.
+    """
+    with open(path, "rb") as fh:
+        header, grid = _scene_cube_header(fh, path)
+        idx = _band_indices(keep, header.bands)
+        radiance = _read_bands(fh, path, header, idx)
+    # the read-only array is adopted, not copied
     return SceneCube(
-        radiance=data,
-        grid=SpectralGrid(np.array(header.wavelengths_um)),
+        radiance=radiance,
+        grid=SpectralGrid(grid.wavelengths[idx]),
         air_temperature=Temperature(header.air_temperature_k),
         noise_sigma=header.noise_sigma if header.noise_sigma is not None else 0.0,
     )
@@ -282,21 +361,24 @@ _TRUTH_FILES = (
 
 
 def _save_state(dirpath, state, files, grid, zenith_angles_deg):
-    out = Path(dirpath)
-    out.mkdir(parents=True, exist_ok=True)
     m, n = state.shape
-    zeros = np.zeros((m, n), dtype=np.uint8)
     wav = None if grid is None else tuple(grid.wavelengths)
     ang = None if zenith_angles_deg is None else tuple(zenith_angles_deg)
-    for attr, fname, kind, unit in files:
-        a = getattr(state, attr)
+    # every header is built, and so checked, before the first file is written
+    headers = [
+        _map_header(m, n, unit) if kind == "map" else CubeHeader(
+            kind=kind, rows=m, cols=n, bands=getattr(state, attr).shape[2],
+            unit=unit, wavelengths_um=wav if kind == "cube" else None,
+            zenith_angles_deg=ang if kind == "omega" else None)
+        for attr, _, kind, unit in files]
+    out = Path(dirpath)
+    out.mkdir(parents=True, exist_ok=True)
+    zeros = np.zeros((m, n), dtype=np.uint8)
+    for (attr, fname, kind, _), header in zip(files, headers):
         if kind == "map":
-            write_map(out / fname, _map_header(m, n, unit), a, zeros)
+            write_map(out / fname, header, getattr(state, attr), zeros)
         else:
-            write_cube(out / fname, CubeHeader(
-                kind=kind, rows=m, cols=n, bands=a.shape[2], unit=unit,
-                wavelengths_um=wav if kind == "cube" else None,
-                zenith_angles_deg=ang if kind == "omega" else None), a)
+            write_cube(out / fname, header, getattr(state, attr))
 
 
 def _load_state(dirpath, files):

@@ -42,7 +42,6 @@ recomputation at the same state would have.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -930,6 +929,7 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     if len(jobs) == 1:
         parts = [_solve_flat(*jobs[0])]
     else:
+        import concurrent.futures
         import multiprocessing
 
         # fork, so that the workers inherit the loaded modules and do not

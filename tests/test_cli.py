@@ -1,14 +1,31 @@
 """Command-line layering, validation, and the end-to-end file pipeline."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lwirange.atmosphere import AttenuationSpectrum, load_spectrum
+from lwirange.atmosphere import AttenuationSpectrum, load_downwelling, load_spectrum
 from lwirange.cli import main, resolve_settings, build_parser
-from lwirange.closed_form import estimate_air_temperature
-from lwirange.cube_io import load_estimates, load_scene_cube, read_cube
+from lwirange.closed_form import (
+    BandSelection,
+    bispectral_air,
+    bispectral_hot,
+    estimate_air_temperature,
+    fit_ozone_slope,
+    quadspectral,
+)
+from lwirange.cube_io import (
+    load_estimates,
+    load_scene_cube,
+    read_cube,
+    save_range_map,
+    write_cube,
+)
 from lwirange.errors import LwirError
 from lwirange.hyperspectral import solve_no_sky
 from lwirange.radiometry import DB_PER_M
@@ -29,7 +46,6 @@ def dump(capsys, argv=()):
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     # keep ambient LWIRANGE_* variables out of the layering tests
-    import os
     for name in list(os.environ):
         if name.startswith("LWIRANGE_"):
             monkeypatch.delenv(name)
@@ -161,6 +177,21 @@ class TestValidation:
         assert "finite" in err and out == ""
 
 
+class TestStartup:
+    def test_importing_the_cli_leaves_out_the_process_pool(self):
+        # every stage pays for what `import lwirange.cli` loads; only the
+        # multi-block solve needs concurrent.futures (and its logging)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, lwirange.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+             " if m in sys.modules))"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
+
+
 class TestUsageErrors:
     def test_no_command_is_usage_error(self, capsys):
         assert run(capsys, [])[0] == 2
@@ -238,6 +269,71 @@ class TestRuntimeErrors:
                               "one sky sector")
         assert not (tmp_path / "s0").exists()
 
+    def test_quad_range_takes_the_q_rule_of_hyper(self, capsys, tmp_path):
+        # quad mode reads the downwelling set under the same q rule: a q
+        # that does not match is refused, and q = 0, which turns the sky
+        # term off, leaves quad nothing to fit its ozone slope from
+        atmo, scene = tmp_path / "atmo", tmp_path / "scene"
+        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
+        assert run(capsys, ["synth", "--atmo", str(atmo), "--out", str(scene),
+                            "--rows", "2", "--cols", "2"])[0] == 0
+        argv = ["range", "--mode", "quad", "--cube", str(scene / "cube.lwc"),
+                "--atmo", str(atmo)]
+        code, _, err = run(capsys, [*argv, "--out", str(tmp_path / "q3.lwc"),
+                                    "--q", "3"])
+        assert code == 2
+        assert err == ("error[ConfigError]: config q=3 does not match the "
+                       "downwelling set (10 sectors)\n")
+        code, _, err = run(capsys, [*argv, "--out", str(tmp_path / "q0.lwc"),
+                                    "--q", "0"])
+        assert code == 2
+        assert err.startswith("error[ConfigError]: config q=0 turns the sky "
+                              "term off")
+        assert not (tmp_path / "q3.lwc").exists()
+        assert not (tmp_path / "q0.lwc").exists()
+        for q in ([], ["--q", "10"]):
+            code, _, err = run(capsys, [*argv, "--out",
+                                        str(tmp_path / f"q{len(q)}.lwc"), *q])
+            assert code == 0, err
+        assert ((tmp_path / "q0.lwc").read_bytes()
+                == (tmp_path / "q2.lwc").read_bytes())
+
+    @pytest.mark.parametrize("mode", ["bi-hot", "bi-air", "quad"])
+    def test_closed_form_range_checks_the_bands_it_does_not_read(
+            self, capsys, tmp_path, mode):
+        # band 0 (8.0 um) is none of the five bands the estimators read, yet
+        # a NaN there and an attenuation grid that differs there are refused
+        atmo, scene = tmp_path / "atmo", tmp_path / "scene"
+        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
+        assert run(capsys, ["synth", "--atmo", str(atmo), "--out", str(scene),
+                            "--rows", "3", "--cols", "3"])[0] == 0
+        argv = ["range", "--mode", mode, "--cube", str(scene / "cube.lwc"),
+                "--atmo", str(atmo), "--out", str(tmp_path / "r.lwc")]
+
+        csv = atmo / "attenuation.csv"
+        good = csv.read_text()
+        csv.write_text(good.replace("\n8.0,", "\n8.001,", 1))
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert err == ("error[GridError]: attenuation grid does not match the "
+                       "cube grid\n")
+        csv.write_text(good)
+        if mode == "quad":
+            for angle in (atmo / "downwelling").glob("angle_*.csv"):
+                angle.write_text(angle.read_text().replace("\n8.0,", "\n8.001,", 1))
+            code, _, err = run(capsys, argv)
+            assert code == 1
+            assert err == ("error[GridError]: downwelling grid does not match "
+                           "the cube grid\n")
+
+        header, body = read_cube(scene / "cube.lwc")
+        body[2, 2, 0] = np.nan
+        write_cube(scene / "cube.lwc", header, body)
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert err == "error[ConstraintError]: radiance must be finite\n"
+        assert not (tmp_path / "r.lwc").exists()
+
     def test_missing_map_exits_1(self, capsys, tmp_path):
         code, out, err = run(capsys, [
             "render", "--map", str(tmp_path / "nope.lwc"),
@@ -247,6 +343,35 @@ class TestRuntimeErrors:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("bands", [None, "8.5,8.9,9.4,9.6,12.5"])
+    def test_closed_form_maps_equal_those_of_the_full_cube(
+            self, capsys, tmp_path, bands):
+        # the stages read only the bands they use, and write the map that
+        # the estimators give on the whole cube
+        atmo, scene = tmp_path / "atmo", tmp_path / "scene"
+        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
+        assert run(capsys, ["synth", "--atmo", str(atmo), "--out", str(scene),
+                            "--rows", "6", "--cols", "5", "--seed", "4",
+                            "--noise-sigma", "1"])[0] == 0
+        cube = load_scene_cube(scene / "cube.lwc")
+        alpha = AttenuationSpectrum(load_spectrum(atmo / "attenuation.csv", DB_PER_M))
+        targets = () if bands is None else [float(b) for b in bands.split(",")]
+        sel = BandSelection.from_grid(cube.grid, *targets)
+        t_air = estimate_air_temperature(cube, lambda_sat=sel.lambda_sat)
+        slope = fit_ozone_slope(load_downwelling(atmo / "downwelling"), sel)
+        want = {"bi-hot": bispectral_hot(cube, sel, alpha),
+                "bi-air": bispectral_air(cube, sel, alpha, t_air),
+                "quad": quadspectral(cube, sel, alpha, t_air, slope)}
+        extra = [] if bands is None else ["--bands", bands]
+        for mode, rm in want.items():
+            got = tmp_path / f"{mode}.lwc"
+            code, _, err = run(capsys, [
+                "range", "--mode", mode, "--cube", str(scene / "cube.lwc"),
+                "--atmo", str(atmo), "--out", str(got), *extra])
+            assert code == 0, err
+            save_range_map(tmp_path / "want.lwc", rm)
+            assert got.read_bytes() == (tmp_path / "want.lwc").read_bytes(), mode
+
     def test_atmo_synth_range_eval_render(self, capsys, tmp_path):
         atmo = tmp_path / "atmo"
         scene = tmp_path / "scene"

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +17,7 @@ from lwirange import (
     SceneCube,
     SpectralGrid,
     Temperature,
+    load_cube_grid,
     load_estimates,
     load_range_map,
     load_scene_cube,
@@ -30,7 +32,9 @@ from lwirange import (
     write_cube,
     write_map,
 )
+from lwirange import cube_io
 from lwirange.closed_form import RangeMap
+from lwirange.errors import ConstraintError, GridError
 from lwirange.forward_model import SceneTruth
 from lwirange.hyperspectral import _proj_cap_simplex
 from helpers import micro_scene
@@ -277,6 +281,25 @@ class TestOmegaHeader:
         assert om.shape == (m, n, 0)
         with pytest.raises(FormatError, match="1 zenith angles for 0 sectors"):
             save_estimates(tmp_path / "bad", est, zenith_angles_deg=(0.0,))
+        assert not (tmp_path / "bad").exists()
+
+    def test_a_refused_save_writes_no_file(self, tmp_path):
+        # every header is checked before the first file is written, so a
+        # bad zenith list leaves an existing directory as it was
+        sc = micro_scene(rows=2, cols=2, bands=8, q=2)
+        truth = sc["truth"]
+        m, n = truth.shape
+        est = EstimateMaps(
+            distance=truth.distance_map, temperature=truth.temperature_map,
+            emissivity=truth.emissivity_cube, solid_angles=truth.solid_angle_maps,
+            loss=np.zeros((m, n)), iterations=np.zeros((m, n), dtype=np.int64))
+        for name, save, state in (("est", save_estimates, est),
+                                  ("truth", save_scene_truth, truth)):
+            out = tmp_path / name
+            out.mkdir()
+            with pytest.raises(FormatError, match="3 zenith angles for 2 sectors"):
+                save(out, state, sc["grid"], zenith_angles_deg=(0.0, 30.0, 60.0))
+            assert list(out.iterdir()) == []
 
 
 class TestHostileFiles:
@@ -367,6 +390,92 @@ class TestHostileFiles:
                    f32(rng, (1, 1, 2)))
         with pytest.raises(FormatError, match="no air temperature"):
             load_scene_cube(path)
+
+
+class TestStreamingReader:
+    """load_scene_cube streams the body through one reused buffer and keeps
+    only the bands it is asked for."""
+
+    @pytest.fixture()
+    def cube_path(self, tmp_path):
+        path = tmp_path / "cube.lwc"
+        save_scene_cube(path, micro_scene(rows=5, cols=7, bands=16,
+                                          noise_sigma=0.5, seed=2)["cube"])
+        return path
+
+    # one spectrum per chunk; 3 spectra per chunk, so the last of the 35 is
+    # a partial chunk of 2; and one chunk larger than the whole body
+    @pytest.mark.parametrize("chunk_bytes", [1, 3 * 16 * 4, 1 << 30])
+    @pytest.mark.parametrize("keep", [None, [3], [9, 1, 14, 1, 0]])
+    def test_kept_bands_equal_the_full_read(self, cube_path, monkeypatch,
+                                            chunk_bytes, keep):
+        monkeypatch.setattr(cube_io, "_CHUNK_BYTES", chunk_bytes)
+        header, body = read_cube(cube_path)
+        idx = list(range(16)) if keep is None else sorted(set(keep))
+        cube = load_scene_cube(cube_path, keep)
+        assert cube.radiance.dtype == np.float64
+        assert np.array_equal(cube.radiance, body[:, :, idx].astype(np.float64))
+        assert cube.grid == SpectralGrid(np.array(header.wavelengths_um)[idx])
+        assert cube.air_temperature.kelvin == header.air_temperature_k
+        assert cube.noise_sigma == header.noise_sigma
+
+    def test_the_cube_adopts_the_read_array(self, cube_path, monkeypatch):
+        read = []
+
+        def spy(*args):
+            read.append(real(*args))
+            return read[-1]
+
+        real = cube_io._read_bands
+        monkeypatch.setattr(cube_io, "_read_bands", spy)
+        cube = load_scene_cube(cube_path, [2, 5])
+        assert cube.radiance is read[0] and not cube.radiance.flags.writeable
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
+    def test_a_non_finite_value_outside_the_kept_bands_is_refused(
+            self, cube_path, monkeypatch, value, chunk_bytes):
+        # the last spectrum, so a one-spectrum chunk puts it in the last chunk
+        monkeypatch.setattr(cube_io, "_CHUNK_BYTES", chunk_bytes)
+        header, body = read_cube(cube_path)
+        body[-1, -1, 15] = value
+        write_cube(cube_path, header, body)
+        with pytest.raises(ConstraintError, match="radiance must be finite"):
+            load_scene_cube(cube_path, [0, 1])
+
+    def test_truncated_body_and_wrong_kind_are_refused(self, cube_path, tmp_path):
+        raw = cube_path.read_bytes()
+        cube_path.write_bytes(raw[:-4])
+        with pytest.raises(FormatError, match="truncated body"):
+            load_scene_cube(cube_path, [0])
+        with pytest.raises(FormatError, match="truncated body"):
+            load_cube_grid(cube_path)
+        omega = tmp_path / "omega.lwc"
+        write_cube(omega, CubeHeader(kind="omega", rows=1, cols=1, bands=2),
+                   np.zeros((1, 1, 2)))
+        with pytest.raises(FormatError, match="expected 'cube', found 'omega'"):
+            load_scene_cube(omega, [0])
+        with pytest.raises(FormatError, match="expected 'cube', found 'omega'"):
+            load_cube_grid(omega)
+
+    def test_a_body_that_ends_early_while_read_is_refused(self, cube_path,
+                                                          monkeypatch):
+        # the file is cut after its length was checked: fstat still reports
+        # the full length, but the last chunk comes up short
+        full = cube_path.stat().st_size
+        cube_path.write_bytes(cube_path.read_bytes()[:-4])
+        monkeypatch.setattr(cube_io, "os", SimpleNamespace(
+            fstat=lambda fd: SimpleNamespace(st_size=full)))
+        with pytest.raises(FormatError, match="shrank"):
+            load_scene_cube(cube_path)
+
+    @pytest.mark.parametrize("keep", [[], [16], [-1], [1.0], [True], [[1, 2]]])
+    def test_band_indices_off_the_grid_are_refused(self, cube_path, keep):
+        with pytest.raises(GridError, match=r"band indices must be integers in \[0, 16\)"):
+            load_scene_cube(cube_path, keep)
+
+    def test_grid_comes_from_the_header(self, cube_path):
+        assert load_cube_grid(cube_path) == load_scene_cube(cube_path).grid
 
 
 class TestWriterGuards:

@@ -18,6 +18,7 @@ from helpers import micro_scene
 from lwirange.atmosphere import load_downwelling, load_spectrum, save_downwelling, save_spectrum
 from lwirange.cli import _DEFAULTS, resolve_settings
 from lwirange.cube_io import (
+    load_cube_grid,
     load_estimates,
     load_scene_cube,
     load_scene_truth,
@@ -103,6 +104,8 @@ def test_cube_readers(valid, work, content):
     path.write_bytes(_apply((valid / "cube.lwc").read_bytes(), content))
     _typed_or_returns(lambda: read_cube(path))
     _typed_or_returns(lambda: load_scene_cube(path))
+    _typed_or_returns(lambda: load_scene_cube(path, (0, 2, 5)))
+    _typed_or_returns(lambda: load_cube_grid(path))
 
 
 @_SETTINGS
