@@ -51,6 +51,7 @@ from .cube_io import (
     save_estimates,
     save_range_map,
     save_scene_cube,
+    save_scene_rows,
     save_scene_truth,
     write_cube,
     write_map,
@@ -83,6 +84,7 @@ from .forward_model import (
     make_default_scene,
     radiance_model_batch,
     synthesize_cube,
+    synthesize_rows,
 )
 from .hyperspectral import (
     EstimateMaps,

@@ -49,7 +49,7 @@ from .cube_io import (
     load_truth_distance,
     save_estimates,
     save_range_map,
-    save_scene_cube,
+    save_scene_rows,
     save_scene_truth,
 )
 from .errors import ConfigError, GridError, LwirError
@@ -60,7 +60,7 @@ from .evaluation import (
     render_map,
     write_patch_stats_csv,
 )
-from .forward_model import make_default_scene, synthesize_cube
+from .forward_model import make_default_scene, synthesize_rows
 from .hyperspectral import SolverConfig, solve
 from .radiometry import DB_PER_M, Spectrum, Temperature
 
@@ -272,11 +272,13 @@ def cmd_synth(s, args):
     truth = make_default_scene(grid, q=0 if dw is None else len(dw),
                                air_temperature=_AIR_DEFAULT,
                                rows=s["rows"], cols=s["cols"])
-    cube = synthesize_cube(truth, alpha, dw, _AIR_DEFAULT,
+    rows = synthesize_rows(truth, alpha, dw, _AIR_DEFAULT,
                            noise_sigma=s["noise_sigma"], rng_seed=s["seed"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_scene_cube(out / "cube.lwc", cube)
+    # the cube streams to disk row by row; it is never held whole
+    save_scene_rows(out / "cube.lwc", rows, truth.shape, grid, _AIR_DEFAULT,
+                    s["noise_sigma"])
     save_scene_truth(out, truth, grid, zenith_angles_deg=dw.zenith_angles_deg)
     print(f"wrote {s['rows']}x{s['cols']}x{len(grid.wavelengths)} cube to {out}")
     return 0

@@ -4,7 +4,8 @@ Layout: 4-byte magic ``LWC1``, a little-endian uint32 byte length, a UTF-8
 JSON header, then the body. Cube and omega bodies are IEEE-754 binary32,
 little endian, row major [i][j][k]; map bodies are an (M, N) binary32 plane
 followed by an (M, N) uint8 validity plane. Headers carry no timestamps, so
-writing the same data twice produces identical files.
+writing the same data twice produces identical files. Each file is written
+under a temporary name beside its path and renamed into place once whole.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .closed_form import RangeMap
 from .errors import ConstraintError, DimensionError, FormatError, GridError, _is_real
-from .forward_model import SceneCube, SceneTruth
+from .forward_model import SceneCube, SceneTruth, _all_finite
 from .hyperspectral import EstimateMaps
 from .radiometry import MICROFLICK, SpectralGrid, Temperature
 
@@ -27,7 +29,8 @@ MAGIC = b"LWC1"
 _CREATED = "lwirange-0.1.0"
 _KINDS = ("cube", "map", "omega")
 _MAX_BODY_BYTES = 2 ** 62
-# the cube reader streams its body in chunks of about this many bytes
+# bodies stream through one reused buffer of about this many bytes: the cube
+# reader's, and each writer's when one image row is longer
 _CHUNK_BYTES = 1 << 20
 
 
@@ -131,14 +134,56 @@ class CubeHeader:
 
 
 def _write_container(path, header: CubeHeader, *planes):
-    # each body plane is written straight from its C-ordered array buffer
+    """Write an LWC1 file: the header, then each body plane, an iterable of
+    C-ordered buffers.  The file is written beside path under a temporary
+    name and renamed onto path once whole, so an exception part way (a
+    refused value, a short disk) leaves no partial file, and any file
+    already at path keeps its bytes."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
     hj = header.to_json()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(hj)))
-        fh.write(hj)
-        for plane in planes:
-            fh.write(plane)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(hj)))
+            fh.write(hj)
+            for plane in planes:
+                for chunk in plane:
+                    fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def _body_chunks(rows, shape, dtype, what=None):
+    """The shape = (M, N, K) body given as an iterable of its M (N, K)
+    rows, cast to dtype, in chunks of whole spectra: one image row, or a
+    part of one at most _CHUNK_BYTES long, each a view of one reused buffer.
+    With what set, every cast value must be finite (ConstraintError naming
+    what).  A row of another shape, or another row count, raises
+    DimensionError."""
+    m, n, k = shape
+    step = min(n, max(1, _CHUNK_BYTES // (np.dtype(dtype).itemsize * max(k, 1))))
+    buf = np.empty((step, k), dtype=dtype)
+    count = 0
+    for row in rows:
+        row = np.asarray(row)
+        if count == m or row.shape != (n, k):
+            raise DimensionError(
+                f"row {count} of shape {row.shape} does not match the body {shape}")
+        count += 1
+        for j in range(0, n, step):
+            chunk = buf[:min(step, n - j)]
+            chunk[...] = row[j:j + step]
+            if what is not None and not _all_finite(chunk):
+                raise ConstraintError(f"{what} must be finite")
+            yield chunk
+    if count != m:
+        raise DimensionError(f"{count} rows given for the body {shape}")
 
 
 def _read_header(fh, path) -> CubeHeader:
@@ -180,15 +225,25 @@ def _read_container(path):
 
 
 def write_cube(path, header: CubeHeader, data):
-    """Write a (rows, cols, bands) float array under a cube/omega header."""
+    """Write a (rows, cols, bands) body under a cube/omega header.
+
+    data is an array of that shape, or an iterator of its rows, each a
+    (cols, bands) array, such as :func:`forward_model.synthesize_rows`
+    makes.  The body is cast to float32 one image row at a time (at most
+    _CHUNK_BYTES at once) and written as it is cast, so no float32 copy of
+    the whole body is made; every value must be finite once cast
+    (ConstraintError).  On any failure no file is left at path but the one
+    that was there."""
     if header.kind == "map":
         raise FormatError("write_cube cannot write map containers; use write_map")
-    arr = np.asarray(data)
-    if arr.shape != (header.rows, header.cols, header.bands):
-        raise DimensionError(
-            f"data shape {arr.shape} does not match header "
-            f"({header.rows}, {header.cols}, {header.bands})")
-    _write_container(path, header, np.ascontiguousarray(arr, dtype="<f4"))
+    shape = (header.rows, header.cols, header.bands)
+    if not isinstance(data, Iterator):
+        data = np.asarray(data)
+        if data.shape != shape:
+            raise DimensionError(
+                f"data shape {data.shape} does not match header {shape}")
+    _write_container(path, header, _body_chunks(
+        data, shape, "<f4", what=f"{header.kind} values"))
 
 
 def read_cube(path):
@@ -212,8 +267,9 @@ def write_map(path, header: CubeHeader, values, flags):
             f"({header.rows}, {header.cols})")
     if flg.shape != val.shape:
         raise DimensionError(f"flags shape {flg.shape} does not match values")
-    _write_container(path, header, np.ascontiguousarray(val, dtype="<f4"),
-                     np.ascontiguousarray(flg, dtype=np.uint8))
+    shape = val.shape + (1,)
+    _write_container(path, header, _body_chunks(val[:, :, None], shape, "<f4"),
+                     _body_chunks(flg[:, :, None], shape, np.uint8))
 
 
 def read_map(path):
@@ -230,17 +286,27 @@ def read_map(path):
 # ----------------------------------------------------------------------
 
 def save_scene_cube(path, cube: SceneCube):
+    save_scene_rows(path, cube.radiance, cube.shape[:2], cube.grid,
+                    cube.air_temperature, cube.noise_sigma)
+
+
+def save_scene_rows(path, radiance, image_shape, grid: SpectralGrid,
+                    air_temperature: Temperature, noise_sigma: float):
+    """Write a scene cube file of image_shape = (M, N) from its radiance:
+    an (M, N, K) array, or an iterator of its M (N, K) rows, such as
+    :func:`forward_model.synthesize_rows` makes.  The file is the one
+    :func:`save_scene_cube` writes of the cube those rows fill."""
     header = CubeHeader(
         kind="cube",
-        rows=cube.radiance.shape[0],
-        cols=cube.radiance.shape[1],
-        bands=cube.radiance.shape[2],
-        wavelengths_um=tuple(cube.grid.wavelengths),
+        rows=image_shape[0],
+        cols=image_shape[1],
+        bands=len(grid),
+        wavelengths_um=tuple(grid.wavelengths),
         unit=MICROFLICK,
-        air_temperature_k=cube.air_temperature.kelvin,
-        noise_sigma=cube.noise_sigma,
+        air_temperature_k=air_temperature.kelvin,
+        noise_sigma=noise_sigma,
     )
-    write_cube(path, header, cube.radiance)
+    write_cube(path, header, radiance)
 
 
 def _scene_cube_header(fh, path):

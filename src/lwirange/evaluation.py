@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .closed_form import RangeMap
+from .closed_form import RangeMap, _median
 from .errors import DimensionError, DomainError, _is_int
 
 PATCH_CSV_COLUMNS = ("label", "mean_m", "std_m", "truth_median_m", "n_valid")
@@ -86,7 +86,7 @@ def patch_stats(estimate, truth, patches):
             "label": p.label or f"p@{p.i},{p.j}",
             "mean_m": float(vals.mean()) if n else float("nan"),
             "std_m": float(vals.std()) if n else float("nan"),
-            "truth_median_m": float(np.median(tr[si, sj])),
+            "truth_median_m": _median(tr[si, sj]),
             "n_valid": n,
         })
     return rows

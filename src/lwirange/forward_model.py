@@ -27,6 +27,7 @@ from .radiometry import SpectralGrid, Temperature, planck
 __all__ = [
     "SceneTruth",
     "SceneCube",
+    "synthesize_rows",
     "synthesize_cube",
     "make_default_scene",
     "radiance_model_batch",
@@ -59,6 +60,13 @@ def _state_maps(distance, temperature, emissivity, sky_weights):
 def _span(a):
     # (min, max) of a: NaN where a holds a NaN, (inf, -inf) where a is empty
     return a.min(initial=np.inf), a.max(initial=-np.inf)
+
+
+def _all_finite(a):
+    # a min/max reduction carries a NaN through without a boolean temporary;
+    # an empty a is finite
+    lo, hi = _span(a)
+    return -np.inf < lo and hi < np.inf
 
 
 def _check_feasible(d, t, e, o):
@@ -161,7 +169,7 @@ class SceneCube:
             raise DimensionError(f"radiance cube has an empty axis: {r.shape}")
         if r.shape[2] != len(self.grid):
             raise GridError("cube band count does not match the grid")
-        if not np.all(np.isfinite(r)):
+        if not _all_finite(r):
             raise ConstraintError("radiance must be finite")
         if not 0.0 <= self.noise_sigma < np.inf:
             raise DomainError(
@@ -227,25 +235,27 @@ def radiance_model_batch(
     return _radiance(_tau(d[:, None], alpha_values), contrast, b_air)
 
 
-def synthesize_cube(
+def synthesize_rows(
     truth: SceneTruth,
     alpha: AttenuationSpectrum,
     dw: DownwellingSet,
     air_temperature: Temperature,
     noise_sigma: float = 0.0,
     rng_seed: int = 0,
-) -> SceneCube:
-    """Per-pixel observation model plus i.i.d. Gaussian noise.
+):
+    """The observed cube of truth, one image row at a time: an iterator of
+    M (N, K) float64 rows, each the observation model plus i.i.d. Gaussian
+    noise.
 
-    dw may be None for a scene with no sky sectors (Q = 0). The cube is built
-    one image row at a time, and row i's noise is drawn as one (N, K) block
-    from a substream seeded by (seed, i): pixel (i, j) takes draws j*K to
-    (j+1)*K - 1 of it. So reruns agree bit for bit, and the top-left corner
-    of a cube equals the cube synthesized from that corner of the truth.
+    dw may be None for a scene with no sky sectors (Q = 0). The arguments
+    are checked here, before the first row is made. Row i's noise is drawn
+    as one (N, K) block from a substream seeded by (seed, i): pixel (i, j)
+    takes draws j*K to (j+1)*K - 1 of it. So reruns agree bit for bit, and
+    the top-left corner of a cube equals the cube synthesized from that
+    corner of the truth.
     """
     if not 0.0 <= noise_sigma < np.inf:
         raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    m, n = truth.shape
     k = len(alpha.grid)
     q = 0 if dw is None else len(dw)
     if truth.emissivity_cube.shape[2] != k:
@@ -257,24 +267,46 @@ def synthesize_cube(
 
     b_air = planck(alpha.grid.wavelengths, air_temperature.kelvin)
     ld = np.zeros((0, k)) if dw is None else dw.values
-    y = np.empty((m, n, k))
-    # every kernel is elementwise or a row-stable einsum, so each row carries
-    # the bits it would carry in a whole-image batch
-    for i in range(m):
-        y[i] = radiance_model_batch(
-            alpha.grid.wavelengths,
-            alpha.values,
-            truth.distance_map[i],
-            truth.temperature_map[i],
-            truth.emissivity_cube[i],
-            truth.solid_angle_maps[i],
-            ld,
-            truth.ground_ambient[i],
-            b_air,
-        )
-        if noise_sigma > 0:
-            rng = np.random.default_rng(np.random.SeedSequence([rng_seed, i]))
-            y[i] += noise_sigma * rng.standard_normal((n, k))
+    m, n = truth.shape
+
+    def rows():
+        # every kernel is elementwise or a row-stable einsum, so each row
+        # carries the bits it would carry in a whole-image batch
+        for i in range(m):
+            y = radiance_model_batch(
+                alpha.grid.wavelengths,
+                alpha.values,
+                truth.distance_map[i],
+                truth.temperature_map[i],
+                truth.emissivity_cube[i],
+                truth.solid_angle_maps[i],
+                ld,
+                truth.ground_ambient[i],
+                b_air,
+            )
+            if noise_sigma > 0:
+                rng = np.random.default_rng(np.random.SeedSequence([rng_seed, i]))
+                y += noise_sigma * rng.standard_normal((n, k))
+            yield y
+
+    return rows()
+
+
+def synthesize_cube(
+    truth: SceneTruth,
+    alpha: AttenuationSpectrum,
+    dw: DownwellingSet,
+    air_temperature: Temperature,
+    noise_sigma: float = 0.0,
+    rng_seed: int = 0,
+) -> SceneCube:
+    """The whole observed cube of truth, filled from :func:`synthesize_rows`
+    with the same arguments; the rows and their noise are its."""
+    rows = synthesize_rows(truth, alpha, dw, air_temperature, noise_sigma,
+                           rng_seed)
+    y = np.empty(truth.shape + (len(alpha.grid),))
+    for i, row in enumerate(rows):
+        y[i] = row
     # read-only, so the cube holds this array rather than a copy of it
     y.setflags(write=False)
     return SceneCube(y, alpha.grid, air_temperature, noise_sigma)
@@ -309,7 +341,13 @@ def make_default_scene(
     rows: int = 32,
     cols: int = 32,
 ) -> SceneTruth:
-    """Reflective-panel fixture used by the acceptance experiments."""
+    """Reflective-panel fixture used by the acceptance experiments.
+
+    Emissivity is flat in wavelength and the ground is one ambient
+    spectrum, so both are read-only broadcast views: the emissivity of an
+    (M, N, 1) map, the ground of one (K,) spectrum. The maps the scene holds
+    are (M, N) range, temperature and emissivity, and (M, N, Q) sky weights.
+    """
     if q < 1:
         raise DomainError("default scene needs at least one sky sector")
     k = len(grid)
@@ -320,7 +358,7 @@ def make_default_scene(
     # array), so SceneTruth adopts it once it is read-only
     d = np.repeat(np.linspace(5.0, 60.0, rows)[:, None], cols, axis=1)
     t = np.full((rows, cols), 295.5)
-    eps = np.full((rows, cols, k), 0.98)
+    eps = np.full((rows, cols, 1), 0.98)
     om = np.broadcast_to(om_grass, (rows, cols, q)).copy()
 
     panel, eps60, eps90 = default_panel_masks(rows, cols)
@@ -330,12 +368,13 @@ def make_default_scene(
     eps[eps90] = 0.9
     om[panel] = om_panel
 
-    # one ambient spectrum at every pixel: a read-only broadcast view, not
-    # an (M, N, K) copy of it
+    # one emissivity per pixel and one ambient spectrum at every pixel:
+    # read-only broadcast views, not (M, N, K) copies of them
     ambient = planck(grid.wavelengths, air_temperature.kelvin)
     for a in (d, t, eps, om, ambient):
         a.setflags(write=False)
-    return SceneTruth(d, t, eps, om, np.broadcast_to(ambient, (rows, cols, k)))
+    return SceneTruth(d, t, np.broadcast_to(eps, (rows, cols, k)), om,
+                      np.broadcast_to(ambient, (rows, cols, k)))
 
 
 def default_panel_masks(rows: int = 32, cols: int = 32):

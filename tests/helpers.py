@@ -1,5 +1,8 @@
 """Builders shared across test modules."""
 
+import json
+import struct
+
 import numpy as np
 
 from lwirange.atmosphere import (
@@ -74,3 +77,18 @@ def ramp_distances(truth, d_values):
 
 def five_band_grid():
     return SpectralGrid(np.array([8.42, 8.46, 9.49, 9.57, 13.0]))
+
+
+def poke_cube(path, index, value):
+    """Overwrite one voxel of the LWC1 cube file at path in place.
+
+    write_cube refuses a non-finite value, so a test of what the readers
+    make of one writes it into the file body here: index is (i, j, k).
+    """
+    with open(path, "r+b") as fh:
+        head = fh.read(8)
+        (hlen,) = struct.unpack("<I", head[4:8])
+        header = json.loads(fh.read(hlen))
+        shape = (header["rows"], header["cols"], header["bands"])
+        fh.seek(8 + hlen + 4 * int(np.ravel_multi_index(index, shape)))
+        fh.write(struct.pack("<f", value))

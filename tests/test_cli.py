@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +25,14 @@ from lwirange.cube_io import (
     load_scene_cube,
     read_cube,
     save_range_map,
-    write_cube,
+    save_scene_cube,
+    save_scene_truth,
 )
 from lwirange.errors import LwirError
+from lwirange.forward_model import make_default_scene, synthesize_cube
 from lwirange.hyperspectral import solve_no_sky
 from lwirange.radiometry import DB_PER_M
+from helpers import AIR, poke_cube
 
 
 def run(capsys, argv):
@@ -192,6 +196,28 @@ class TestStartup:
         assert out.strip() == "[]"
 
 
+    def test_quad_range_and_eval_leave_out_numpy_ma(self, capsys, tmp_path):
+        # np.median would import numpy.ma, about 20 ms of each launch
+        atmo, scene = tmp_path / "atmo", tmp_path / "scene"
+        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
+        assert run(capsys, ["synth", "--atmo", str(atmo), "--out", str(scene),
+                            "--rows", "8", "--cols", "8"])[0] == 0
+        rm = str(tmp_path / "quad.lwc")
+        stages = [["range", "--mode", "quad", "--cube", str(scene / "cube.lwc"),
+                   "--atmo", str(atmo), "--out", rm],
+                  ["eval", "--est", rm, "--truth", str(scene),
+                   "--out", str(tmp_path / "stats.csv")]]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from lwirange.cli import main; "
+             f"codes = [main(argv) for argv in {stages!r}]; "
+             "print(codes, 'numpy.ma' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip().splitlines()[-1] == "[0, 0] False"
+
+
 class TestUsageErrors:
     def test_no_command_is_usage_error(self, capsys):
         assert run(capsys, [])[0] == 2
@@ -326,9 +352,7 @@ class TestRuntimeErrors:
             assert err == ("error[GridError]: downwelling grid does not match "
                            "the cube grid\n")
 
-        header, body = read_cube(scene / "cube.lwc")
-        body[2, 2, 0] = np.nan
-        write_cube(scene / "cube.lwc", header, body)
+        poke_cube(scene / "cube.lwc", (2, 2, 0), np.nan)
         code, _, err = run(capsys, argv)
         assert code == 1
         assert err == "error[ConstraintError]: radiance must be finite\n"
@@ -410,6 +434,45 @@ class TestPipeline:
             "render", "--map", str(est), "--out", str(img)])
         assert code == 0, err
         assert img.read_bytes().startswith(b"P5\n8 8\n255\n")
+
+    @pytest.mark.parametrize("q", [2, None])
+    @pytest.mark.parametrize("sigma", ["0", "1.5"])
+    def test_streamed_synth_writes_the_files_of_the_whole_cube(
+            self, capsys, tmp_path, q, sigma):
+        atmo, scene, want = tmp_path / "atmo", tmp_path / "scene", tmp_path / "want"
+        qarg = [] if q is None else ["--q", str(q)]
+        assert run(capsys, ["atmo", "--out", str(atmo), *qarg])[0] == 0
+        code, _, err = run(capsys, [
+            "synth", "--atmo", str(atmo), "--out", str(scene), "--rows", "5",
+            "--cols", "4", "--seed", "7", "--noise-sigma", sigma])
+        assert code == 0, err
+        alpha = AttenuationSpectrum(load_spectrum(atmo / "attenuation.csv", DB_PER_M))
+        dw = load_downwelling(atmo / "downwelling")
+        truth = make_default_scene(alpha.grid, q=len(dw), air_temperature=AIR,
+                                   rows=5, cols=4)
+        save_scene_truth(want, truth, alpha.grid, zenith_angles_deg=dw.zenith_angles_deg)
+        save_scene_cube(want / "cube.lwc", synthesize_cube(
+            truth, alpha, dw, AIR, noise_sigma=float(sigma), rng_seed=7))
+        names = sorted(p.name for p in want.iterdir())
+        assert sorted(p.name for p in scene.iterdir()) == names
+        for name in names:
+            assert (scene / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_synth_holds_under_half_a_float64_cube(self, capsys, tmp_path):
+        # the cube streams to disk row by row; the truth writes make no
+        # whole-body float32 copy
+        argv = ["synth", "--out", str(tmp_path / "s"), "--rows", "96",
+                "--cols", "96", "--noise-sigma", "1"]
+        assert run(capsys, argv)[0] == 0  # imports stay out of the peak
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 96 * 96 * 64 * 8 / 2
 
     def test_synth_is_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -16,6 +16,7 @@ from lwirange.closed_form import (
     BandSelection,
     OzoneSlope,
     RangeMap,
+    _median,
     bispectral_air,
     bispectral_hot,
     estimate_air_temperature,
@@ -303,3 +304,27 @@ def test_bispectral_hot_exact_for_random_geometry(d, a1, gap):
     rm = bispectral_hot(cube, BANDS5, alpha)
     assert rm.validity[0, 0] == FLAG_VALID
     assert rm.distances[0, 0] == pytest.approx(d, rel=1e-8)
+
+
+_RNG = np.random.default_rng(17)
+
+
+@pytest.mark.parametrize("values", [
+    [3.0],
+    [np.nan],
+    [5.0, 1.0],
+    [2.0, 9.0, 4.0],
+    [-0.0, 0.0],
+    [np.inf, -np.inf],
+    [1.0, np.nan, 3.0],
+    [np.nan, 2.0, 0.5, 7.0],
+    [4.0, -np.nan],
+    [[1.0, 8.0], [2.5, 2.5]],
+    *(_RNG.normal(size=n) * 10.0 ** _RNG.integers(-3, 4) for n in range(1, 12)),
+    _RNG.integers(0, 4, size=(8, 8)).astype(np.float64),
+])
+def test_median_has_the_bits_of_np_median(values):
+    a = np.array(values)
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        want = np.float64(np.median(a)).tobytes()
+        assert np.float64(_median(a)).tobytes() == want

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,7 +38,7 @@ from lwirange.closed_form import RangeMap
 from lwirange.errors import ConstraintError, GridError
 from lwirange.forward_model import SceneTruth
 from lwirange.hyperspectral import _proj_cap_simplex
-from helpers import micro_scene
+from helpers import micro_scene, poke_cube
 
 
 def f32(rng, shape, lo=0.0, hi=1000.0):
@@ -437,9 +438,7 @@ class TestStreamingReader:
             self, cube_path, monkeypatch, value, chunk_bytes):
         # the last spectrum, so a one-spectrum chunk puts it in the last chunk
         monkeypatch.setattr(cube_io, "_CHUNK_BYTES", chunk_bytes)
-        header, body = read_cube(cube_path)
-        body[-1, -1, 15] = value
-        write_cube(cube_path, header, body)
+        poke_cube(cube_path, (4, 6, 15), value)
         with pytest.raises(ConstraintError, match="radiance must be finite"):
             load_scene_cube(cube_path, [0, 1])
 
@@ -500,6 +499,114 @@ class TestWriterGuards:
             write_map(tmp_path / "x.lwc",
                       CubeHeader(kind="map", rows=2, cols=2, bands=1),
                       np.zeros((2, 2)), np.zeros((2, 3), dtype=np.uint8))
+
+
+class TestStreamingWriter:
+    """write_cube casts and writes its body one image row at a time, from
+    an array or an iterator of rows, into a temporary file beside its path
+    that replaces the path only once whole."""
+
+    @pytest.fixture()
+    def body(self):
+        return np.random.default_rng(3).random((5, 7, 6)) * 1000.0
+
+    def header(self, body):
+        return CubeHeader(kind="cube", rows=body.shape[0], cols=body.shape[1],
+                          bands=body.shape[2])
+
+    # a spectrum per chunk; 3 spectra, so a row of 7 ends in a partial
+    # chunk; and one chunk larger than the whole body
+    @pytest.mark.parametrize("chunk_bytes", [1, 3 * 6 * 4, 1 << 30])
+    def test_rows_and_any_chunk_size_write_the_whole_array_bytes(
+            self, tmp_path, monkeypatch, body, chunk_bytes):
+        write_cube(tmp_path / "want.lwc", self.header(body), body)
+        want = (tmp_path / "want.lwc").read_bytes()
+        monkeypatch.setattr(cube_io, "_CHUNK_BYTES", chunk_bytes)
+        for name, data in (("array", body), ("rows", iter(body))):
+            write_cube(tmp_path / name, self.header(body), data)
+            assert (tmp_path / name).read_bytes() == want, name
+        assert read_cube(tmp_path / "rows")[1].tobytes() == \
+            body.astype("<f4").tobytes()
+
+    def test_a_broadcast_body_is_written_without_a_whole_float32_copy(
+            self, tmp_path):
+        flat = np.random.default_rng(4).random((64, 64, 1))
+        body = np.broadcast_to(flat, (64, 64, 64))
+        header = CubeHeader(kind="cube", rows=64, cols=64, bands=64)
+        write_cube(tmp_path / "warm.lwc", header, body)
+        tracemalloc.start()
+        try:
+            write_cube(tmp_path / "e.lwc", header, body)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < body.size * 4 / 8
+        assert np.array_equal(read_cube(tmp_path / "e.lwc")[1],
+                              body.astype(np.float32))
+
+    @staticmethod
+    def rows_then(body, i, fault):
+        for r, row in enumerate(body):
+            if r == i:
+                fault(row)
+            yield row
+
+    @staticmethod
+    def nan_row(row):
+        row[1, 2] = np.nan
+
+    @staticmethod
+    def disk_full(row):
+        raise OSError(28, "No space left on device")
+
+    @pytest.mark.parametrize("fault, error, match", [
+        ("nan_row", ConstraintError, "cube values must be finite"),
+        ("disk_full", OSError, "No space left"),
+    ])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_failure_mid_body_leaves_no_partial_file(
+            self, tmp_path, body, fault, error, match, existing):
+        target = tmp_path / "cube.lwc"
+        if existing:
+            target.write_bytes(b"earlier bytes")
+        rows = self.rows_then(body.copy(), 3, getattr(self, fault))
+        with pytest.raises(error, match=match):
+            write_cube(target, self.header(body), rows)
+        left = sorted(p.name for p in tmp_path.iterdir())
+        if existing:
+            assert left == ["cube.lwc"]
+            assert target.read_bytes() == b"earlier bytes"
+        else:
+            assert left == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+    def test_a_value_not_finite_in_float32_is_refused(self, tmp_path, body,
+                                                      value):
+        body[4, 6, 5] = value
+        with pytest.raises(ConstraintError, match="cube values must be finite"):
+            write_cube(tmp_path / "c.lwc", self.header(body), body)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rows, match", [
+        (lambda b: iter(b[:4]), "4 rows given"),
+        (lambda b: iter(np.concatenate([b, b[:1]])), "row 5 of shape"),
+        (lambda b: iter(b[:, :6]), r"row 0 of shape \(6, 6\)"),
+    ])
+    def test_rows_must_fill_the_header_shape(self, tmp_path, body, rows,
+                                             match):
+        with pytest.raises(DimensionError, match=match):
+            write_cube(tmp_path / "c.lwc", self.header(body), rows(body))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_maps_keep_their_non_finite_values(self, tmp_path):
+        values = np.array([[1.5, np.nan], [np.inf, -2.0]])
+        flags = np.array([[0, 1], [2, 3]], dtype=np.uint8)
+        write_map(tmp_path / "m.lwc", CubeHeader(kind="map", rows=2, cols=2,
+                                                  bands=1), values, flags)
+        _, v, f = read_map(tmp_path / "m.lwc")
+        assert np.array_equal(v, values.astype(np.float32), equal_nan=True)
+        assert np.array_equal(f, flags)
 
 
 class TestPipelineFidelity:

@@ -27,6 +27,7 @@ from lwirange.forward_model import (
     make_default_scene,
     radiance_model_batch,
     synthesize_cube,
+    synthesize_rows,
 )
 from lwirange.radiometry import planck
 
@@ -308,8 +309,9 @@ def test_a_read_only_view_of_writable_memory_is_copied():
 
 def test_default_scene_builds_each_map_once():
     # every map is handed to SceneTruth read-only and owning its memory, so
-    # the truth adopts it rather than copying it
-    grid = make_default_grid(bands=8)
+    # the truth adopts it rather than copying it; the band-flat emissivity
+    # is one (M, N, 1) map, broadcast over the bands
+    grid = make_default_grid(bands=64)
     make_default_scene(grid, q=40, rows=2, cols=2)
     tracemalloc.start()
     try:
@@ -317,9 +319,11 @@ def test_default_scene_builds_each_map_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    maps = (truth.distance_map, truth.temperature_map, truth.emissivity_cube,
-            truth.solid_angle_maps)
-    assert peak < 1.25 * sum(a.nbytes for a in maps)
+    e = truth.emissivity_cube
+    assert e.shape == (64, 64, 64) and e.strides[2] == 0 and not e.flags.writeable
+    held = (truth.distance_map.nbytes + truth.temperature_map.nbytes
+            + e[:, :, 0].nbytes + truth.solid_angle_maps.nbytes)
+    assert peak < 1.25 * held
 
 
 def test_synthesize_cube_holds_one_copy_of_the_cube():
@@ -335,6 +339,47 @@ def test_synthesize_cube_holds_one_copy_of_the_cube():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * cube.radiance.nbytes
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 1.5])
+def test_synthesize_cube_is_filled_from_the_row_generator(noise_sigma):
+    s = micro_scene(rows=5, cols=3, bands=8, q=2)
+    args = (s["truth"], s["alpha"], s["dw"], AIR, noise_sigma, 4)
+    rows = list(synthesize_rows(*args))
+    assert len(rows) == 5 and all(r.shape == (3, 8) for r in rows)
+    assert np.array_equal(np.stack(rows), synthesize_cube(*args).radiance)
+
+
+def test_synthesize_rows_checks_its_arguments_before_the_first_row():
+    s = micro_scene(rows=2, cols=2, bands=8, q=2)
+    with pytest.raises(DomainError, match="noise_sigma"):
+        synthesize_rows(s["truth"], s["alpha"], s["dw"], AIR, noise_sigma=-1.0)
+    with pytest.raises(DimensionError, match="sector count"):
+        synthesize_rows(s["truth"], s["alpha"], None, AIR)
+
+
+def test_scene_cube_checks_finiteness_without_a_boolean_cube():
+    grid = make_default_grid(bands=64)
+    r = np.full((64, 64, 64), 500.0)
+    r.setflags(write=False)
+    SceneCube(r[:1, :1], grid, AIR)  # warm up
+    tracemalloc.start()
+    try:
+        cube = SceneCube(r, grid, AIR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cube.radiance is r
+    assert peak < r.nbytes / 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scene_cube_rejects_non_finite_radiance(bad):
+    grid = make_default_grid(bands=8)
+    r = np.full((3, 4, 8), 500.0)
+    r[2, 3, 7] = bad
+    with pytest.raises(ConstraintError, match="radiance must be finite"):
+        SceneCube(r, grid, AIR)
 
 
 @settings(deadline=None, max_examples=40)

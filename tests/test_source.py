@@ -1,7 +1,7 @@
 """Static checks on the package source, read with ast: every ``__all__``
 entry names a module-level definition, no module but the package
-``__init__`` imports a name it never uses, and every ``SolverConfig`` field
-is read outside its own ``validate``."""
+``__init__`` imports a name it never uses, every ``SolverConfig`` field
+is read outside its own ``validate``, and no module calls ``np.median``."""
 
 import ast
 from pathlib import Path
@@ -82,3 +82,16 @@ def test_every_solver_config_field_is_read():
             and id(node) not in inside}
     dead = sorted(fields - read)
     assert fields and not dead, dead
+
+
+def test_no_module_calls_np_median():
+    # np.median imports numpy.ma on first use, about 20 ms of a CLI launch;
+    # closed_form._median gives the same bits without it
+    calls = sorted(f"{name}:{node.lineno}" for name, tree in _modules().items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "median"
+                   and isinstance(node.func.value, ast.Name)
+                   and node.func.value.id in ("np", "numpy"))
+    assert not calls
