@@ -89,7 +89,8 @@ _DEFAULTS = {
 _HELP = {
     "threads": "hyper mode: the most row blocks to solve at once, one worker "
                "process each, capped at the rows and the usable cores "
-               "(default 1, in this process)",
+               "(default 1, in this process); the --rho-d TV rounds run "
+               "once on the whole map in this process",
 }
 
 
@@ -161,21 +162,24 @@ def _read_env(settings, violations, environ):
         _apply(settings, key, environ[name], f"env {name}", violations)
 
 
+def _solver_config(s):
+    """The hyper solver's settings; SolverConfig.validate owns their rules."""
+    return SolverConfig(rho_eps=s["rho_eps"], rho_d=s["rho_d"],
+                        d_max=s["d_max"], threads=s["threads"])
+
+
 def _validate(s):
     v = []
     if s["mode"] not in _MODES:
         v.append(f"mode must be one of {_MODES}, got {s['mode']!r}")
     if s["palette"] not in _PALETTES:
         v.append(f"palette must be one of {_PALETTES}, got {s['palette']!r}")
-    for key, low in (("seed", 0), ("threads", 1), ("rows", 1), ("cols", 1),
-                     ("patches", 1)):
+    for key, low in (("seed", 0), ("rows", 1), ("cols", 1), ("patches", 1)):
         if s[key] is None or s[key] < low:
             v.append(f"{key} must be an integer >= {low}, got {s[key]!r}")
-    for key in ("rho_eps", "rho_d", "noise_sigma"):
-        if s[key] is None or not 0.0 <= s[key] < np.inf:
-            v.append(f"{key} must be finite and >= 0, got {s[key]!r}")
-    if s["d_max"] is None or not 0.0 < s["d_max"] < np.inf:
-        v.append(f"d_max must be finite and > 0, got {s['d_max']!r}")
+    if s["noise_sigma"] is None or not 0.0 <= s["noise_sigma"] < np.inf:
+        v.append(f"noise_sigma must be finite and >= 0, got {s['noise_sigma']!r}")
+    v.extend(_solver_config(s).validate())
     if s["q"] is not None and s["q"] < 0:
         v.append(f"q must be >= 0 or none, got {s['q']!r}")
     if s["bands"] is not None:
@@ -330,9 +334,7 @@ def cmd_range(s, args):
         # default water and ozone bands whatever --bands says, and falls
         # back to flat starts where they do not resolve
         t_air = estimate_air_temperature(cube, lambda_sat=_band_targets(s)[4])
-        cfg = SolverConfig(rho_eps=s["rho_eps"], rho_d=s["rho_d"],
-                           d_max=s["d_max"], threads=s["threads"])
-        est = solve(cube, alpha, dw, t_air, config=cfg)
+        est = solve(cube, alpha, dw, t_air, config=_solver_config(s))
         # zenith angles only where there are sky sectors to label
         save_estimates(args.out, est, grid=cube.grid,
                        zenith_angles_deg=None if dw is None else dw.zenith_angles_deg)

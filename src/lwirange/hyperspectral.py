@@ -10,6 +10,8 @@ and two flat emissivity starts, then refinement of each pixel's lowest-loss
 start, a profiled range polish, a projected-gradient Armijo pass and, when
 the TV weight is positive, proximal TV rounds.  On a grid where no closed
 form resolves, the warmup starts from a ladder of flat ranges instead.
+The TV rounds are the one stage that couples pixels: :func:`solve` runs
+every other stage in row blocks and the TV rounds once on the whole map.
 Every phase runs a fixed number of sweeps.  Each temperature candidate
 refits emissivity by one banded least-squares solve, clipped to [0, 1].
 The temperature and range scans rank their candidates by cheaper forms of
@@ -21,8 +23,8 @@ the objective its stage enforces, which is the data misfit plus emissivity
 smoothness up to the Armijo pass and that plus the TV term in the TV
 rounds.  The search draws no random numbers, and all array reductions are
 per pixel, which makes results byte-identical for any row partitioning
-(worker count) and any edit to other pixels' data when the TV weight is
-zero.
+(worker count) and, when the TV weight is zero, for any edit to other
+pixels' data.
 
 The solver holds its per-band state band-major: observed radiance,
 emissivity, B(T), path transmittance, reflected light, residuals and every
@@ -127,19 +129,16 @@ class SolverConfig:
     d_max the range box bound.  No setting picks the sky sectors: the
     model has one per spectrum of the downwelling set passed to
     :func:`solve`, and none when that is None.  threads caps the number of
-    row blocks, each solved in its own worker process; there are never
-    more blocks than rows or usable cores.  warmup_iterations,
-    warmup_d_freeze (warmup sweeps before the range block first runs),
-    refine_iterations and max_iterations (a cap on both) set the sweep
-    counts; every warmup start
-    (each range start times each emissivity start) runs the whole warmup
-    budget, then each pixel's lowest-loss start runs the whole refinement
-    budget.  polish_rounds and armijo_iterations set the number of profiled
-    range polish rounds and projected-gradient passes.  track_history (threads=1 only) records
-    ``(stage, step, objective, feasible)`` per "refine" sweep and per
-    "polish", "armijo" and "tv" round, with the objective that stage guards:
-    data misfit plus smoothness, plus rho_d * TV on "tv" entries, the first
-    of which is the state received.
+    row blocks whose per-pixel stages each run in their own worker process;
+    there are never more blocks than rows or usable cores, and the TV
+    rounds run once on the whole map in the calling process.
+    warmup_iterations, warmup_d_freeze (warmup sweeps before the range block
+    first runs), refine_iterations and max_iterations (a cap on both) set
+    the sweep counts; every warmup start (each range start times each emissivity
+    start) runs the whole warmup budget, then each pixel's lowest-loss start
+    runs the whole refinement budget.  polish_rounds and armijo_iterations
+    set the number of profiled range polish rounds and projected-gradient
+    passes.
 
     The scan sizes, warmup starts, line-search constants and
     temperature box are module constants (``_T_SPAN0`` and the names after
@@ -157,7 +156,6 @@ class SolverConfig:
     polish_rounds: int = 3
     armijo_iterations: int = 2
     threads: int = 1
-    track_history: bool = False
 
     def validate(self) -> list[str]:
         v = []
@@ -174,11 +172,6 @@ class SolverConfig:
             x = getattr(self, name)
             if not (_is_int(x) and x >= low):
                 v.append(f"{name} must be an integer >= {low}, got {x!r}")
-        many = _is_int(self.threads) and self.threads > 1
-        if many and _is_real(self.rho_d) and self.rho_d > 0.0:
-            v.append("rho_d > 0 couples pixels across rows; requires threads=1")
-        if many and self.track_history:
-            v.append("track_history requires threads=1")
         return v
 
 
@@ -192,9 +185,13 @@ class EstimateMaps:
     (M,N) is the per-pixel data misfit plus the weighted
     emissivity-smoothness penalty; iterations (M,N) counts the refinement
     sweeps the pixel ran, the refinement budget at every pixel of a
-    :func:`solve`.  history is the per-stage record that
-    SolverConfig.track_history asks for.  The four state maps and the loss
-    must be finite; a violation raises ConstraintError.
+    :func:`solve`.  history, which :func:`solve` always fills, holds
+    ``(stage, step, objective, feasible)`` per "refine" sweep and per
+    "polish", "armijo" and "tv" round, with the objective that stage
+    guards: data misfit plus smoothness, summed over the image, plus
+    rho_d * TV on "tv" entries, the first of which is the state the TV
+    stage received.  The four state maps and the loss must be finite; a
+    violation raises ConstraintError.
     """
 
     distance: np.ndarray
@@ -478,7 +475,8 @@ def _feasible(d, eps, om, d_max):
 
 
 def _phase(pr, d, t, eps, om, iters, *, d_freeze, record=None):
-    # runs iters sweeps; returns the state and its per-pixel loss
+    # runs iters sweeps; returns the state and its per-pixel loss.  record,
+    # if given, is called after each sweep as record(it, d, eps, om, loss)
     has_sky = pr.sky.shape[0] > 0
     tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
     loss = _misfit(pr, tau, bt, eps, mix)
@@ -494,7 +492,7 @@ def _phase(pr, d, t, eps, om, iters, *, d_freeze, record=None):
                 span = max(_D_SPAN0 * _D_DECAY ** (it - d_freeze), _MIN_SPAN)
             d, tau, loss = _dist_block(pr, d, tau, bt, eps, mix, loss, span)
         if record is not None:
-            record(it, d, t, eps, om)
+            record(it, d, eps, om, loss)
     return d, t, eps, om, loss
 
 
@@ -563,7 +561,8 @@ def _backtrack_block(l0, step0, x, cand_of, dist2_of, loss_of):
 
 
 def _armijo_pass(pr, d, t, eps, om):
-    """One sweep of per-block projected-gradient line searches."""
+    """One sweep of per-block projected-gradient line searches; returns the
+    state and its per-pixel loss."""
 
     def cur_loss(dv, tv, ev, ov):
         return _loss(pr, dv, tv, ev, _mix_of(pr, ov))
@@ -593,35 +592,34 @@ def _armijo_pass(pr, d, t, eps, om):
     if om.shape[1] > 0:
         # the (P, Q) sky weights go through the block transposed, pixels last
         _, _, _, g_o = _gradients_flat(pr, d, t, eps, om)
-        om_t, _ = _backtrack_block(
+        om_t, l0 = _backtrack_block(
             l0, 0.05 / (np.abs(g_o).max(1) + 1e-30), om.T,
             lambda tc: _proj_cap_simplex(om - tc[:, None] * g_o).T,
             lambda c: ((c.T - om) ** 2).sum(1),
             lambda c: cur_loss(d, t, eps, c.T))
         om = np.ascontiguousarray(om_t.T)
 
-    return d, t, eps, om
+    return d, t, eps, om, l0
 
 
 def _tv1d_denoise(y, lam, iters=200):
-    # prox of lam*TV about y, solved on the box-constrained dual (FISTA)
-    n = y.size
-    if n < 2 or lam <= 0.0:
-        return y.copy()
-    u = np.zeros(n - 1)
+    # prox of lam*TV along each row of the 2-d y, solved on the
+    # box-constrained dual (FISTA).  Every step is elementwise, so each row
+    # gets the bits it would get alone
+    u = np.zeros((y.shape[0], y.shape[1] - 1))
     v = u.copy()
     tk = 1.0
     for _ in range(iters):
         x = y.copy()
-        x[:-1] += v
-        x[1:] -= v
-        un = np.clip(v + 0.25 * (x[1:] - x[:-1]), -lam, lam)
+        x[:, :-1] += v
+        x[:, 1:] -= v
+        un = np.clip(v + 0.25 * (x[:, 1:] - x[:, :-1]), -lam, lam)
         tn = (1.0 + np.sqrt(1.0 + 4.0 * tk * tk)) / 2.0
         v = un + ((tk - 1.0) / tn) * (un - u)
         u, tk = un, tn
     x = y.copy()
-    x[:-1] += u
-    x[1:] -= u
+    x[:, :-1] += u
+    x[:, 1:] -= u
     return x
 
 
@@ -629,11 +627,8 @@ def _tv_denoise_map(d2, lam):
     # anisotropic split matching tv_distance's truncated index ranges:
     # horizontal terms exist on rows 0..M-2, vertical terms on cols 0..N-2
     out = d2.copy()
-    m, n = out.shape
-    for i in range(m - 1):
-        out[i, :] = _tv1d_denoise(out[i, :], lam)
-    for j in range(n - 1):
-        out[:, j] = _tv1d_denoise(out[:, j], lam)
+    out[:-1] = _tv1d_denoise(out[:-1], lam)
+    out[:, :-1] = _tv1d_denoise(out[:, :-1].T, lam).T
     return out
 
 
@@ -822,20 +817,14 @@ def _warm_start(pr, cfg, d_starts, t0):
     return ds[best], ts[best], es[:, best], os_[best]
 
 
-def _solve_flat(pr, cfg, d_starts, t0, init_state, rows, ncols):
-    hist = [] if cfg.track_history else None
+def _solve_flat(pr, cfg, d_starts, t0, init_state):
+    # the per-pixel stages of one row block: warmup, refine, polish and
+    # Armijo; returns the state, its per-pixel loss and the block's history
+    hist = []
 
-    def full_objective(d, loss):
-        # what the TV stage guards: data + smoothness + rho_d * TV
-        return float(loss.sum()) + cfg.rho_d * tv_distance(d.reshape(rows, ncols))
-
-    def record(label, it, d, t, eps, om):
-        # each entry holds the objective its stage guards (see SolverConfig)
-        if hist is None:
-            return
-        loss = _loss(pr, d, t, eps, _mix_of(pr, om))
-        tot = full_objective(d, loss) if label == "tv" else float(loss.sum())
-        hist.append((label, it, tot, _feasible(d, eps, om, pr.d_max)))
+    def record(label, it, d, eps, om, loss):
+        # the objective these stages guard: data misfit plus smoothness
+        hist.append((label, it, float(loss.sum()), _feasible(d, eps, om, pr.d_max)))
 
     if init_state is None:
         init_state = _warm_start(pr, cfg, d_starts, t0)
@@ -849,26 +838,35 @@ def _solve_flat(pr, cfg, d_starts, t0, init_state, rows, ncols):
             d, tau, t, eps, bt, loss = _polish_distance(
                 pr, d, tau, t, eps, bt, mix, loss, span=_POLISH_SPAN / (rep + 1))
             om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
-            record("polish", rep, d, t, eps, om)
+            record("polish", rep, d, eps, om, loss)
 
     for i in range(cfg.armijo_iterations):
-        d, t, eps, om = _armijo_pass(pr, d, t, eps, om)
-        record("armijo", i, d, t, eps, om)
+        d, t, eps, om, loss = _armijo_pass(pr, d, t, eps, om)
+        record("armijo", i, d, eps, om, loss)
 
-    if cfg.rho_d > 0.0:
-        record("tv", 0, d, t, eps, om)
-        for rnd in range(_TV_ROUNDS):
-            mix = _mix_of(pr, om)
-            tot_old = full_objective(d, _loss(pr, d, t, eps, mix))
-            dn = np.clip(_tv_denoise_map(d.reshape(rows, ncols), cfg.rho_d),
-                         0.0, pr.d_max).reshape(-1)
-            if full_objective(dn, _loss(pr, dn, t, eps, mix)) > tot_old:
-                break
-            d, t, eps, om, _ = _phase(pr, dn, t, eps, om, 2, d_freeze=2)
-            record("tv", rnd + 1, d, t, eps, om)
+    return d, t, eps, om, loss, hist
 
-    loss_final = _loss(pr, d, t, eps, _mix_of(pr, om))
-    return d, t, eps, om, loss_final, hist
+
+def _tv_rounds(pr, rho_d, d, t, eps, om, loss, shape):
+    # the one stage that couples pixels, run on the whole (M, N) map: each
+    # round takes the TV prox of the range map where that does not raise the
+    # full objective, data + smoothness + rho_d * TV, then refits the other
+    # blocks.  Returns the state, its per-pixel loss and the "tv" history,
+    # whose first entry is the state received
+    def full_objective(d, loss):
+        return float(loss.sum()) + rho_d * tv_distance(d.reshape(shape))
+
+    tot = full_objective(d, loss)
+    hist = [("tv", 0, tot, _feasible(d, eps, om, pr.d_max))]
+    for rnd in range(_TV_ROUNDS):
+        dn = np.clip(_tv_denoise_map(d.reshape(shape), rho_d),
+                     0.0, pr.d_max).reshape(-1)
+        if full_objective(dn, _loss(pr, dn, t, eps, _mix_of(pr, om))) > tot:
+            break
+        d, t, eps, om, loss = _phase(pr, dn, t, eps, om, 2, d_freeze=2)
+        tot = full_objective(d, loss)
+        hist.append(("tv", rnd + 1, tot, _feasible(d, eps, om, pr.d_max)))
+    return d, t, eps, om, loss, hist
 
 
 def _usable_cores():
@@ -889,11 +887,13 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     (see _range_starts) with every emissivity start; initial optionally
     replaces that warmup with a caller-supplied EstimateMaps state, whose
     sky weights must carry one sector per downwelling spectrum.
-    The image is solved as min(threads, rows, usable cores) row blocks,
-    one worker process per block, forked from the caller; a single block
-    runs in the calling process.  Deterministic (the search
-    draws no random numbers) and independent of the number of blocks and
-    of workers.
+    The per-pixel stages run on min(threads, rows, usable cores) row
+    blocks, one worker process per block, forked from the caller; a single
+    block runs in the calling process.  The blocks' histories are summed
+    entry by entry.  When rho_d > 0 the TV rounds then run once on the
+    whole map in the calling process.  Deterministic (the search draws no
+    random numbers), and the maps are independent of the number of blocks
+    and of workers; the history's sums may differ in their last bits.
     """
     cfg = config if config is not None else SolverConfig()
     violations = cfg.validate()
@@ -922,7 +922,7 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
             d_i, t_i, e_i, o_i = init_state
             ini = (d_i[sel], t_i[sel], np.ascontiguousarray(e_i[:, sel]), o_i[sel])
         return (replace(pr, y=np.ascontiguousarray(pr.y[:, sel])), cfg,
-                [d[sel] for d in d_starts], t0[sel], ini, rows.size, n)
+                [d[sel] for d in d_starts], t0[sel], ini)
 
     blocks = min(cfg.threads, m, _usable_cores())
     jobs = [job(rows) for rows in np.array_split(np.arange(m), blocks)]
@@ -937,19 +937,27 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         with concurrent.futures.ProcessPoolExecutor(
                 len(jobs), mp_context=multiprocessing.get_context("fork")) as ex:
             parts = list(ex.map(_solve_flat, *zip(*jobs)))
-    d, t, eps, om, loss_f = zip(*(pt[:5] for pt in parts))
-    d, t, om, loss_f = (np.concatenate(a) for a in (d, t, om, loss_f))
+    d, t, eps, om, loss, hists = zip(*parts)
+    d, t, om, loss = (np.concatenate(a) for a in (d, t, om, loss))
     eps = np.concatenate(eps, axis=1)
+    # every block runs the same fixed schedule, so entry i is the same stage
+    # and step in each: the objectives add, in block order, and the flags AND
+    history = [row[0][:2] + (sum(e[2] for e in row), all(e[3] for e in row))
+               for row in zip(*hists)]
+    if cfg.rho_d > 0.0:
+        d, t, eps, om, loss, tv_hist = _tv_rounds(pr, cfg.rho_d, d, t, eps, om,
+                                                  loss, (m, n))
+        history += tv_hist
 
     return EstimateMaps(
         distance=d.reshape(m, n),
         temperature=t.reshape(m, n),
         emissivity=_band_maps(eps, m, n),
         solid_angles=om.reshape(m, n, q),
-        loss=loss_f.reshape(m, n),
+        loss=loss.reshape(m, n),
         iterations=np.full((m, n), min(cfg.refine_iterations, cfg.max_iterations),
                            dtype=np.int64),
-        history=parts[0][5],
+        history=history,
     )
 
 

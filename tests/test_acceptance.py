@@ -304,7 +304,7 @@ def test_criterion_06_projection_matches_qp_oracle():
 def test_criterion_07_iterates_feasible_and_objective_monotone():
     sc = micro_scene(rows=6, cols=6, bands=16, q=2, noise_sigma=1.0, seed=23)
     est = solve(sc["cube"], sc["alpha"], sc["dw"], Temperature(295.0),
-                SolverConfig(track_history=True))
+                SolverConfig())
     hist = est.history
     all_feasible = bool(hist) and all(entry[3] for entry in hist)
     worst_rise = 0.0

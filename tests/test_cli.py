@@ -502,6 +502,28 @@ class TestPipeline:
             assert ((tmp_path / "est0" / name).read_bytes()
                     == (tmp_path / "est7" / name).read_bytes()), name
 
+    def test_hyper_range_with_tv_is_independent_of_threads(
+            self, capsys, tmp_path, monkeypatch):
+        # the TV rounds run on the whole map after the row blocks, so a
+        # positive --rho-d runs on two workers with the bits of one
+        atmo, scene = tmp_path / "atmo", tmp_path / "scene"
+        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
+        assert run(capsys, ["synth", "--atmo", str(atmo), "--out", str(scene),
+                            "--rows", "4", "--cols", "3",
+                            "--noise-sigma", "0.5"])[0] == 0
+        monkeypatch.setattr("lwirange.hyperspectral._usable_cores", lambda: 2)
+        for threads in ("1", "2"):
+            code, _, err = run(capsys, [
+                "range", "--mode", "hyper", "--cube", str(scene / "cube.lwc"),
+                "--atmo", str(atmo), "--out", str(tmp_path / f"est{threads}"),
+                "--rho-d", "1", "--threads", threads])
+            assert code == 0, err
+        names = sorted(p.name for p in (tmp_path / "est1").iterdir())
+        assert len(names) == 6
+        for name in names:
+            assert ((tmp_path / "est1" / name).read_bytes()
+                    == (tmp_path / "est2" / name).read_bytes()), name
+
     def test_hyper_range_keeps_to_a_short_d_max(self, capsys, tmp_path):
         atmo, scene = tmp_path / "atmo", tmp_path / "scene"
         assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0

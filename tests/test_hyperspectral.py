@@ -31,13 +31,16 @@ from lwirange.closed_form import (
     fit_ozone_slope,
     quadspectral,
 )
+from lwirange import hyperspectral
 from lwirange.hyperspectral import (
+    _armijo_pass,
     _build_problem,
     _dist_block,
     _eps_quick,
     _linear_loss,
     _loss,
     _misfit,
+    _flatten_maps,
     _mix_of,
     _phase,
     _Problem,
@@ -47,6 +50,7 @@ from lwirange.hyperspectral import (
     _temp_block,
     _temp_candidates,
     _thomas,
+    _tv_denoise_map,
 )
 from lwirange.forward_model import _radiance
 from lwirange.radiometry import _planck_core
@@ -188,6 +192,42 @@ class TestPenalties:
                 want += abs(d[i + 1, j] - d[i, j])
                 want += abs(d[i, j + 1] - d[i, j])
         npt.assert_allclose(tv_distance(d), want, rtol=1e-13)
+
+
+def tv1d_reference(y, lam, iters=200):
+    # one row at a time: the FISTA prox the batched _tv_denoise_map must match
+    n = y.size
+    if n < 2 or lam <= 0.0:
+        return y.copy()
+    u = np.zeros(n - 1)
+    v = u.copy()
+    tk = 1.0
+    for _ in range(iters):
+        x = y.copy()
+        x[:-1] += v
+        x[1:] -= v
+        un = np.clip(v + 0.25 * (x[1:] - x[:-1]), -lam, lam)
+        tn = (1.0 + np.sqrt(1.0 + 4.0 * tk * tk)) / 2.0
+        v = un + ((tk - 1.0) / tn) * (un - u)
+        u, tk = un, tn
+    x = y.copy()
+    x[:-1] += u
+    x[1:] -= u
+    return x
+
+
+class TestTvProx:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5),
+                                       (6, 4), (9, 9)])
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 25.0])
+    def test_batched_prox_equals_the_per_row_loop(self, shape, lam):
+        d = np.random.default_rng(sum(shape)).uniform(0.0, 80.0, shape)
+        want = d.copy()
+        for i in range(shape[0] - 1):
+            want[i, :] = tv1d_reference(want[i, :], lam)
+        for j in range(shape[1] - 1):
+            want[:, j] = tv1d_reference(want[:, j], lam)
+        npt.assert_array_equal(_tv_denoise_map(d, lam), want)
 
 
 class TestGradients:
@@ -351,6 +391,24 @@ class TestCarriedTerms:
             pr, np.full(p, 40.0), np.full(p, 296.0), np.full((k, p), 0.9),
             np.zeros((p, 2)), 30, d_freeze=0)
         npt.assert_array_equal(loss, _loss(pr, d, t, eps, _mix_of(pr, om)))
+
+    def test_armijo_loss_is_loss_of_its_state(self):
+        _, pr = self._problem(1.0, 11)
+        p, k = pr.y.shape[1], pr.y.shape[0]
+        state = _phase(pr, np.full(p, 40.0), np.full(p, 296.0),
+                       np.full((k, p), 0.9), np.zeros((p, 2)), 6, d_freeze=0)[:4]
+        d, t, eps, om, loss = _armijo_pass(pr, *state)
+        npt.assert_array_equal(loss, _loss(pr, d, t, eps, _mix_of(pr, om)))
+
+    @pytest.mark.parametrize("rho_d", [0.0, 1.0])
+    def test_solve_loss_is_loss_of_its_maps(self, rho_d):
+        # solve returns the loss carried through the polish, Armijo and TV
+        # stages, not a recomputation
+        sc, pr = self._problem(1.0, 13)
+        est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(rho_d=rho_d))
+        d, t, eps, om = _flatten_maps(est, 2)
+        npt.assert_array_equal(est.loss.reshape(-1),
+                               _loss(pr, d, t, eps, _mix_of(pr, om)))
 
 
 class TestCandidateScans:
@@ -530,15 +588,15 @@ class TestConfig:
         assert SolverConfig(d_max=100.0).validate() == []
 
     def test_collects_every_violation(self):
+        # rho_d > 0 with many threads is valid: no rule reads two fields
         cfg = SolverConfig(rho_eps=-1.0, d_max=0.0, armijo_iterations=-1,
                            polish_rounds=-1, warmup_iterations=0,
-                           rho_d=1.0, threads=4, track_history=True)
+                           rho_d=1.0, threads=4)
         msgs = cfg.validate()
         for frag in ("rho_eps", "d_max", "armijo_iterations",
-                     "polish_rounds", "warmup_iterations", "requires threads=1",
-                     "track_history"):
+                     "polish_rounds", "warmup_iterations"):
             assert any(frag in v for v in msgs), frag
-        assert len(msgs) >= 7
+        assert len(msgs) == 5
 
     @pytest.mark.parametrize("key,value", [
         ("d_max", np.inf), ("d_max", np.nan), ("rho_eps", np.inf),
@@ -698,12 +756,16 @@ class TestSolve:
         npt.assert_array_equal(a.iterations, b.iterations)
         assert a.solid_angles.shape == (3, 3, 0)
 
-    def test_thread_count_does_not_change_bits(self):
+    @pytest.mark.parametrize("rho_d", [0.0, 1.0])
+    def test_thread_count_does_not_change_bits(self, rho_d, monkeypatch):
+        # threads=3 on two usable cores: two row blocks, then with rho_d > 0
+        # the TV rounds on the whole map in this process
         sc = micro_scene(rows=4, cols=3, bands=12, q=2, noise_sigma=0.5, seed=12)
         one = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                    SolverConfig(threads=1))
+                    SolverConfig(rho_d=rho_d, threads=1))
+        monkeypatch.setattr(hyperspectral, "_usable_cores", lambda: 2)
         two = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                    SolverConfig(threads=2))
+                    SolverConfig(rho_d=rho_d, threads=3))
         npt.assert_array_equal(one.distance, two.distance)
         npt.assert_array_equal(one.temperature, two.temperature)
         npt.assert_array_equal(one.emissivity, two.emissivity)
@@ -716,8 +778,6 @@ class TestSolve:
                                                             monkeypatch):
         # 5 rows in blocks of 2, 2 and 1; 3 rows in 3 blocks, not 8; the
         # core count is raised so that these splits run on any machine
-        from lwirange import hyperspectral
-
         sc = micro_scene(rows=rows, cols=2, bands=12, q=2, noise_sigma=0.5, seed=14)
         one = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(threads=1))
         monkeypatch.setattr(hyperspectral, "_usable_cores", lambda: 8)
@@ -731,7 +791,6 @@ class TestSolve:
         # threads=3 on one usable core: one row block, solved in this process
         # without a pool; on two usable cores, two blocks and two workers
         import concurrent.futures
-        from lwirange import hyperspectral
 
         sizes = []
 
@@ -753,10 +812,22 @@ class TestSolve:
                 npt.assert_array_equal(getattr(one, name), getattr(three, name))
 
     @pytest.mark.parametrize("rho_d", [0.0, 1.0])
-    def test_history_is_feasible_and_monotone(self, rho_d):
+    def test_history_is_feasible_and_monotone(self, rho_d, monkeypatch):
         sc = micro_scene(rows=3, cols=3, bands=12, q=2, noise_sigma=1.0, seed=13)
-        est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                    SolverConfig(track_history=True, rho_d=rho_d))
+        est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(rho_d=rho_d))
+        self.check_history(est, rho_d)
+        # two row blocks record the same stages and steps; their objectives
+        # are summed, so only the last bits may differ
+        monkeypatch.setattr(hyperspectral, "_usable_cores", lambda: 2)
+        two = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
+                    SolverConfig(rho_d=rho_d, threads=2))
+        self.check_history(two, rho_d)
+        assert [h[:2] for h in two.history] == [h[:2] for h in est.history]
+        npt.assert_allclose([h[2] for h in two.history],
+                            [h[2] for h in est.history], rtol=1e-12)
+
+    @staticmethod
+    def check_history(est, rho_d):
         hist = est.history
         assert hist and len(hist[0]) == 4
         labels = {h[0] for h in hist}
@@ -785,6 +856,36 @@ class TestSolve:
             assert len(by_label["tv"]) > 1
             assert by_label["tv"][-1] == pytest.approx(
                 est.loss.sum() + rho_d * tv_distance(est.distance), rel=1e-12)
+
+    def test_default_solve_records_history(self):
+        sc = micro_scene(rows=2, cols=3, bands=12, q=2, noise_sigma=0.5, seed=6)
+        cfg = SolverConfig()
+        est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, cfg)
+        labels = [h[0] for h in est.history]
+        assert labels == (["refine"] * cfg.refine_iterations
+                          + ["polish"] * cfg.polish_rounds
+                          + ["armijo"] * cfg.armijo_iterations)
+        assert est.history[-1][2] == pytest.approx(est.loss.sum(), rel=1e-12)
+
+    def test_rejected_tv_round_keeps_the_per_pixel_solve(self, monkeypatch):
+        # a prox that returns a checkerboard of 0 and d_max raises the full
+        # objective, so the guard rejects the first round and stops
+        sc = micro_scene(rows=3, cols=4, bands=12, q=2, noise_sigma=1.0, seed=13)
+        base = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig())
+        calls = []
+
+        def checkerboard(d2, lam):
+            calls.append(lam)
+            return (np.indices(d2.shape).sum(0) % 2) * 200.0
+
+        monkeypatch.setattr(hyperspectral, "_tv_denoise_map", checkerboard)
+        est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(rho_d=1.0))
+        assert calls == [1.0]
+        for name in ("distance", "temperature", "emissivity", "solid_angles",
+                     "loss", "iterations"):
+            npt.assert_array_equal(getattr(est, name), getattr(base, name), name)
+        assert [h[0] for h in est.history].count("tv") == 1
+        assert est.history[:-1] == base.history
 
     def test_grid_mismatch_rejected(self):
         sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=0)
