@@ -322,7 +322,8 @@ def load_downwelling(dir_path) -> DownwellingSet:
         except ValueError:
             raise SpectrumParseError(index, line_no, f"bad zenith angle {parts[0]!r}") from None
         name = parts[1].strip()
-        if "\x00" in name:
+        # a bare file name in the directory, so the index reads nothing else
+        if "\x00" in name or name == ".." or Path(name).name != name:
             raise SpectrumParseError(index, line_no, f"bad file name {name!r}")
         names.append((line_no, name))
     if not angles:

@@ -3,7 +3,10 @@
 Layout: 4-byte magic ``LWC1``, a little-endian uint32 byte length, a UTF-8
 JSON header, then the body. Cube and omega bodies are IEEE-754 binary32,
 little endian, row major [i][j][k]; map bodies are an (M, N) binary32 plane
-followed by an (M, N) uint8 validity plane. Headers carry no timestamps, so
+followed by an (M, N) uint8 validity plane. Cube and omega values are
+finite, which writers and readers both check; map values may be NaN or inf.
+Every body streams through one reused buffer, on write and on read, and a
+read that comes up short raises FormatError. Headers carry no timestamps, so
 writing the same data twice produces identical files. Each file is written
 under a temporary name beside its path and renamed into place once whole.
 """
@@ -108,12 +111,9 @@ class CubeHeader:
         return n * self.bands * 4
 
     def to_json(self) -> bytes:
-        d = asdict(self)
-        d["wavelengths_um"] = (
-            None if self.wavelengths_um is None else list(self.wavelengths_um))
-        d["zenith_angles_deg"] = (
-            None if self.zenith_angles_deg is None else list(self.zenith_angles_deg))
-        return json.dumps(d, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        # json writes the tuple fields as arrays
+        return json.dumps(asdict(self), sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
 
     @classmethod
     def from_json(cls, raw: bytes) -> "CubeHeader":
@@ -186,9 +186,10 @@ def _body_chunks(rows, shape, dtype, what=None):
         raise DimensionError(f"{count} rows given for the body {shape}")
 
 
-def _read_header(fh, path) -> CubeHeader:
-    """Check the magic, header and body length of the LWC1 file open at its
-    start in fh; returns the header, with fh at the start of the body."""
+def _read_header(fh, path, kinds) -> CubeHeader:
+    """Check the magic, header, body length and kind, one of kinds, of the
+    LWC1 file open at its start in fh; returns the header, with fh at the
+    start of the body."""
     head = fh.read(8)
     if len(head) < 8 or head[:4] != MAGIC:
         raise FormatError(
@@ -204,24 +205,59 @@ def _read_header(fh, path) -> CubeHeader:
     if got != expected:
         raise FormatError(
             f"{path}: truncated body: expected {expected} bytes, got {got}")
+    if header.kind not in kinds:
+        raise FormatError(f"{path}: kind mismatch: expected "
+                          f"{' or '.join(map(repr, kinds))}, found {header.kind!r}")
     return header
 
 
-def _read_container(path):
-    """Read an LWC1 file; returns (header, planes), each body plane read
-    straight from the file: ((M, N, K) float32,) for cube and omega
-    containers, ((M, N) float32, (M, N) uint8) for maps."""
+def _read_plane(fh, path, header, dtype, idx=None, what=None, stored="<f4"):
+    """The next body plane of the LWC1 file at fh, stored as values of
+    dtype stored, as a read-only array of dtype: (M, N) for a map plane,
+    (M, N, len(idx)) at band indices idx (every band for None) for a cube
+    or omega body.
+
+    The plane streams through one reused buffer of whole spectra, about
+    _CHUNK_BYTES long; a chunk that comes up short raises FormatError.
+    With what set, every value, kept or not, must be finite (ConstraintError
+    naming what).  The kept values are written straight into the array,
+    whose memory no writable array shares, so SceneCube and SceneTruth
+    adopt a float64 one uncopied; float32 to float64 is exact.
+    """
+    px = header.rows * header.cols
+    k = 1 if header.kind == "map" else header.bands
+    kept = k if idx is None else idx.size
+    out = np.empty((header.rows, header.cols)
+                   + (() if header.kind == "map" else (kept,)), dtype=dtype)
+    flat = out.reshape(px, kept)
+    cols = slice(None) if kept == k else idx
+    step = min(px, max(1, _CHUNK_BYTES // (np.dtype(stored).itemsize * max(k, 1))))
+    buf = np.empty((step, k), dtype=stored)
+    for start in range(0, px, step):
+        chunk = buf[:min(step, px - start)]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise FormatError(
+                f"{path}: truncated body: the file shrank while it was read")
+        if what is not None and not _all_finite(chunk):
+            raise ConstraintError(f"{what} must be finite")
+        flat[start:start + chunk.shape[0]] = chunk[:, cols]
+    out.setflags(write=False)
+    return out
+
+
+def _read_file(path, kinds, dtype):
+    """Read the LWC1 file at path, of a kind in kinds, each body plane as a
+    read-only array of dtype but a map's flags: (header, (M, N, K) values)
+    for cube and omega containers, whose values must be finite
+    (ConstraintError), (header, (M, N) values, (M, N) uint8 flags) for maps,
+    whose values may be NaN or inf."""
     with open(path, "rb") as fh:
-        header = _read_header(fh, path)
-        shape = (header.rows, header.cols)
-        n = header.rows * header.cols
-        if header.kind == "map":
-            planes = (np.fromfile(fh, dtype="<f4", count=n).reshape(shape),
-                      np.fromfile(fh, dtype=np.uint8, count=n).reshape(shape))
-        else:
-            planes = (np.fromfile(fh, dtype="<f4", count=n * header.bands).reshape(
-                shape + (header.bands,)),)
-    return header, planes
+        header = _read_header(fh, path, kinds)
+        if header.kind != "map":
+            return header, _read_plane(fh, path, header, dtype,
+                                       what=f"{header.kind} values")
+        return (header, _read_plane(fh, path, header, dtype),
+                _read_plane(fh, path, header, np.uint8, stored=np.uint8))
 
 
 def write_cube(path, header: CubeHeader, data):
@@ -247,12 +283,9 @@ def write_cube(path, header: CubeHeader, data):
 
 
 def read_cube(path):
-    """Read a cube/omega container; returns (header, float32 array)."""
-    header, planes = _read_container(path)
-    if header.kind == "map":
-        raise FormatError(
-            f"{path}: kind mismatch: expected 'cube' or 'omega', found 'map'")
-    return header, planes[0]
+    """Read a cube/omega container; returns (header, read-only float32
+    array).  Every value must be finite (ConstraintError)."""
+    return _read_file(path, ("cube", "omega"), np.float32)
 
 
 def write_map(path, header: CubeHeader, values, flags):
@@ -273,12 +306,10 @@ def write_map(path, header: CubeHeader, values, flags):
 
 
 def read_map(path):
-    """Read a map container; returns (header, float32 values, uint8 flags)."""
-    header, planes = _read_container(path)
-    if header.kind != "map":
-        raise FormatError(
-            f"{path}: kind mismatch: expected 'map', found {header.kind!r}")
-    return (header, *planes)
+    """Read a map container; returns (header, float32 values, uint8 flags),
+    both read-only.  Values may be NaN or inf: a closed-form map holds NaN
+    at its flagged pixels."""
+    return _read_file(path, ("map",), np.float32)
 
 
 # ----------------------------------------------------------------------
@@ -312,9 +343,7 @@ def save_scene_rows(path, radiance, image_shape, grid: SpectralGrid,
 def _scene_cube_header(fh, path):
     """(header, grid) of the scene cube file open at its start in fh, with
     fh left at the start of the body."""
-    header = _read_header(fh, path)
-    if header.kind != "cube":
-        raise FormatError(f"{path}: kind mismatch: expected 'cube', found {header.kind!r}")
+    header = _read_header(fh, path, ("cube",))
     if header.wavelengths_um is None:
         raise FormatError(f"{path}: cube header carries no wavelength grid")
     if header.air_temperature_k is None:
@@ -345,33 +374,6 @@ def _band_indices(keep, bands):
     return np.flatnonzero(mask)
 
 
-def _read_bands(fh, path, header, idx):
-    """The (M, N, len(idx)) radiance at band indices idx, as a read-only
-    float64 array, from the float32 cube body at fh.
-
-    The body streams through one reused buffer of whole spectra, about
-    _CHUNK_BYTES long, and every value of it, kept or not, must be finite.
-    float32 to float64 is exact, so the bands equal those of a whole read.
-    """
-    k = header.bands
-    px = header.rows * header.cols
-    step = min(px, max(1, _CHUNK_BYTES // (4 * k)))
-    buf = np.empty((step, k), dtype="<f4")
-    out = np.empty((header.rows, header.cols, idx.size))
-    flat = out.reshape(px, idx.size)
-    cols = slice(None) if idx.size == k else idx
-    for start in range(0, px, step):
-        chunk = buf[:min(step, px - start)]
-        if fh.readinto(chunk) != chunk.nbytes:
-            raise FormatError(
-                f"{path}: truncated body: the file shrank while it was read")
-        if not np.isfinite(chunk).all():
-            raise ConstraintError("radiance must be finite")
-        flat[start:start + chunk.shape[0]] = chunk[:, cols]
-    out.setflags(write=False)
-    return out
-
-
 def load_scene_cube(path, keep=None) -> SceneCube:
     """Read a scene cube file, keeping the bands at the indices keep lists
     (every band for None).
@@ -385,7 +387,7 @@ def load_scene_cube(path, keep=None) -> SceneCube:
     with open(path, "rb") as fh:
         header, grid = _scene_cube_header(fh, path)
         idx = _band_indices(keep, header.bands)
-        radiance = _read_bands(fh, path, header, idx)
+        radiance = _read_plane(fh, path, header, np.float64, idx, "radiance")
     # the read-only array is adopted, not copied
     return SceneCube(
         radiance=radiance,
@@ -404,8 +406,8 @@ def save_range_map(path, rm: RangeMap):
 
 
 def load_range_map(path) -> RangeMap:
-    _, values, flags = read_map(path)
-    return RangeMap(distances=values.astype(np.float64), validity=flags)
+    _, values, flags = _read_file(path, ("map",), np.float64)
+    return RangeMap(distances=values, validity=flags)
 
 
 # the two state directories, one (attribute, file, kind, unit) row per file
@@ -448,16 +450,9 @@ def _save_state(dirpath, state, files, grid, zenith_angles_deg):
 
 
 def _load_state(dirpath, files):
-    """{attribute: float64 array} of a state directory."""
-    src = Path(dirpath)
-    parts = {}
-    for attr, fname, kind, _ in files:
-        if kind == "map":
-            _, a, _ = read_map(src / fname)
-        else:
-            _, a = read_cube(src / fname)
-        parts[attr] = a.astype(np.float64)
-    return parts
+    """{attribute: read-only float64 array} of a state directory."""
+    return {attr: _read_file(Path(dirpath) / fname, (kind,), np.float64)[1]
+            for attr, fname, kind, _ in files}
 
 
 def save_estimates(dirpath, est: EstimateMaps, grid: SpectralGrid | None = None,
@@ -483,13 +478,9 @@ def save_scene_truth(dirpath, truth: SceneTruth, grid: SpectralGrid,
 
 def load_truth_distance(dirpath) -> np.ndarray:
     """The (M, N) truth range map of a scene directory, in meters."""
-    _, d, _ = read_map(Path(dirpath) / "truth_distance.lwc")
-    return d.astype(np.float64)
+    return _read_file(Path(dirpath) / "truth_distance.lwc", ("map",), np.float64)[1]
 
 
 def load_scene_truth(dirpath) -> SceneTruth:
-    parts = _load_state(dirpath, _TRUTH_FILES)
-    # handed over read-only, so SceneTruth adopts the arrays uncopied
-    for a in parts.values():
-        a.setflags(write=False)
-    return SceneTruth(**parts)
+    # the read-only arrays are adopted, not copied
+    return SceneTruth(**_load_state(dirpath, _TRUTH_FILES))

@@ -908,9 +908,10 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
 
     init_state = None
     if initial is not None:
-        if initial.distance.shape != (m, n):
+        d_i, _, e_i, _ = _param_arrays(initial)
+        if d_i.shape != (m, n):
             raise DimensionError("initial maps do not match the cube image shape")
-        if initial.emissivity.shape[2] != pr.wav.shape[0]:
+        if e_i.shape[2] != pr.wav.shape[0]:
             raise DimensionError("initial maps do not match the cube band count")
         init_state = _flatten_maps(initial, q)
 

@@ -198,6 +198,16 @@ def test_downwelling_index_errors_name_the_index_line(tmp_path):
         with pytest.raises(SpectrumParseError) as exc:
             load_downwelling(tmp_path / "dw")
         assert exc.value.path == str(index) and exc.value.line_no == 3
+    # names of readable spectrum files that are not bare names in the directory
+    (tmp_path / "dw" / "sub").mkdir()
+    (tmp_path / "dw" / "sub" / "x.csv").write_bytes(
+        (tmp_path / "dw" / "angle_01.csv").read_bytes())
+    for name in (tmp_path / "dw" / "angle_01.csv", "../dw/angle_01.csv",
+                 "sub/x.csv"):
+        index.write_text(f"0.0,angle_00.csv\n42.0,{name}\n")
+        with pytest.raises(SpectrumParseError, match="bad file name") as exc:
+            load_downwelling(tmp_path / "dw")
+        assert exc.value.path == str(index) and exc.value.line_no == 2
 
 
 def test_downwelling_roundtrip(tmp_path):

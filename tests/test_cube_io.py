@@ -1,6 +1,7 @@
 """Container format tests: bit-exact roundtrips and hostile-input errors."""
 
 import json
+import os
 import struct
 import tracemalloc
 from types import SimpleNamespace
@@ -427,8 +428,8 @@ class TestStreamingReader:
             read.append(real(*args))
             return read[-1]
 
-        real = cube_io._read_bands
-        monkeypatch.setattr(cube_io, "_read_bands", spy)
+        real = cube_io._read_plane
+        monkeypatch.setattr(cube_io, "_read_plane", spy)
         cube = load_scene_cube(cube_path, [2, 5])
         assert cube.radiance is read[0] and not cube.radiance.flags.writeable
 
@@ -457,16 +458,56 @@ class TestStreamingReader:
         with pytest.raises(FormatError, match="expected 'cube', found 'omega'"):
             load_cube_grid(omega)
 
-    def test_a_body_that_ends_early_while_read_is_refused(self, cube_path,
-                                                          monkeypatch):
+    # every reader; a directory reader takes the directory of the cut file,
+    # and load_estimates is cut once in a map file and once in a cube file
+    @pytest.mark.parametrize("reader, cut", [
+        ("load_scene_cube", "cube.lwc"),
+        ("read_cube", "cube.lwc"),
+        ("read_map", "range.lwc"),
+        ("load_range_map", "range.lwc"),
+        ("load_truth_distance", "truth/truth_distance.lwc"),
+        ("load_scene_truth", "truth/truth_ground.lwc"),
+        ("load_estimates", "est/loss.lwc"),
+        ("load_estimates", "est/emissivity.lwc"),
+    ], ids=lambda v: v.replace("/", "-"))
+    def test_a_body_that_ends_early_while_read_is_refused(
+            self, cube_path, monkeypatch, reader, cut):
         # the file is cut after its length was checked: fstat still reports
-        # the full length, but the last chunk comes up short
-        full = cube_path.stat().st_size
-        cube_path.write_bytes(cube_path.read_bytes()[:-4])
-        monkeypatch.setattr(cube_io, "os", SimpleNamespace(
-            fstat=lambda fd: SimpleNamespace(st_size=full)))
-        with pytest.raises(FormatError, match="shrank"):
-            load_scene_cube(cube_path)
+        # the full length for it, but its last chunk comes up short
+        root = cube_path.parent
+        sc = micro_scene(rows=5, cols=7, bands=16)
+        truth = sc["truth"]
+        save_scene_truth(root / "truth", truth, sc["grid"])
+        save_estimates(root / "est", EstimateMaps(
+            distance=truth.distance_map, temperature=truth.temperature_map,
+            emissivity=truth.emissivity_cube, solid_angles=truth.solid_angle_maps,
+            loss=np.zeros((5, 7)), iterations=np.zeros((5, 7), dtype=np.int64)))
+        save_range_map(root / "range.lwc", RangeMap(truth.distance_map,
+                                                    np.zeros((5, 7), np.uint8)))
+        short = root / cut
+        short.write_bytes(short.read_bytes()[:-4])
+        fstat, ino = os.fstat, short.stat().st_ino
+
+        def fake_fstat(fd):
+            st = fstat(fd)
+            return SimpleNamespace(st_size=st.st_size + 4 * (st.st_ino == ino))
+
+        monkeypatch.setattr(cube_io, "os", SimpleNamespace(fstat=fake_fstat))
+        with pytest.raises(FormatError, match=f"{short.name}: truncated body: "
+                                              "the file shrank"):
+            getattr(cube_io, reader)(short.parent if "/" in cut else short)
+
+    @pytest.mark.parametrize("kind, index, value", [
+        ("cube", (4, 6, 15), np.nan), ("cube", (0, 0, 0), np.inf),
+        ("cube", (2, 3, 7), -np.inf), ("omega", (1, 0, 1), np.nan)])
+    def test_read_cube_refuses_a_non_finite_value(self, tmp_path, kind, index,
+                                                  value):
+        path = tmp_path / "c.lwc"
+        write_cube(path, CubeHeader(kind=kind, rows=5, cols=7, bands=16),
+                   np.ones((5, 7, 16)))
+        poke_cube(path, index, value)
+        with pytest.raises(ConstraintError, match=f"{kind} values must be finite"):
+            read_cube(path)
 
     @pytest.mark.parametrize("keep", [[], [16], [-1], [1.0], [True], [[1, 2]]])
     def test_band_indices_off_the_grid_are_refused(self, cube_path, keep):

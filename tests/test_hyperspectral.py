@@ -903,7 +903,19 @@ class TestSolve:
 
     def test_initial_shape_mismatch_rejected(self):
         sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=0)
-        big = micro_scene(rows=3, cols=3, bands=8, q=2, seed=0)
-        with pytest.raises(DimensionError):
-            solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                  initial=as_maps(big["truth"]))
+        big = as_maps(micro_scene(rows=3, cols=3, bands=8, q=2, seed=0)["truth"])
+        names = ("distance", "temperature", "emissivity", "solid_angles")
+        for initial in (big, {k: getattr(big, k) for k in names}):
+            with pytest.raises(DimensionError, match="cube image shape"):
+                solve(sc["cube"], sc["alpha"], sc["dw"], AIR, initial=initial)
+
+    def test_a_mapping_initial_equals_the_estimate_maps_one(self):
+        sc = micro_scene(rows=2, cols=3, bands=12, q=2, noise_sigma=0.5, seed=4)
+        start = as_maps(sc["truth"])
+        start.distance *= 1.2
+        names = ("distance", "temperature", "emissivity", "solid_angles")
+        want = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, initial=start)
+        got = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
+                    initial={k: getattr(start, k) for k in names})
+        for name in names + ("loss", "iterations"):
+            npt.assert_array_equal(getattr(got, name), getattr(want, name), name)

@@ -1,7 +1,8 @@
 """Static checks on the package source, read with ast: every ``__all__``
 entry names a module-level definition, no module but the package
 ``__init__`` imports a name it never uses, every ``SolverConfig`` field
-is read outside its own ``validate``, and no module calls ``np.median``."""
+is read outside its own ``validate``, and no module calls ``np.median``
+or ``np.fromfile``."""
 
 import ast
 from pathlib import Path
@@ -84,14 +85,25 @@ def test_every_solver_config_field_is_read():
     assert fields and not dead, dead
 
 
+def _np_calls(attr):
+    """module:line of every np.<attr>(...) or numpy.<attr>(...) call."""
+    return sorted(f"{name}:{node.lineno}" for name, tree in _modules().items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == attr
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in ("np", "numpy"))
+
+
 def test_no_module_calls_np_median():
     # np.median imports numpy.ma on first use, about 20 ms of a CLI launch;
     # closed_form._median gives the same bits without it
-    calls = sorted(f"{name}:{node.lineno}" for name, tree in _modules().items()
-                   for node in ast.walk(tree)
-                   if isinstance(node, ast.Call)
-                   and isinstance(node.func, ast.Attribute)
-                   and node.func.attr == "median"
-                   and isinstance(node.func.value, ast.Name)
-                   and node.func.value.id in ("np", "numpy"))
-    assert not calls
+    assert not _np_calls("median")
+
+
+def test_no_module_calls_np_fromfile():
+    # np.fromfile returns a short array from a file that shrank after its
+    # length check; every LWC1 body streams through cube_io._read_plane,
+    # which refuses a short read with FormatError
+    assert not _np_calls("fromfile")
