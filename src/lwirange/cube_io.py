@@ -246,11 +246,11 @@ def _read_plane(fh, path, header, dtype, idx=None, what=None, stored="<f4"):
 
 
 def _read_file(path, kinds, dtype):
-    """Read the LWC1 file at path, of a kind in kinds, each body plane as a
-    read-only array of dtype but a map's flags: (header, (M, N, K) values)
-    for cube and omega containers, whose values must be finite
-    (ConstraintError), (header, (M, N) values, (M, N) uint8 flags) for maps,
-    whose values may be NaN or inf."""
+    """Read the LWC1 file at path, whose kind must be one of kinds, with
+    its values as a read-only array of dtype: (header, (M, N, K) values) of
+    a cube or omega container, whose values must be finite
+    (ConstraintError), or (header, (M, N) values, (M, N) uint8 flags) of a
+    map, whose values may be NaN or inf."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path, kinds)
         if header.kind != "map":

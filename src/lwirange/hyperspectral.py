@@ -885,8 +885,9 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     term off. air_temperature feeds both the path term and the ambient
     ground fill. Each pixel warms up from its closed-form range estimate
     (see _range_starts) with every emissivity start; initial optionally
-    replaces that warmup with a caller-supplied EstimateMaps state, whose
-    sky weights must carry one sector per downwelling spectrum.
+    replaces that warmup with a caller-supplied state, an EstimateMaps or
+    a mapping of its four maps, whose sky weights must carry one sector per
+    downwelling spectrum.
     The per-pixel stages run on min(threads, rows, usable cores) row
     blocks, one worker process per block, forked from the caller; a single
     block runs in the calling process.  The blocks' histories are summed
