@@ -461,15 +461,16 @@ class TestStreamingReader:
     # every reader; a directory reader takes the directory of the cut file,
     # and load_estimates is cut once in a map file and once in a cube file
     @pytest.mark.parametrize("reader, cut", [
-        ("load_scene_cube", "cube.lwc"),
-        ("read_cube", "cube.lwc"),
-        ("read_map", "range.lwc"),
-        ("load_range_map", "range.lwc"),
-        ("load_truth_distance", "truth/truth_distance.lwc"),
-        ("load_scene_truth", "truth/truth_ground.lwc"),
-        ("load_estimates", "est/loss.lwc"),
-        ("load_estimates", "est/emissivity.lwc"),
-    ], ids=lambda v: v.replace("/", "-"))
+        pytest.param("load_scene_cube", "cube.lwc", id="scene"),
+        pytest.param("read_cube", "cube.lwc", id="read_cube"),
+        pytest.param("read_map", "range.lwc", id="read_map"),
+        pytest.param("load_range_map", "range.lwc", id="range_map"),
+        pytest.param("load_truth_distance", "truth/truth_distance.lwc",
+                     id="truth_map"),
+        pytest.param("load_scene_truth", "truth/truth_ground.lwc", id="truth"),
+        pytest.param("load_estimates", "est/loss.lwc", id="est_map"),
+        pytest.param("load_estimates", "est/emissivity.lwc", id="est_cube"),
+    ])
     def test_a_body_that_ends_early_while_read_is_refused(
             self, cube_path, monkeypatch, reader, cut):
         # the file is cut after its length was checked: fstat still reports
