@@ -133,7 +133,7 @@ class DownwellingSet:
         val = np.asarray(self.values, dtype=np.float64).copy()
         if ang.ndim != 1 or ang.size < 1:
             raise DomainError("need at least one zenith angle")
-        if np.any(ang < 0.0) or np.any(ang >= 90.0):
+        if not np.all((ang >= 0.0) & (ang < 90.0)):
             raise DomainError("zenith angles must lie in [0, 90) degrees")
         if ang.size > 1 and not np.all(np.diff(ang) > 0.0):
             raise DomainError("zenith angles must be strictly increasing")
@@ -321,6 +321,8 @@ def load_downwelling(dir_path) -> DownwellingSet:
             angles.append(float(parts[0]))
         except ValueError:
             raise SpectrumParseError(index, line_no, f"bad zenith angle {parts[0]!r}") from None
+        if not np.isfinite(angles[-1]):
+            raise SpectrumParseError(index, line_no, f"non-finite zenith angle {parts[0]!r}")
         name = parts[1].strip()
         # a bare file name in the directory, so the index reads nothing else
         if "\x00" in name or name == ".." or Path(name).name != name:

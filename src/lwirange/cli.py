@@ -87,8 +87,8 @@ _DEFAULTS = {
 }
 
 _HELP = {
-    "threads": "hyper mode: the most row blocks to solve at once, one worker "
-               "process each, capped at the rows and the usable cores "
+    "threads": "hyper mode: the most pixel blocks to solve at once, one worker "
+               "process each, capped at the pixels and the usable cores "
                "(default 1, in this process); the --rho-d TV rounds run "
                "once on the whole map in this process",
 }

@@ -187,26 +187,15 @@ def bispectral_hot(
     return _log_ratio_map(num, den, -10.0 / (a2 - a1))
 
 
-def _air_band_radiance(cube, bands, air_temperature):
-    tk = air_temperature.kelvin
-    return (
-        planck(float(cube.grid.wavelengths[bands.index1]), tk),
-        planck(float(cube.grid.wavelengths[bands.index2]), tk),
-    )
-
-
 def bispectral_air(
     cube: SceneCube,
     bands: BandSelection,
     alpha: AttenuationSpectrum,
     air_temperature: Temperature,
 ) -> RangeMap:
-    """Two-band ratio after subtracting path air emission."""
-    a1, a2 = _check_alpha(cube, alpha, bands)
-    b1, b2 = _air_band_radiance(cube, bands, air_temperature)
-    num = _band_values(cube, bands.index2) - b2
-    den = _band_values(cube, bands.index1) - b1
-    return _log_ratio_map(num, den, -10.0 / (a2 - a1))
+    """Two-band ratio after subtracting path air emission: the quadspectral
+    estimate at slope 0, whose zero bias leaves every bit as it is."""
+    return quadspectral(cube, bands, alpha, air_temperature, 0.0)
 
 
 def fit_ozone_slope(dw: DownwellingSet, bands: BandSelection) -> OzoneSlope:
@@ -238,7 +227,8 @@ def quadspectral(
     """
     a1, a2 = _check_alpha(cube, alpha, bands)
     s = slope.s if isinstance(slope, OzoneSlope) else float(slope)
-    b1, b2 = _air_band_radiance(cube, bands, air_temperature)
+    b1, b2 = (planck(float(cube.grid.wavelengths[i]), air_temperature.kelvin)
+              for i in (bands.index1, bands.index2))
     b_hat = s * (_band_values(cube, bands.index4) - _band_values(cube, bands.index3))
     num = _band_values(cube, bands.index2) - b2 - b_hat
     den = _band_values(cube, bands.index1) - b1

@@ -47,9 +47,14 @@ def _count(name, v, lo):
 
 
 def _numbers(name, v):
-    if not (isinstance(v, (list, tuple)) and all(_is_real(x) for x in v)):
-        raise FormatError(f"{name} must be a list of numbers, got {v!r}")
-    return tuple(float(x) for x in v)
+    try:
+        if isinstance(v, (list, tuple)) and all(_is_real(x) for x in v):
+            out = tuple(float(x) for x in v)
+            if all(abs(x) < np.inf for x in out):
+                return out
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise FormatError(f"{name} must be a list of finite numbers, got {v!r}")
 
 
 @dataclass

@@ -5,13 +5,14 @@ emission-plus-reflection model, evaluated by the simulator's kernels in
 :mod:`lwirange.forward_model`, plus a band-smoothness penalty on emissivity
 and an optional anisotropic TV penalty on the range map.  The engine is a
 block-coordinate scheme: a warmup from each pixel's closed-form range
-estimate (quadspectral with the sky term on, bispectral-air with it off)
-and two flat emissivity starts, then refinement of each pixel's lowest-loss
-start, a profiled range polish, a projected-gradient Armijo pass and, when
-the TV weight is positive, proximal TV rounds.  On a grid where no closed
-form resolves, the warmup starts from a ladder of flat ranges instead.
+estimate (quadspectral at the sky set's ozone slope, or at slope 0, which
+is bispectral-air, when the sky term is off or fits no slope) and two flat
+emissivity starts, then refinement of each pixel's lowest-loss start, a
+profiled range polish, a projected-gradient Armijo pass and, when the TV
+weight is positive, proximal TV rounds.  On a grid where the water-band
+pair does not resolve, the warmup starts from a ladder of flat ranges.
 The TV rounds are the one stage that couples pixels: :func:`solve` runs
-every other stage in row blocks and the TV rounds once on the whole map.
+every other stage in pixel blocks and the TV rounds once on the whole map.
 Every phase runs a fixed number of sweeps.  Each temperature candidate
 refits emissivity by one banded least-squares solve, clipped to [0, 1].
 The temperature and range scans rank their candidates by cheaper forms of
@@ -22,7 +23,7 @@ Every step is accept-guarded: a candidate is kept only if it does not raise
 the objective its stage enforces, which is the data misfit plus emissivity
 smoothness up to the Armijo pass and that plus the TV term in the TV
 rounds.  The search draws no random numbers, and all array reductions are
-per pixel, which makes results byte-identical for any row partitioning
+per pixel, which makes results byte-identical for any pixel partitioning
 (worker count) and, when the TV weight is zero, for any edit to other
 pixels' data.
 
@@ -54,7 +55,6 @@ from .atmosphere import _tau
 from .closed_form import (
     FLAG_VALID,
     BandSelection,
-    bispectral_air,
     fit_ozone_slope,
     quadspectral,
 )
@@ -129,9 +129,9 @@ class SolverConfig:
     d_max the range box bound.  No setting picks the sky sectors: the
     model has one per spectrum of the downwelling set passed to
     :func:`solve`, and none when that is None.  threads caps the number of
-    row blocks whose per-pixel stages each run in their own worker process;
-    there are never more blocks than rows or usable cores, and the TV
-    rounds run once on the whole map in the calling process.
+    pixel blocks whose per-pixel stages each run in their own worker
+    process; there are never more blocks than pixels or usable cores, and
+    the TV rounds run once on the whole map in the calling process.
     warmup_iterations, warmup_d_freeze (warmup sweeps before the range block
     first runs), refine_iterations and max_iterations (a cap on both) set
     the sweep counts; every warmup start (each range start times each emissivity
@@ -667,15 +667,19 @@ def _param_arrays(params):
     return _state_maps(*(getattr(params, k) for k in names))
 
 
-def _flatten_maps(params, q):
+def _flatten_maps(params, pr, m, n):
     # the four maps as solver state: (P,), (P,), band-major (K, P), (P, Q);
-    # the one check that a caller's sky weights match the model's q sectors
+    # the one check that a caller's maps fit the (M, N) image and the
+    # problem's bands and sky sectors
     d, t, e, o = _param_arrays(params)
-    m, n = d.shape
-    k = e.shape[2]
-    if o.shape[2] != q:
+    k, q = pr.wav.shape[0], pr.sky.shape[0]
+    if d.shape != (m, n):
         raise DimensionError(
-            f"params carry {o.shape[2]} sky sectors, model has {q}")
+            f"params of shape {d.shape} do not fit the cube image shape {(m, n)}")
+    if e.shape[2] != k:
+        raise DimensionError(f"params carry {e.shape[2]} bands, cube has {k}")
+    if o.shape[2] != q:
+        raise DimensionError(f"params carry {o.shape[2]} sky sectors, model has {q}")
     return (d.reshape(m * n), t.reshape(m * n),
             np.ascontiguousarray(e.reshape(m * n, k).T), o.reshape(m * n, q))
 
@@ -687,13 +691,8 @@ def _band_maps(a, m, n):
 
 def data_loss(params, cube, alpha, dw, air_temperature):
     """Total squared radiance misfit of the model at params (no penalties)."""
-    dmap, _, emap, _ = _param_arrays(params)
-    if dmap.shape != cube.radiance.shape[:2]:
-        raise DimensionError("params and cube differ in image shape")
-    if emap.shape[2] != cube.radiance.shape[2]:
-        raise DimensionError("params and cube differ in band count")
-    pr, _, _ = _build_problem(cube, alpha, dw, air_temperature, 0.0, np.inf, 1.0)
-    d, t, eps, om = _flatten_maps(params, pr.sky.shape[0])
+    pr, m, n = _build_problem(cube, alpha, dw, air_temperature, 0.0, np.inf, 1.0)
+    d, t, eps, om = _flatten_maps(params, pr, m, n)
     core = _contrast(_planck_core(pr.wav, t), eps, _mix_of(pr, om), pr.b_air)
     r = _radiance(_tau(d, pr.alpha), core, pr.b_air) - pr.y
     return float((r * r).sum())
@@ -722,14 +721,13 @@ def gradients(params, cube, alpha, dw, air_temperature, rho_eps):
     """
     pr, m, n = _build_problem(cube, alpha, dw, air_temperature, rho_eps,
                               np.inf, 1.0)
-    q = pr.sky.shape[0]
-    d, t, eps, om = _flatten_maps(params, q)
+    d, t, eps, om = _flatten_maps(params, pr, m, n)
     g_d, g_t, g_e, g_o = _gradients_flat(pr, d, t, eps, om)
     return {
         "distance": g_d.reshape(m, n),
         "temperature": g_t.reshape(m, n),
         "emissivity": _band_maps(g_e, m, n),
-        "solid_angles": g_o.reshape(m, n, q),
+        "solid_angles": g_o.reshape(m, n, om.shape[1]),
     }
 
 
@@ -769,19 +767,20 @@ def project(params, d_max):
 def _range_starts(cube, alpha, dw, air_temperature, d_max):
     """The warmup's (P,) range starts.
 
-    One start where the default band selection resolves on the grid: the
-    quadspectral estimate when dw is given (the sky term is on), else the
-    bispectral-air one, clipped to [1, d_max] and d_max / 2 at flagged
-    pixels.  Where neither estimator can run, the flat _D_LADDER starts.
+    One start where the default band selection's water pair resolves on the
+    grid: the quadspectral estimate at the ozone slope dw fits, or at slope
+    0, which is the bispectral-air estimate, when dw is None or fits no
+    slope; clipped to [1, d_max] and d_max / 2 at flagged pixels.  Where the
+    water pair does not resolve, the flat _D_LADDER starts.
     """
     try:
         bands = BandSelection.from_grid(cube.grid)
-        if dw is None:
-            rm = bispectral_air(cube, bands, alpha, air_temperature)
-        else:
-            rm = quadspectral(cube, bands, alpha, air_temperature,
-                              fit_ozone_slope(dw, bands))
-    except (GridError, DomainError, DegenerateFitError):
+        try:
+            slope = 0.0 if dw is None else fit_ozone_slope(dw, bands)
+        except DegenerateFitError:
+            slope = 0.0
+        rm = quadspectral(cube, bands, alpha, air_temperature, slope)
+    except (GridError, DomainError):
         m, n = cube.radiance.shape[:2]
         return [np.full(m * n, f * d_max) for f in _D_LADDER]
     d0 = np.where(rm.validity == FLAG_VALID,
@@ -818,7 +817,7 @@ def _warm_start(pr, cfg, d_starts, t0):
 
 
 def _solve_flat(pr, cfg, d_starts, t0, init_state):
-    # the per-pixel stages of one row block: warmup, refine, polish and
+    # the per-pixel stages of one pixel block: warmup, refine, polish and
     # Armijo; returns the state, its per-pixel loss and the block's history
     hist = []
 
@@ -888,13 +887,14 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     replaces that warmup with a caller-supplied state, an EstimateMaps or
     a mapping of its four maps, whose sky weights must carry one sector per
     downwelling spectrum.
-    The per-pixel stages run on min(threads, rows, usable cores) row
-    blocks, one worker process per block, forked from the caller; a single
-    block runs in the calling process.  The blocks' histories are summed
-    entry by entry.  When rho_d > 0 the TV rounds then run once on the
-    whole map in the calling process.  Deterministic (the search draws no
-    random numbers), and the maps are independent of the number of blocks
-    and of workers; the history's sums may differ in their last bits.
+    The per-pixel stages run on min(threads, pixels, usable cores) blocks
+    of consecutive row-major pixels, one worker process per block, forked
+    from the caller; a single block runs in the calling process.  The
+    blocks' histories are summed entry by entry.  When rho_d > 0 the TV
+    rounds then run once on the whole map in the calling process.
+    Deterministic (the search draws no random numbers), and the maps are
+    independent of the number of blocks and of workers; the history's sums
+    may differ in their last bits.
     """
     cfg = config if config is not None else SolverConfig()
     violations = cfg.validate()
@@ -902,23 +902,13 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         raise ConfigError(violations)
     pr, m, n = _build_problem(cube, alpha, dw, air_temperature,
                               cfg.rho_eps, cfg.d_max, _T_SPAN)
-    q = pr.sky.shape[0]
-
+    init_state = None if initial is None else _flatten_maps(initial, pr, m, n)
     d_starts = _range_starts(cube, alpha, dw, air_temperature, cfg.d_max)
     t0 = _default_temperature_init(pr)
 
-    init_state = None
-    if initial is not None:
-        d_i, _, e_i, _ = _param_arrays(initial)
-        if d_i.shape != (m, n):
-            raise DimensionError("initial maps do not match the cube image shape")
-        if e_i.shape[2] != pr.wav.shape[0]:
-            raise DimensionError("initial maps do not match the cube band count")
-        init_state = _flatten_maps(initial, q)
-
-    def job(rows):
-        # _solve_flat's arguments for one row block, all picklable
-        sel = slice(rows[0] * n, (rows[-1] + 1) * n)
+    def job(px):
+        # _solve_flat's arguments for one pixel block, all picklable
+        sel = slice(px[0], px[-1] + 1)
         ini = None
         if init_state is not None:
             d_i, t_i, e_i, o_i = init_state
@@ -926,8 +916,8 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         return (replace(pr, y=np.ascontiguousarray(pr.y[:, sel])), cfg,
                 [d[sel] for d in d_starts], t0[sel], ini)
 
-    blocks = min(cfg.threads, m, _usable_cores())
-    jobs = [job(rows) for rows in np.array_split(np.arange(m), blocks)]
+    blocks = min(cfg.threads, m * n, _usable_cores())
+    jobs = [job(px) for px in np.array_split(np.arange(m * n), blocks)]
     if len(jobs) == 1:
         parts = [_solve_flat(*jobs[0])]
     else:
@@ -955,7 +945,7 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         distance=d.reshape(m, n),
         temperature=t.reshape(m, n),
         emissivity=_band_maps(eps, m, n),
-        solid_angles=om.reshape(m, n, q),
+        solid_angles=om.reshape(m, n, om.shape[1]),
         loss=loss.reshape(m, n),
         iterations=np.full((m, n), min(cfg.refine_iterations, cfg.max_iterations),
                            dtype=np.int64),

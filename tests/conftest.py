@@ -7,7 +7,7 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_leaked_worker_processes():
-    # the solver runs row blocks in worker processes; a pool left open or a
+    # the solver runs pixel blocks in worker processes; a pool left open or a
     # hung worker fails the test that started it, not a later one
     yield
     leaked = multiprocessing.active_children()

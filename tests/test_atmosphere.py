@@ -126,6 +126,8 @@ def test_downwelling_angle_validation():
         DownwellingSet(np.array([10.0, 5.0]), vals, GRID)
     with pytest.raises(DomainError):
         DownwellingSet(np.array([0.0, 95.0]), vals, GRID)
+    with pytest.raises(DomainError):
+        DownwellingSet(np.array([np.nan]), vals[:1], GRID)
     with pytest.raises(GridError):
         DownwellingSet(np.array([0.0, 30.0]), np.ones((3, 64)), GRID)
 
@@ -206,6 +208,11 @@ def test_downwelling_index_errors_name_the_index_line(tmp_path):
                  "sub/x.csv"):
         index.write_text(f"0.0,angle_00.csv\n42.0,{name}\n")
         with pytest.raises(SpectrumParseError, match="bad file name") as exc:
+            load_downwelling(tmp_path / "dw")
+        assert exc.value.path == str(index) and exc.value.line_no == 2
+    for angle in ("nan", "inf"):
+        index.write_text(f"0.0,angle_00.csv\n{angle},angle_01.csv\n")
+        with pytest.raises(SpectrumParseError, match="non-finite zenith angle") as exc:
             load_downwelling(tmp_path / "dw")
         assert exc.value.path == str(index) and exc.value.line_no == 2
 

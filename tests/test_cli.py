@@ -295,6 +295,25 @@ class TestRuntimeErrors:
                               "one sky sector")
         assert not (tmp_path / "s0").exists()
 
+    def test_non_finite_zenith_angle_exits_1(self, capsys, tmp_path):
+        # a NaN angle in the downwelling index is refused at the index line,
+        # before any stage writes a file
+        atmo, scene = tmp_path / "atmo", tmp_path / "scene"
+        assert run(capsys, ["atmo", "--out", str(atmo), "--q", "1"])[0] == 0
+        assert run(capsys, ["synth", "--atmo", str(atmo), "--out", str(scene),
+                            "--rows", "2", "--cols", "2"])[0] == 0
+        index = atmo / "downwelling" / "angles.csv"
+        index.write_text(index.read_text().replace("0.0,", "nan,"))
+        for argv in (["synth", "--atmo", str(atmo), "--out", str(tmp_path / "s"),
+                      "--rows", "2", "--cols", "2"],
+                     ["range", "--mode", "hyper", "--cube", str(scene / "cube.lwc"),
+                      "--atmo", str(atmo), "--out", str(tmp_path / "est")]):
+            code, _, err = run(capsys, argv)
+            assert code == 1
+            assert err.startswith("error[SpectrumParseError]: ")
+            assert "non-finite zenith angle" in err and err.count("\n") == 1
+        assert not (tmp_path / "s").exists() and not (tmp_path / "est").exists()
+
     def test_quad_range_takes_the_q_rule_of_hyper(self, capsys, tmp_path):
         # quad mode reads the downwelling set under the same q rule: a q
         # that does not match is refused, and q = 0, which turns the sky
@@ -504,7 +523,7 @@ class TestPipeline:
 
     def test_hyper_range_with_tv_is_independent_of_threads(
             self, capsys, tmp_path, monkeypatch):
-        # the TV rounds run on the whole map after the row blocks, so a
+        # the TV rounds run on the whole map after the pixel blocks, so a
         # positive --rho-d runs on two workers with the bits of one
         atmo, scene = tmp_path / "atmo", tmp_path / "scene"
         assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0

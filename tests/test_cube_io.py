@@ -254,7 +254,7 @@ class TestMalformedHeaders:
         ("rows", "abc"), ("bands", "x"), ("rows", [1]), ("rows", None),
         ("wavelengths_um", 5), ("zenith_angles_deg", 7), ("noise_sigma", "x"),
         ("rows", 2.5), ("cols", float("inf")), ("air_temperature_k", "hot"),
-        ("noise_sigma", float("nan")),
+        ("noise_sigma", float("nan")), ("wavelengths_um", [10 ** 400] * 8),
     ])
     def test_raises_format_error(self, tmp_path, key, value):
         path = tmp_path / "cube.lwc"
@@ -270,6 +270,12 @@ class TestOmegaHeader:
         with pytest.raises(FormatError, match="zenith angles for 2 sectors"):
             CubeHeader(kind="omega", rows=1, cols=1, bands=2,
                        zenith_angles_deg=angles)
+
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf")])
+    def test_zenith_angles_must_be_finite(self, angle):
+        with pytest.raises(FormatError, match="zenith_angles_deg"):
+            CubeHeader(kind="omega", rows=1, cols=1, bands=1,
+                       zenith_angles_deg=(angle,))
 
     def test_no_sectors_no_zenith_angles(self, tmp_path):
         m, n, k = 2, 2, 4

@@ -1,6 +1,7 @@
 """Tests for the full-spectrum constrained solver and its building blocks."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -110,6 +111,21 @@ def random_params(rng, m, n, k, q, t_air=AIR.kelvin):
     }
 
 
+def record_pool_sizes(monkeypatch):
+    """The worker count of every process pool started from here on."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
 def as_maps(truth):
     m, n = truth.distance_map.shape
     return EstimateMaps(
@@ -154,6 +170,17 @@ class TestDataLoss:
             data_loss(params, sc["cube"], sc["alpha"], dw, AIR)
         with pytest.raises(DimensionError, match=want):
             gradients(params, sc["cube"], sc["alpha"], dw, AIR, rho_eps=1.0)
+
+    @pytest.mark.parametrize("fn", [data_loss, partial(gradients, rho_eps=1.0)],
+                             ids=["data_loss", "gradients"])
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 4)])
+    def test_maps_must_match_the_cube_image_shape(self, fn, rows, cols):
+        # 1x1 maps would broadcast against the 2x2 cube and 2x4 maps would
+        # not; both are refused as maps of another image
+        sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=0)
+        params = random_params(np.random.default_rng(1), rows, cols, 8, 2)
+        with pytest.raises(DimensionError):
+            fn(params, sc["cube"], sc["alpha"], sc["dw"], AIR)
 
     def test_grid_mismatch_rejected(self):
         sc = micro_scene(rows=2, cols=2, bands=8, q=2, seed=0)
@@ -406,7 +433,7 @@ class TestCarriedTerms:
         # stages, not a recomputation
         sc, pr = self._problem(1.0, 13)
         est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(rho_d=rho_d))
-        d, t, eps, om = _flatten_maps(est, 2)
+        d, t, eps, om = _flatten_maps(est, pr, 3, 3)
         npt.assert_array_equal(est.loss.reshape(-1),
                                _loss(pr, d, t, eps, _mix_of(pr, om)))
 
@@ -696,10 +723,17 @@ class TestRangeStarts:
         starts = _range_starts(cube, sc["alpha"], None, AIR, self.D_MAX)
         self.check_one_start(starts, bispectral_air(cube, bands, sc["alpha"], AIR))
 
-    @pytest.mark.parametrize("bands, q", [(16, 2), (64, 1)])
+    def test_bispectral_air_start_with_one_sky_sector(self):
+        # one sky sector fits no ozone slope, so the start is the
+        # quadspectral estimate at slope 0
+        sc = micro_scene(rows=3, cols=4, bands=64, q=1, noise_sigma=0.5, seed=2)
+        cube, bands = self.flag_one_pixel(sc)
+        starts = _range_starts(cube, sc["alpha"], sc["dw"], AIR, self.D_MAX)
+        self.check_one_start(starts, bispectral_air(cube, bands, sc["alpha"], AIR))
+
+    @pytest.mark.parametrize("bands, q", [(16, 2)])
     def test_ladder_where_no_closed_form_resolves(self, bands, q):
-        # 16 bands put both water bands on one grid sample; one sky sector
-        # fits no ozone slope
+        # 16 bands put both water bands on one grid sample
         sc = micro_scene(rows=2, cols=3, bands=bands, q=q, seed=0)
         starts = _range_starts(sc["cube"], sc["alpha"], sc["dw"], AIR, self.D_MAX)
         assert len(starts) == 5
@@ -758,25 +792,28 @@ class TestSolve:
 
     @pytest.mark.parametrize("rho_d", [0.0, 1.0])
     def test_thread_count_does_not_change_bits(self, rho_d, monkeypatch):
-        # threads=3 on two usable cores: two row blocks, then with rho_d > 0
-        # the TV rounds on the whole map in this process
-        sc = micro_scene(rows=4, cols=3, bands=12, q=2, noise_sigma=0.5, seed=12)
-        one = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                    SolverConfig(rho_d=rho_d, threads=1))
+        # on two usable cores, threads=3 on a 4x3 image and threads=2 on a
+        # 1x7 one each run two pixel blocks in two workers, then with
+        # rho_d > 0 the TV rounds on the whole map in this process
+        sizes = record_pool_sizes(monkeypatch)
         monkeypatch.setattr(hyperspectral, "_usable_cores", lambda: 2)
-        two = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                    SolverConfig(rho_d=rho_d, threads=3))
-        npt.assert_array_equal(one.distance, two.distance)
-        npt.assert_array_equal(one.temperature, two.temperature)
-        npt.assert_array_equal(one.emissivity, two.emissivity)
-        npt.assert_array_equal(one.solid_angles, two.solid_angles)
-        npt.assert_array_equal(one.loss, two.loss)
-        npt.assert_array_equal(one.iterations, two.iterations)
+        for rows, cols, threads in ((4, 3, 3), (1, 7, 2)):
+            sc = micro_scene(rows=rows, cols=cols, bands=12, q=2, noise_sigma=0.5,
+                             seed=12)
+            one = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
+                        SolverConfig(rho_d=rho_d, threads=1))
+            two = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
+                        SolverConfig(rho_d=rho_d, threads=threads))
+            assert sizes == [2]
+            sizes.clear()
+            for name in ("distance", "temperature", "emissivity", "solid_angles",
+                         "loss", "iterations"):
+                npt.assert_array_equal(getattr(one, name), getattr(two, name), name)
 
     @pytest.mark.parametrize("rows, threads", [(5, 3), (3, 8)])
     def test_uneven_and_oversized_splits_do_not_change_bits(self, rows, threads,
                                                             monkeypatch):
-        # 5 rows in blocks of 2, 2 and 1; 3 rows in 3 blocks, not 8; the
+        # 10 pixels in blocks of 4, 3 and 3; 6 pixels in 6 blocks, not 8; the
         # core count is raised so that these splits run on any machine
         sc = micro_scene(rows=rows, cols=2, bands=12, q=2, noise_sigma=0.5, seed=14)
         one = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(threads=1))
@@ -788,20 +825,11 @@ class TestSolve:
             npt.assert_array_equal(getattr(one, name), getattr(many, name))
 
     def test_pool_is_capped_at_the_usable_cores(self, monkeypatch):
-        # threads=3 on one usable core: one row block, solved in this process
+        # threads=3 on one usable core: one pixel block, solved in this process
         # without a pool; on two usable cores, two blocks and two workers
-        import concurrent.futures
-
-        sizes = []
-
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
         sc = micro_scene(rows=5, cols=2, bands=12, q=2, noise_sigma=0.5, seed=14)
         one = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(threads=1))
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        sizes = record_pool_sizes(monkeypatch)
         for cores, pools in ((1, []), (2, [2])):
             monkeypatch.setattr(hyperspectral, "_usable_cores", lambda: cores)
             three = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
@@ -816,7 +844,7 @@ class TestSolve:
         sc = micro_scene(rows=3, cols=3, bands=12, q=2, noise_sigma=1.0, seed=13)
         est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(rho_d=rho_d))
         self.check_history(est, rho_d)
-        # two row blocks record the same stages and steps; their objectives
+        # two pixel blocks record the same stages and steps; their objectives
         # are summed, so only the last bits may differ
         monkeypatch.setattr(hyperspectral, "_usable_cores", lambda: 2)
         two = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,

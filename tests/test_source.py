@@ -1,8 +1,8 @@
 """Static checks on the package source, read with ast: every ``__all__``
 entry names a module-level definition, no module but the package
 ``__init__`` imports a name it never uses, every ``SolverConfig`` field
-is read outside its own ``validate``, and no module calls ``np.median``
-or ``np.fromfile``."""
+is read outside its own ``validate``, no module calls ``np.median``
+or ``np.fromfile``, and the solver checks a caller's maps in one place."""
 
 import ast
 from pathlib import Path
@@ -107,3 +107,15 @@ def test_no_module_calls_np_fromfile():
     # length check; every LWC1 body streams through cube_io._read_plane,
     # which refuses a short read with FormatError
     assert not _np_calls("fromfile")
+
+
+def test_caller_maps_are_read_in_one_place():
+    # _flatten_maps is the one check that a caller's maps fit the problem;
+    # any other reader of the raw maps would have to restate it.  project
+    # reads them without a problem to check them against
+    callers = sorted(
+        fn.name for fn in ast.walk(_modules()["hyperspectral.py"])
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_param_arrays" for node in ast.walk(fn)))
+    assert callers == ["_flatten_maps", "project"]

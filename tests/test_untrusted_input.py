@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import micro_scene
@@ -151,12 +151,14 @@ def test_spectrum_loader(valid, work, content):
 @_SETTINGS
 @given(name=st.sampled_from(["angles.csv", "angle_00.csv", "angle_01.csv"]),
        content=_CONTENT)
+@example(name="angles.csv", content=b"nan,angle_00.csv\n")
 def test_downwelling_loader(valid, work, name, content):
     dw = work / "dw"
     shutil.copytree(valid / "dw", dw, dirs_exist_ok=True)
     (dw / name).write_bytes(_apply((dw / name).read_bytes(), content))
     loaded = _typed_or_returns(lambda: load_downwelling(dw))
-    assert loaded is None or np.all(np.isfinite(loaded.values))
+    assert loaded is None or (np.all(np.isfinite(loaded.values))
+                              and np.all(np.isfinite(loaded.zenith_angles_deg)))
 
 
 _KEYS = sorted(_DEFAULTS)
