@@ -46,14 +46,29 @@ def _count(name, v, lo):
     raise FormatError(f"{name} must be an integer >= {lo}, got {v!r}")
 
 
-def _numbers(name, v):
+def _finite(v):
+    # v as a finite float, or None where it is not a finite real number
+    if not _is_real(v):
+        return None
     try:
-        if isinstance(v, (list, tuple)) and all(_is_real(x) for x in v):
-            out = tuple(float(x) for x in v)
-            if all(abs(x) < np.inf for x in out):
-                return out
+        x = float(v)
     except OverflowError:  # an integer beyond the float range
-        pass
+        return None
+    return x if abs(x) < np.inf else None
+
+
+def _number(name, v):
+    x = _finite(v)
+    if x is None:
+        raise FormatError(f"{name} must be a finite number, got {v!r}")
+    return x
+
+
+def _numbers(name, v):
+    if isinstance(v, (list, tuple)):
+        out = tuple(_finite(x) for x in v)
+        if None not in out:
+            return out
     raise FormatError(f"{name} must be a list of finite numbers, got {v!r}")
 
 
@@ -81,8 +96,8 @@ class CubeHeader:
         self.bands = _count("bands", self.bands, 0)
         for name in ("air_temperature_k", "noise_sigma"):
             v = getattr(self, name)
-            if v is not None and not (_is_real(v) and abs(v) < np.inf):
-                raise FormatError(f"{name} must be a finite number, got {v!r}")
+            if v is not None:
+                setattr(self, name, _number(name, v))
         if self.kind == "map" and self.bands != 1:
             raise FormatError(f"map containers carry one band, got {self.bands}")
         if self.kind == "cube" and self.bands < 1:
@@ -93,6 +108,9 @@ class CubeHeader:
             if self.sectors != self.bands:
                 raise FormatError(
                     f"omega sectors ({self.sectors}) must equal the third dim ({self.bands})")
+        elif self.sectors is not None:
+            raise FormatError(
+                f"{self.kind} containers carry no sectors, got {self.sectors!r}")
         if self.wavelengths_um is not None:
             w = _numbers("wavelengths_um", self.wavelengths_um)
             if len(w) != self.bands:

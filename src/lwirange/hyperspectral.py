@@ -8,17 +8,30 @@ block-coordinate scheme: a warmup from each pixel's closed-form range
 estimate (quadspectral at the sky set's ozone slope, or at slope 0, which
 is bispectral-air, when the sky term is off or fits no slope) and two flat
 emissivity starts, then refinement of each pixel's lowest-loss start, a
-profiled range polish, a projected-gradient Armijo pass and, when the TV
-weight is positive, proximal TV rounds.  On a grid where the water-band
-pair does not resolve, the warmup starts from a ladder of flat ranges.
-The TV rounds are the one stage that couples pixels: :func:`solve` runs
-every other stage in pixel blocks and the TV rounds once on the whole map.
-Every phase runs a fixed number of sweeps.  Each temperature candidate
-refits emissivity by one banded least-squares solve, clipped to [0, 1].
-The temperature and range scans rank their candidates by cheaper forms of
-the misfit, equal to it up to rounding: the residual of the model, which is
-linear in emissivity, and the path tau(d) tau(o) factored about the current
-range.  Only each scan's winner is scored with the exact objective.
+range polish, a projected-gradient Armijo pass and, when the TV weight is
+positive, proximal TV rounds.  On a grid where the water-band pair does not
+resolve, the warmup starts from a ladder of flat ranges.  The TV rounds are
+the one stage that couples pixels: :func:`solve` runs every other stage in
+pixel blocks and the TV rounds once on the whole map.  Every phase runs a
+fixed number of sweeps.
+
+A sweep refits the sky weights, when the model has any, then scans
+temperature and, once the warmup's range freeze is over, range.
+Each temperature candidate refits emissivity by one banded least-squares
+solve, clipped to [0, 1].  The temperature and range scans rank their
+candidates by cheaper forms of the misfit, equal to it up to rounding: the
+residual of the model, which is linear in emissivity, and the path
+tau(d) tau(o) factored about the current range.  Only each scan's winner is
+scored with the exact objective.  Once both scan spans have decayed to
+their floor, _MIN_SPAN, where the scans are a local search at a fixed
+resolution, a sweep takes one joint Gauss-Newton step in (d, T) in their
+place.  The step works on the objective profiled over the linear
+emissivity, which is variable projection (Golub & Pereyra, SIAM J. Numer.
+Anal. 1973): the (d, T) system is the 2 x 2 Schur complement of the
+(d, T, eps) normal equations, and the emissivity is refit at the moved
+(d, T).  Each polish round takes one such step with wider move bounds, then
+refits the sky weights.
+
 Every step is accept-guarded: a candidate is kept only if it does not raise
 the objective its stage enforces, which is the data misfit plus emissivity
 smoothness up to the Armijo pass and that plus the TV term in the TV
@@ -108,9 +121,8 @@ _EPS_STARTS = (0.95, 0.6)
 # the range block scans the whole box on every 10th sweep before this one
 _GLOBAL_SCAN_UNTIL = 25
 
-# profiled range polish: round r scans +-_POLISH_SPAN / (r + 1) meters
+# range polish: round r moves range by at most _POLISH_SPAN / (r + 1) meters
 _POLISH_SPAN = 3.0
-_POLISH_STEPS = 13
 
 # projected-gradient Armijo line search
 _ARMIJO_FACTOR = 0.5
@@ -136,9 +148,9 @@ class SolverConfig:
     first runs), refine_iterations and max_iterations (a cap on both) set
     the sweep counts; every warmup start (each range start times each emissivity
     start) runs the whole warmup budget, then each pixel's lowest-loss start
-    runs the whole refinement budget.  polish_rounds and armijo_iterations
-    set the number of profiled range polish rounds and projected-gradient
-    passes.
+    runs the whole refinement budget.  polish_rounds counts the joint (d, T)
+    Gauss-Newton steps after the refinement, each followed by a sky refit;
+    armijo_iterations counts the projected-gradient passes.
 
     The scan sizes, warmup starts, line-search constants and
     temperature box are module constants (``_T_SPAN0`` and the names after
@@ -286,23 +298,26 @@ def _loss(pr, d, t, eps, mix):
 
 
 def _thomas(dm, off, b):
-    # batched tridiagonal solve down the band axis: diagonal dm and right
-    # side b (K, P), every off-diagonal entry the scalar off.  Every step
-    # writes into a row of P values, so the sweeps allocate no temporaries;
-    # x holds the forward sweep's right side, then the solution.
+    # batched tridiagonal solve down the band axis: diagonal dm (K, P), every
+    # off-diagonal entry the scalar off, and right side b, (K, P) or
+    # (K, R, P) for R right sides per pixel, which share the elimination
+    # factors of dm.  Every step writes into a row, so the sweeps allocate
+    # no temporaries; x holds the forward sweep's right side, then the
+    # solution.
     n = b.shape[0]
-    cp = np.empty_like(b)
+    cp = np.empty_like(dm)
     x = np.empty_like(b)
     den = dm[0].copy()
     tmp = np.empty_like(den)
+    tmp_x = np.empty_like(b[0])
     np.divide(b[0], den, out=x[0])
     for i in range(1, n):
         np.divide(off, den, out=cp[i - 1])
         np.subtract(dm[i], np.multiply(off, cp[i - 1], out=tmp), out=den)
-        np.subtract(b[i], np.multiply(off, x[i - 1], out=tmp), out=x[i])
+        np.subtract(b[i], np.multiply(off, x[i - 1], out=tmp_x), out=x[i])
         x[i] /= den
     for i in range(n - 2, -1, -1):
-        x[i] -= np.multiply(cp[i], x[i + 1], out=tmp)
+        x[i] -= np.multiply(cp[i], x[i + 1], out=tmp_x)
     return x
 
 
@@ -317,12 +332,26 @@ def _eps_quick(pr, tau, bt, mix, rb=None, a=None):
         a = tau * (bt - mix)
     if rb is None:
         rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
+    x = _thomas(_eps_diagonal(pr, a), -pr.rho_eps, a * rb)
+    return np.clip(x, 0.0, 1.0, out=x)
+
+
+def _eps_diagonal(pr, a):
+    # diagonal of diag(a^2) + rho_eps D'D, whose off-diagonal entries are all
+    # -rho_eps: the emissivity block of the normal equations
     rho = pr.rho_eps
     dm = a * a + rho * 2.0
     dm[0] -= rho
     dm[-1] -= rho
-    x = _thomas(dm, -rho, a * rb)
-    return np.clip(x, 0.0, 1.0, out=x)
+    return dm
+
+
+def _dtd(eps):
+    # D'D eps, D the (K - 1, K) difference operator along the band axis
+    lap = np.zeros_like(eps)
+    lap[:-1] += eps[:-1] - eps[1:]
+    lap[1:] += eps[1:] - eps[:-1]
+    return lap
 
 
 def _proj_cap_simplex(v):
@@ -357,17 +386,28 @@ def _pick(imp, new, old):
     return tuple(np.where(imp, a, b) for a, b in zip(new, old))
 
 
+def _sky_gram(w2, ekq):
+    # per-pixel Gram matrices (P, Q, Q) of the sky columns, sum over bands of
+    # w2 e_q e_r: the products with q <= r, mirrored, since e_q e_r and
+    # e_r e_q have the same bits
+    p, q = w2.shape[1], ekq.shape[1]
+    iq, ir = np.triu_indices(q)
+    g = _band_dot(w2, ekq[:, iq] * ekq[:, ir])
+    gm = np.empty((p, q, q))
+    gm[:, iq, ir] = g
+    gm[:, ir, iq] = g
+    return gm
+
+
 def _sky_block(pr, tau, bt, eps, om, mix, loss):
     # per-pixel box/cap-constrained quadratic in the sky weights via ADMM;
     # returns the accepted (om, mix, loss)
-    p, q = om.shape
+    q = om.shape[1]
     w = tau * (1.0 - eps) / _PI
     y0 = _radiance(tau, _contrast(bt, eps, pr.b_air, pr.b_air), pr.b_air)
     base = pr.y - y0
     ekq = _sky_contrast(pr)
-    # Gram matrices as w^2 (e_q e_r): one product per band and sector pair
-    ee = (ekq[:, :, None] * ekq[:, None, :]).reshape(-1, q * q)
-    gm = _band_dot(w * w, ee).reshape(p, q, q)
+    gm = _sky_gram(w * w, ekq)
     rhs = _band_dot(w * base, ekq)
     tr = np.einsum("pqq->p", gm)
     rho_a = tr / q + 1e-30
@@ -400,22 +440,19 @@ def _temp_candidates(pr, t, span):
         yield tc, _planck_core(pr.wav, tc)
 
 
-def _temp_block(pr, tau, t, eps, bt, mix, loss, span, cands=None):
+def _temp_block(pr, tau, t, eps, bt, mix, loss, span):
     # scan T around the current value, re-fitting emissivity per candidate;
     # returns the accepted (T, eps, B(T), loss).  Candidates are ranked by
     # _linear_loss; only the winner pays the exact misfit, and it is
-    # accepted where that does not exceed the carried loss.  cands, the
-    # _temp_candidates(pr, t, span), may be passed in by a caller that scans
-    # the same T along several paths
+    # accepted where that does not exceed the carried loss
     rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
     best = None
-    for tc, btc in cands if cands is not None else _temp_candidates(pr, t, span):
+    for tc, btc in _temp_candidates(pr, t, span):
         a = tau * (btc - mix)
         ec = _eps_quick(pr, tau, btc, mix, rb, a)
         lc = _linear_loss(pr, a, rb, ec)
         if best is None:
-            # the candidates may be shared, so the running best owns copies
-            best = (tc.copy(), ec, btc.copy(), lc)
+            best = (tc, ec, btc, lc)
             continue
         imp = lc < best[3]
         for dst, src in zip(best, (tc, ec, btc, lc)):
@@ -474,41 +511,79 @@ def _feasible(d, eps, om, d_max):
     return ok
 
 
+def _gn_step(pr, d, tau, t, eps, bt, mix, loss, d_span, t_span):
+    # one Gauss-Newton step in (d, T) on the objective profiled over the
+    # linear eps (variable projection); returns the accepted
+    # (d, tau, T, eps, B(T), loss).  The (d, T, eps) normal equations reduce
+    # to their 2 x 2 Schur complement in (d, T): the eps block is
+    # _eps_quick's tridiagonal matrix, so its three right sides, the eps
+    # coupling of each of the two columns and the eps gradient, share one
+    # Thomas solve and its factors.  Each move is clipped to its span, eps
+    # is refit at the moved (d, T), and the step is accepted where the
+    # misfit does not exceed the carried loss.  A pixel whose reduced matrix
+    # is singular, such as one with eps = 0, where the misfit does not
+    # depend on T, does not move
+    core = _contrast(bt, eps, mix, pr.b_air)
+    r = _radiance(tau, core, pr.b_air) - pr.y
+    a = tau * (bt - mix)
+    jd = -(_LOG10 / 10.0) * pr.alpha * tau * core
+    jt = tau * eps * _planck_dT_core(pr.wav, t)
+    ajd, ajt = a * jd, a * jt
+    xd, xt, xe = _thomas(_eps_diagonal(pr, a), -pr.rho_eps,
+                         np.stack((ajd, ajt, a * r + pr.rho_eps * _dtd(eps)), 1)
+                         ).transpose(1, 0, 2)
+    s_dd = _band_sum(jd * jd - ajd * xd)
+    s_dt = _band_sum(jd * jt - ajd * xt)
+    s_tt = _band_sum(jt * jt - ajt * xt)
+    g_d = _band_sum(jd * r - ajd * xe)
+    g_t = _band_sum(jt * r - ajt * xe)
+    det = s_dd * s_tt - s_dt * s_dt
+    ok = det > 0.0
+    det = np.where(ok, det, 1.0)
+    step_d = np.where(ok, (s_dt * g_t - s_tt * g_d) / det, 0.0)
+    step_t = np.where(ok, (s_dt * g_d - s_dd * g_t) / det, 0.0)
+    dn = np.clip(d + np.clip(step_d, -d_span, d_span), 0.0, pr.d_max)
+    tn = np.clip(t + np.clip(step_t, -t_span, t_span), pr.t_lo, pr.t_hi)
+    taun, btn = _tau(dn, pr.alpha), _planck_core(pr.wav, tn)
+    en = _eps_quick(pr, taun, btn, mix)
+    ln = _misfit(pr, taun, btn, en, mix)
+    return _pick(ok & (ln <= loss), (dn, taun, tn, en, btn, ln),
+                 (d, tau, t, eps, bt, loss))
+
+
 def _phase(pr, d, t, eps, om, iters, *, d_freeze, record=None):
     # runs iters sweeps; returns the state and its per-pixel loss.  record,
-    # if given, is called after each sweep as record(it, d, eps, om, loss)
+    # if given, is called after each sweep as record(it, d, eps, om, loss).
+    # A sweep whose temperature and local range spans have both decayed to
+    # _MIN_SPAN takes one joint (d, T) step in place of the two scans
     has_sky = pr.sky.shape[0] > 0
     tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
     loss = _misfit(pr, tau, bt, eps, mix)
     for it in range(iters):
         if has_sky:
             om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
-        t, eps, bt, loss = _temp_block(pr, tau, t, eps, bt, mix, loss,
-                                       span=max(_T_SPAN0 * _T_DECAY ** it, _MIN_SPAN))
-        if it >= d_freeze:
-            if it % 10 == 0 and it < _GLOBAL_SCAN_UNTIL:
-                span = None
-            else:
-                span = max(_D_SPAN0 * _D_DECAY ** (it - d_freeze), _MIN_SPAN)
-            d, tau, loss = _dist_block(pr, d, tau, bt, eps, mix, loss, span)
+        scan_d = it >= d_freeze
+        t_span = max(_T_SPAN0 * _T_DECAY ** it, _MIN_SPAN)
+        if it % 10 == 0 and it < _GLOBAL_SCAN_UNTIL:
+            d_span = None
+        else:
+            d_span = max(_D_SPAN0 * _D_DECAY ** (it - d_freeze), _MIN_SPAN)
+        if scan_d and t_span == d_span == _MIN_SPAN:
+            d, tau, t, eps, bt, loss = _gn_step(pr, d, tau, t, eps, bt, mix, loss,
+                                                _MIN_SPAN, _MIN_SPAN)
+        else:
+            t, eps, bt, loss = _temp_block(pr, tau, t, eps, bt, mix, loss, t_span)
+            if scan_d:
+                d, tau, loss = _dist_block(pr, d, tau, bt, eps, mix, loss, d_span)
         if record is not None:
             record(it, d, eps, om, loss)
     return d, t, eps, om, loss
 
 
 def _polish_distance(pr, d, tau, t, eps, bt, mix, loss, span):
-    # profiled fine scan: each range candidate gets its own (T, eps) refit;
-    # returns the accepted (d, tau, T, eps, B(T), loss).  T is fixed within
-    # the round, so every range candidate scans the same T candidates
-    best = (d, tau, t, eps, bt, loss)
-    temps = list(_temp_candidates(pr, t, 1.0))
-    for o in np.linspace(-span, span, _POLISH_STEPS):
-        dc = np.clip(d + o, 0.0, pr.d_max)
-        tc = _tau(dc, pr.alpha)
-        cand = (dc, tc) + _temp_block(pr, tc, t, eps, bt, mix,
-                                      _misfit(pr, tc, bt, eps, mix), 1.0, temps)
-        best = _pick(cand[-1] < best[-1], cand, best)
-    return best
+    # one joint (d, T) step, range within span and T within 1 K; returns the
+    # accepted (d, tau, T, eps, B(T), loss)
+    return _gn_step(pr, d, tau, t, eps, bt, mix, loss, span, 1.0)
 
 
 def _gradients_flat(pr, d, t, eps, om):
@@ -521,10 +596,7 @@ def _gradients_flat(pr, d, t, eps, om):
     g_d = _band_sum(2.0 * r * dtau * core)
     dbt = _planck_dT_core(pr.wav, t)
     g_t = _band_sum(2.0 * r * tau * eps * dbt)
-    lap = np.zeros_like(eps)
-    lap[:-1] += eps[:-1] - eps[1:]
-    lap[1:] += eps[1:] - eps[:-1]
-    g_e = 2.0 * r * tau * (bt - mix) + 2.0 * pr.rho_eps * lap
+    g_e = 2.0 * r * tau * (bt - mix) + 2.0 * pr.rho_eps * _dtd(eps)
     if om.shape[1] > 0:
         g_o = _band_dot(2.0 * r * tau * (1.0 - eps) / _PI, _sky_contrast(pr))
     else:

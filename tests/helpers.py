@@ -92,3 +92,13 @@ def poke_cube(path, index, value):
         shape = (header["rows"], header["cols"], header["bands"])
         fh.seek(8 + hlen + 4 * int(np.ravel_multi_index(index, shape)))
         fh.write(struct.pack("<f", value))
+
+
+def rewrite_header(path, **changes):
+    """Replace header fields of an LWC1 file in place, keeping the body."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + hlen])
+    header.update(changes)
+    hj = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<I", len(hj)) + hj + raw[8 + hlen:])

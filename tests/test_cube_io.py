@@ -1,6 +1,5 @@
 """Container format tests: bit-exact roundtrips and hostile-input errors."""
 
-import json
 import os
 import struct
 import tracemalloc
@@ -39,7 +38,7 @@ from lwirange.closed_form import RangeMap
 from lwirange.errors import ConstraintError, GridError
 from lwirange.forward_model import SceneTruth
 from lwirange.hyperspectral import _proj_cap_simplex
-from helpers import micro_scene, poke_cube
+from helpers import micro_scene, poke_cube, rewrite_header
 
 
 def f32(rng, shape, lo=0.0, hi=1000.0):
@@ -237,16 +236,6 @@ class TestHeader:
             CubeHeader.from_json(b"{not json")
         with pytest.raises(FormatError, match="JSON object"):
             CubeHeader.from_json(b"[1,2]")
-
-
-def rewrite_header(path, **changes):
-    """Replace header fields of an LWC1 file in place, keeping the body."""
-    raw = path.read_bytes()
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8:8 + hlen])
-    header.update(changes)
-    hj = json.dumps(header).encode("utf-8")
-    path.write_bytes(raw[:4] + struct.pack("<I", len(hj)) + hj + raw[8 + hlen:])
 
 
 class TestMalformedHeaders:

@@ -35,6 +35,7 @@ from lwirange.closed_form import (
 from lwirange import hyperspectral
 from lwirange.hyperspectral import (
     _armijo_pass,
+    _band_dot,
     _build_problem,
     _dist_block,
     _eps_quick,
@@ -42,19 +43,21 @@ from lwirange.hyperspectral import (
     _loss,
     _misfit,
     _flatten_maps,
+    _gn_step,
     _mix_of,
     _phase,
     _Problem,
     _range_starts,
     _shifted_path,
     _sky_block,
+    _sky_gram,
     _temp_block,
     _temp_candidates,
     _thomas,
     _tv_denoise_map,
 )
-from lwirange.forward_model import _radiance
-from lwirange.radiometry import _planck_core
+from lwirange.forward_model import _contrast, _radiance
+from lwirange.radiometry import _planck_core, _planck_dT_core
 from helpers import AIR, micro_scene
 
 
@@ -305,6 +308,16 @@ class TestEmissivityRefit:
             npt.assert_allclose(x[:, i], np.linalg.solve(a, b[:, i]),
                                 rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_thomas_right_sides_have_the_bits_of_separate_solves(self, k):
+        rng = np.random.default_rng(30 + k)
+        dm = rng.uniform(2.0, 5.0, (k, 7))
+        b = rng.normal(0.0, 3.0, (k, 3, 7))
+        x = _thomas(dm, -0.7, b)
+        for j in range(3):
+            one = _thomas(dm, -0.7, np.ascontiguousarray(b[:, j]))
+            assert x[:, j].tobytes() == one.tobytes()
+
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_eps_quick_is_clipped_dense_least_squares(self, k):
         rng = np.random.default_rng(40 + k)
@@ -368,6 +381,19 @@ class TestBatchIndependence:
         for span in (None, 3.0):
             assert_terms_match(_dist_block(sub, ds, taus, bts, es, mixs, ls, span),
                                _dist_block(pr, d, tau, bt, eps, mix, loss, span))
+        assert_terms_match(_gn_step(sub, ds, taus, ts, es, bts, mixs, ls, 3.0, 1.0),
+                           _gn_step(pr, d, tau, t, eps, bt, mix, loss, 3.0, 1.0))
+
+    @pytest.mark.parametrize("p", [1, 7, 512])
+    def test_sky_gram_has_the_bits_of_every_product(self, p):
+        # the Gram is built from its upper triangle and mirrored; the full
+        # set of Q^2 products gives the same bits
+        rng = np.random.default_rng(p)
+        k, q = 64, 10
+        w2 = rng.uniform(0.0, 1e-3, (k, p))
+        ekq = rng.normal(0.0, 300.0, (k, q))
+        full = _band_dot(w2, (ekq[:, :, None] * ekq[:, None, :]).reshape(k, q * q))
+        assert _sky_gram(w2, ekq).tobytes() == full.reshape(p, q, q).tobytes()
 
 
 class TestCarriedTerms:
@@ -400,6 +426,12 @@ class TestCarriedTerms:
             d, tau, loss = _dist_block(pr, d, tau, bt, eps, mix, loss, span)
             npt.assert_array_equal(tau, _tau(d, pr.alpha))
             npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
+        moved = d.copy()
+        d, tau, t, eps, bt, loss = _gn_step(pr, d, tau, t, eps, bt, mix, loss, 3.0, 1.0)
+        assert not np.array_equal(d, moved)
+        npt.assert_array_equal(tau, _tau(d, pr.alpha))
+        npt.assert_array_equal(bt, _planck_core(pr.wav, t))
+        npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
 
     def test_warmup_phase_loss_is_loss_of_its_state(self):
         _, pr = self._problem(0.5, 4)
@@ -411,7 +443,8 @@ class TestCarriedTerms:
 
     def test_refine_phase_loss_is_loss_of_its_state(self):
         # 30 sweeps with the range block on from the start run the global
-        # range scans of sweeps 0, 10 and 20 and the local scans between
+        # range scans of sweeps 0, 10 and 20, the local scans between and
+        # the joint (d, T) steps of sweeps 27 to 29
         _, pr = self._problem(1.0, 11)
         p, k = pr.y.shape[1], pr.y.shape[0]
         d, t, eps, om, loss = _phase(
@@ -519,23 +552,93 @@ class TestCandidateScans:
         for span in (None, 3.0):
             check(_dist_block(pr, d, tau, bt, eps, mix, floor, span),
                   _dist_block(pr, d, tau, bt, eps, mix, loss, span), (d, tau, floor))
+        check(_gn_step(pr, d, tau, t, eps, bt, mix, floor, 3.0, 1.0),
+              _gn_step(pr, d, tau, t, eps, bt, mix, loss, 3.0, 1.0),
+              (d, tau, t, eps, bt, floor))
 
-    def test_shared_temperature_candidates_keep_the_bits(self):
-        # the range polish scans one set of T candidates along every path
-        pr, d, t, eps, mix, _ = self._state(6)
-        bt = _planck_core(pr.wav, t)
-        temps = list(_temp_candidates(pr, t, 1.0))
-        before = [(tc.copy(), bc.copy()) for tc, bc in temps]
-        for o in (-2.0, 0.0, 1.5):
-            path = _tau(np.clip(d + o, 0.0, pr.d_max), pr.alpha)
-            lc = _misfit(pr, path, bt, eps, mix)
-            shared = _temp_block(pr, path, t, eps, bt, mix, lc, 1.0, temps)
-            own = _temp_block(pr, path, t, eps, bt, mix, lc, 1.0)
-            for g, w in zip(shared, own, strict=True):
-                assert g.tobytes() == w.tobytes()
-        # no scan wrote into the candidates it shares
-        for (tc, bc), (t0, b0) in zip(temps, before, strict=True):
-            assert tc.tobytes() == t0.tobytes() and bc.tobytes() == b0.tobytes()
+
+class TestGaussNewtonStep:
+    # one Gauss-Newton step in (d, T) on the objective profiled over eps
+    @staticmethod
+    def _random_problem(k, seed, p=6, q=2):
+        # noise-free data of flat-emissivity pixels, and a start near them
+        rng = np.random.default_rng(seed)
+        wav = np.linspace(8.0, 13.0, k)[:, None]
+        alpha = rng.uniform(0.005, 0.1, (k, 1))
+        b_air = _planck_core(wav, AIR.kelvin)
+        sky = (b_air * rng.uniform(0.3, 0.9, (k, q))).T.copy()
+        d = rng.uniform(10.0, 60.0, p)
+        t = rng.uniform(290.0, 300.0, p)
+        eps = np.tile(rng.uniform(0.5, 0.95, p), (k, 1))
+        om = rng.uniform(0.0, 0.3, (p, q))
+        pr = _Problem(wav=wav, alpha=alpha, y=np.zeros((k, p)), sky=sky,
+                      b_air=b_air, rho_eps=1e3, d_max=200.0, t_lo=283.0,
+                      t_hi=307.0)
+        mix = _mix_of(pr, om)
+        pr.y = _radiance(_tau(d, alpha), _contrast(_planck_core(wav, t), eps, mix,
+                                                   b_air), b_air)
+        return (pr, d + rng.uniform(-0.3, 0.3, p), t + rng.uniform(-0.1, 0.1, p),
+                eps + rng.uniform(-0.01, 0.01, eps.shape), mix)
+
+    @pytest.mark.parametrize("k", [3, 12, 64])
+    def test_move_solves_the_dense_normal_equations(self, k):
+        pr, d, t, eps, mix = self._random_problem(k, 30 + k)
+        tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
+        p = d.size
+        dn, _, tn, *_ = _gn_step(pr, d, tau, t, eps, bt, mix, np.full(p, np.inf),
+                                 1e3, 1e3)
+        dtd = np.diff(np.eye(k), axis=0).T @ np.diff(np.eye(k), axis=0)
+        reg = np.zeros((k + 2, k + 2))
+        reg[2:, 2:] = pr.rho_eps * dtd
+        for i in range(p):
+            core = _contrast(bt[:, i], eps[:, i], mix[:, i], pr.b_air[:, 0])
+            r = tau[:, i] * core + pr.b_air[:, 0] - pr.y[:, i]
+            jac = np.column_stack([
+                -np.log(10.0) / 10.0 * pr.alpha[:, 0] * tau[:, i] * core,
+                tau[:, i] * eps[:, i] * _planck_dT_core(pr.wav[:, 0], t[i]),
+                np.diag(tau[:, i] * (bt[:, i] - mix[:, i]))])
+            g = jac.T @ r
+            g[2:] += pr.rho_eps * dtd @ eps[:, i]
+            want = -np.linalg.solve(jac.T @ jac + reg, g)[:2]
+            # the move stays inside the box, so nothing clipped it
+            assert 0.0 < dn[i] < pr.d_max and pr.t_lo < tn[i] < pr.t_hi
+            npt.assert_allclose([dn[i] - d[i], tn[i] - t[i]], want, rtol=1e-9)
+
+    @pytest.mark.parametrize("q", [1, 10])
+    def test_two_steps_return_to_the_truth(self, q):
+        # noise-free data: from the truth with T moved by 0.3 K and eps
+        # refit, the block scans stall in the d-T valley; two joint steps
+        # reach the truth
+        sc = micro_scene(rows=6, cols=6, bands=64, q=q)
+        pr, m, n = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
+                                  1e5, 200.0, 12.0)
+        d0, t0, _, om = _flatten_maps(as_maps(sc["truth"]), pr, m, n)
+        mix = _mix_of(pr, om)
+        d, t = d0, t0 + 0.3
+        tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
+        eps = _eps_quick(pr, tau, bt, mix)
+        loss = _misfit(pr, tau, bt, eps, mix)
+        assert loss.sum() > 1.0
+        for _ in range(2):
+            d, tau, t, eps, bt, loss = _gn_step(pr, d, tau, t, eps, bt, mix, loss,
+                                                3.0, 1.0)
+        npt.assert_allclose(d, d0, rtol=0.0, atol=1e-3)
+        npt.assert_allclose(t, t0, rtol=0.0, atol=1e-3)
+        assert loss.sum() < 1e-6
+
+    def test_zero_emissivity_pixel_does_not_move(self):
+        # at eps = 0 the misfit does not depend on T, so the reduced matrix
+        # is singular; the other pixels move
+        pr, d, t, eps, mix = self._random_problem(12, 5)
+        eps[:, 2] = 0.0
+        tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
+        loss = np.full(d.size, np.inf)
+        got = _gn_step(pr, d, tau, t, eps, bt, mix, loss, 1e3, 1e3)
+        for g, w in zip(got, (d, tau, t, eps, bt, loss), strict=True):
+            assert g[..., 2].tobytes() == np.ascontiguousarray(w[..., 2]).tobytes()
+        others = np.arange(d.size) != 2
+        assert (got[0][others] != d[others]).all()
+        assert (got[2][others] != t[others]).all()
 
 
 class TestProject:

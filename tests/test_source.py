@@ -1,10 +1,12 @@
 """Static checks on the package source, read with ast: every ``__all__``
 entry names a module-level definition, no module but the package
 ``__init__`` imports a name it never uses, every ``SolverConfig`` field
-is read outside its own ``validate``, no module calls ``np.median``
-or ``np.fromfile``, and the solver checks a caller's maps in one place."""
+is read outside its own ``validate``, every private module constant is
+read, no module calls ``np.median`` or ``np.fromfile``, and the solver
+checks a caller's maps in one place."""
 
 import ast
+import re
 from pathlib import Path
 
 _PKG = Path(__file__).resolve().parent.parent / "src" / "lwirange"
@@ -83,6 +85,21 @@ def test_every_solver_config_field_is_read():
             and id(node) not in inside}
     dead = sorted(fields - read)
     assert fields and not dead, dead
+
+
+def test_every_module_constant_is_read():
+    # a module-level _UPPER_CASE constant that nothing loads is a knob that
+    # changes nothing.  A load is a Name or an attribute of that name
+    # anywhere in the package
+    modules = _modules()
+    constants = {f"{name}:{c}" for name, tree in modules.items()
+                 for c in _defined(tree) if re.fullmatch(r"_[A-Z][A-Z0-9_]*", c)}
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in modules.values() for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute))
+              and isinstance(node.ctx, ast.Load)}
+    dead = sorted(c for c in constants if c.split(":")[1] not in loaded)
+    assert constants and not dead, dead
 
 
 def _np_calls(attr):

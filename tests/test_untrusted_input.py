@@ -5,6 +5,7 @@ ConfigError), never a bare ValueError, UnicodeDecodeError or the like.
 """
 
 import argparse
+import dataclasses
 import shutil
 import tempfile
 from pathlib import Path
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import micro_scene
+from helpers import micro_scene, rewrite_header
 from lwirange.atmosphere import load_downwelling, load_spectrum, save_downwelling, save_spectrum
 from lwirange.cli import _DEFAULTS, resolve_settings
 from lwirange.cube_io import (
+    CubeHeader,
     load_cube_grid,
     load_estimates,
     load_scene_cube,
@@ -28,7 +30,7 @@ from lwirange.cube_io import (
     save_scene_cube,
     save_scene_truth,
 )
-from lwirange.errors import ConfigError, LwirError
+from lwirange.errors import ConfigError, FormatError, LwirError
 from lwirange.hyperspectral import EstimateMaps
 from lwirange.radiometry import DB_PER_M
 
@@ -137,6 +139,37 @@ def test_scene_truth_loader(valid, work, name, content):
     shutil.copytree(valid / "truth", truth, dirs_exist_ok=True)
     (truth / name).write_bytes(_apply((truth / name).read_bytes(), content))
     _typed_or_returns(lambda: load_scene_truth(truth))
+
+
+# every numeric CubeHeader field, read off its annotation, so that a field
+# added later is covered too
+_NUMERIC_FIELDS = [f.name for f in dataclasses.fields(CubeHeader)
+                   if any(t in str(f.type) for t in ("int", "float", "tuple"))]
+# each file kind with its loaders; the first returns the header
+_LOADERS = {"cube.lwc": (read_cube, load_scene_cube, load_cube_grid),
+            "est/distance.lwc": (read_map,),
+            "est/solid_angles.lwc": (read_cube,)}
+
+
+@pytest.mark.parametrize("name", sorted(_LOADERS))
+@pytest.mark.parametrize("field", _NUMERIC_FIELDS)
+def test_header_integer_beyond_the_float_range(valid, work, name, field):
+    # an integer too large for a float, alone or in a list field
+    path = work / "file.lwc"
+    path.write_bytes((valid / name).read_bytes())
+    loaders = _LOADERS[name]
+    old = getattr(loaders[0](path)[0], field)
+    huge = 10 ** 400
+    rewrite_header(path, **{field: [huge] * len(old) if isinstance(old, tuple) else huge})
+    for load in loaders:
+        with pytest.raises(FormatError):
+            load(path)
+
+
+def test_header_fuzz_finds_the_numeric_fields():
+    assert {"rows", "cols", "bands", "sectors", "wavelengths_um",
+            "air_temperature_k", "noise_sigma",
+            "zenith_angles_deg"} <= set(_NUMERIC_FIELDS)
 
 
 @_SETTINGS
