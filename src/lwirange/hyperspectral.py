@@ -8,15 +8,17 @@ block-coordinate scheme: a warmup from each pixel's closed-form range
 estimate (quadspectral at the sky set's ozone slope, or at slope 0, which
 is bispectral-air, when the sky term is off or fits no slope) and two flat
 emissivity starts, then refinement of each pixel's lowest-loss start, a
-range polish, a projected-gradient Armijo pass and, when the TV weight is
-positive, proximal TV rounds.  On a grid where the water-band pair does not
-resolve, the warmup starts from a ladder of flat ranges.  The TV rounds are
-the one stage that couples pixels: :func:`solve` runs every other stage in
-pixel blocks and the TV rounds once on the whole map.  Every phase runs a
-fixed number of sweeps.
+(d, T) polish, an Armijo pass (a projected-gradient line search on range,
+then an emissivity refit) and, when the TV weight is positive, proximal TV
+rounds.  On a grid where the water-band pair does not resolve, the warmup
+starts from a ladder of flat ranges.  The TV rounds are the one stage that
+couples pixels: :func:`solve` runs every other stage in pixel blocks and
+the TV rounds once on the whole map.  Every phase runs a fixed number of
+sweeps, and every sector count, zero included, runs the same stages: with
+no sky sectors the sky block returns the weights it was given.
 
-A sweep refits the sky weights, when the model has any, then scans
-temperature and, once the warmup's range freeze is over, range.
+A sweep refits the sky weights, then scans temperature and, once the
+warmup's range freeze is over, range.
 Each temperature candidate refits emissivity by one banded least-squares
 solve, clipped to [0, 1].  The temperature and range scans rank their
 candidates by cheaper forms of the misfit, equal to it up to rounding: the
@@ -35,10 +37,10 @@ refits the sky weights.
 Every step is accept-guarded: a candidate is kept only if it does not raise
 the objective its stage enforces, which is the data misfit plus emissivity
 smoothness up to the Armijo pass and that plus the TV term in the TV
-rounds.  The search draws no random numbers, and all array reductions are
-per pixel, which makes results byte-identical for any pixel partitioning
-(worker count) and, when the TV weight is zero, for any edit to other
-pixels' data.
+rounds; the Armijo line search also asks for a sufficient decrease.  The
+search draws no random numbers, and all array reductions are per pixel,
+which makes results byte-identical for any pixel partitioning (worker
+count) and, when the TV weight is zero, for any edit to other pixels' data.
 
 The solver holds its per-band state band-major: observed radiance,
 emissivity, B(T), path transmittance, reflected light, residuals and every
@@ -100,9 +102,8 @@ _LOG10 = np.log(10.0)
 
 # scan schedules (spans in meters / kelvin, geometric decay per iteration)
 _T_SPAN0 = 8.0
-_T_DECAY = 0.8
 _D_SPAN0 = 4.0
-_D_DECAY = 0.8
+_SPAN_DECAY = 0.8
 _MIN_SPAN = 0.02
 _GLOBAL_SCAN_POINTS = 41       # range candidates across [0, d_max]
 _LOCAL_SCAN_POINTS = 17        # range candidates across the local span
@@ -150,7 +151,8 @@ class SolverConfig:
     start) runs the whole warmup budget, then each pixel's lowest-loss start
     runs the whole refinement budget.  polish_rounds counts the joint (d, T)
     Gauss-Newton steps after the refinement, each followed by a sky refit;
-    armijo_iterations counts the projected-gradient passes.
+    armijo_iterations counts the Armijo passes after them, each one
+    projected-gradient line search on range and an emissivity refit.
 
     The scan sizes, warmup starts, line-search constants and
     temperature box are module constants (``_T_SPAN0`` and the names after
@@ -199,7 +201,8 @@ class EstimateMaps:
     sweeps the pixel ran, the refinement budget at every pixel of a
     :func:`solve`.  history, which :func:`solve` always fills, holds
     ``(stage, step, objective, feasible)`` per "refine" sweep and per
-    "polish", "armijo" and "tv" round, with the objective that stage
+    "polish", "armijo" and "tv" round, for any number of sky sectors
+    ("tv" only when rho_d > 0), with the objective that stage
     guards: data misfit plus smoothness, summed over the image, plus
     rho_d * TV on "tv" entries, the first of which is the state the TV
     stage received.  The four state maps and the loss must be finite; a
@@ -401,8 +404,11 @@ def _sky_gram(w2, ekq):
 
 def _sky_block(pr, tau, bt, eps, om, mix, loss):
     # per-pixel box/cap-constrained quadratic in the sky weights via ADMM;
-    # returns the accepted (om, mix, loss)
+    # returns the accepted (om, mix, loss), the carried ones untouched when
+    # the model has no sky sectors
     q = om.shape[1]
+    if q == 0:
+        return om, mix, loss
     w = tau * (1.0 - eps) / _PI
     y0 = _radiance(tau, _contrast(bt, eps, pr.b_air, pr.b_air), pr.b_air)
     base = pr.y - y0
@@ -504,11 +510,9 @@ def _dist_block(pr, d, tau, bt, eps, mix, loss, local_span):
 
 
 def _feasible(d, eps, om, d_max):
-    ok = bool(np.all(d >= 0.0) and np.all(d <= d_max)
-              and np.all(eps >= 0.0) and np.all(eps <= 1.0))
-    if om.shape[1] > 0:
-        ok = ok and bool(np.all(om >= 0.0) and np.all(om.sum(1) <= _PI))
-    return ok
+    return bool(np.all(d >= 0.0) and np.all(d <= d_max)
+                and np.all(eps >= 0.0) and np.all(eps <= 1.0)
+                and np.all(om >= 0.0) and np.all(om.sum(1) <= _PI))
 
 
 def _gn_step(pr, d, tau, t, eps, bt, mix, loss, d_span, t_span):
@@ -556,18 +560,16 @@ def _phase(pr, d, t, eps, om, iters, *, d_freeze, record=None):
     # if given, is called after each sweep as record(it, d, eps, om, loss).
     # A sweep whose temperature and local range spans have both decayed to
     # _MIN_SPAN takes one joint (d, T) step in place of the two scans
-    has_sky = pr.sky.shape[0] > 0
     tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
     loss = _misfit(pr, tau, bt, eps, mix)
     for it in range(iters):
-        if has_sky:
-            om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
+        om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
         scan_d = it >= d_freeze
-        t_span = max(_T_SPAN0 * _T_DECAY ** it, _MIN_SPAN)
+        t_span = max(_T_SPAN0 * _SPAN_DECAY ** it, _MIN_SPAN)
         if it % 10 == 0 and it < _GLOBAL_SCAN_UNTIL:
             d_span = None
         else:
-            d_span = max(_D_SPAN0 * _D_DECAY ** (it - d_freeze), _MIN_SPAN)
+            d_span = max(_D_SPAN0 * _SPAN_DECAY ** (it - d_freeze), _MIN_SPAN)
         if scan_d and t_span == d_span == _MIN_SPAN:
             d, tau, t, eps, bt, loss = _gn_step(pr, d, tau, t, eps, bt, mix, loss,
                                                 _MIN_SPAN, _MIN_SPAN)
@@ -587,9 +589,7 @@ def _polish_distance(pr, d, tau, t, eps, bt, mix, loss, span):
 
 
 def _gradients_flat(pr, d, t, eps, om):
-    tau = _tau(d, pr.alpha)
-    bt = _planck_core(pr.wav, t)
-    mix = _mix_of(pr, om)
+    tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
     core = _contrast(bt, eps, mix, pr.b_air)
     r = _radiance(tau, core, pr.b_air) - pr.y
     dtau = -(_LOG10 / 10.0) * pr.alpha * tau
@@ -597,81 +597,39 @@ def _gradients_flat(pr, d, t, eps, om):
     dbt = _planck_dT_core(pr.wav, t)
     g_t = _band_sum(2.0 * r * tau * eps * dbt)
     g_e = 2.0 * r * tau * (bt - mix) + 2.0 * pr.rho_eps * _dtd(eps)
-    if om.shape[1] > 0:
-        g_o = _band_dot(2.0 * r * tau * (1.0 - eps) / _PI, _sky_contrast(pr))
-    else:
-        g_o = np.zeros_like(om)
+    g_o = _band_dot(2.0 * r * tau * (1.0 - eps) / _PI, _sky_contrast(pr))
     return g_d, g_t, g_e, g_o
 
 
-def _backtrack_block(l0, step0, x, cand_of, dist2_of, loss_of):
-    """Projected-gradient backtracking for one variable block, all pixels.
-
-    x is (P,) or (X, P), the pixel axis last.  Accepts a candidate only if
-    L(x+) <= L(x) - c/t * |x+ - x|^2, so every accepted move strictly
-    reduces the per-pixel objective.
-    """
-    p = l0.shape[0]
-    accepted = x.copy()
-    tcur = step0.copy()
-    done = np.zeros(p, dtype=bool)
-    lbest = l0.copy()
+def _armijo_pass(pr, d, t, eps, om):
+    # one projected-gradient line search on range: the step s starts at
+    # 0.5 / |g_d| and shrinks by _ARMIJO_FACTOR until the clipped candidate
+    # meets L(d+) <= L(d) - c/s |d+ - d|^2, so every move strictly lowers the
+    # loss.  eps is then refit at the new range, kept where the misfit does
+    # not rise; T and om pass through, since the (d, T) steps and the sky
+    # block refit them.  Returns the state and its per-pixel loss
+    bt, mix = _planck_core(pr.wav, t), _mix_of(pr, om)
+    l0 = _misfit(pr, _tau(d, pr.alpha), bt, eps, mix)
+    g_d = _gradients_flat(pr, d, t, eps, om)[0]
+    step = 0.5 / (np.abs(g_d) + 1e-30)
+    dn, ln = d, l0
+    done = np.zeros(d.shape, dtype=bool)
     for _ in range(_ARMIJO_BACKTRACKS):
-        cand = cand_of(tcur)
-        lc = loss_of(cand)
-        dx2 = dist2_of(cand)
-        need = l0 - _ARMIJO_C * dx2 / np.maximum(tcur, 1e-300)
-        acc = (~done) & (lc <= need) & (dx2 > 0.0)
-        if acc.any():
-            accepted = np.where(acc, cand, accepted)
-            lbest = np.where(acc, lc, lbest)
+        dc = np.clip(d - step * g_d, 0.0, pr.d_max)
+        lc = _misfit(pr, _tau(dc, pr.alpha), bt, eps, mix)
+        dx2 = (dc - d) ** 2
+        need = l0 - _ARMIJO_C * dx2 / np.maximum(step, 1e-300)
+        acc = ~done & (lc <= need) & (dx2 > 0.0)
+        dn, ln = _pick(acc, (dc, lc), (dn, ln))
         done |= acc
         if done.all():
             break
-        tcur = tcur * _ARMIJO_FACTOR
-    return accepted, lbest
-
-
-def _armijo_pass(pr, d, t, eps, om):
-    """One sweep of per-block projected-gradient line searches; returns the
-    state and its per-pixel loss."""
-
-    def cur_loss(dv, tv, ev, ov):
-        return _loss(pr, dv, tv, ev, _mix_of(pr, ov))
-
-    g_d, _, _, _ = _gradients_flat(pr, d, t, eps, om)
-    l0 = cur_loss(d, t, eps, om)
-    d, l0 = _backtrack_block(
-        l0, 0.5 / (np.abs(g_d) + 1e-30), d,
-        lambda tc: np.clip(d - tc * g_d, 0.0, pr.d_max),
-        lambda c: (c - d) ** 2,
-        lambda c: cur_loss(c, t, eps, om))
-
-    _, g_t, _, _ = _gradients_flat(pr, d, t, eps, om)
-    t, l0 = _backtrack_block(
-        l0, 0.25 / (np.abs(g_t) + 1e-30), t,
-        lambda tc: np.clip(t - tc * g_t, pr.t_lo, pr.t_hi),
-        lambda c: (c - t) ** 2,
-        lambda c: cur_loss(d, c, eps, om))
-
-    _, _, g_e, _ = _gradients_flat(pr, d, t, eps, om)
-    eps, l0 = _backtrack_block(
-        l0, 0.01 / (np.abs(g_e).max(0) + 1e-30), eps,
-        lambda tc: np.clip(eps - tc * g_e, 0.0, 1.0),
-        lambda c: _band_sum((c - eps) ** 2),
-        lambda c: cur_loss(d, t, c, om))
-
-    if om.shape[1] > 0:
-        # the (P, Q) sky weights go through the block transposed, pixels last
-        _, _, _, g_o = _gradients_flat(pr, d, t, eps, om)
-        om_t, l0 = _backtrack_block(
-            l0, 0.05 / (np.abs(g_o).max(1) + 1e-30), om.T,
-            lambda tc: _proj_cap_simplex(om - tc[:, None] * g_o).T,
-            lambda c: ((c.T - om) ** 2).sum(1),
-            lambda c: cur_loss(d, t, eps, c.T))
-        om = np.ascontiguousarray(om_t.T)
-
-    return d, t, eps, om, l0
+        step = step * _ARMIJO_FACTOR
+    tau = _tau(dn, pr.alpha)
+    en = _eps_quick(pr, tau, bt, mix)
+    le = _misfit(pr, tau, bt, en, mix)
+    eps, ln = _pick(le <= ln, (en, le), (eps, ln))
+    return dn, t, eps, om, ln
 
 
 def _tv1d_denoise(y, lam, iters=200):
@@ -903,13 +861,12 @@ def _solve_flat(pr, cfg, d_starts, t0, init_state):
                                  min(cfg.refine_iterations, cfg.max_iterations),
                                  d_freeze=0, record=partial(record, "refine"))
 
-    if pr.sky.shape[0] > 0:
-        tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
-        for rep in range(cfg.polish_rounds):
-            d, tau, t, eps, bt, loss = _polish_distance(
-                pr, d, tau, t, eps, bt, mix, loss, span=_POLISH_SPAN / (rep + 1))
-            om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
-            record("polish", rep, d, eps, om, loss)
+    tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
+    for rep in range(cfg.polish_rounds):
+        d, tau, t, eps, bt, loss = _polish_distance(
+            pr, d, tau, t, eps, bt, mix, loss, span=_POLISH_SPAN / (rep + 1))
+        om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
+        record("polish", rep, d, eps, om, loss)
 
     for i in range(cfg.armijo_iterations):
         d, t, eps, om, loss = _armijo_pass(pr, d, t, eps, om)

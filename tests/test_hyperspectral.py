@@ -34,6 +34,9 @@ from lwirange.closed_form import (
 )
 from lwirange import hyperspectral
 from lwirange.hyperspectral import (
+    _ARMIJO_BACKTRACKS,
+    _ARMIJO_C,
+    _ARMIJO_FACTOR,
     _armijo_pass,
     _band_dot,
     _build_problem,
@@ -44,6 +47,7 @@ from lwirange.hyperspectral import (
     _misfit,
     _flatten_maps,
     _gn_step,
+    _gradients_flat,
     _mix_of,
     _phase,
     _Problem,
@@ -383,6 +387,8 @@ class TestBatchIndependence:
                                _dist_block(pr, d, tau, bt, eps, mix, loss, span))
         assert_terms_match(_gn_step(sub, ds, taus, ts, es, bts, mixs, ls, 3.0, 1.0),
                            _gn_step(pr, d, tau, t, eps, bt, mix, loss, 3.0, 1.0))
+        assert_terms_match(_armijo_pass(sub, ds, ts, es, oms),
+                           _armijo_pass(pr, d, t, eps, om))
 
     @pytest.mark.parametrize("p", [1, 7, 512])
     def test_sky_gram_has_the_bits_of_every_product(self, p):
@@ -639,6 +645,93 @@ class TestGaussNewtonStep:
         others = np.arange(d.size) != 2
         assert (got[0][others] != d[others]).all()
         assert (got[2][others] != t[others]).all()
+
+
+class TestArmijoPass:
+    # one projected-gradient line search on range, then an emissivity refit.
+    # The states come from a few refine sweeps, near enough to a minimum
+    # that most pixels backtrack: after 12 sweeps, pixels take the first to
+    # the eighth step, and one takes none
+    @staticmethod
+    def _state(sweeps):
+        sc = micro_scene(rows=3, cols=4, bands=12, q=3, noise_sigma=0.5, seed=21)
+        pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
+                                  1e5, 200.0, 12.0)
+        p, k = pr.y.shape[1], pr.y.shape[0]
+        return (pr, *_phase(pr, np.full(p, 40.0), np.full(p, 296.0),
+                            np.full((k, p), 0.9), np.zeros((p, 3)), sweeps,
+                            d_freeze=0)[:4])
+
+    @pytest.mark.parametrize("sweeps", [6, 12])
+    def test_temperature_and_sky_weights_pass_through(self, sweeps):
+        pr, d, t, eps, om = self._state(sweeps)
+        _, tn, en, omn, _ = _armijo_pass(pr, d, t, eps, om)
+        assert tn.tobytes() == t.tobytes()
+        assert omn.tobytes() == om.tobytes()
+        assert not np.array_equal(en, eps)
+
+    @pytest.mark.parametrize("sweeps", [6, 12])
+    def test_no_pixel_loss_rises(self, sweeps):
+        pr, d, t, eps, om = self._state(sweeps)
+        before = _loss(pr, d, t, eps, _mix_of(pr, om))
+        loss = _armijo_pass(pr, d, t, eps, om)[4]
+        assert (loss <= before).all()
+        assert (loss < before).any()
+
+    @pytest.mark.parametrize("sweeps", [6, 12])
+    def test_moved_ranges_meet_the_armijo_condition(self, sweeps):
+        # a per-pixel replay of the backtracking: each pixel takes the first
+        # step, halving from 0.5 / |g_d|, whose range meets the Armijo
+        # condition at the carried T, eps and sky weights, or stays put
+        pr, d, t, eps, om = self._state(sweeps)
+        mix = _mix_of(pr, om)
+        l0 = _loss(pr, d, t, eps, mix)
+        g_d = _gradients_flat(pr, d, t, eps, om)[0]
+        dn = _armijo_pass(pr, d, t, eps, om)[0]
+        taken = []
+        for i in range(d.size):
+            want = d[i]
+            step = 0.5 / (abs(g_d[i]) + 1e-30)
+            for j in range(_ARMIJO_BACKTRACKS):
+                cand = np.clip(d - step * g_d, 0.0, pr.d_max)
+                lc = _loss(pr, cand, t, eps, mix)[i]
+                dx2 = (cand[i] - d[i]) ** 2
+                if dx2 > 0.0 and lc <= l0[i] - _ARMIJO_C * dx2 / step:
+                    want = cand[i]
+                    taken.append(j)
+                    break
+                step *= _ARMIJO_FACTOR
+            assert dn[i] == want, i
+        # some pixels move, and some only after backtracking
+        assert taken and max(taken) > 0
+
+
+class TestZeroSectors:
+    # with no sky sectors only the sky block branches: it returns what it
+    # was given, and every other stage runs its one schedule on (P, 0) weights
+    def test_sky_block_returns_its_inputs(self):
+        sc = micro_scene(rows=2, cols=3, bands=12, q=0, noise_sigma=0.5, seed=2)
+        pr, m, n = _build_problem(sc["cube"], sc["alpha"], None, AIR,
+                                  1e5, 200.0, 12.0)
+        rng = np.random.default_rng(3)
+        p, k = m * n, 12
+        d, t = rng.uniform(5.0, 60.0, p), rng.uniform(290.0, 300.0, p)
+        eps, om = rng.uniform(0.5, 1.0, (k, p)), np.zeros((p, 0))
+        tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
+        loss = _misfit(pr, tau, bt, eps, mix)
+        got = _sky_block(pr, tau, bt, eps, om, mix, loss)
+        for g, w in zip(got, (om, mix, loss), strict=True):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3)])
+    def test_gradients_have_no_solid_angle_entries(self, rows, cols):
+        sc = micro_scene(rows=rows, cols=cols, bands=8, q=0, noise_sigma=0.5, seed=9)
+        params = random_params(np.random.default_rng(4), rows, cols, 8, 0)
+        grads = gradients(params, sc["cube"], sc["alpha"], None, AIR, rho_eps=37.0)
+        assert grads["solid_angles"].shape == (rows, cols, 0)
+        for key in ("distance", "temperature", "emissivity"):
+            assert grads[key].shape == params[key].shape
+            assert np.isfinite(grads[key]).all()
 
 
 class TestProject:
@@ -988,8 +1081,10 @@ class TestSolve:
             assert by_label["tv"][-1] == pytest.approx(
                 est.loss.sum() + rho_d * tv_distance(est.distance), rel=1e-12)
 
-    def test_default_solve_records_history(self):
-        sc = micro_scene(rows=2, cols=3, bands=12, q=2, noise_sigma=0.5, seed=6)
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_default_solve_records_history(self, q):
+        # every sector count runs the same stages, the polish included
+        sc = micro_scene(rows=2, cols=3, bands=12, q=q, noise_sigma=0.5, seed=6)
         cfg = SolverConfig()
         est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, cfg)
         labels = [h[0] for h in est.history]
