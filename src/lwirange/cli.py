@@ -457,6 +457,10 @@ def main(argv=None):
     except OSError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy raises a private subclass; the public name says what failed
+        print(f"error[MemoryError]: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

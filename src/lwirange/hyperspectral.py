@@ -8,39 +8,33 @@ block-coordinate scheme: a warmup from each pixel's closed-form range
 estimate (quadspectral at the sky set's ozone slope, or at slope 0, which
 is bispectral-air, when the sky term is off or fits no slope) and two flat
 emissivity starts, then refinement of each pixel's lowest-loss start, a
-(d, T) polish, an Armijo pass (a projected-gradient line search on range,
-then an emissivity refit) and, when the TV weight is positive, proximal TV
-rounds.  On a grid where the water-band pair does not resolve, the warmup
-starts from a ladder of flat ranges.  The TV rounds are the one stage that
-couples pixels: :func:`solve` runs every other stage in pixel blocks and
-the TV rounds once on the whole map.  Every phase runs a fixed number of
-sweeps, and every sector count, zero included, runs the same stages: with
-no sky sectors the sky block returns the weights it was given.
+(d, T) polish, range-only steps (the "armijo" stage) and, when the TV
+weight is positive, proximal TV rounds.  On a grid where the water-band
+pair does not resolve, the warmup starts from a ladder of flat ranges.
+The TV rounds are the one stage that couples pixels: :func:`solve` runs
+every other stage in pixel blocks and the TV rounds once on the whole map.
+Every phase runs a fixed number of sweeps, and every sector count, zero
+included, runs the same stages: with no sky sectors the sky block returns
+the weights it was given.
 
-A sweep refits the sky weights, then scans temperature and, once the
-warmup's range freeze is over, range.
-Each temperature candidate refits emissivity by one banded least-squares
-solve, clipped to [0, 1].  The temperature and range scans rank their
-candidates by cheaper forms of the misfit, equal to it up to rounding: the
-residual of the model, which is linear in emissivity, and the path
-tau(d) tau(o) factored about the current range.  Only each scan's winner is
-scored with the exact objective.  Once both scan spans have decayed to
-their floor, _MIN_SPAN, where the scans are a local search at a fixed
-resolution, a sweep takes one joint Gauss-Newton step in (d, T) in their
-place.  The step works on the objective profiled over the linear
-emissivity, which is variable projection (Golub & Pereyra, SIAM J. Numer.
-Anal. 1973): the (d, T) system is the 2 x 2 Schur complement of the
-(d, T, eps) normal equations, and the emissivity is refit at the moved
-(d, T).  Each polish round takes one such step with wider move bounds, then
-refits the sky weights.
+The one local move is a Gauss-Newton step in (d, T) on the objective
+profiled over the linear emissivity (variable projection, Golub & Pereyra,
+SIAM J. Numer. Anal. 1973), with emissivity refit by one banded
+least-squares solve, clipped to [0, 1].  A span bounds each coordinate's
+move, and a span of 0 freezes it.  A sweep refits the sky weights, steps
+T alone and, once the warmup's range freeze is over, scans range, ranking
+the candidates by the path tau(d) tau(o) factored about the current range
+and scoring only the winner exactly.  Once both spans have decayed to
+_MIN_SPAN, a sweep takes one joint (d, T) step in place of the two.  Each
+polish round takes a wider joint step, then refits the sky weights.
 
 Every step is accept-guarded: a candidate is kept only if it does not raise
 the objective its stage enforces, which is the data misfit plus emissivity
-smoothness up to the Armijo pass and that plus the TV term in the TV
-rounds; the Armijo line search also asks for a sufficient decrease.  The
-search draws no random numbers, and all array reductions are per pixel,
-which makes results byte-identical for any pixel partitioning (worker
-count) and, when the TV weight is zero, for any edit to other pixels' data.
+smoothness up to the range-only steps and that plus the TV term in the TV
+rounds.  The search draws no random numbers, and all array reductions are
+per pixel, which makes results byte-identical for any pixel partitioning
+(worker count) and, when the TV weight is zero, for any edit to other
+pixels' data.
 
 The solver holds its per-band state band-major: observed radiance,
 emissivity, B(T), path transmittance, reflected light, residuals and every
@@ -100,14 +94,13 @@ from .radiometry import (
 _PI = np.pi
 _LOG10 = np.log(10.0)
 
-# scan schedules (spans in meters / kelvin, geometric decay per iteration)
+# step and scan spans (meters / kelvin, geometric decay per iteration)
 _T_SPAN0 = 8.0
 _D_SPAN0 = 4.0
 _SPAN_DECAY = 0.8
 _MIN_SPAN = 0.02
 _GLOBAL_SCAN_POINTS = 41       # range candidates across [0, d_max]
 _LOCAL_SCAN_POINTS = 17        # range candidates across the local span
-_TEMPERATURE_SCAN_POINTS = 9
 _SKY_ADMM_ITERATIONS = 50
 
 # temperature box: air temperature +- _T_SPAN kelvin
@@ -122,13 +115,9 @@ _EPS_STARTS = (0.95, 0.6)
 # the range block scans the whole box on every 10th sweep before this one
 _GLOBAL_SCAN_UNTIL = 25
 
-# range polish: round r moves range by at most _POLISH_SPAN / (r + 1) meters
+# range polish: round r moves range by at most _POLISH_SPAN / (r + 1) meters,
+# and each range-only step after the polish by at most _POLISH_SPAN
 _POLISH_SPAN = 3.0
-
-# projected-gradient Armijo line search
-_ARMIJO_FACTOR = 0.5
-_ARMIJO_C = 1e-4
-_ARMIJO_BACKTRACKS = 12
 
 # proximal TV rounds when rho_d > 0
 _TV_ROUNDS = 2
@@ -151,12 +140,12 @@ class SolverConfig:
     start) runs the whole warmup budget, then each pixel's lowest-loss start
     runs the whole refinement budget.  polish_rounds counts the joint (d, T)
     Gauss-Newton steps after the refinement, each followed by a sky refit;
-    armijo_iterations counts the Armijo passes after them, each one
-    projected-gradient line search on range and an emissivity refit.
+    armijo_iterations counts the range-only Gauss-Newton steps after them,
+    each within _POLISH_SPAN with T held.
 
-    The scan sizes, warmup starts, line-search constants and
-    temperature box are module constants (``_T_SPAN0`` and the names after
-    it at the top of this module).  The hemisphere the sky sectors leave is
+    The step and scan spans, scan sizes, warmup starts and temperature box
+    are module constants (``_T_SPAN0`` and the names after it at the top of
+    this module).  The hemisphere the sky sectors leave is
     filled with ambient ground radiance, B(T_air).
     """
 
@@ -324,17 +313,13 @@ def _thomas(dm, off, b):
     return x
 
 
-def _eps_quick(pr, tau, bt, mix, rb=None, a=None):
+def _eps_quick(pr, tau, bt, mix):
     # the model is linear in eps, a * eps + b with b the model at eps = 0, so
     # the refit solves the banded normal equations
     # (diag(a^2) + rho_eps D'D) eps = a (y - b) once and clips to [0, 1];
-    # callers accept-guard the result.  rb = y - b does not depend on T, so
-    # a temperature scan passes it in once for all its candidates; the scan
-    # also passes each candidate's a = tau (B(T) - mix), which it ranks by
-    if a is None:
-        a = tau * (bt - mix)
-    if rb is None:
-        rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
+    # callers accept-guard the result
+    a = tau * (bt - mix)
+    rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
     x = _thomas(_eps_diagonal(pr, a), -pr.rho_eps, a * rb)
     return np.clip(x, 0.0, 1.0, out=x)
 
@@ -432,42 +417,6 @@ def _sky_block(pr, tau, bt, eps, om, mix, loss):
     return np.where(acc[:, None], z, om), np.where(acc, mz, mix), np.where(acc, lz, loss)
 
 
-def _linear_loss(pr, a, rb, eps):
-    # the misfit plus penalty of eps where the model is linear in eps,
-    # a * eps + b with rb = y - b: _misfit up to rounding, for ranking
-    r = a * eps - rb
-    return _band_sum(r * r) + _penalty(pr, eps)
-
-
-def _temp_candidates(pr, t, span):
-    # the temperature scan's (T, B(T)) candidates around t, one at a time
-    for o in np.linspace(-span, span, _TEMPERATURE_SCAN_POINTS):
-        tc = np.clip(t + o, pr.t_lo, pr.t_hi)
-        yield tc, _planck_core(pr.wav, tc)
-
-
-def _temp_block(pr, tau, t, eps, bt, mix, loss, span):
-    # scan T around the current value, re-fitting emissivity per candidate;
-    # returns the accepted (T, eps, B(T), loss).  Candidates are ranked by
-    # _linear_loss; only the winner pays the exact misfit, and it is
-    # accepted where that does not exceed the carried loss
-    rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
-    best = None
-    for tc, btc in _temp_candidates(pr, t, span):
-        a = tau * (btc - mix)
-        ec = _eps_quick(pr, tau, btc, mix, rb, a)
-        lc = _linear_loss(pr, a, rb, ec)
-        if best is None:
-            best = (tc, ec, btc, lc)
-            continue
-        imp = lc < best[3]
-        for dst, src in zip(best, (tc, ec, btc, lc)):
-            np.copyto(dst, src, where=imp)
-    tb, eb, bb, _ = best
-    lb = _misfit(pr, tau, bb, eb, mix)
-    return _pick(lb <= loss, (tb, eb, bb, lb), (t, eps, bt, loss))
-
-
 def _shifted_path(pr, d, tau, o):
     # the range candidate d + o, clipped to [0, d_max], and the path it is
     # ranked by: tau(d) tau(o), which is tau(d + o) up to rounding, or the
@@ -515,51 +464,82 @@ def _feasible(d, eps, om, d_max):
                 and np.all(om >= 0.0) and np.all(om.sum(1) <= _PI))
 
 
-def _gn_step(pr, d, tau, t, eps, bt, mix, loss, d_span, t_span):
-    # one Gauss-Newton step in (d, T) on the objective profiled over the
-    # linear eps (variable projection); returns the accepted
-    # (d, tau, T, eps, B(T), loss).  The (d, T, eps) normal equations reduce
-    # to their 2 x 2 Schur complement in (d, T): the eps block is
-    # _eps_quick's tridiagonal matrix, so its three right sides, the eps
-    # coupling of each of the two columns and the eps gradient, share one
-    # Thomas solve and its factors.  Each move is clipped to its span, eps
-    # is refit at the moved (d, T), and the step is accepted where the
-    # misfit does not exceed the carried loss.  A pixel whose reduced matrix
-    # is singular, such as one with eps = 0, where the misfit does not
-    # depend on T, does not move
+def _gn_moves(pr, tau, t, eps, bt, mix, d_free, t_free):
+    # the moves of the free coordinates, range first, and a (P,) mask of the
+    # pixels whose reduced matrix is positive definite; 0 elsewhere.  The
+    # (d, T, eps) normal equations reduce to their Schur complement in the
+    # free coordinates: the eps block is _eps_quick's tridiagonal matrix, so
+    # the right sides, the eps coupling of each free column and the eps
+    # gradient, share one Thomas solve.  Its own function, so that its (K, P)
+    # temporaries are freed before the caller's refit
     core = _contrast(bt, eps, mix, pr.b_air)
     r = _radiance(tau, core, pr.b_air) - pr.y
     a = tau * (bt - mix)
-    jd = -(_LOG10 / 10.0) * pr.alpha * tau * core
-    jt = tau * eps * _planck_dT_core(pr.wav, t)
-    ajd, ajt = a * jd, a * jt
-    xd, xt, xe = _thomas(_eps_diagonal(pr, a), -pr.rho_eps,
-                         np.stack((ajd, ajt, a * r + pr.rho_eps * _dtd(eps)), 1)
-                         ).transpose(1, 0, 2)
-    s_dd = _band_sum(jd * jd - ajd * xd)
-    s_dt = _band_sum(jd * jt - ajd * xt)
-    s_tt = _band_sum(jt * jt - ajt * xt)
-    g_d = _band_sum(jd * r - ajd * xe)
-    g_t = _band_sum(jt * r - ajt * xe)
-    det = s_dd * s_tt - s_dt * s_dt
+    cols = []
+    if d_free:
+        cols.append(-(_LOG10 / 10.0) * pr.alpha * tau * core)
+    if t_free:
+        cols.append(tau * eps * _planck_dT_core(pr.wav, t))
+    n = len(cols)
+    # right side i < n is a times column i, right side n the eps gradient
+    rhs = np.empty((a.shape[0], n + 1, a.shape[1]))
+    for i, c in enumerate(cols):
+        np.multiply(a, c, out=rhs[:, i])
+    np.multiply(a, r, out=rhs[:, n])
+    rhs[:, n] += pr.rho_eps * _dtd(eps)
+    x = _thomas(_eps_diagonal(pr, a), -pr.rho_eps, rhs)
+
+    def s(i, j):  # entry (i, j) of the reduced matrix
+        return _band_sum(cols[i] * cols[j] - rhs[:, i] * x[:, j])
+
+    g = [_band_sum(c * r - rhs[:, i] * x[:, n]) for i, c in enumerate(cols)]
+    # each move is a numerator over det (Cramer's rule)
+    if n == 1:
+        det = s(0, 0)
+        num = [-g[0]]
+    else:
+        s_dd, s_dt, s_tt = s(0, 0), s(0, 1), s(1, 1)
+        det = s_dd * s_tt - s_dt * s_dt
+        num = [s_dt * g[1] - s_tt * g[0], s_dt * g[0] - s_dd * g[1]]
     ok = det > 0.0
     det = np.where(ok, det, 1.0)
-    step_d = np.where(ok, (s_dt * g_t - s_tt * g_d) / det, 0.0)
-    step_t = np.where(ok, (s_dt * g_d - s_dd * g_t) / det, 0.0)
-    dn = np.clip(d + np.clip(step_d, -d_span, d_span), 0.0, pr.d_max)
-    tn = np.clip(t + np.clip(step_t, -t_span, t_span), pr.t_lo, pr.t_hi)
-    taun, btn = _tau(dn, pr.alpha), _planck_core(pr.wav, tn)
+    return ok, [np.where(ok, v / det, 0.0) for v in num]
+
+
+def _gn_step(pr, d, tau, t, eps, bt, mix, loss, d_span, t_span):
+    # one Gauss-Newton step in (d, T) on the objective profiled over eps;
+    # returns the accepted (d, tau, T, eps, B(T), loss).  A span of 0
+    # freezes its coordinate, whose carried tau or B(T) passes through.  Each
+    # move is clipped to its span, eps is refit at the moved (d, T), and the
+    # step is accepted where the misfit does not exceed the carried loss.  A
+    # pixel whose reduced matrix is singular, such as one with eps = 0, where
+    # the misfit does not depend on T, does not move
+    ok, moves = _gn_moves(pr, tau, t, eps, bt, mix, d_span > 0.0, t_span > 0.0)
+    dn, taun, tn, btn = d, tau, t, bt
+    if d_span:
+        dn = np.clip(d + np.clip(moves[0], -d_span, d_span), 0.0, pr.d_max)
+        taun = _tau(dn, pr.alpha)
+    if t_span:
+        tn = np.clip(t + np.clip(moves[-1], -t_span, t_span), pr.t_lo, pr.t_hi)
+        btn = _planck_core(pr.wav, tn)
     en = _eps_quick(pr, taun, btn, mix)
     ln = _misfit(pr, taun, btn, en, mix)
     return _pick(ok & (ln <= loss), (dn, taun, tn, en, btn, ln),
                  (d, tau, t, eps, bt, loss))
 
 
+def _temp_block(pr, d, tau, t, eps, bt, mix, loss, span):
+    # the step in T alone, within span; range and tau pass through
+    return _gn_step(pr, d, tau, t, eps, bt, mix, loss, 0.0, span)
+
+
 def _phase(pr, d, t, eps, om, iters, *, d_freeze, record=None):
     # runs iters sweeps; returns the state and its per-pixel loss.  record,
     # if given, is called after each sweep as record(it, d, eps, om, loss).
-    # A sweep whose temperature and local range spans have both decayed to
-    # _MIN_SPAN takes one joint (d, T) step in place of the two scans
+    # A sweep takes a step in T alone within its span, then, once d_freeze
+    # sweeps have run, scans range; a sweep whose T and local range spans
+    # have both decayed to _MIN_SPAN takes one joint (d, T) step in place of
+    # the two
     tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
     loss = _misfit(pr, tau, bt, eps, mix)
     for it in range(iters):
@@ -574,7 +554,8 @@ def _phase(pr, d, t, eps, om, iters, *, d_freeze, record=None):
             d, tau, t, eps, bt, loss = _gn_step(pr, d, tau, t, eps, bt, mix, loss,
                                                 _MIN_SPAN, _MIN_SPAN)
         else:
-            t, eps, bt, loss = _temp_block(pr, tau, t, eps, bt, mix, loss, t_span)
+            d, tau, t, eps, bt, loss = _temp_block(pr, d, tau, t, eps, bt, mix,
+                                                   loss, t_span)
             if scan_d:
                 d, tau, loss = _dist_block(pr, d, tau, bt, eps, mix, loss, d_span)
         if record is not None:
@@ -588,6 +569,11 @@ def _polish_distance(pr, d, tau, t, eps, bt, mix, loss, span):
     return _gn_step(pr, d, tau, t, eps, bt, mix, loss, span, 1.0)
 
 
+def _armijo_pass(pr, d, tau, t, eps, bt, mix, loss):
+    # the step in range alone, within _POLISH_SPAN; T and B(T) pass through
+    return _gn_step(pr, d, tau, t, eps, bt, mix, loss, _POLISH_SPAN, 0.0)
+
+
 def _gradients_flat(pr, d, t, eps, om):
     tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
     core = _contrast(bt, eps, mix, pr.b_air)
@@ -599,37 +585,6 @@ def _gradients_flat(pr, d, t, eps, om):
     g_e = 2.0 * r * tau * (bt - mix) + 2.0 * pr.rho_eps * _dtd(eps)
     g_o = _band_dot(2.0 * r * tau * (1.0 - eps) / _PI, _sky_contrast(pr))
     return g_d, g_t, g_e, g_o
-
-
-def _armijo_pass(pr, d, t, eps, om):
-    # one projected-gradient line search on range: the step s starts at
-    # 0.5 / |g_d| and shrinks by _ARMIJO_FACTOR until the clipped candidate
-    # meets L(d+) <= L(d) - c/s |d+ - d|^2, so every move strictly lowers the
-    # loss.  eps is then refit at the new range, kept where the misfit does
-    # not rise; T and om pass through, since the (d, T) steps and the sky
-    # block refit them.  Returns the state and its per-pixel loss
-    bt, mix = _planck_core(pr.wav, t), _mix_of(pr, om)
-    l0 = _misfit(pr, _tau(d, pr.alpha), bt, eps, mix)
-    g_d = _gradients_flat(pr, d, t, eps, om)[0]
-    step = 0.5 / (np.abs(g_d) + 1e-30)
-    dn, ln = d, l0
-    done = np.zeros(d.shape, dtype=bool)
-    for _ in range(_ARMIJO_BACKTRACKS):
-        dc = np.clip(d - step * g_d, 0.0, pr.d_max)
-        lc = _misfit(pr, _tau(dc, pr.alpha), bt, eps, mix)
-        dx2 = (dc - d) ** 2
-        need = l0 - _ARMIJO_C * dx2 / np.maximum(step, 1e-300)
-        acc = ~done & (lc <= need) & (dx2 > 0.0)
-        dn, ln = _pick(acc, (dc, lc), (dn, ln))
-        done |= acc
-        if done.all():
-            break
-        step = step * _ARMIJO_FACTOR
-    tau = _tau(dn, pr.alpha)
-    en = _eps_quick(pr, tau, bt, mix)
-    le = _misfit(pr, tau, bt, en, mix)
-    eps, ln = _pick(le <= ln, (en, le), (eps, ln))
-    return dn, t, eps, om, ln
 
 
 def _tv1d_denoise(y, lam, iters=200):
@@ -848,7 +803,8 @@ def _warm_start(pr, cfg, d_starts, t0):
 
 def _solve_flat(pr, cfg, d_starts, t0, init_state):
     # the per-pixel stages of one pixel block: warmup, refine, polish and
-    # Armijo; returns the state, its per-pixel loss and the block's history
+    # range-only steps; returns the state, its per-pixel loss and the
+    # block's history
     hist = []
 
     def record(label, it, d, eps, om, loss):
@@ -869,7 +825,7 @@ def _solve_flat(pr, cfg, d_starts, t0, init_state):
         record("polish", rep, d, eps, om, loss)
 
     for i in range(cfg.armijo_iterations):
-        d, t, eps, om, loss = _armijo_pass(pr, d, t, eps, om)
+        d, tau, t, eps, bt, loss = _armijo_pass(pr, d, tau, t, eps, bt, mix, loss)
         record("armijo", i, d, eps, om, loss)
 
     return d, t, eps, om, loss, hist

@@ -252,6 +252,16 @@ class TestRuntimeErrors:
         assert err.startswith("error[FormatError]: rows must be an integer")
         assert err.count("\n") == 1
 
+    def test_unallocatable_scene_exits_1(self, capsys, tmp_path):
+        # numpy refuses a 7 TiB array at once, before anything is written
+        code, out, err = run(capsys, [
+            "synth", "--rows", "1000000000000", "--cols", "2",
+            "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert err.startswith("error[MemoryError]: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_synth_rejects_q_that_does_not_match_atmo(self, capsys, tmp_path):
         # the same mismatch range --mode hyper rejects; an unset --q takes
         # the downwelling set's sector count

@@ -34,20 +34,15 @@ from lwirange.closed_form import (
 )
 from lwirange import hyperspectral
 from lwirange.hyperspectral import (
-    _ARMIJO_BACKTRACKS,
-    _ARMIJO_C,
-    _ARMIJO_FACTOR,
     _armijo_pass,
     _band_dot,
     _build_problem,
     _dist_block,
     _eps_quick,
-    _linear_loss,
     _loss,
     _misfit,
     _flatten_maps,
     _gn_step,
-    _gradients_flat,
     _mix_of,
     _phase,
     _Problem,
@@ -56,7 +51,6 @@ from lwirange.hyperspectral import (
     _sky_block,
     _sky_gram,
     _temp_block,
-    _temp_candidates,
     _thomas,
     _tv_denoise_map,
 )
@@ -380,15 +374,15 @@ class TestBatchIndependence:
                                _eps_quick(pr, tau, bt, mix)[:, cols])
         assert_terms_match(_sky_block(sub, taus, bts, es, oms, mixs, ls),
                            _sky_block(pr, tau, bt, eps, om, mix, loss))
-        assert_terms_match(_temp_block(sub, taus, ts, es, bts, mixs, ls, span=2.0),
-                           _temp_block(pr, tau, t, eps, bt, mix, loss, span=2.0))
+        assert_terms_match(_temp_block(sub, ds, taus, ts, es, bts, mixs, ls, span=2.0),
+                           _temp_block(pr, d, tau, t, eps, bt, mix, loss, span=2.0))
         for span in (None, 3.0):
             assert_terms_match(_dist_block(sub, ds, taus, bts, es, mixs, ls, span),
                                _dist_block(pr, d, tau, bt, eps, mix, loss, span))
         assert_terms_match(_gn_step(sub, ds, taus, ts, es, bts, mixs, ls, 3.0, 1.0),
                            _gn_step(pr, d, tau, t, eps, bt, mix, loss, 3.0, 1.0))
-        assert_terms_match(_armijo_pass(sub, ds, ts, es, oms),
-                           _armijo_pass(pr, d, t, eps, om))
+        assert_terms_match(_armijo_pass(sub, ds, taus, ts, es, bts, mixs, ls),
+                           _armijo_pass(pr, d, tau, t, eps, bt, mix, loss))
 
     @pytest.mark.parametrize("p", [1, 7, 512])
     def test_sky_gram_has_the_bits_of_every_product(self, p):
@@ -425,7 +419,11 @@ class TestCarriedTerms:
         om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
         npt.assert_array_equal(mix, _mix_of(pr, om))
         npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
-        t, eps, bt, loss = _temp_block(pr, tau, t, eps, bt, mix, loss, span=2.0)
+        held = d.copy()
+        d, tau, t, eps, bt, loss = _temp_block(pr, d, tau, t, eps, bt, mix, loss,
+                                               span=2.0)
+        assert d.tobytes() == held.tobytes()
+        npt.assert_array_equal(tau, _tau(d, pr.alpha))
         npt.assert_array_equal(bt, _planck_core(pr.wav, t))
         npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
         for span in (None, 3.0):
@@ -461,10 +459,14 @@ class TestCarriedTerms:
     def test_armijo_loss_is_loss_of_its_state(self):
         _, pr = self._problem(1.0, 11)
         p, k = pr.y.shape[1], pr.y.shape[0]
-        state = _phase(pr, np.full(p, 40.0), np.full(p, 296.0),
-                       np.full((k, p), 0.9), np.zeros((p, 2)), 6, d_freeze=0)[:4]
-        d, t, eps, om, loss = _armijo_pass(pr, *state)
-        npt.assert_array_equal(loss, _loss(pr, d, t, eps, _mix_of(pr, om)))
+        d, t, eps, om, loss = _phase(pr, np.full(p, 40.0), np.full(p, 296.0),
+                                     np.full((k, p), 0.9), np.zeros((p, 2)), 6,
+                                     d_freeze=0)
+        tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
+        d, tau, t, eps, bt, loss = _armijo_pass(pr, d, tau, t, eps, bt, mix, loss)
+        npt.assert_array_equal(tau, _tau(d, pr.alpha))
+        npt.assert_array_equal(bt, _planck_core(pr.wav, t))
+        npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
 
     @pytest.mark.parametrize("rho_d", [0.0, 1.0])
     def test_solve_loss_is_loss_of_its_maps(self, rho_d):
@@ -478,8 +480,9 @@ class TestCarriedTerms:
 
 
 class TestCandidateScans:
-    # the temperature and range scans rank their candidates by a cheaper
-    # form of the objective and guard only the winner with the exact one
+    # the range scans rank their candidates by a cheaper form of the
+    # objective and guard only the winner with the exact one; every block
+    # keeps the carried state where its candidate does not improve it
     def _state(self, seed):
         sc = micro_scene(rows=3, cols=4, bands=12, q=3, noise_sigma=0.5, seed=21)
         pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
@@ -492,32 +495,6 @@ class TestCandidateScans:
         om = rng.uniform(0.0, 0.9, (p, 3))
         mix = _mix_of(pr, om)
         return pr, d, t, eps, mix, _loss(pr, d, t, eps, mix)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_ranking_loss_is_the_misfit(self, seed):
-        pr, d, t, eps, mix, _ = self._state(seed)
-        tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
-        a = tau * (bt - mix)
-        rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
-        # at a random emissivity and at the refit one
-        for e in (eps, _eps_quick(pr, tau, bt, mix)):
-            npt.assert_allclose(_linear_loss(pr, a, rb, e),
-                                _misfit(pr, tau, bt, e, mix), rtol=1e-9)
-
-    def test_temperature_winner_is_the_exact_argmin(self):
-        pr, d, t, eps, mix, _ = self._state(3)
-        tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
-        exact = []
-        for tc, bc in _temp_candidates(pr, t, 2.0):
-            ec = _eps_quick(pr, tau, bc, mix)
-            exact.append((tc, _misfit(pr, tau, bc, ec, mix)))
-        win = np.argmin([lc for _, lc in exact], axis=0)
-        cols = np.arange(t.size)
-        got_t, _, got_bt, got_l = _temp_block(pr, tau, t, eps, bt, mix,
-                                              np.full(t.size, np.inf), 2.0)
-        npt.assert_array_equal(got_t, np.array([tc for tc, _ in exact])[win, cols])
-        npt.assert_array_equal(got_l, np.array([lc for _, lc in exact])[win, cols])
-        npt.assert_array_equal(got_bt, _planck_core(pr.wav, got_t))
 
     def test_factored_local_path(self):
         pr, d, *_ = self._state(4)
@@ -553,8 +530,12 @@ class TestCandidateScans:
             # the guard is what kept those pixels: unguarded, they move
             assert not np.array_equal(free[-1][keep], loss[keep])
 
-        check(_temp_block(pr, tau, t, eps, bt, mix, floor, 2.0),
-              _temp_block(pr, tau, t, eps, bt, mix, loss, 2.0), (t, eps, bt, floor))
+        check(_temp_block(pr, d, tau, t, eps, bt, mix, floor, 2.0),
+              _temp_block(pr, d, tau, t, eps, bt, mix, loss, 2.0),
+              (d, tau, t, eps, bt, floor))
+        check(_armijo_pass(pr, d, tau, t, eps, bt, mix, floor),
+              _armijo_pass(pr, d, tau, t, eps, bt, mix, loss),
+              (d, tau, t, eps, bt, floor))
         for span in (None, 3.0):
             check(_dist_block(pr, d, tau, bt, eps, mix, floor, span),
                   _dist_block(pr, d, tau, bt, eps, mix, loss, span), (d, tau, floor))
@@ -566,8 +547,9 @@ class TestCandidateScans:
 class TestGaussNewtonStep:
     # one Gauss-Newton step in (d, T) on the objective profiled over eps
     @staticmethod
-    def _random_problem(k, seed, p=6, q=2):
+    def _random_problem(k, seed, p=6, q=2, held=""):
         # noise-free data of flat-emissivity pixels, and a start near them
+        # that holds the coordinates named in held ("d", "T") at the truth
         rng = np.random.default_rng(seed)
         wav = np.linspace(8.0, 13.0, k)[:, None]
         alpha = rng.uniform(0.005, 0.1, (k, 1))
@@ -583,8 +565,30 @@ class TestGaussNewtonStep:
         mix = _mix_of(pr, om)
         pr.y = _radiance(_tau(d, alpha), _contrast(_planck_core(wav, t), eps, mix,
                                                    b_air), b_air)
-        return (pr, d + rng.uniform(-0.3, 0.3, p), t + rng.uniform(-0.1, 0.1, p),
+        dd, dt = rng.uniform(-0.3, 0.3, p), rng.uniform(-0.1, 0.1, p)
+        return (pr, d + ("d" not in held) * dd, t + ("T" not in held) * dt,
                 eps + rng.uniform(-0.01, 0.01, eps.shape), mix)
+
+    @staticmethod
+    def _dense_moves(pr, d, tau, t, eps, bt, mix, free):
+        # per pixel, the moves of the free coordinates ("d", "T") that solve
+        # the dense Gauss-Newton normal equations in them and the K eps
+        k, n = eps.shape[0], len(free)
+        dtd = np.diff(np.eye(k), axis=0).T @ np.diff(np.eye(k), axis=0)
+        reg = np.zeros((k + n, k + n))
+        reg[n:, n:] = pr.rho_eps * dtd
+        moves = []
+        for i in range(d.size):
+            core = _contrast(bt[:, i], eps[:, i], mix[:, i], pr.b_air[:, 0])
+            r = tau[:, i] * core + pr.b_air[:, 0] - pr.y[:, i]
+            cols = {"d": -np.log(10.0) / 10.0 * pr.alpha[:, 0] * tau[:, i] * core,
+                    "T": tau[:, i] * eps[:, i] * _planck_dT_core(pr.wav[:, 0], t[i])}
+            jac = np.column_stack([cols[c] for c in free]
+                                  + [np.diag(tau[:, i] * (bt[:, i] - mix[:, i]))])
+            g = jac.T @ r
+            g[n:] += pr.rho_eps * dtd @ eps[:, i]
+            moves.append(-np.linalg.solve(jac.T @ jac + reg, g)[:n])
+        return np.array(moves)
 
     @pytest.mark.parametrize("k", [3, 12, 64])
     def test_move_solves_the_dense_normal_equations(self, k):
@@ -593,22 +597,40 @@ class TestGaussNewtonStep:
         p = d.size
         dn, _, tn, *_ = _gn_step(pr, d, tau, t, eps, bt, mix, np.full(p, np.inf),
                                  1e3, 1e3)
-        dtd = np.diff(np.eye(k), axis=0).T @ np.diff(np.eye(k), axis=0)
-        reg = np.zeros((k + 2, k + 2))
-        reg[2:, 2:] = pr.rho_eps * dtd
-        for i in range(p):
-            core = _contrast(bt[:, i], eps[:, i], mix[:, i], pr.b_air[:, 0])
-            r = tau[:, i] * core + pr.b_air[:, 0] - pr.y[:, i]
-            jac = np.column_stack([
-                -np.log(10.0) / 10.0 * pr.alpha[:, 0] * tau[:, i] * core,
-                tau[:, i] * eps[:, i] * _planck_dT_core(pr.wav[:, 0], t[i]),
-                np.diag(tau[:, i] * (bt[:, i] - mix[:, i]))])
-            g = jac.T @ r
-            g[2:] += pr.rho_eps * dtd @ eps[:, i]
-            want = -np.linalg.solve(jac.T @ jac + reg, g)[:2]
-            # the move stays inside the box, so nothing clipped it
-            assert 0.0 < dn[i] < pr.d_max and pr.t_lo < tn[i] < pr.t_hi
-            npt.assert_allclose([dn[i] - d[i], tn[i] - t[i]], want, rtol=1e-9)
+        # the move stays inside the box, so nothing clipped it
+        assert ((0.0 < dn) & (dn < pr.d_max) & (pr.t_lo < tn) & (tn < pr.t_hi)).all()
+        npt.assert_allclose(np.column_stack([dn - d, tn - t]),
+                            self._dense_moves(pr, d, tau, t, eps, bt, mix, "dT"),
+                            rtol=1e-9)
+
+    @pytest.mark.parametrize("frozen", ["d", "T"])
+    @pytest.mark.parametrize("k", [3, 12, 64])
+    def test_a_zero_span_freezes_its_coordinate(self, k, frozen, monkeypatch):
+        # the frozen coordinate and its carried term come back bit for bit,
+        # without a recomputation of the term, and the free one takes the
+        # move of the dense normal equations in it and the K eps
+        pr, d, t, eps, mix = self._random_problem(k, 30 + k, held=frozen)
+        tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
+        p = d.size
+        d_span, t_span = (0.0, 1e3) if frozen == "d" else (1e3, 0.0)
+
+        def refused(*args):
+            raise AssertionError("a frozen coordinate's term was recomputed")
+
+        for name in (("_tau",) if frozen == "d" else ("_planck_core", "_planck_dT_core")):
+            monkeypatch.setattr(hyperspectral, name, refused)
+        dn, taun, tn, _, btn, _ = _gn_step(pr, d, tau, t, eps, bt, mix,
+                                           np.full(p, np.inf), d_span, t_span)
+        if frozen == "d":
+            carried, move, free = ((dn, d), (taun, tau)), tn - t, "T"
+        else:
+            carried, move, free = ((tn, t), (btn, bt)), dn - d, "d"
+        for got, was in carried:
+            assert got.tobytes() == was.tobytes()
+        assert (move != 0.0).all()
+        assert ((0.0 < dn) & (dn < pr.d_max) & (pr.t_lo < tn) & (tn < pr.t_hi)).all()
+        npt.assert_allclose(move, self._dense_moves(pr, d, tau, t, eps, bt, mix, free)[:, 0],
+                            rtol=1e-9)
 
     @pytest.mark.parametrize("q", [1, 10])
     def test_two_steps_return_to_the_truth(self, q):
@@ -648,62 +670,38 @@ class TestGaussNewtonStep:
 
 
 class TestArmijoPass:
-    # one projected-gradient line search on range, then an emissivity refit.
-    # The states come from a few refine sweeps, near enough to a minimum
-    # that most pixels backtrack: after 12 sweeps, pixels take the first to
-    # the eighth step, and one takes none
+    # the range-only Gauss-Newton step within _POLISH_SPAN.  The states come
+    # from a few refine sweeps
     @staticmethod
     def _state(sweeps):
         sc = micro_scene(rows=3, cols=4, bands=12, q=3, noise_sigma=0.5, seed=21)
         pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
                                   1e5, 200.0, 12.0)
         p, k = pr.y.shape[1], pr.y.shape[0]
-        return (pr, *_phase(pr, np.full(p, 40.0), np.full(p, 296.0),
-                            np.full((k, p), 0.9), np.zeros((p, 3)), sweeps,
-                            d_freeze=0)[:4])
+        d, t, eps, om, loss = _phase(pr, np.full(p, 40.0), np.full(p, 296.0),
+                                     np.full((k, p), 0.9), np.zeros((p, 3)), sweeps,
+                                     d_freeze=0)
+        tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
+        return pr, d, tau, t, eps, bt, mix, loss
 
     @pytest.mark.parametrize("sweeps", [6, 12])
     def test_temperature_and_sky_weights_pass_through(self, sweeps):
-        pr, d, t, eps, om = self._state(sweeps)
-        _, tn, en, omn, _ = _armijo_pass(pr, d, t, eps, om)
+        # T and B(T) come back bit for bit; the sky term is read, not written
+        pr, d, tau, t, eps, bt, mix, loss = self._state(sweeps)
+        sky = mix.tobytes()
+        _, _, tn, en, btn, _ = _armijo_pass(pr, d, tau, t, eps, bt, mix, loss)
         assert tn.tobytes() == t.tobytes()
-        assert omn.tobytes() == om.tobytes()
+        assert btn.tobytes() == bt.tobytes()
+        assert mix.tobytes() == sky
         assert not np.array_equal(en, eps)
 
     @pytest.mark.parametrize("sweeps", [6, 12])
     def test_no_pixel_loss_rises(self, sweeps):
-        pr, d, t, eps, om = self._state(sweeps)
-        before = _loss(pr, d, t, eps, _mix_of(pr, om))
-        loss = _armijo_pass(pr, d, t, eps, om)[4]
-        assert (loss <= before).all()
-        assert (loss < before).any()
-
-    @pytest.mark.parametrize("sweeps", [6, 12])
-    def test_moved_ranges_meet_the_armijo_condition(self, sweeps):
-        # a per-pixel replay of the backtracking: each pixel takes the first
-        # step, halving from 0.5 / |g_d|, whose range meets the Armijo
-        # condition at the carried T, eps and sky weights, or stays put
-        pr, d, t, eps, om = self._state(sweeps)
-        mix = _mix_of(pr, om)
-        l0 = _loss(pr, d, t, eps, mix)
-        g_d = _gradients_flat(pr, d, t, eps, om)[0]
-        dn = _armijo_pass(pr, d, t, eps, om)[0]
-        taken = []
-        for i in range(d.size):
-            want = d[i]
-            step = 0.5 / (abs(g_d[i]) + 1e-30)
-            for j in range(_ARMIJO_BACKTRACKS):
-                cand = np.clip(d - step * g_d, 0.0, pr.d_max)
-                lc = _loss(pr, cand, t, eps, mix)[i]
-                dx2 = (cand[i] - d[i]) ** 2
-                if dx2 > 0.0 and lc <= l0[i] - _ARMIJO_C * dx2 / step:
-                    want = cand[i]
-                    taken.append(j)
-                    break
-                step *= _ARMIJO_FACTOR
-            assert dn[i] == want, i
-        # some pixels move, and some only after backtracking
-        assert taken and max(taken) > 0
+        pr, d, tau, t, eps, bt, mix, loss = self._state(sweeps)
+        dn, _, _, _, _, ln = _armijo_pass(pr, d, tau, t, eps, bt, mix, loss)
+        assert (ln <= loss).all()
+        assert (ln < loss).any()
+        assert (np.abs(dn - d) <= hyperspectral._POLISH_SPAN).all()
 
 
 class TestZeroSectors:

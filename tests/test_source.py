@@ -1,8 +1,8 @@
 """Static checks on the package source, read with ast: every ``__all__``
 entry names a module-level definition, no module but the package
 ``__init__`` imports a name it never uses, every ``SolverConfig`` field
-is read outside its own ``validate``, every private module constant is
-read, no module calls ``np.median`` or ``np.fromfile``, and the solver
+is read outside its own ``validate``, every private module constant and
+module-level private function is read, no module calls ``np.median`` or ``np.fromfile``, and the solver
 checks a caller's maps in one place."""
 
 import ast
@@ -94,12 +94,31 @@ def test_every_module_constant_is_read():
     modules = _modules()
     constants = {f"{name}:{c}" for name, tree in modules.items()
                  for c in _defined(tree) if re.fullmatch(r"_[A-Z][A-Z0-9_]*", c)}
-    loaded = {node.id if isinstance(node, ast.Name) else node.attr
-              for tree in modules.values() for node in ast.walk(tree)
-              if isinstance(node, (ast.Name, ast.Attribute))
-              and isinstance(node.ctx, ast.Load)}
+    loaded = _loaded_names(modules)
     dead = sorted(c for c in constants if c.split(":")[1] not in loaded)
     assert constants and not dead, dead
+
+
+def _loaded_names(modules):
+    """Every name the package loads, as a Name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_private_function_is_read():
+    # a module-level _name function that nothing loads is a helper its
+    # callers left behind.  A load is a Name or an attribute of that name
+    # anywhere in the package
+    modules = _modules()
+    functions = {f"{name}:{node.name}" for name, tree in modules.items()
+                 for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name.startswith("_") and not node.name.startswith("__")}
+    loaded = _loaded_names(modules)
+    dead = sorted(f for f in functions if f.split(":")[1] not in loaded)
+    assert functions and not dead, dead
 
 
 def _np_calls(attr):
