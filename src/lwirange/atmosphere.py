@@ -226,8 +226,6 @@ def synth_downwelling(
     with path opacity growing as sec(theta), capped near grazing.
     """
     angles = np.asarray(zenith_angles_deg, dtype=np.float64)
-    if np.any(angles < 0.0) or np.any(angles >= 90.0):
-        raise DomainError("zenith angles must lie in [0, 90) degrees")
     _check_line_coverage(grid, DEFAULT_WATER_LINES, "water")
     _check_line_coverage(grid, DEFAULT_OZONE_LINES, "ozone")
 

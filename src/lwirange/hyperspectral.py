@@ -3,13 +3,14 @@
 Minimizes, per pixel, the squared radiance misfit of the path-attenuated
 emission-plus-reflection model, evaluated by the simulator's kernels in
 :mod:`lwirange.forward_model`, plus a band-smoothness penalty on emissivity
-and an optional anisotropic TV penalty on the range map.  The engine is a
-block-coordinate scheme: a warmup from each pixel's closed-form range
-estimate (quadspectral at the sky set's ozone slope, or at slope 0, which
-is bispectral-air, when the sky term is off or fits no slope) and two flat
-emissivity starts, then refinement of each pixel's lowest-loss start, a
-(d, T) polish, range-only steps (the "armijo" stage) and, when the TV
-weight is positive, proximal TV rounds.  On a grid where the water-band
+and an optional anisotropic TV penalty on the range map, summed over every
+adjacent pixel pair.  The engine is a block-coordinate scheme: a warmup
+from each pixel's closed-form range estimate (quadspectral at the sky set's
+ozone slope, or at slope 0, which is bispectral-air, when the sky term is
+off or fits no slope) and two flat emissivity starts, then refinement of
+each pixel's lowest-loss start, a (d, T) polish, range-only steps (the
+"armijo" stage) and, when the TV weight is positive, proximal TV rounds,
+each taking the 2-D prox of the TV penalty.  On a grid where the water-band
 pair does not resolve, the warmup starts from a ladder of flat ranges.
 The TV rounds are the one stage that couples pixels: :func:`solve` runs
 every other stage in pixel blocks and the TV rounds once on the whole map.
@@ -127,8 +128,9 @@ _TV_ROUNDS = 2
 class SolverConfig:
     """Knobs for :func:`solve`.
 
-    rho_eps / rho_d are the emissivity-smoothness and range-TV weights,
-    d_max the range box bound.  No setting picks the sky sectors: the
+    rho_eps / rho_d are the emissivity-smoothness and range-TV weights (the
+    TV of :func:`tv_distance`, over every adjacent pixel pair), d_max the
+    range box bound.  No setting picks the sky sectors: the
     model has one per spectrum of the downwelling set passed to
     :func:`solve`, and none when that is None.  threads caps the number of
     pixel blocks whose per-pixel stages each run in their own worker
@@ -587,34 +589,31 @@ def _gradients_flat(pr, d, t, eps, om):
     return g_d, g_t, g_e, g_o
 
 
-def _tv1d_denoise(y, lam, iters=200):
-    # prox of lam*TV along each row of the 2-d y, solved on the
-    # box-constrained dual (FISTA).  Every step is elementwise, so each row
-    # gets the bits it would get alone
-    u = np.zeros((y.shape[0], y.shape[1] - 1))
-    v = u.copy()
-    tk = 1.0
+def _tv_denoise_map(d2, lam, iters=200):
+    # prox of lam * tv_distance over every adjacent pair: FISTA (Beck &
+    # Teboulle 2009) on the box-constrained dual (Chambolle 2004), with p on
+    # the vertical pairs and q on the horizontal ones, step 1/8 as |D|^2 <= 8.
+    # Every step is elementwise
+    def primal(p, q):
+        x = d2.copy()
+        x[:-1] += p
+        x[1:] -= p
+        x[:, :-1] += q
+        x[:, 1:] -= q
+        return x
+
+    m, n = d2.shape
+    p, q = np.zeros((m - 1, n)), np.zeros((m, n - 1))
+    vp, vq, tk = p, q, 1.0
     for _ in range(iters):
-        x = y.copy()
-        x[:, :-1] += v
-        x[:, 1:] -= v
-        un = np.clip(v + 0.25 * (x[:, 1:] - x[:, :-1]), -lam, lam)
+        x = primal(vp, vq)
+        pn = np.clip(vp + 0.125 * (x[1:] - x[:-1]), -lam, lam)
+        qn = np.clip(vq + 0.125 * (x[:, 1:] - x[:, :-1]), -lam, lam)
         tn = (1.0 + np.sqrt(1.0 + 4.0 * tk * tk)) / 2.0
-        v = un + ((tk - 1.0) / tn) * (un - u)
-        u, tk = un, tn
-    x = y.copy()
-    x[:, :-1] += u
-    x[:, 1:] -= u
-    return x
-
-
-def _tv_denoise_map(d2, lam):
-    # anisotropic split matching tv_distance's truncated index ranges:
-    # horizontal terms exist on rows 0..M-2, vertical terms on cols 0..N-2
-    out = d2.copy()
-    out[:-1] = _tv1d_denoise(out[:-1], lam)
-    out[:, :-1] = _tv1d_denoise(out[:, :-1].T, lam).T
-    return out
+        w = (tk - 1.0) / tn
+        vp, vq = pn + w * (pn - p), qn + w * (qn - q)
+        p, q, tk = pn, qn, tn
+    return primal(p, q)
 
 
 # ----------------------------------------------------------------------
@@ -690,12 +689,12 @@ def emissivity_smoothness(eps):
 
 
 def tv_distance(d):
-    """Anisotropic total variation of a range map, truncated index ranges."""
+    """Anisotropic total variation of a range map: the sum of |d_i - d_j|
+    over every vertically and every horizontally adjacent pixel pair."""
     dd = np.asarray(d, dtype=float)
     if dd.ndim != 2:
         raise DimensionError(f"range map must be 2-d, got shape {dd.shape}")
-    return float(np.abs(dd[1:, :-1] - dd[:-1, :-1]).sum()
-                 + np.abs(dd[:-1, 1:] - dd[:-1, :-1]).sum())
+    return float(np.abs(np.diff(dd, axis=0)).sum() + np.abs(np.diff(dd, axis=1)).sum())
 
 
 def gradients(params, cube, alpha, dw, air_temperature, rho_eps):

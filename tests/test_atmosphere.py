@@ -130,6 +130,15 @@ def test_downwelling_angle_validation():
         DownwellingSet(np.array([np.nan]), vals[:1], GRID)
     with pytest.raises(GridError):
         DownwellingSet(np.array([0.0, 30.0]), np.ones((3, 64)), GRID)
+    for bad in (-1.0, np.nan):
+        block = vals.copy()
+        block[1, 5] = bad
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            DownwellingSet(np.array([0.0, 30.0]), block, GRID)
+    # synth_downwelling leaves the angle rule to DownwellingSet
+    for angles in ((0.0, 95.0), (0.0, np.nan)):
+        with pytest.raises(DomainError, match=r"\[0, 90\) degrees"):
+            synth_downwelling(PARAMS, GRID, angles)
 
 
 def test_params_validation():
@@ -215,6 +224,14 @@ def test_downwelling_index_errors_name_the_index_line(tmp_path):
         with pytest.raises(SpectrumParseError, match="non-finite zenith angle") as exc:
             load_downwelling(tmp_path / "dw")
         assert exc.value.path == str(index) and exc.value.line_no == 2
+    for text, message, line_no in (
+            ("0.0,angle_00.csv\n42.0,angle_01.csv,x\n", "expected 2 columns, got 3", 2),
+            ("0.0,angle_00.csv\nhigh,angle_01.csv\n", "bad zenith angle 'high'", 2),
+            ("# zenith_deg,filename\n\n", "no angle rows", 0)):
+        index.write_text(text)
+        with pytest.raises(SpectrumParseError, match=message) as exc:
+            load_downwelling(tmp_path / "dw")
+        assert exc.value.path == str(index) and exc.value.line_no == line_no
 
 
 def test_downwelling_roundtrip(tmp_path):

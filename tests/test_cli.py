@@ -22,13 +22,16 @@ from lwirange.closed_form import (
 )
 from lwirange.cube_io import (
     load_estimates,
+    load_range_map,
     load_scene_cube,
+    load_truth_distance,
     read_cube,
     save_range_map,
     save_scene_cube,
     save_scene_truth,
 )
 from lwirange.errors import LwirError
+from lwirange.evaluation import default_patches, patch_stats, write_patch_stats_csv
 from lwirange.forward_model import make_default_scene, synthesize_cube
 from lwirange.hyperspectral import solve_no_sky
 from lwirange.radiometry import DB_PER_M
@@ -110,6 +113,14 @@ class TestValidation:
         assert err.startswith("error[ConfigError]: ")
         assert err.count("\n") == 1
         assert "threads" in err and "noise_sigma" in err
+        code, out, err = run(capsys, ["config-dump", "--seed", "-1", "--rows", "0",
+                                      "--patches", "0", "--q", "-1"])
+        assert code == 2 and out == "" and err.count("\n") == 1
+        for message in ("seed must be an integer >= 0, got -1",
+                        "rows must be an integer >= 1, got 0",
+                        "patches must be an integer >= 1, got 0",
+                        "q must be >= 0 or none, got -1"):
+            assert message in err
 
     def test_unknown_env_key_rejected(self, capsys, clean_env):
         clean_env.setenv("LWIRANGE_BOGUS", "1")
@@ -293,6 +304,15 @@ class TestRuntimeErrors:
                        "downwelling set (10 sectors)\n")
         assert not (tmp_path / "est").exists()
 
+    def test_atmo_q_beyond_the_default_angles_spreads_them(self, capsys, tmp_path):
+        # the default set has ten zenith angles; more sectors span 0..89 degrees
+        atmo = tmp_path / "atmo"
+        code, out, err = run(capsys, ["atmo", "--out", str(atmo), "--q", "12"])
+        assert code == 0, err
+        assert out == f"wrote attenuation + 12 downwelling spectra to {atmo}\n"
+        dw = load_downwelling(atmo / "downwelling")
+        np.testing.assert_array_equal(dw.zenith_angles_deg, np.linspace(0.0, 89.0, 12))
+
     def test_synth_with_q_0_has_no_sky_sector_to_build(self, capsys, tmp_path):
         # q = 0 turns the sky term off, and the default scene needs a sector
         atmo = tmp_path / "atmo"
@@ -428,9 +448,6 @@ class TestPipeline:
     def test_atmo_synth_range_eval_render(self, capsys, tmp_path):
         atmo = tmp_path / "atmo"
         scene = tmp_path / "scene"
-        est = tmp_path / "est.lwc"
-        csv = tmp_path / "stats.csv"
-        img = tmp_path / "map.pgm"
 
         code, out, err = run(capsys, ["atmo", "--out", str(atmo)])
         assert code == 0, err
@@ -443,26 +460,37 @@ class TestPipeline:
         assert code == 0, err
         assert (scene / "cube.lwc").exists()
         assert (scene / "truth_distance.lwc").exists()
+        truth = load_truth_distance(scene)
 
-        code, out, err = run(capsys, [
-            "range", "--cube", str(scene / "cube.lwc"), "--atmo", str(atmo),
-            "--out", str(est), "--mode", "bi-air"])
-        assert code == 0, err
-        assert est.exists()
+        # bi-air writes one map file, hyper an estimate directory; eval and
+        # render read either
+        for mode, est in (("bi-air", tmp_path / "est.lwc"), ("hyper", tmp_path / "est")):
+            csv, img = tmp_path / f"{mode}.csv", tmp_path / f"{mode}.pgm"
+            code, out, err = run(capsys, [
+                "range", "--cube", str(scene / "cube.lwc"), "--atmo", str(atmo),
+                "--out", str(est), "--mode", mode])
+            assert code == 0, err
+            assert est.exists()
 
-        code, out, err = run(capsys, [
-            "eval", "--est", str(est), "--truth", str(scene),
-            "--out", str(csv)])
-        assert code == 0, err
-        lines = csv.read_text().strip().splitlines()
-        assert lines[0] == "label,mean_m,std_m,truth_median_m,n_valid"
-        assert len(lines) == 2  # one full 8x8 tile on an 8x8 scene
-        assert lines[1].startswith("p0_0,")
+            code, out, err = run(capsys, [
+                "eval", "--est", str(est), "--truth", str(scene),
+                "--out", str(csv)])
+            assert code == 0, err
+            lines = csv.read_text().strip().splitlines()
+            assert lines[0] == "label,mean_m,std_m,truth_median_m,n_valid"
+            assert len(lines) == 2  # one full 8x8 tile on an 8x8 scene
+            assert lines[1].startswith("p0_0,")
+            distance = (load_estimates(est).distance if mode == "hyper"
+                        else load_range_map(est))
+            want = tmp_path / "want.csv"
+            write_patch_stats_csv(
+                want, patch_stats(distance, truth, default_patches(truth.shape)))
+            assert csv.read_bytes() == want.read_bytes(), mode
 
-        code, out, err = run(capsys, [
-            "render", "--map", str(est), "--out", str(img)])
-        assert code == 0, err
-        assert img.read_bytes().startswith(b"P5\n8 8\n255\n")
+            code, out, err = run(capsys, [
+                "render", "--map", str(est), "--out", str(img)])
+            assert code == 0, err
+            assert img.read_bytes().startswith(b"P5\n8 8\n255\n"), mode
 
     @pytest.mark.parametrize("q", [2, None])
     @pytest.mark.parametrize("sigma", ["0", "1.5"])

@@ -536,6 +536,11 @@ class TestWriterGuards:
             write_map(tmp_path / "x.lwc",
                       CubeHeader(kind="map", rows=2, cols=2, bands=1),
                       np.zeros((2, 2)), np.zeros((2, 3), dtype=np.uint8))
+        with pytest.raises(DimensionError, match="does not match header"):
+            write_map(tmp_path / "x.lwc",
+                      CubeHeader(kind="map", rows=2, cols=2, bands=1),
+                      np.zeros((3, 2)), np.zeros((3, 2), dtype=np.uint8))
+        assert not (tmp_path / "x.lwc").exists()
 
 
 class TestStreamingWriter:

@@ -145,6 +145,15 @@ class TestRender:
         assert len(pix) == 48
         assert pix[0:3] == b"\x00\x00\x00"  # flagged pixel renders black
 
+    def test_all_flagged_map_renders_black(self, tmp_path):
+        # no valid pixel to take vmin/vmax from: the default 0..1 range
+        rm = small_range_map()
+        rm.validity[:] = FLAG_ZERO_DENOMINATOR
+        for palette, magic, size in (("gray", b"P5", 16), ("fire", b"P6", 48)):
+            raw = render_map(rm, palette, tmp_path / f"a.{palette}").read_bytes()
+            header = magic + b"\n4 4\n255\n"
+            assert raw == header + bytes(size), palette
+
     def test_explicit_range_clamps(self, tmp_path):
         est = np.array([[0.0, 5.0], [10.0, 20.0]])
         out = render_map(est, "gray", tmp_path / "c.pgm", vmin=5.0, vmax=10.0)

@@ -206,56 +206,92 @@ class TestPenalties:
         assert emissivity_smoothness(np.full((2, 2, 7), 0.37)) == 0.0
 
     def test_tv_known_value(self):
-        # both forward differences anchor at the top-left pixel:
-        # down |4-0| = 4, right |3-0| = 3
+        # every adjacent pair counts: down |4-0| + |0-3|, right |3-0| + |0-4|
         d = np.array([[0.0, 3.0], [4.0, 0.0]])
-        assert tv_distance(d) == 7.0
+        assert tv_distance(d) == 14.0
 
     def test_tv_naive(self):
         rng = np.random.default_rng(4)
         d = rng.uniform(0.0, 50.0, (5, 6))
         want = 0.0
-        for i in range(4):
-            for j in range(5):
-                want += abs(d[i + 1, j] - d[i, j])
-                want += abs(d[i, j + 1] - d[i, j])
+        for i in range(5):
+            for j in range(6):
+                if i + 1 < 5:
+                    want += abs(d[i + 1, j] - d[i, j])
+                if j + 1 < 6:
+                    want += abs(d[i, j + 1] - d[i, j])
         npt.assert_allclose(tv_distance(d), want, rtol=1e-13)
 
 
-def tv1d_reference(y, lam, iters=200):
-    # one row at a time: the FISTA prox the batched _tv_denoise_map must match
-    n = y.size
-    if n < 2 or lam <= 0.0:
-        return y.copy()
-    u = np.zeros(n - 1)
-    v = u.copy()
-    tk = 1.0
+def tv_prox_reference(d, lam, iters=200):
+    # the FISTA on the 2-d dual one image row at a time, each value summed
+    # in the batched order: the batched _tv_denoise_map must match it
+    m, n = d.shape
+    p, q = np.zeros((m - 1, n)), np.zeros((m, n - 1))
+    vp, vq, tk = p, q, 1.0
+
+    def primal(p, q):
+        x = d.copy()
+        for i in range(m):
+            if i < m - 1:
+                x[i] += p[i]
+            if i > 0:
+                x[i] -= p[i - 1]
+            x[i, :-1] += q[i]
+            x[i, 1:] -= q[i]
+        return x
+
     for _ in range(iters):
-        x = y.copy()
-        x[:-1] += v
-        x[1:] -= v
-        un = np.clip(v + 0.25 * (x[1:] - x[:-1]), -lam, lam)
+        x = primal(vp, vq)
+        pn, qn = np.empty_like(p), np.empty_like(q)
+        for i in range(m):
+            if i < m - 1:
+                pn[i] = np.clip(vp[i] + 0.125 * (x[i + 1] - x[i]), -lam, lam)
+            qn[i] = np.clip(vq[i] + 0.125 * (x[i, 1:] - x[i, :-1]), -lam, lam)
         tn = (1.0 + np.sqrt(1.0 + 4.0 * tk * tk)) / 2.0
-        v = un + ((tk - 1.0) / tn) * (un - u)
-        u, tk = un, tn
-    x = y.copy()
-    x[:-1] += u
-    x[1:] -= u
-    return x
+        w = (tk - 1.0) / tn
+        vp, vq = pn + w * (pn - p), qn + w * (qn - q)
+        p, q, tk = pn, qn, tn
+    return primal(p, q)
+
+
+def prox_objective(x, d, lam):
+    return 0.5 * float(((x - d) ** 2).sum()) + lam * tv_distance(x)
+
+
+SHAPES = [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (6, 4), (9, 9)]
 
 
 class TestTvProx:
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5),
-                                       (6, 4), (9, 9)])
+    @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("lam", [0.3, 1.0, 25.0])
     def test_batched_prox_equals_the_per_row_loop(self, shape, lam):
         d = np.random.default_rng(sum(shape)).uniform(0.0, 80.0, shape)
-        want = d.copy()
-        for i in range(shape[0] - 1):
-            want[i, :] = tv1d_reference(want[i, :], lam)
-        for j in range(shape[1] - 1):
-            want[:, j] = tv1d_reference(want[:, j], lam)
-        npt.assert_array_equal(_tv_denoise_map(d, lam), want)
+        npt.assert_array_equal(_tv_denoise_map(d, lam), tv_prox_reference(d, lam))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 25.0])
+    def test_prox_objective_converges(self, shape, lam):
+        # the default 200 iterations against a 5000-iteration run
+        d = np.random.default_rng(sum(shape)).uniform(0.0, 80.0, shape)
+        got = prox_objective(_tv_denoise_map(d, lam), d, lam)
+        best = prox_objective(_tv_denoise_map(d, lam, iters=5000), d, lam)
+        assert got <= prox_objective(d, d, lam)
+        assert abs(got - best) <= (1e-8 if lam <= 1.0 else 1e-3) * best
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1)])
+    def test_one_row_or_column_is_smoothed(self, shape):
+        d = np.array([10.0, 50.0, 10.0, 50.0, 10.0]).reshape(shape)
+        x = _tv_denoise_map(d, 25.0)
+        assert tv_distance(x) < tv_distance(d)
+        npt.assert_allclose(x, np.full(shape, 26.0), atol=1e-9)
+
+    def test_corner_outlier_is_pulled_in(self):
+        # the bottom-right pixel has two neighbours, like every 2x2 corner
+        d = np.array([[10.0, 10.0], [10.0, 50.0]])
+        x = _tv_denoise_map(d, 5.0)
+        assert x[1, 1] == pytest.approx(40.0, abs=1e-9)
+        npt.assert_allclose(x[d == 10.0], 10.0 + 10.0 / 3.0, atol=1e-9)
 
 
 class TestGradients:

@@ -136,6 +136,10 @@ def test_spectral_grid_requires_increasing_wavelengths():
         SpectralGrid(np.array([10.0, 9.0]))
     with pytest.raises(GridError):
         SpectralGrid(np.array([10.0, 10.0]))
+    with pytest.raises(GridError, match="finite and positive"):
+        SpectralGrid(np.array([9.0, np.nan]))
+    with pytest.raises(GridError, match="non-empty"):
+        SpectralGrid(np.array([]))
 
 
 def test_spectral_grid_nearest_index():
