@@ -120,6 +120,19 @@ class AttenuationSpectrum:
         return self.spectrum.values
 
 
+def _zenith_angles(angles):
+    """A float64 copy of a zenith-angle list, refused with DomainError unless
+    it is 1-d and non-empty, in [0, 90) degrees and strictly increasing."""
+    ang = np.asarray(angles, dtype=np.float64).copy()
+    if ang.ndim != 1 or ang.size < 1:
+        raise DomainError("need at least one zenith angle")
+    if not np.all((ang >= 0.0) & (ang < 90.0)):
+        raise DomainError("zenith angles must lie in [0, 90) degrees")
+    if ang.size > 1 and not np.all(np.diff(ang) > 0.0):
+        raise DomainError("zenith angles must be strictly increasing")
+    return ang
+
+
 @dataclass(frozen=True, eq=False)
 class DownwellingSet:
     """Q sky radiance spectra indexed by zenith angle, on a shared grid."""
@@ -129,14 +142,8 @@ class DownwellingSet:
     grid: SpectralGrid
 
     def __post_init__(self):
-        ang = np.asarray(self.zenith_angles_deg, dtype=np.float64).copy()
+        ang = _zenith_angles(self.zenith_angles_deg)
         val = np.asarray(self.values, dtype=np.float64).copy()
-        if ang.ndim != 1 or ang.size < 1:
-            raise DomainError("need at least one zenith angle")
-        if not np.all((ang >= 0.0) & (ang < 90.0)):
-            raise DomainError("zenith angles must lie in [0, 90) degrees")
-        if ang.size > 1 and not np.all(np.diff(ang) > 0.0):
-            raise DomainError("zenith angles must be strictly increasing")
         if val.shape != (ang.size, len(self.grid)):
             raise GridError(
                 f"radiance block {val.shape} does not match (Q={ang.size}, K={len(self.grid)})"
@@ -225,7 +232,7 @@ def synth_downwelling(
     Per angle: (1 - t_water) B(lambda; T_sky) + (1 - t_ozone) B(lambda; T_oz)
     with path opacity growing as sec(theta), capped near grazing.
     """
-    angles = np.asarray(zenith_angles_deg, dtype=np.float64)
+    angles = _zenith_angles(zenith_angles_deg)
     _check_line_coverage(grid, DEFAULT_WATER_LINES, "water")
     _check_line_coverage(grid, DEFAULT_OZONE_LINES, "ozone")
 

@@ -42,8 +42,12 @@ emissivity, B(T), path transmittance, reflected light, residuals and every
 emissivity candidate are C-contiguous (K, P) arrays, K bands by P pixels,
 so each Thomas step, Planck and path evaluation and per-pixel sum over bands
 runs along contiguous rows of P values.  Range and temperature are (P,) and
-the sky weights (P, Q).  Only :func:`solve`, :func:`gradients` and
-:func:`data_loss` see the public (M, N, K) maps.
+the sky weights (P, Q).  Inside the sky block the weights run pixel-last,
+(Q, P), beside (Q, Q, P) matrices: the ADMM's inverse is Gauss-Jordan
+elimination elementwise along pixels and each sweep one einsum product, so
+the solver makes no BLAS or LAPACK call, whose bits could depend on the
+batch.  Only :func:`solve`, :func:`gradients` and :func:`data_loss` see the
+public (M, N, K) maps.
 
 Each sweep carries the model terms beside the state: path transmittance
 tau(d), B(T), the reflected mix(om) and the per-pixel loss.  A block takes
@@ -344,30 +348,44 @@ def _dtd(eps):
     return lap
 
 
-def _proj_cap_simplex(v):
-    """Euclidean projection of rows of v onto {x >= 0, sum(x) <= pi}."""
+def _cap_sum(om):
+    # per-pixel sum of (Q, P) sky weights, q in order for any P.  The pi cap
+    # is tested on this one sum: summed pairwise, about 14% of weight vectors
+    # scaled onto the cap land on the other side of pi, so a check in another
+    # order could refuse a weight vector the projection accepted
+    return _band_sum(om) if len(om) else np.zeros(om.shape[1])
+
+
+def _proj_cap(v):
+    """Euclidean projection of the columns of a (Q, P) array onto
+    {x >= 0, sum(x) <= pi}."""
     z = np.maximum(v, 0.0)
-    over = z.sum(1) > _PI
+    over = _cap_sum(z) > _PI
     if not over.any():
         return z
-    # only the rows over the cap move, so only they are projected and checked
-    zo = z[over]
-    u = np.sort(zo, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - _PI
-    idx = np.arange(1, zo.shape[1] + 1)
+    # only the columns over the cap move, so only they are projected and checked
+    zo = z[:, over]
+    u = np.sort(zo, axis=0)[::-1]
+    css = np.cumsum(u, axis=0) - _PI
+    idx = np.arange(1, zo.shape[0] + 1)[:, None]
     cond = u * idx > css
-    rmax = cond.shape[1] - 1 - cond[:, ::-1].argmax(1)
-    th = css[np.arange(zo.shape[0]), rmax] / (rmax + 1)
-    zo = np.maximum(zo - th[:, None], 0.0)
+    rmax = cond.shape[0] - 1 - cond[::-1].argmax(0)
+    th = css[rmax, np.arange(zo.shape[1])] / (rmax + 1)
+    zo = np.maximum(zo - th, 0.0)
     # roundoff can leave sums a few ulp above the cap; pull them inside
     for _ in range(4):
-        s = zo.sum(1)
+        s = _cap_sum(zo)
         bad = s > _PI
         if not bad.any():
             break
-        zo[bad] *= ((_PI * (1.0 - 1e-16)) / s[bad])[:, None]
-    z[over] = zo
+        zo[:, bad] *= (_PI * (1.0 - 1e-16)) / s[bad]
+    z[:, over] = zo
     return z
+
+
+def _proj_cap_simplex(v):
+    """Euclidean projection of rows of v onto {x >= 0, sum(x) <= pi}."""
+    return _proj_cap(v.T).T
 
 
 def _pick(imp, new, old):
@@ -377,22 +395,51 @@ def _pick(imp, new, old):
 
 
 def _sky_gram(w2, ekq):
-    # per-pixel Gram matrices (P, Q, Q) of the sky columns, sum over bands of
+    # per-pixel Gram matrices (Q, Q, P) of the sky columns, sum over bands of
     # w2 e_q e_r: the products with q <= r, mirrored, since e_q e_r and
     # e_r e_q have the same bits
     p, q = w2.shape[1], ekq.shape[1]
     iq, ir = np.triu_indices(q)
-    g = _band_dot(w2, ekq[:, iq] * ekq[:, ir])
-    gm = np.empty((p, q, q))
-    gm[:, iq, ir] = g
-    gm[:, ir, iq] = g
+    g = _band_dot(w2, ekq[:, iq] * ekq[:, ir]).T
+    gm = np.empty((q, q, p))
+    gm[iq, ir] = g
+    gm[ir, iq] = g
     return gm
 
 
+def _spd_inverse(a):
+    # inverse of every (Q, Q) matrix of a (Q, Q, P) stack, in place, by
+    # Gauss-Jordan elimination without pivoting.  Every step is elementwise
+    # along pixels, so a pixel's bits do not depend on its batch.  The sky
+    # block's matrices 2G + rho I, rho = tr G / Q, are positive definite
+    # with condition number at most 2Q + 1, so no pivot is small
+    q = a.shape[0]
+    tmp = np.empty_like(a)
+    for k in range(q):
+        piv = 1.0 / a[k, k]
+        a[k, k] = 1.0
+        a[k] *= piv
+        f = a[:, k].copy()
+        f[k] = 0.0
+        a[:, k] = 0.0
+        a[k, k] = piv
+        a -= np.multiply(f[:, None], a[k], out=tmp)
+    return a
+
+
+def _sky_matvec(m, v):
+    # m v per pixel for a (Q, Q, P) stack and (Q, P) columns, summing r in
+    # order: einsum does for P >= 2 but may reorder a single pixel's sum,
+    # which accumulates the products instead, as _band_dot does
+    if v.shape[1] == 1:
+        return np.add.accumulate(m * v, axis=1)[:, -1]
+    return np.einsum("qrp,rp->qp", m, v, optimize=False)
+
+
 def _sky_block(pr, tau, bt, eps, om, mix, loss):
-    # per-pixel box/cap-constrained quadratic in the sky weights via ADMM;
-    # returns the accepted (om, mix, loss), the carried ones untouched when
-    # the model has no sky sectors
+    # per-pixel box/cap-constrained quadratic in the sky weights via ADMM,
+    # run pixel-last on (Q, P) weights; returns the accepted (om, mix, loss),
+    # the carried ones untouched when the model has no sky sectors
     q = om.shape[1]
     if q == 0:
         return om, mix, loss
@@ -400,19 +447,24 @@ def _sky_block(pr, tau, bt, eps, om, mix, loss):
     y0 = _radiance(tau, _contrast(bt, eps, pr.b_air, pr.b_air), pr.b_air)
     base = pr.y - y0
     ekq = _sky_contrast(pr)
-    gm = _sky_gram(w * w, ekq)
-    rhs = _band_dot(w * base, ekq)
-    tr = np.einsum("pqq->p", gm)
-    rho_a = tr / q + 1e-30
-    a = 2.0 * gm + rho_a[:, None, None] * np.eye(q)[None, :, :]
-    minv = np.linalg.inv(a)
-    z = om.copy()
-    u = np.zeros_like(om)
-    rhs2, rho_c = 2.0 * rhs, rho_a[:, None]
+    a = _sky_gram(w * w, ekq)
+    diag = np.arange(q)
+    rho = _band_sum(a[diag, diag]) / q + 1e-30
+    a *= 2.0
+    a[diag, diag] += rho
+    # x = (2G + rho I)^-1 (2 rhs + rho (z - u)) = c + m (z - u)
+    m = _spd_inverse(a)
+    c = _sky_matvec(m, 2.0 * np.ascontiguousarray(_band_dot(w * base, ekq).T))
+    m *= rho
+    z = np.ascontiguousarray(om.T)
+    u = np.zeros_like(z)
     for _ in range(_SKY_ADMM_ITERATIONS):
-        x = np.einsum("pqr,pr->pq", minv, rhs2 + rho_c * (z - u), optimize=False)
-        z = _proj_cap_simplex(x + u)
-        u = u + x - z
+        x = _sky_matvec(m, z - u)
+        x += c
+        u += x
+        z = _proj_cap(u)
+        u -= z
+    z = np.ascontiguousarray(z.T)
     mz = _mix_of(pr, z)
     lz = _misfit(pr, tau, bt, eps, mz)
     acc = lz <= loss
@@ -463,7 +515,7 @@ def _dist_block(pr, d, tau, bt, eps, mix, loss, local_span):
 def _feasible(d, eps, om, d_max):
     return bool(np.all(d >= 0.0) and np.all(d <= d_max)
                 and np.all(eps >= 0.0) and np.all(eps <= 1.0)
-                and np.all(om >= 0.0) and np.all(om.sum(1) <= _PI))
+                and np.all(om >= 0.0) and np.all(_cap_sum(om.T) <= _PI))
 
 
 def _gn_moves(pr, tau, t, eps, bt, mix, d_free, t_free):

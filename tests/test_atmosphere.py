@@ -135,10 +135,13 @@ def test_downwelling_angle_validation():
         block[1, 5] = bad
         with pytest.raises(DomainError, match="finite and >= 0"):
             DownwellingSet(np.array([0.0, 30.0]), block, GRID)
-    # synth_downwelling leaves the angle rule to DownwellingSet
+    # synth_downwelling checks its angles by DownwellingSet's rule before it
+    # indexes them, a scalar angle included
     for angles in ((0.0, 95.0), (0.0, np.nan)):
         with pytest.raises(DomainError, match=r"\[0, 90\) degrees"):
             synth_downwelling(PARAMS, GRID, angles)
+    with pytest.raises(DomainError, match="at least one zenith angle"):
+        synth_downwelling(PARAMS, GRID, 10.0)
 
 
 def test_params_validation():

@@ -37,19 +37,25 @@ from lwirange.hyperspectral import (
     _armijo_pass,
     _band_dot,
     _build_problem,
+    _cap_sum,
     _dist_block,
     _eps_quick,
+    _feasible,
     _loss,
     _misfit,
     _flatten_maps,
     _gn_step,
     _mix_of,
     _phase,
+    _proj_cap,
+    _proj_cap_simplex,
     _Problem,
     _range_starts,
     _shifted_path,
     _sky_block,
     _sky_gram,
+    _sky_matvec,
+    _spd_inverse,
     _temp_block,
     _thomas,
     _tv_denoise_map,
@@ -429,7 +435,80 @@ class TestBatchIndependence:
         w2 = rng.uniform(0.0, 1e-3, (k, p))
         ekq = rng.normal(0.0, 300.0, (k, q))
         full = _band_dot(w2, (ekq[:, :, None] * ekq[:, None, :]).reshape(k, q * q))
-        assert _sky_gram(w2, ekq).tobytes() == full.reshape(p, q, q).tobytes()
+        want = np.ascontiguousarray(full.T).reshape(q, q, p)
+        assert _sky_gram(w2, ekq).tobytes() == want.tobytes()
+
+
+class TestSkyKernels:
+    # the sky block runs its ADMM on (Q, P) weights and (Q, Q, P) matrices;
+    # each kernel is elementwise along pixels or sums in one fixed order, so
+    # a pixel's bits are those of its own one-pixel batch
+    @staticmethod
+    def _sky_matrices(rng, q, p):
+        # the matrices the sky block inverts: 2G + rho I, G a Gram matrix
+        # and rho = tr G / Q
+        b = rng.normal(0.0, 1.0, (q, 64, p))
+        g = np.einsum("qkp,rkp->qrp", b, b)
+        a = 2.0 * g
+        a[np.arange(q), np.arange(q)] += np.trace(g) / q
+        return a
+
+    @pytest.mark.parametrize("p", [1, 7, 512])
+    def test_spd_inverse_matches_lapack(self, p):
+        rng = np.random.default_rng(p)
+        a = self._sky_matrices(rng, 10, p)
+        got = _spd_inverse(a.copy())
+        want = np.linalg.inv(a.transpose(2, 0, 1)).transpose(1, 2, 0)
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        for j in range(p):
+            one = _spd_inverse(np.ascontiguousarray(a[:, :, [j]]))
+            assert one.tobytes() == np.ascontiguousarray(got[:, :, [j]]).tobytes()
+
+    @pytest.mark.parametrize("p", [2, 7, 512])
+    def test_matvec_sums_in_order_at_any_batch_size(self, p):
+        # the batch sums r in order, as the loop does, and a single pixel,
+        # which takes the accumulate path, has the bits of its column
+        rng = np.random.default_rng(p)
+        q = 10
+        m = rng.normal(0.0, 1.0, (q, q, p))
+        v = rng.normal(0.0, 1.0, (q, p))
+        got = _sky_matvec(m, v)
+        want = np.zeros((q, p))
+        for r in range(q):
+            want += m[:, r] * v[r]
+        assert got.tobytes() == want.tobytes()
+        for j in range(p):
+            one = _sky_matvec(np.ascontiguousarray(m[:, :, [j]]),
+                              np.ascontiguousarray(v[:, [j]]))
+            assert one.tobytes() == np.ascontiguousarray(got[:, [j]]).tobytes()
+
+    def test_cap_is_tested_on_one_sum(self):
+        # weights scaled onto the cap: summed in order and summed pairwise,
+        # about 1 in 7 of them fall on opposite sides of pi.  The projection
+        # of rows, the sweep's projection of columns and _feasible must all
+        # read the in-order sum, or a weight vector the projection leaves in
+        # place could be recorded as infeasible
+        rng = np.random.default_rng(3)
+        w = rng.uniform(0.0, 1.0, (4000, 10))
+        w *= (np.pi / w.sum(1))[:, None]
+        in_order = np.add.accumulate(w, axis=1)[:, -1]
+        w = w[(in_order <= np.pi) != (w.sum(1) <= np.pi)]
+        assert len(w) > 100
+        in_order = np.add.accumulate(w, axis=1)[:, -1]
+        inside = in_order <= np.pi
+        assert inside.any() and not inside.all()
+        npt.assert_array_equal(_cap_sum(np.ascontiguousarray(w.T)), in_order)
+        proj = _proj_cap_simplex(w)
+        npt.assert_array_equal(proj[inside], w[inside])
+        assert (_cap_sum(np.ascontiguousarray(proj.T)) <= np.pi).all()
+        cols = _proj_cap(np.ascontiguousarray(w.T))
+        assert cols.tobytes() == np.ascontiguousarray(proj.T).tobytes()
+        # with no sectors the sum is 0, for one pixel too
+        for om in (w[inside], proj, np.zeros((1, 0)), np.zeros((2, 0))):
+            p = len(om)
+            assert _feasible(np.zeros(p), np.zeros((1, p)), om, 1.0)
+            assert all(_feasible(np.zeros(1), np.zeros((1, 1)), row[None], 1.0)
+                       for row in om)
 
 
 class TestCarriedTerms:

@@ -2,8 +2,8 @@
 entry names a module-level definition, no module but the package
 ``__init__`` imports a name it never uses, every ``SolverConfig`` field
 is read outside its own ``validate``, every private module constant and
-module-level private function is read, no module calls ``np.median`` or ``np.fromfile``, and the solver
-checks a caller's maps in one place."""
+module-level private function is read, no module calls ``np.median`` or ``np.fromfile``, the solver
+checks a caller's maps in one place and makes no BLAS or LAPACK call."""
 
 import ast
 import re
@@ -155,3 +155,31 @@ def test_caller_maps_are_read_in_one_place():
         and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "_param_arrays" for node in ast.walk(fn)))
     assert callers == ["_flatten_maps", "project"]
+
+
+# numpy entry points that hand work to BLAS or LAPACK
+_BLAS_NAMES = {"linalg", "matmul", "dot", "vdot", "inner", "tensordot"}
+
+
+def test_solver_makes_no_blas_call():
+    # a BLAS or LAPACK kernel may block, thread or reorder a sum by batch
+    # size, which would tie a pixel's bits to its batch and break the
+    # thread-count contract; the solver's products are einsum with
+    # optimize=False (which never dispatches to BLAS) or elementwise
+    tree = _modules()["hyperspectral.py"]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"@:{node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            found.append(f"{node.attr}:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.startswith("numpy.linalg")
+                or any(a.name in _BLAS_NAMES for a in node.names)):
+            found.append(f"import:{node.lineno}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "einsum"
+              and not any(k.arg == "optimize" and isinstance(k.value, ast.Constant)
+                          and k.value.value is False for k in node.keywords)):
+            found.append(f"einsum without optimize=False:{node.lineno}")
+    assert not found, found
