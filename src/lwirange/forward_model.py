@@ -193,11 +193,13 @@ def _mix(omegas: np.ndarray, ld: np.ndarray, ground: np.ndarray,
     # einsum keeps per-row bit patterns independent of the batch size;
     # matmul does not, which would break the thread-count determinism
     # contract. Both layouts sum over q in the same order, so they agree bit
-    # for bit up to the transpose. order="C" keeps a band-major result
-    # C-ordered, where einsum would follow the pixel-major operands.
+    # for bit up to the transpose. The band-major product contracts a (Q, P)
+    # copy of the weights, so each of its Q steps runs along contiguous
+    # pixels, and its result is C-ordered.
     rest = np.pi - omegas.sum(axis=1)
     if band_major:
-        sky = np.einsum("pq,qk->kp", omegas, ld, optimize=False, order="C")
+        sky = np.einsum("qp,qk->kp", np.ascontiguousarray(omegas.T), ld,
+                        optimize=False)
         return (sky + rest * ground) / np.pi
     sky = np.einsum("pq,qk->pk", omegas, ld, optimize=False)
     return (sky + rest[:, None] * ground) / np.pi

@@ -23,11 +23,18 @@ profiled over the linear emissivity (variable projection, Golub & Pereyra,
 SIAM J. Numer. Anal. 1973), with emissivity refit by one banded
 least-squares solve, clipped to [0, 1].  A span bounds each coordinate's
 move, and a span of 0 freezes it.  A sweep refits the sky weights, steps
-T alone and, once the warmup's range freeze is over, scans range, ranking
-the candidates by the path tau(d) tau(o) factored about the current range
-and scoring only the winner exactly.  Once both spans have decayed to
-_MIN_SPAN, a sweep takes one joint (d, T) step in place of the two.  Each
-polish round takes a wider joint step, then refits the sky weights.
+T alone and, once the warmup's range freeze is over, scans range.  With
+everything but the path t fixed, a candidate's misfit is sum (t a - y_b)^2
+over bands, y_b = y - B(T_air), which is sum t^2 a^2 - 2 t a y_b up to a
+per-pixel constant.  So the scan ranks all its candidates by two band dots
+of (K, P) pixel terms with (K, X) path columns: a is the contrast and t
+tau(c) on the global scan's grid, and a is tau(d) times the contrast and t
+tau(o) for the local scan's offsets, as tau(d + o) is tau(d) tau(o) up to
+rounding; a local candidate that leaves [0, d_max] is ranked by the path
+of the bound it is clipped to.  Only the winner is scored exactly.  Once
+both spans have decayed to _MIN_SPAN, a sweep takes one joint (d, T) step
+in place of the two.  Each polish round takes a wider joint step, then
+refits the sky weights.
 
 Every step is accept-guarded: a candidate is kept only if it does not raise
 the objective its stage enforces, which is the data misfit plus emissivity
@@ -42,12 +49,13 @@ emissivity, B(T), path transmittance, reflected light, residuals and every
 emissivity candidate are C-contiguous (K, P) arrays, K bands by P pixels,
 so each Thomas step, Planck and path evaluation and per-pixel sum over bands
 runs along contiguous rows of P values.  Range and temperature are (P,) and
-the sky weights (P, Q).  Inside the sky block the weights run pixel-last,
-(Q, P), beside (Q, Q, P) matrices: the ADMM's inverse is Gauss-Jordan
-elimination elementwise along pixels and each sweep one einsum product, so
-the solver makes no BLAS or LAPACK call, whose bits could depend on the
-batch.  Only :func:`solve`, :func:`gradients` and :func:`data_loss` see the
-public (M, N, K) maps.
+the sky weights (P, Q).  Every product summed over bands is pixel-last,
+(X, P), an einsum that sums the bands in order, and inside the sky block
+the weights run pixel-last too, (Q, P), beside (Q, Q, P) matrices: the
+ADMM's inverse is Gauss-Jordan elimination elementwise along pixels and
+each sweep one einsum product, so the solver makes no BLAS or LAPACK call,
+whose bits could depend on the batch.  Only :func:`solve`,
+:func:`gradients` and :func:`data_loss` see the public (M, N, K) maps.
 
 Each sweep carries the model terms beside the state: path transmittance
 tau(d), B(T), the reflected mix(om) and the per-pixel loss.  A block takes
@@ -92,6 +100,7 @@ from .forward_model import (
 from .radiometry import (
     _planck_core,
     _planck_dT_core,
+    _planck_dT_of,
     as_kelvin,
     brightness_temperature,
 )
@@ -263,13 +272,13 @@ def _band_sum(a):
 
 
 def _band_dot(a, b):
-    # sum over bands of a (K, P) times b (K, X): (P, X), in band order.
-    # einsum, not matmul, for the reason forward_model._mix gives; for a
-    # single pixel einsum may sum the bands in another order, so that case
-    # sums the rows of the (K, X) products instead
+    # sum over bands of a (K, P) times b (K, X): (X, P), pixel-last, in band
+    # order.  einsum, not matmul, for the reason forward_model._mix gives;
+    # for a single pixel einsum may sum the bands in another order, so that
+    # case sums the rows of the (K, X) products instead
     if a.shape[1] == 1:
-        return _band_sum(a * b)[None, :]
-    return np.einsum("kp,kx->px", a, b, optimize=False)
+        return _band_sum(a * b)[:, None]
+    return np.einsum("kx,kp->xp", b, a, optimize=False)
 
 
 def _penalty(pr, eps):
@@ -299,23 +308,26 @@ def _thomas(dm, off, b):
     # batched tridiagonal solve down the band axis: diagonal dm (K, P), every
     # off-diagonal entry the scalar off, and right side b, (K, P) or
     # (K, R, P) for R right sides per pixel, which share the elimination
-    # factors of dm.  Every step writes into a row, so the sweeps allocate
-    # no temporaries; x holds the forward sweep's right side, then the
-    # solution.
+    # factors of dm.  The system is solved scaled by -1/off, so that every
+    # off-diagonal entry is -1: g holds the reciprocal pivots and x the
+    # forward sweep's right side, then the solution, and every step writes
+    # into a row.  With off = 0 the system is diagonal
+    if off == 0.0:
+        return b / dm.reshape(dm.shape[:1] + (1,) * (b.ndim - 2) + dm.shape[1:])
+    s = -1.0 / off
     n = b.shape[0]
-    cp = np.empty_like(dm)
-    x = np.empty_like(b)
-    den = dm[0].copy()
-    tmp = np.empty_like(den)
+    g = np.multiply(dm, s)
+    x = np.multiply(b, s)
     tmp_x = np.empty_like(b[0])
-    np.divide(b[0], den, out=x[0])
+    np.divide(1.0, g[0], out=g[0])
+    x[0] *= g[0]
     for i in range(1, n):
-        np.divide(off, den, out=cp[i - 1])
-        np.subtract(dm[i], np.multiply(off, cp[i - 1], out=tmp), out=den)
-        np.subtract(b[i], np.multiply(off, x[i - 1], out=tmp_x), out=x[i])
-        x[i] /= den
+        g[i] -= g[i - 1]
+        np.divide(1.0, g[i], out=g[i])
+        x[i] += x[i - 1]
+        x[i] *= g[i]
     for i in range(n - 2, -1, -1):
-        x[i] -= np.multiply(cp[i], x[i + 1], out=tmp_x)
+        x[i] += np.multiply(g[i], x[i + 1], out=tmp_x)
     return x
 
 
@@ -390,8 +402,10 @@ def _proj_cap_simplex(v):
 
 def _pick(imp, new, old):
     # per-pixel choice between two tuples of terms: the (P,) mask broadcasts
-    # along the pixel axis of (P,) and band-major (K, P) arrays
-    return tuple(np.where(imp, a, b) for a, b in zip(new, old))
+    # along the pixel axis of (P,) and band-major (K, P) arrays.  A term that
+    # is the same object on both sides, such as a frozen coordinate's, is
+    # returned as it is
+    return tuple(a if a is b else np.where(imp, a, b) for a, b in zip(new, old))
 
 
 def _sky_gram(w2, ekq):
@@ -400,7 +414,7 @@ def _sky_gram(w2, ekq):
     # e_r e_q have the same bits
     p, q = w2.shape[1], ekq.shape[1]
     iq, ir = np.triu_indices(q)
-    g = _band_dot(w2, ekq[:, iq] * ekq[:, ir]).T
+    g = _band_dot(w2, ekq[:, iq] * ekq[:, ir])
     gm = np.empty((q, q, p))
     gm[iq, ir] = g
     gm[ir, iq] = g
@@ -444,8 +458,8 @@ def _sky_block(pr, tau, bt, eps, om, mix, loss):
     if q == 0:
         return om, mix, loss
     w = tau * (1.0 - eps) / _PI
-    y0 = _radiance(tau, _contrast(bt, eps, pr.b_air, pr.b_air), pr.b_air)
-    base = pr.y - y0
+    # the data less the model with no light reflected beyond B_air
+    base = (pr.y - pr.b_air) - tau * eps * (bt - pr.b_air)
     ekq = _sky_contrast(pr)
     a = _sky_gram(w * w, ekq)
     diag = np.arange(q)
@@ -454,7 +468,7 @@ def _sky_block(pr, tau, bt, eps, om, mix, loss):
     a[diag, diag] += rho
     # x = (2G + rho I)^-1 (2 rhs + rho (z - u)) = c + m (z - u)
     m = _spd_inverse(a)
-    c = _sky_matvec(m, 2.0 * np.ascontiguousarray(_band_dot(w * base, ekq).T))
+    c = _sky_matvec(m, 2.0 * _band_dot(w * base, ekq))
     m *= rho
     z = np.ascontiguousarray(om.T)
     u = np.zeros_like(z)
@@ -471,44 +485,38 @@ def _sky_block(pr, tau, bt, eps, om, mix, loss):
     return np.where(acc[:, None], z, om), np.where(acc, mz, mix), np.where(acc, lz, loss)
 
 
-def _shifted_path(pr, d, tau, o):
-    # the range candidate d + o, clipped to [0, d_max], and the path it is
-    # ranked by: tau(d) tau(o), which is tau(d + o) up to rounding, or the
-    # exact path of the clipped range where d + o leaves the box
-    shifted = d + o
-    dc = np.clip(shifted, 0.0, pr.d_max)
-    path = tau * _tau(o, pr.alpha)
-    clipped = dc != shifted
-    if clipped.any():
-        path[:, clipped] = _tau(dc[clipped], pr.alpha)
-    return dc, path
+def _path_scores(a, yb, paths):
+    # (X, P) ranking scores of X candidate path columns (K, X) for pixels
+    # whose model is paths * a + B_air: the misfit sum (t a - yb)^2 over
+    # bands less its candidate-free part yb^2, as two band dots
+    return _band_dot(a * a, paths * paths) - 2.0 * _band_dot(a * yb, paths)
 
 
 def _dist_block(pr, d, tau, bt, eps, mix, loss, local_span):
     # scan d with everything else fixed: only the path term varies; returns
-    # the accepted (d, tau, loss).  Only the winner pays the exact path and
-    # misfit, and it is accepted where that does not exceed the carried loss
+    # the accepted (d, tau, loss).  The candidates are ranked by
+    # _path_scores, as the module docstring sets out; the first of the
+    # lowest wins, and only it pays the exact path and misfit, accepted
+    # where that does not exceed the carried loss
     core = _contrast(bt, eps, mix, pr.b_air)
-    pen = _penalty(pr, eps)
-
-    def score(path):
-        r = _radiance(path, core, pr.b_air) - pr.y
-        return _band_sum(r * r) + pen
-
+    yb = pr.y - pr.b_air
     if local_span is None:
-        # one range for every pixel, so each candidate's path is a (K, 1) column
-        cands = ((dc, _tau(dc, pr.alpha))
-                 for dc in np.linspace(0.0, pr.d_max, _GLOBAL_SCAN_POINTS))
+        cands = np.linspace(0.0, pr.d_max, _GLOBAL_SCAN_POINTS)
+        scores = _path_scores(core, yb, _tau(cands, pr.alpha))
     else:
-        cands = (_shifted_path(pr, d, tau, o)
-                 for o in np.linspace(-local_span, local_span, _LOCAL_SCAN_POINTS))
-    dc, path = next(cands)
-    best_d, best_l = np.broadcast_to(dc, d.shape), score(path)
-    for dc, path in cands:
-        lc = score(path)
-        best_d, best_l = _pick(lc < best_l, (dc, lc), (best_d, best_l))
+        offs = np.linspace(-local_span, local_span, _LOCAL_SCAN_POINTS)
+        shifted = d + offs[:, None]
+        cands = np.clip(shifted, 0.0, pr.d_max)
+        scores = _path_scores(tau * core, yb, _tau(offs, pr.alpha))
+        low, high = shifted < 0.0, shifted > pr.d_max
+        if low.any() or high.any():
+            bounds = _path_scores(core, yb, _tau(np.array([0.0, pr.d_max]), pr.alpha))
+            scores = np.where(low, bounds[0], np.where(high, bounds[1], scores))
+    win = np.argmin(scores, axis=0)
+    best_d = cands[win] if cands.ndim == 1 else cands[win, np.arange(d.size)]
     tau_b = _tau(best_d, pr.alpha)
-    loss_b = score(tau_b)
+    r = _radiance(tau_b, core, pr.b_air) - pr.y
+    loss_b = _band_sum(r * r) + _penalty(pr, eps)
     return _pick(loss_b <= loss, (best_d, tau_b, loss_b), (d, tau, loss))
 
 
@@ -533,7 +541,7 @@ def _gn_moves(pr, tau, t, eps, bt, mix, d_free, t_free):
     if d_free:
         cols.append(-(_LOG10 / 10.0) * pr.alpha * tau * core)
     if t_free:
-        cols.append(tau * eps * _planck_dT_core(pr.wav, t))
+        cols.append(tau * eps * _planck_dT_of(pr.wav, t, bt))
     n = len(cols)
     # right side i < n is a times column i, right side n the eps gradient
     rhs = np.empty((a.shape[0], n + 1, a.shape[1]))
@@ -721,7 +729,8 @@ def _flatten_maps(params, pr, m, n):
 
 
 def _band_maps(a, m, n):
-    # a band-major (K, P) array as a C-contiguous (M, N, K) map
+    # a pixel-last (K, P) or (Q, P) array as a C-contiguous (M, N, K) or
+    # (M, N, Q) map
     return np.ascontiguousarray(a.T).reshape(m, n, a.shape[0])
 
 
@@ -763,7 +772,7 @@ def gradients(params, cube, alpha, dw, air_temperature, rho_eps):
         "distance": g_d.reshape(m, n),
         "temperature": g_t.reshape(m, n),
         "emissivity": _band_maps(g_e, m, n),
-        "solid_angles": g_o.reshape(m, n, om.shape[1]),
+        "solid_angles": _band_maps(g_o, m, n),
     }
 
 

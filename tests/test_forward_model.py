@@ -400,6 +400,19 @@ def test_noiseless_radiance_always_positive(d, t, eps):
     assert np.all(cube.radiance > 0.0)
 
 
+@pytest.mark.parametrize("p", [1, 2, 7, 512])
+def test_band_major_mix_has_the_bits_of_the_pixel_major_product(p):
+    # the band-major mix contracts a (Q, P) copy of the weights; its sky
+    # term has the bits of the product over the (P, Q) weights as given
+    rng = np.random.default_rng(p)
+    q, k = 10, 64
+    om = rng.uniform(0.0, np.pi / q, (p, q))
+    ld = rng.uniform(100.0, 900.0, (q, k))
+    ground = np.zeros((k, 1))
+    want = np.einsum("pq,qk->kp", om, ld, optimize=False, order="C") / np.pi
+    assert _mix(om, ld, ground, band_major=True).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("p,q,k", [(1, 1, 1), (1, 10, 64), (7, 3, 5), (64, 2, 8),
                                    (300, 10, 64)])
 def test_shared_kernels_agree_bit_for_bit_in_both_layouts(p, q, k):

@@ -34,6 +34,7 @@ from lwirange.closed_form import (
 )
 from lwirange import hyperspectral
 from lwirange.hyperspectral import (
+    _MIN_SPAN,
     _armijo_pass,
     _band_dot,
     _build_problem,
@@ -51,7 +52,6 @@ from lwirange.hyperspectral import (
     _proj_cap_simplex,
     _Problem,
     _range_starts,
-    _shifted_path,
     _sky_block,
     _sky_gram,
     _sky_matvec,
@@ -348,6 +348,41 @@ class TestEmissivityRefit:
             npt.assert_allclose(x[:, i], np.linalg.solve(a, b[:, i]),
                                 rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("off", [-1e-3, -1.0, -1e3, -1e7])
+    @pytest.mark.parametrize("k", [1, 2, 9, 64])
+    def test_scaled_thomas_matches_dense_solve(self, k, off):
+        # the solve runs scaled by -1/off, whatever off's magnitude, on the
+        # emissivity block's diagonal and on a diagonally dominant one; the
+        # error bound scales with the condition number, which reaches 3e7
+        # on the emissivity block at off = -1e7
+        rng = np.random.default_rng(50 + k)
+        p = 6
+        a = rng.uniform(0.0, 3.0, (k, p))
+        dm_eps = a * a + 2.0 * abs(off)
+        dm_eps[0] -= abs(off)
+        dm_eps[-1] -= abs(off)
+        for dm in (dm_eps, 2.0 * abs(off) + rng.uniform(0.1, 5.0, (k, p))):
+            b = rng.normal(0.0, 3.0, (k, 2, p))
+            x = _thomas(dm, off, b)
+            for i in range(p):
+                m = np.diag(dm[:, i]) + off * (np.eye(k, k=1) + np.eye(k, k=-1))
+                want = np.linalg.solve(m, b[:, :, i])
+                tol = 1e-14 * np.linalg.cond(m) * np.abs(want).max()
+                npt.assert_allclose(x[:, :, i], want, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("r", [None, 3])
+    def test_thomas_with_no_coupling_divides(self, r):
+        # off = 0, as rho_eps = 0 gives, is a diagonal system
+        rng = np.random.default_rng(60)
+        k, p = 9, 5
+        dm = rng.uniform(0.5, 4.0, (k, p))
+        b = rng.normal(0.0, 3.0, (k, p) if r is None else (k, r, p))
+        x = _thomas(dm, 0.0, b)
+        assert x.shape == b.shape
+        for i in range(p):
+            want = np.linalg.solve(np.diag(dm[:, i]), b[..., i])
+            npt.assert_allclose(x[..., i], want, rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("k", [1, 2, 9])
     def test_thomas_right_sides_have_the_bits_of_separate_solves(self, k):
         rng = np.random.default_rng(30 + k)
@@ -435,8 +470,23 @@ class TestBatchIndependence:
         w2 = rng.uniform(0.0, 1e-3, (k, p))
         ekq = rng.normal(0.0, 300.0, (k, q))
         full = _band_dot(w2, (ekq[:, :, None] * ekq[:, None, :]).reshape(k, q * q))
-        want = np.ascontiguousarray(full.T).reshape(q, q, p)
+        want = full.reshape(q, q, p)
         assert _sky_gram(w2, ekq).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 512])
+    def test_band_dot_sums_the_bands_in_order(self, p):
+        # pixel-last (X, P) products with the bits of an in-order loop over
+        # bands, at any batch size
+        rng = np.random.default_rng(p)
+        k, x = 64, 55
+        a = rng.normal(0.0, 1.0, (k, p))
+        b = rng.normal(0.0, 1.0, (k, x))
+        want = np.zeros((x, p))
+        for i in range(k):
+            want += b[i][:, None] * a[i]
+        got = _band_dot(a, b)
+        assert got.shape == (x, p)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSkyKernels:
@@ -611,25 +661,50 @@ class TestCandidateScans:
         mix = _mix_of(pr, om)
         return pr, d, t, eps, mix, _loss(pr, d, t, eps, mix)
 
-    def test_factored_local_path(self):
-        pr, d, *_ = self._state(4)
-        d[:3] = (0.5, 3.0, 198.5)   # near the box, so some candidates clip
-        tau = _tau(d, pr.alpha)
-        n_clipped = 0
-        for o in np.linspace(-4.0, 4.0, 17):
-            dc, path = _shifted_path(pr, d, tau, o)
-            npt.assert_array_equal(dc, np.clip(d + o, 0.0, pr.d_max))
-            exact = _tau(dc, pr.alpha)
-            clipped = (d + o < 0.0) | (d + o > pr.d_max)
-            n_clipped += clipped.sum()
-            npt.assert_array_equal(path[:, clipped], exact[:, clipped])
-            # the product rounds the exponents of tau(d) and tau(o) apart, so
-            # its relative error grows with the exponent: 1e-14 down to
-            # tau = 1e-10, and 1e-14 per ten decades on near-opaque bands
-            rel = np.abs(path / exact - 1.0)[:, ~clipped]
-            decades = -np.log10(exact[:, ~clipped])
-            assert (rel <= 1e-14 * np.maximum(1.0, decades / 10.0)).all()
-        assert n_clipped > 0
+    def test_scan_picks_the_exact_argmin(self):
+        # noise-free data of flat-emissivity pixels, three at range 0, three
+        # at d_max and six inside; the carried ranges sit just inside the
+        # box, so that the clipped candidate, at the truth, beats the nearest
+        # one inside the box, while ranked by its unclipped path it would not
+        pr, _, t, _, mix, _ = self._state(4)
+        rng = np.random.default_rng(9)
+        p, k = t.size, pr.y.shape[0]
+        eps = np.tile(rng.uniform(0.5, 1.0, p), (k, 1))
+        bt = _planck_core(pr.wav, t)
+        truth = np.array([0.0] * 3 + [pr.d_max] * 3
+                         + [25.0, 40.0, 60.0, 80.0, 110.0, 150.0])
+        pr.y = _radiance(_tau(truth, pr.alpha), _contrast(bt, eps, mix, pr.b_air),
+                         pr.b_air)
+
+        def misfits(ranges):
+            return np.array([_misfit(pr, _tau(r, pr.alpha), bt, eps, mix) for r in ranges])
+
+        for span in (None, 3.0, _MIN_SPAN):
+            if span is None:
+                d = truth + rng.uniform(-10.0, 10.0, p).clip(-truth, pr.d_max - truth)
+                cands = np.repeat(np.linspace(0.0, pr.d_max, 41)[:, None], p, axis=1)
+            else:
+                offs = np.linspace(-span, span, 17)[:, None]
+                step = offs[1, 0] - offs[0, 0]
+                inside = step * np.array([0.25, 0.1, 0.4])
+                d = truth + np.concatenate([inside, -inside,
+                                            rng.uniform(-span, span, 6)])
+                cands = np.clip(d + offs, 0.0, pr.d_max)
+            tau = _tau(d, pr.alpha)
+            got = _dist_block(pr, d, tau, bt, eps, mix, np.full(p, np.inf), span)[0]
+            scores = misfits(cands)
+            best = cands[np.argmin(scores, axis=0), np.arange(p)]
+            assert np.isin(got, cands).all()
+            lg, lb = misfits([got])[0], misfits([best])[0]
+            tie = np.abs(lg - lb) <= 1e-9 * lb
+            assert ((got == best) | tie).all(), span
+            npt.assert_array_equal(got[:6], truth[:6])
+            if span is not None:
+                # ranked by the path of the unclipped range, the clipped
+                # candidates would lose at the boundary pixels
+                naive = misfits(d + offs)
+                pick = cands[np.argmin(naive, axis=0), np.arange(p)]
+                assert (pick[:6] != truth[:6]).all()
 
     def test_blocks_keep_the_carried_state_where_no_candidate_improves(self):
         pr, d, t, eps, mix, loss = self._state(5)
@@ -732,7 +807,8 @@ class TestGaussNewtonStep:
         def refused(*args):
             raise AssertionError("a frozen coordinate's term was recomputed")
 
-        for name in (("_tau",) if frozen == "d" else ("_planck_core", "_planck_dT_core")):
+        for name in (("_tau",) if frozen == "d"
+                     else ("_planck_core", "_planck_dT_core", "_planck_dT_of")):
             monkeypatch.setattr(hyperspectral, name, refused)
         dn, taun, tn, _, btn, _ = _gn_step(pr, d, tau, t, eps, bt, mix,
                                            np.full(p, np.inf), d_span, t_span)
