@@ -100,7 +100,6 @@ from .forward_model import (
 from .radiometry import (
     _planck_core,
     _planck_dT_core,
-    _planck_dT_of,
     as_kelvin,
     brightness_temperature,
 )
@@ -308,26 +307,23 @@ def _thomas(dm, off, b):
     # batched tridiagonal solve down the band axis: diagonal dm (K, P), every
     # off-diagonal entry the scalar off, and right side b, (K, P) or
     # (K, R, P) for R right sides per pixel, which share the elimination
-    # factors of dm.  The system is solved scaled by -1/off, so that every
-    # off-diagonal entry is -1: g holds the reciprocal pivots and x the
-    # forward sweep's right side, then the solution, and every step writes
-    # into a row.  With off = 0 the system is diagonal
-    if off == 0.0:
-        return b / dm.reshape(dm.shape[:1] + (1,) * (b.ndim - 2) + dm.shape[1:])
-    s = -1.0 / off
+    # factors of dm.  Every step writes into a row, so the sweeps allocate
+    # no temporaries; x holds the forward sweep's right side, then the
+    # solution.
     n = b.shape[0]
-    g = np.multiply(dm, s)
-    x = np.multiply(b, s)
+    cp = np.empty_like(dm)
+    x = np.empty_like(b)
+    den = dm[0].copy()
+    tmp = np.empty_like(den)
     tmp_x = np.empty_like(b[0])
-    np.divide(1.0, g[0], out=g[0])
-    x[0] *= g[0]
+    np.divide(b[0], den, out=x[0])
     for i in range(1, n):
-        g[i] -= g[i - 1]
-        np.divide(1.0, g[i], out=g[i])
-        x[i] += x[i - 1]
-        x[i] *= g[i]
+        np.divide(off, den, out=cp[i - 1])
+        np.subtract(dm[i], np.multiply(off, cp[i - 1], out=tmp), out=den)
+        np.subtract(b[i], np.multiply(off, x[i - 1], out=tmp_x), out=x[i])
+        x[i] /= den
     for i in range(n - 2, -1, -1):
-        x[i] += np.multiply(g[i], x[i + 1], out=tmp_x)
+        x[i] -= np.multiply(cp[i], x[i + 1], out=tmp_x)
     return x
 
 
@@ -402,10 +398,8 @@ def _proj_cap_simplex(v):
 
 def _pick(imp, new, old):
     # per-pixel choice between two tuples of terms: the (P,) mask broadcasts
-    # along the pixel axis of (P,) and band-major (K, P) arrays.  A term that
-    # is the same object on both sides, such as a frozen coordinate's, is
-    # returned as it is
-    return tuple(a if a is b else np.where(imp, a, b) for a, b in zip(new, old))
+    # along the pixel axis of (P,) and band-major (K, P) arrays
+    return tuple(np.where(imp, a, b) for a, b in zip(new, old))
 
 
 def _sky_gram(w2, ekq):
@@ -458,8 +452,8 @@ def _sky_block(pr, tau, bt, eps, om, mix, loss):
     if q == 0:
         return om, mix, loss
     w = tau * (1.0 - eps) / _PI
-    # the data less the model with no light reflected beyond B_air
-    base = (pr.y - pr.b_air) - tau * eps * (bt - pr.b_air)
+    y0 = _radiance(tau, _contrast(bt, eps, pr.b_air, pr.b_air), pr.b_air)
+    base = pr.y - y0
     ekq = _sky_contrast(pr)
     a = _sky_gram(w * w, ekq)
     diag = np.arange(q)
@@ -541,7 +535,7 @@ def _gn_moves(pr, tau, t, eps, bt, mix, d_free, t_free):
     if d_free:
         cols.append(-(_LOG10 / 10.0) * pr.alpha * tau * core)
     if t_free:
-        cols.append(tau * eps * _planck_dT_of(pr.wav, t, bt))
+        cols.append(tau * eps * _planck_dT_core(pr.wav, t))
     n = len(cols)
     # right side i < n is a times column i, right side n the eps gradient
     rhs = np.empty((a.shape[0], n + 1, a.shape[1]))

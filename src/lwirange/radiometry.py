@@ -144,15 +144,6 @@ def _planck_dT_core(lam, tk):
     return scale * v / np.expm1(-x) ** 2 * (x / tk)
 
 
-def _planck_dT_of(lam, tk, b):
-    # dB/dT from b = B(lam, T) itself, with no exponential: B = S / expm1(x)
-    # gives dB/dT = B (x / T) (1 + B / S).  Where B underflows to 0, so does
-    # the derivative
-    lam_m = lam * 1e-6
-    scale = 2.0 * _H * _C**2 / lam_m**5 * _RADIANCE_SCALE
-    return b * (_H * _C / (lam_m * _KB) / (tk * tk)) * (1.0 + b / scale)
-
-
 def planck(lam_um, t):
     """Blackbody spectral radiance B(lambda; T) in microflicks.
 

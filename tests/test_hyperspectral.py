@@ -348,13 +348,14 @@ class TestEmissivityRefit:
             npt.assert_allclose(x[:, i], np.linalg.solve(a, b[:, i]),
                                 rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("off", [-1e-3, -1.0, -1e3, -1e7])
+    @pytest.mark.parametrize("off", [0.0, -1e-310, -1e-3, -1.0, -1e3, -1e7])
     @pytest.mark.parametrize("k", [1, 2, 9, 64])
-    def test_scaled_thomas_matches_dense_solve(self, k, off):
-        # the solve runs scaled by -1/off, whatever off's magnitude, on the
-        # emissivity block's diagonal and on a diagonally dominant one; the
-        # error bound scales with the condition number, which reaches 3e7
-        # on the emissivity block at off = -1e7
+    def test_thomas_matches_dense_solve_at_any_coupling(self, k, off):
+        # every off rho_eps can give, from none (rho_eps = 0) and a
+        # subnormal one to strong, on the emissivity block's diagonal and on
+        # a diagonally dominant one, for (K, P) and (K, R, P) right sides;
+        # the error bound scales with the condition number, which reaches
+        # 3e7 on the emissivity block at off = -1e7
         rng = np.random.default_rng(50 + k)
         p = 6
         a = rng.uniform(0.0, 3.0, (k, p))
@@ -362,26 +363,14 @@ class TestEmissivityRefit:
         dm_eps[0] -= abs(off)
         dm_eps[-1] -= abs(off)
         for dm in (dm_eps, 2.0 * abs(off) + rng.uniform(0.1, 5.0, (k, p))):
-            b = rng.normal(0.0, 3.0, (k, 2, p))
-            x = _thomas(dm, off, b)
-            for i in range(p):
-                m = np.diag(dm[:, i]) + off * (np.eye(k, k=1) + np.eye(k, k=-1))
-                want = np.linalg.solve(m, b[:, :, i])
-                tol = 1e-14 * np.linalg.cond(m) * np.abs(want).max()
-                npt.assert_allclose(x[:, :, i], want, rtol=0.0, atol=tol)
-
-    @pytest.mark.parametrize("r", [None, 3])
-    def test_thomas_with_no_coupling_divides(self, r):
-        # off = 0, as rho_eps = 0 gives, is a diagonal system
-        rng = np.random.default_rng(60)
-        k, p = 9, 5
-        dm = rng.uniform(0.5, 4.0, (k, p))
-        b = rng.normal(0.0, 3.0, (k, p) if r is None else (k, r, p))
-        x = _thomas(dm, 0.0, b)
-        assert x.shape == b.shape
-        for i in range(p):
-            want = np.linalg.solve(np.diag(dm[:, i]), b[..., i])
-            npt.assert_allclose(x[..., i], want, rtol=1e-15, atol=0.0)
+            for b in (rng.normal(0.0, 3.0, (k, p)), rng.normal(0.0, 3.0, (k, 2, p))):
+                x = _thomas(dm, off, b)
+                assert x.shape == b.shape
+                for i in range(p):
+                    m = np.diag(dm[:, i]) + off * (np.eye(k, k=1) + np.eye(k, k=-1))
+                    want = np.linalg.solve(m, b[..., i])
+                    tol = 1e-14 * np.linalg.cond(m) * np.abs(want).max()
+                    npt.assert_allclose(x[..., i], want, rtol=0.0, atol=tol)
 
     @pytest.mark.parametrize("k", [1, 2, 9])
     def test_thomas_right_sides_have_the_bits_of_separate_solves(self, k):
@@ -807,8 +796,7 @@ class TestGaussNewtonStep:
         def refused(*args):
             raise AssertionError("a frozen coordinate's term was recomputed")
 
-        for name in (("_tau",) if frozen == "d"
-                     else ("_planck_core", "_planck_dT_core", "_planck_dT_of")):
+        for name in (("_tau",) if frozen == "d" else ("_planck_core", "_planck_dT_core")):
             monkeypatch.setattr(hyperspectral, name, refused)
         dn, taun, tn, _, btn, _ = _gn_step(pr, d, tau, t, eps, bt, mix,
                                            np.full(p, np.inf), d_span, t_span)
@@ -1151,6 +1139,18 @@ class TestSolve:
         est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR)
         rel = np.abs(est.distance - tr.distance_map) / tr.distance_map
         assert rel.max() < 0.02
+
+    def test_a_subnormal_rho_eps_solves_as_no_smoothing_does(self):
+        # rho_eps = 1e-310 passes validation; its emissivity solves must
+        # stay finite, so the solve matches rho_eps = 0 up to rounding
+        sc = micro_scene(rows=3, cols=3, bands=16, q=2, noise_sigma=0.5, seed=4)
+        args = (sc["cube"], sc["alpha"], sc["dw"], AIR)
+        tiny = solve(*args, SolverConfig(rho_eps=1e-310))
+        none = solve(*args, SolverConfig(rho_eps=0.0))
+        for name in ("distance", "temperature", "emissivity", "solid_angles", "loss"):
+            got, want = getattr(tiny, name), getattr(none, name)
+            assert np.isfinite(got).all(), name
+            npt.assert_allclose(got, want, rtol=1e-9, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("q", [0, 2])
     def test_truth_is_a_fixed_point(self, q):

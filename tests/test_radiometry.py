@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lwirange.atmosphere import make_default_grid
 from lwirange.errors import DomainError, GridError, UnitMismatchError
-from lwirange.hyperspectral import _T_SPAN
 from lwirange.radiometry import (
     _C,
     _H,
     _KB,
-    _planck_core,
-    _planck_dT_of,
     DB_PER_M,
     MICROFLICK,
     SpectralGrid,
@@ -120,26 +116,6 @@ def test_planck_dT_positive_and_matches_difference_quotient():
             an = planck_dT(lam, tk)
             assert an > 0.0
             assert an == pytest.approx(fd, rel=1e-7)
-
-
-@pytest.mark.parametrize("t_air", [253.15, 293.15, 313.15])
-def test_planck_dT_from_the_radiance(t_air):
-    # the solver's dB/dT from the B(T) it carries, over the default grid and
-    # the solver's temperature box about the air temperature
-    lam = make_default_grid().wavelengths[:, None]
-    tk = np.linspace(t_air - _T_SPAN, t_air + _T_SPAN, 97)
-    got = _planck_dT_of(lam, tk, _planck_core(lam, tk))
-    np.testing.assert_allclose(got, planck_dT(lam, tk), rtol=1e-13, atol=0.0)
-
-
-def test_planck_dT_from_an_underflowed_radiance_is_zero():
-    lam = make_default_grid().wavelengths[:, None]
-    tk = np.array([1e-2, 1.0, 5.0])
-    b = _planck_core(lam, tk)
-    assert (b == 0.0).any()
-    got = _planck_dT_of(lam, tk, b)
-    assert not np.isnan(got).any()
-    assert (got[b == 0.0] == 0.0).all()
 
 
 def test_temperature_validation():
