@@ -196,9 +196,8 @@ def _line_profile(grid: SpectralGrid, lines, strength: float) -> np.ndarray:
 
 def _tau(d, alpha):
     """Unvalidated Beer-Lambert kernel 10^(-alpha d / 10), shared by the
-    simulator and the solver. d and alpha broadcast: a (P, 1) d and a (K,)
-    alpha give the simulator's pixel-major (P, K), a (P,) d and a (K, 1)
-    alpha the solver's band-major (K, P), with the same bits per entry."""
+    simulator and the solver. d and alpha broadcast: a (P,) d and a (K, 1)
+    alpha give the pixel-last (K, P) path of P pixels."""
     # exponent grouped as (-d/10) * alpha so integer-dB cases stay exact
     return np.power(10.0, (-d / 10.0) * alpha)
 

@@ -52,7 +52,7 @@ from .cube_io import (
     save_scene_rows,
     save_scene_truth,
 )
-from .errors import ConfigError, GridError, LwirError
+from .errors import ConfigError, DomainError, GridError, LwirError
 from .evaluation import (
     _PALETTES,
     default_patches,
@@ -232,18 +232,21 @@ def _load_attenuation(atmo_dir):
 
 
 def _default_atmosphere(q):
-    """The built-in attenuation and downwelling set, with q sky sectors
-    (None for one per default zenith angle)."""
+    """The built-in attenuation and downwelling set, with q sky sectors:
+    one per default zenith angle for q = none, and no set, the sky term
+    off as in :func:`_downwelling_set`, for q = 0."""
     grid = make_default_grid()
     params = AtmosphereParams(air_temperature=_AIR_DEFAULT)
     if q is None:
         q = len(DEFAULT_ZENITH_ANGLES)
-    return (synth_attenuation(params, grid),
-            synth_downwelling(params, grid, _zenith_angles(q)))
+    dw = synth_downwelling(params, grid, _zenith_angles(q)) if q else None
+    return synth_attenuation(params, grid), dw
 
 
 def cmd_atmo(s, args):
     alpha, dw = _default_atmosphere(s["q"])
+    if dw is None:
+        raise DomainError("atmo needs at least one sky sector, got q=0")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_spectrum(out / "attenuation.csv", alpha.spectrum)

@@ -12,6 +12,9 @@ term less B(T_air), and :func:`_radiance` for the sensor radiance. The
 simulator (:func:`radiance_model_batch`) and every objective, block update
 and gradient of the solver in :mod:`lwirange.hyperspectral` call these same
 kernels, so a solver fed the noiseless truth reproduces the cube bit for bit.
+The kernels take one layout, pixel-last: per-band arrays are (K, P), K bands
+by P pixels, and sky weights (Q, P).  :func:`radiance_model_batch` keeps a
+pixel-major signature and converts at its boundary.
 """
 
 from __future__ import annotations
@@ -181,28 +184,34 @@ class SceneCube:
         return self.radiance.shape
 
 
-def _mix(omegas: np.ndarray, ld: np.ndarray, ground: np.ndarray,
-         band_major: bool = False) -> np.ndarray:
-    """Light a Lambertian pixel reflects, per unit (1 - eps): (P, K), or
-    (K, P) when band_major.
+def _band_sum(a):
+    # per-pixel sum of a pixel-last (X, P) array over its X rows, in row
+    # order for any P, and 0 for X = 0.  numpy adds the rows of a C-ordered
+    # array one by one, but reduces a single column, or a column-major
+    # array, pairwise, which would tie a pixel's bits to its batch size or
+    # its operands' memory order.  The pi cap on the sky weights is tested
+    # on this one sum and _mix's ground share reads it: summed pairwise,
+    # about 14% of weight vectors scaled onto the cap land on the other side
+    # of pi, so another order could reflect a negative share of the ground
+    a = np.ascontiguousarray(a)
+    if a.shape[1] == 1 and len(a):
+        return np.add.accumulate(a, 0)[-1]
+    return a.sum(0)
 
-    omegas: (P, Q) projected solid angles; ld: (Q, K) downwelling radiance;
-    ground: ambient radiance filling the rest of the hemisphere, broadcast
-    against the result: (K,) or (P, K), or (K, 1) or (K, P) when band_major.
+
+def _mix(omegas: np.ndarray, ld: np.ndarray, ground: np.ndarray) -> np.ndarray:
+    """Light a Lambertian pixel reflects, per unit (1 - eps): C-ordered (K, P).
+
+    omegas: C-ordered (Q, P) projected solid angles; ld: (Q, K) downwelling
+    radiance; ground: ambient radiance filling the rest of the hemisphere,
+    (K, 1) or (K, P).
     """
-    # einsum keeps per-row bit patterns independent of the batch size;
+    # einsum keeps per-pixel bit patterns independent of the batch size;
     # matmul does not, which would break the thread-count determinism
-    # contract. Both layouts sum over q in the same order, so they agree bit
-    # for bit up to the transpose. The band-major product contracts a (Q, P)
-    # copy of the weights, so each of its Q steps runs along contiguous
-    # pixels, and its result is C-ordered.
-    rest = np.pi - omegas.sum(axis=1)
-    if band_major:
-        sky = np.einsum("qp,qk->kp", np.ascontiguousarray(omegas.T), ld,
-                        optimize=False)
-        return (sky + rest * ground) / np.pi
-    sky = np.einsum("pq,qk->pk", omegas, ld, optimize=False)
-    return (sky + rest[:, None] * ground) / np.pi
+    # contract.  It sums over q in order, each of its Q steps along
+    # contiguous pixels; the ground share reads the same in-order sum
+    sky = np.einsum("qp,qk->kp", omegas, ld, optimize=False)
+    return (sky + (np.pi - _band_sum(omegas)) * ground) / np.pi
 
 
 def _contrast(bt: np.ndarray, eps: np.ndarray, mix: np.ndarray,
@@ -230,11 +239,14 @@ def radiance_model_batch(
     """Evaluate the observation model for P pixels at once.
 
     d, t_kelvin: (P,); eps: (P, K); omegas: (P, Q); ld: (Q, K);
-    ground: (K,) or (P, K); b_air: (K,). Returns (P, K).
+    ground: (K,) or (P, K); b_air: (K,). Returns (P, K), C-ordered: the
+    transpose of the kernels' pixel-last (K, P) result.
     """
-    bt = planck(wavelengths, t_kelvin[:, None])
-    contrast = _contrast(bt, eps, _mix(omegas, ld, ground), b_air)
-    return _radiance(_tau(d[:, None], alpha_values), contrast, b_air)
+    col = b_air[:, None]
+    mix = _mix(np.ascontiguousarray(omegas.T), ld, np.atleast_2d(ground).T)
+    contrast = _contrast(planck(wavelengths[:, None], t_kelvin), eps.T, mix, col)
+    y = _radiance(_tau(d, alpha_values[:, None]), contrast, col)
+    return np.ascontiguousarray(y.T)
 
 
 def synthesize_rows(

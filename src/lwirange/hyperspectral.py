@@ -44,18 +44,19 @@ per pixel, which makes results byte-identical for any pixel partitioning
 (worker count) and, when the TV weight is zero, for any edit to other
 pixels' data.
 
-The solver holds its per-band state band-major: observed radiance,
-emissivity, B(T), path transmittance, reflected light, residuals and every
-emissivity candidate are C-contiguous (K, P) arrays, K bands by P pixels,
-so each Thomas step, Planck and path evaluation and per-pixel sum over bands
-runs along contiguous rows of P values.  Range and temperature are (P,) and
-the sky weights (P, Q).  Every product summed over bands is pixel-last,
-(X, P), an einsum that sums the bands in order, and inside the sky block
-the weights run pixel-last too, (Q, P), beside (Q, Q, P) matrices: the
-ADMM's inverse is Gauss-Jordan elimination elementwise along pixels and
-each sweep one einsum product, so the solver makes no BLAS or LAPACK call,
-whose bits could depend on the batch.  Only :func:`solve`,
-:func:`gradients` and :func:`data_loss` see the public (M, N, K) maps.
+The solver holds every per-pixel array pixel-last, the one layout of the
+:mod:`lwirange.forward_model` kernels: observed radiance, emissivity, B(T),
+path transmittance, reflected light, residuals and every emissivity
+candidate are C-contiguous (K, P) arrays, K bands by P pixels, the sky
+weights (Q, P), and range and temperature (P,).  So each Thomas step,
+Planck and path evaluation and per-pixel sum over bands or sectors runs
+along contiguous rows of P values.  Every product summed over bands is
+(X, P), an einsum that sums the bands in order, and the sky block's ADMM
+runs on the (Q, P) weights beside (Q, Q, P) matrices: its inverse is
+Gauss-Jordan elimination elementwise along pixels and each sweep one einsum
+product, so the solver makes no BLAS or LAPACK call, whose bits could
+depend on the batch.  The public (M, N, K) and (M, N, Q) maps are converted
+only where they enter (:func:`_pixel_last`) and leave (:func:`_band_maps`).
 
 Each sweep carries the model terms beside the state: path transmittance
 tau(d), B(T), the reflected mix(om) and the per-pixel loss.  A block takes
@@ -91,6 +92,7 @@ from .errors import (
     _is_real,
 )
 from .forward_model import (
+    _band_sum,
     _check_feasible,
     _contrast,
     _mix,
@@ -249,7 +251,7 @@ class EstimateMaps:
 @dataclass
 class _Problem:
     # per-band vectors are (K, 1) columns, which broadcast against the
-    # band-major (K, P) state
+    # pixel-last (K, P) state
     wav: np.ndarray      # (K, 1) um
     alpha: np.ndarray    # (K, 1) dB/m
     y: np.ndarray        # (K, P) observed, C-contiguous
@@ -259,15 +261,6 @@ class _Problem:
     d_max: float
     t_lo: float
     t_hi: float
-
-
-def _band_sum(a):
-    # per-pixel sum of a (K, P) array over bands, in band order for any P.
-    # numpy adds the rows of a C-ordered array one by one, but reduces a
-    # single column, or a column-major array, pairwise, which would tie a
-    # pixel's bits to its batch size or its operands' memory order
-    a = np.ascontiguousarray(a)
-    return a.sum(0) if a.shape[1] > 1 else np.add.accumulate(a, 0)[-1]
 
 
 def _band_dot(a, b):
@@ -291,7 +284,7 @@ def _misfit(pr, tau, bt, eps, mix):
 
 
 def _mix_of(pr, om):
-    return _mix(om, pr.sky, pr.b_air, band_major=True)
+    return _mix(om, pr.sky, pr.b_air)
 
 
 def _sky_contrast(pr):
@@ -356,19 +349,11 @@ def _dtd(eps):
     return lap
 
 
-def _cap_sum(om):
-    # per-pixel sum of (Q, P) sky weights, q in order for any P.  The pi cap
-    # is tested on this one sum: summed pairwise, about 14% of weight vectors
-    # scaled onto the cap land on the other side of pi, so a check in another
-    # order could refuse a weight vector the projection accepted
-    return _band_sum(om) if len(om) else np.zeros(om.shape[1])
-
-
 def _proj_cap(v):
     """Euclidean projection of the columns of a (Q, P) array onto
     {x >= 0, sum(x) <= pi}."""
     z = np.maximum(v, 0.0)
-    over = _cap_sum(z) > _PI
+    over = _band_sum(z) > _PI
     if not over.any():
         return z
     # only the columns over the cap move, so only they are projected and checked
@@ -382,7 +367,7 @@ def _proj_cap(v):
     zo = np.maximum(zo - th, 0.0)
     # roundoff can leave sums a few ulp above the cap; pull them inside
     for _ in range(4):
-        s = _cap_sum(zo)
+        s = _band_sum(zo)
         bad = s > _PI
         if not bad.any():
             break
@@ -391,14 +376,9 @@ def _proj_cap(v):
     return z
 
 
-def _proj_cap_simplex(v):
-    """Euclidean projection of rows of v onto {x >= 0, sum(x) <= pi}."""
-    return _proj_cap(v.T).T
-
-
 def _pick(imp, new, old):
     # per-pixel choice between two tuples of terms: the (P,) mask broadcasts
-    # along the pixel axis of (P,) and band-major (K, P) arrays
+    # along the pixel axis of (P,) and pixel-last (K, P) and (Q, P) arrays
     return tuple(np.where(imp, a, b) for a, b in zip(new, old))
 
 
@@ -445,10 +425,10 @@ def _sky_matvec(m, v):
 
 
 def _sky_block(pr, tau, bt, eps, om, mix, loss):
-    # per-pixel box/cap-constrained quadratic in the sky weights via ADMM,
-    # run pixel-last on (Q, P) weights; returns the accepted (om, mix, loss),
-    # the carried ones untouched when the model has no sky sectors
-    q = om.shape[1]
+    # per-pixel box/cap-constrained quadratic in the (Q, P) sky weights via
+    # ADMM; returns the accepted (om, mix, loss), the carried ones untouched
+    # when the model has no sky sectors
+    q = om.shape[0]
     if q == 0:
         return om, mix, loss
     w = tau * (1.0 - eps) / _PI
@@ -464,7 +444,7 @@ def _sky_block(pr, tau, bt, eps, om, mix, loss):
     m = _spd_inverse(a)
     c = _sky_matvec(m, 2.0 * _band_dot(w * base, ekq))
     m *= rho
-    z = np.ascontiguousarray(om.T)
+    z = om
     u = np.zeros_like(z)
     for _ in range(_SKY_ADMM_ITERATIONS):
         x = _sky_matvec(m, z - u)
@@ -472,11 +452,9 @@ def _sky_block(pr, tau, bt, eps, om, mix, loss):
         u += x
         z = _proj_cap(u)
         u -= z
-    z = np.ascontiguousarray(z.T)
     mz = _mix_of(pr, z)
     lz = _misfit(pr, tau, bt, eps, mz)
-    acc = lz <= loss
-    return np.where(acc[:, None], z, om), np.where(acc, mz, mix), np.where(acc, lz, loss)
+    return _pick(lz <= loss, (z, mz, lz), (om, mix, loss))
 
 
 def _path_scores(a, yb, paths):
@@ -517,7 +495,7 @@ def _dist_block(pr, d, tau, bt, eps, mix, loss, local_span):
 def _feasible(d, eps, om, d_max):
     return bool(np.all(d >= 0.0) and np.all(d <= d_max)
                 and np.all(eps >= 0.0) and np.all(eps <= 1.0)
-                and np.all(om >= 0.0) and np.all(_cap_sum(om.T) <= _PI))
+                and np.all(om >= 0.0) and np.all(_band_sum(om) <= _PI))
 
 
 def _gn_moves(pr, tau, t, eps, bt, mix, d_free, t_free):
@@ -689,10 +667,10 @@ def _build_problem(cube, alpha, dw, air_temperature, rho_eps, d_max, t_span):
     t_air = as_kelvin(air_temperature)
     col = wav.reshape(k, 1)
     m, n = cube.radiance.shape[:2]
-    y = np.ascontiguousarray(cube.radiance.reshape(m * n, k).T, dtype=float)
     t_lo = max(t_air - t_span, 1e-2)
     return _Problem(wav=col, alpha=np.asarray(alpha.values, float).reshape(k, 1),
-                    y=y, sky=sky, b_air=_planck_core(col, t_air), rho_eps=rho_eps,
+                    y=_pixel_last(cube.radiance), sky=sky,
+                    b_air=_planck_core(col, t_air), rho_eps=rho_eps,
                     d_max=d_max, t_lo=t_lo, t_hi=t_air + t_span), m, n
 
 
@@ -705,10 +683,16 @@ def _param_arrays(params):
     return _state_maps(*(getattr(params, k) for k in names))
 
 
+def _pixel_last(a):
+    # an (M, N, X) map as a C-contiguous pixel-last (X, P) array, P = M N
+    m, n, x = a.shape
+    return np.ascontiguousarray(a.reshape(m * n, x).T)
+
+
 def _flatten_maps(params, pr, m, n):
-    # the four maps as solver state: (P,), (P,), band-major (K, P), (P, Q);
-    # the one check that a caller's maps fit the (M, N) image and the
-    # problem's bands and sky sectors
+    # the four maps as solver state: (P,) range and temperature, (K, P)
+    # emissivity and (Q, P) sky weights; the one check that a caller's maps
+    # fit the (M, N) image and the problem's bands and sky sectors
     d, t, e, o = _param_arrays(params)
     k, q = pr.wav.shape[0], pr.sky.shape[0]
     if d.shape != (m, n):
@@ -718,8 +702,7 @@ def _flatten_maps(params, pr, m, n):
         raise DimensionError(f"params carry {e.shape[2]} bands, cube has {k}")
     if o.shape[2] != q:
         raise DimensionError(f"params carry {o.shape[2]} sky sectors, model has {q}")
-    return (d.reshape(m * n), t.reshape(m * n),
-            np.ascontiguousarray(e.reshape(m * n, k).T), o.reshape(m * n, q))
+    return d.reshape(m * n), t.reshape(m * n), _pixel_last(e), _pixel_last(o)
 
 
 def _band_maps(a, m, n):
@@ -782,8 +765,6 @@ def project(params, d_max):
         raise DomainError(f"d_max must be > 0, got {d_max}")
     d, t, e, o = _param_arrays(params)
     m, n = d.shape
-    q = o.shape[2]
-    om = _proj_cap_simplex(o.reshape(m * n, q))
 
     def _carry(name, default):
         v = params.get(name) if isinstance(params, dict) else getattr(params, name, None)
@@ -793,7 +774,7 @@ def project(params, d_max):
         distance=np.clip(d, 0.0, d_max),
         temperature=t.copy(),
         emissivity=np.clip(e, 0.0, 1.0),
-        solid_angles=om.reshape(m, n, q),
+        solid_angles=_band_maps(_proj_cap(_pixel_last(o)), m, n),
         loss=_carry("loss", np.zeros((m, n))),
         iterations=_carry("iterations", np.zeros((m, n), dtype=np.int64)),
     )
@@ -846,13 +827,15 @@ def _warm_start(pr, cfg, d_starts, t0):
     ds = np.concatenate(d_starts * len(_EPS_STARTS))
     es = np.tile(np.repeat(_EPS_STARTS, len(d_starts) * p), (k, 1))
     ts = np.tile(t0, sn)
-    os_ = np.zeros((sn * p, pr.sky.shape[0]))
+    os_ = np.zeros((pr.sky.shape[0], sn * p))
     prs = replace(pr, y=np.tile(pr.y, (1, sn)))
     ds, ts, es, os_, ls = _phase(prs, ds, ts, es, os_,
                                  min(cfg.warmup_iterations, cfg.max_iterations),
                                  d_freeze=cfg.warmup_d_freeze)
     best = np.argmin(ls.reshape(sn, p), axis=0) * p + np.arange(p)
-    return ds[best], ts[best], es[:, best], os_[best]
+    # a gather along the pixel axis is column-major; the sky weights go on
+    # C-ordered, so the sky block's kernels run along contiguous pixels
+    return ds[best], ts[best], es[:, best], np.ascontiguousarray(os_[:, best])
 
 
 def _solve_flat(pr, cfg, d_starts, t0, init_state):
@@ -948,10 +931,8 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     def job(px):
         # _solve_flat's arguments for one pixel block, all picklable
         sel = slice(px[0], px[-1] + 1)
-        ini = None
-        if init_state is not None:
-            d_i, t_i, e_i, o_i = init_state
-            ini = (d_i[sel], t_i[sel], np.ascontiguousarray(e_i[:, sel]), o_i[sel])
+        ini = None if init_state is None else tuple(
+            np.ascontiguousarray(a[..., sel]) for a in init_state)
         return (replace(pr, y=np.ascontiguousarray(pr.y[:, sel])), cfg,
                 [d[sel] for d in d_starts], t0[sel], ini)
 
@@ -968,9 +949,9 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         with concurrent.futures.ProcessPoolExecutor(
                 len(jobs), mp_context=multiprocessing.get_context("fork")) as ex:
             parts = list(ex.map(_solve_flat, *zip(*jobs)))
-    d, t, eps, om, loss, hists = zip(*parts)
-    d, t, om, loss = (np.concatenate(a) for a in (d, t, om, loss))
-    eps = np.concatenate(eps, axis=1)
+    *state, hists = zip(*parts)
+    # pixels are the last axis of every state array
+    d, t, eps, om, loss = (np.concatenate(a, axis=-1) for a in state)
     # every block runs the same fixed schedule, so entry i is the same stage
     # and step in each: the objectives add, in block order, and the flags AND
     history = [row[0][:2] + (sum(e[2] for e in row), all(e[3] for e in row))
@@ -984,7 +965,7 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         distance=d.reshape(m, n),
         temperature=t.reshape(m, n),
         emissivity=_band_maps(eps, m, n),
-        solid_angles=om.reshape(m, n, om.shape[1]),
+        solid_angles=_band_maps(om, m, n),
         loss=loss.reshape(m, n),
         iterations=np.full((m, n), min(cfg.refine_iterations, cfg.max_iterations),
                            dtype=np.int64),

@@ -314,16 +314,23 @@ class TestRuntimeErrors:
         np.testing.assert_array_equal(dw.zenith_angles_deg, np.linspace(0.0, 89.0, 12))
 
     def test_synth_with_q_0_has_no_sky_sector_to_build(self, capsys, tmp_path):
-        # q = 0 turns the sky term off, and the default scene needs a sector
-        atmo = tmp_path / "atmo"
-        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
-        code, _, err = run(capsys, [
-            "synth", "--atmo", str(atmo), "--out", str(tmp_path / "s0"),
-            "--rows", "2", "--cols", "2", "--q", "0"])
+        # q = 0 turns the sky term off, with a loaded downwelling set or the
+        # built-in one, and the default scene needs a sector
+        assert run(capsys, ["atmo", "--out", str(tmp_path / "atmo")])[0] == 0
+        for atmo in (["--atmo", str(tmp_path / "atmo")], []):
+            code, _, err = run(capsys, [
+                "synth", *atmo, "--out", str(tmp_path / "s0"), "--rows", "2",
+                "--cols", "2", "--q", "0"])
+            assert code == 1
+            assert err == ("error[DomainError]: default scene needs at least "
+                           "one sky sector\n")
+            assert not (tmp_path / "s0").exists()
+
+    def test_atmo_with_q_0_has_no_set_to_write(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["atmo", "--out", str(tmp_path / "a0"), "--q", "0"])
         assert code == 1
-        assert err.startswith("error[DomainError]: default scene needs at least "
-                              "one sky sector")
-        assert not (tmp_path / "s0").exists()
+        assert err == "error[DomainError]: atmo needs at least one sky sector, got q=0\n"
+        assert not (tmp_path / "a0").exists()
 
     def test_non_finite_zenith_angle_exits_1(self, capsys, tmp_path):
         # a NaN angle in the downwelling index is refused at the index line,

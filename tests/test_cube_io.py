@@ -37,7 +37,7 @@ from lwirange import cube_io
 from lwirange.closed_form import RangeMap
 from lwirange.errors import ConstraintError, GridError
 from lwirange.forward_model import SceneTruth
-from lwirange.hyperspectral import _proj_cap_simplex
+from lwirange.hyperspectral import _proj_cap
 from helpers import micro_scene, poke_cube, rewrite_header
 
 
@@ -166,7 +166,7 @@ class TestRoundTrip:
         # land a little above pi and must still be accepted
         rng = np.random.default_rng(0)
         m, n, k, q = 8, 8, 4, 3
-        om = _proj_cap_simplex(rng.uniform(0.0, 10.0, (m * n, q))).reshape(m, n, q)
+        om = _proj_cap(rng.uniform(0.0, 10.0, (m * n, q)).T).T.reshape(m, n, q)
         stored = om.astype(np.float32).astype(np.float64)
         assert stored.sum(axis=2).max() > np.pi * (1 + 1e-9)
         grid = SpectralGrid(np.linspace(8.0, 13.2, k))

@@ -21,8 +21,10 @@ from lwirange.atmosphere import (
 from lwirange.errors import ConstraintError, DimensionError, DomainError
 from lwirange.forward_model import (
     SceneCube,
-    _mix,
     SceneTruth,
+    _contrast,
+    _mix,
+    _radiance,
     default_panel_masks,
     make_default_scene,
     radiance_model_batch,
@@ -400,33 +402,35 @@ def test_noiseless_radiance_always_positive(d, t, eps):
     assert np.all(cube.radiance > 0.0)
 
 
+@pytest.mark.parametrize("q", [0, 1, 10])
 @pytest.mark.parametrize("p", [1, 2, 7, 512])
-def test_band_major_mix_has_the_bits_of_the_pixel_major_product(p):
-    # the band-major mix contracts a (Q, P) copy of the weights; its sky
-    # term has the bits of the product over the (P, Q) weights as given
-    rng = np.random.default_rng(p)
-    q, k = 10, 64
-    om = rng.uniform(0.0, np.pi / q, (p, q))
-    ld = rng.uniform(100.0, 900.0, (q, k))
-    ground = np.zeros((k, 1))
-    want = np.einsum("pq,qk->kp", om, ld, optimize=False, order="C") / np.pi
-    assert _mix(om, ld, ground, band_major=True).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("p,q,k", [(1, 1, 1), (1, 10, 64), (7, 3, 5), (64, 2, 8),
-                                   (300, 10, 64)])
-def test_shared_kernels_agree_bit_for_bit_in_both_layouts(p, q, k):
-    # the simulator calls _tau and _mix pixel-major, (P, K), and the solver
-    # band-major, (K, P); every entry must carry the same bits in both
-    rng = np.random.default_rng(100 * p + k)
-    d = rng.uniform(0.0, 200.0, p)
+def test_mix_sums_sectors_in_order_and_the_simulator_transposes_it(p, q):
+    # _mix takes (Q, P) weights and gives a C-ordered (K, P) mix with the
+    # bits of an in-order loop over sectors, at any batch size; the
+    # simulator's pixel-major batch is the pixel-last model transposed
+    rng = np.random.default_rng(100 * p + q)
+    k = 64
+    wav = np.linspace(8.0, 13.0, k)
     alpha = rng.uniform(0.0, 0.05, k)
-    np.testing.assert_array_equal(_tau(d, alpha[:, None]), _tau(d[:, None], alpha).T)
-    om = rng.uniform(0.0, np.pi / q, (p, q))
+    d = rng.uniform(0.0, 200.0, p)
+    t = rng.uniform(280.0, 310.0, p)
+    eps = rng.uniform(0.0, 1.0, (k, p))
+    om = rng.uniform(0.0, np.pi / max(q, 1), (q, p))
     ld = rng.uniform(100.0, 900.0, (q, k))
-    for ground in (rng.uniform(300.0, 600.0, k), rng.uniform(300.0, 600.0, (p, k))):
-        pixel_major = _mix(om, ld, ground)
-        band_major = _mix(om, ld, ground[:, None] if ground.ndim == 1 else ground.T,
-                          band_major=True)
-        assert band_major.flags.c_contiguous
-        np.testing.assert_array_equal(band_major, pixel_major.T)
+    b_air = planck(wav, AIR.kelvin)
+    for ground in (rng.uniform(300.0, 600.0, (k, 1)), rng.uniform(300.0, 600.0, (k, p))):
+        sky, total = np.zeros((k, p)), np.zeros(p)
+        for i in range(q):
+            sky += ld[i][:, None] * om[i]
+            total += om[i]
+        mix = _mix(om, ld, ground)
+        assert mix.shape == (k, p) and mix.flags.c_contiguous
+        assert mix.tobytes() == ((sky + (np.pi - total) * ground) / np.pi).tobytes()
+        want = _radiance(_tau(d, alpha[:, None]),
+                         _contrast(planck(wav[:, None], t), eps, mix, b_air[:, None]),
+                         b_air[:, None])
+        got = radiance_model_batch(wav, alpha, d, t, np.ascontiguousarray(eps.T),
+                                   np.ascontiguousarray(om.T), ld,
+                                   ground[:, 0] if ground.shape[1] == 1
+                                   else np.ascontiguousarray(ground.T), b_air)
+        assert got.shape == (p, k) and got.tobytes() == want.T.tobytes()

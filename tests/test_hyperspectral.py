@@ -38,7 +38,6 @@ from lwirange.hyperspectral import (
     _armijo_pass,
     _band_dot,
     _build_problem,
-    _cap_sum,
     _dist_block,
     _eps_quick,
     _feasible,
@@ -49,7 +48,6 @@ from lwirange.hyperspectral import (
     _mix_of,
     _phase,
     _proj_cap,
-    _proj_cap_simplex,
     _Problem,
     _range_starts,
     _sky_block,
@@ -60,7 +58,7 @@ from lwirange.hyperspectral import (
     _thomas,
     _tv_denoise_map,
 )
-from lwirange.forward_model import _contrast, _radiance
+from lwirange.forward_model import _band_sum, _contrast, _mix, _radiance
 from lwirange.radiometry import _planck_core, _planck_dT_core
 from helpers import AIR, micro_scene
 
@@ -334,7 +332,7 @@ class TestGradients:
 
 
 class TestEmissivityRefit:
-    # operands are band-major, (K, P), as the solver holds them
+    # operands are pixel-last, (K, P), as the solver holds them
     @pytest.mark.parametrize("k", [1, 2, 3, 9])
     def test_thomas_matches_dense_solve(self, k):
         rng = np.random.default_rng(20 + k)
@@ -421,7 +419,7 @@ class TestBatchIndependence:
         d = rng.uniform(5.0, 60.0, p)
         t = rng.uniform(290.0, 300.0, p)
         eps = rng.uniform(0.5, 1.0, (k, p))
-        om = rng.uniform(0.0, 0.9, (p, 3))
+        om = rng.uniform(0.0, 0.9, (3, p))
         tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
         loss = _loss(pr, d, t, eps, mix)
 
@@ -429,12 +427,12 @@ class TestBatchIndependence:
             return np.ascontiguousarray(a[..., cols])
 
         def assert_terms_match(got, want):
-            # every returned term; the (P, Q) sky weights have pixels first
+            # every returned term, each with pixels last
             for g, w in zip(got, want, strict=True):
-                npt.assert_array_equal(g, w[cols] if w.shape == om.shape else part(w))
+                npt.assert_array_equal(g, part(w))
 
         sub = replace(pr, y=part(pr.y))
-        ds, ts, es, oms = d[cols], t[cols], part(eps), om[cols]
+        ds, ts, es, oms = d[cols], t[cols], part(eps), part(om)
         taus, bts, mixs, ls = part(tau), part(bt), part(mix), loss[cols]
         npt.assert_array_equal(_eps_quick(sub, taus, bts, mixs),
                                _eps_quick(pr, tau, bt, mix)[:, cols])
@@ -521,33 +519,55 @@ class TestSkyKernels:
                               np.ascontiguousarray(v[:, [j]]))
             assert one.tobytes() == np.ascontiguousarray(got[:, [j]]).tobytes()
 
-    def test_cap_is_tested_on_one_sum(self):
-        # weights scaled onto the cap: summed in order and summed pairwise,
-        # about 1 in 7 of them fall on opposite sides of pi.  The projection
-        # of rows, the sweep's projection of columns and _feasible must all
-        # read the in-order sum, or a weight vector the projection leaves in
-        # place could be recorded as infeasible
+    @staticmethod
+    def _cap_disagreements():
+        # (Q, P) weights scaled onto the cap whose in-order and pairwise sums
+        # fall on opposite sides of pi, about 1 in 7 of those drawn, and
+        # their in-order sums
         rng = np.random.default_rng(3)
         w = rng.uniform(0.0, 1.0, (4000, 10))
         w *= (np.pi / w.sum(1))[:, None]
         in_order = np.add.accumulate(w, axis=1)[:, -1]
         w = w[(in_order <= np.pi) != (w.sum(1) <= np.pi)]
         assert len(w) > 100
-        in_order = np.add.accumulate(w, axis=1)[:, -1]
+        return np.ascontiguousarray(w.T), np.add.accumulate(w, axis=1)[:, -1]
+
+    def test_cap_is_tested_on_one_sum(self):
+        # the projection, project and _feasible must all read the in-order
+        # sum, or a weight vector the projection leaves in place could be
+        # recorded as infeasible
+        w, in_order = self._cap_disagreements()
         inside = in_order <= np.pi
         assert inside.any() and not inside.all()
-        npt.assert_array_equal(_cap_sum(np.ascontiguousarray(w.T)), in_order)
-        proj = _proj_cap_simplex(w)
-        npt.assert_array_equal(proj[inside], w[inside])
-        assert (_cap_sum(np.ascontiguousarray(proj.T)) <= np.pi).all()
-        cols = _proj_cap(np.ascontiguousarray(w.T))
-        assert cols.tobytes() == np.ascontiguousarray(proj.T).tobytes()
+        npt.assert_array_equal(_band_sum(w), in_order)
+        proj = _proj_cap(w)
+        npt.assert_array_equal(proj[:, inside], w[:, inside])
+        assert (_band_sum(proj) <= np.pi).all()
+        q, p = w.shape
+        maps = {"distance": np.zeros((1, p)), "temperature": np.full((1, p), 295.0),
+                "emissivity": np.zeros((1, p, 1)), "solid_angles": w.T.reshape(1, p, q)}
+        got = project(maps, d_max=1.0).solid_angles
+        assert got.tobytes() == np.ascontiguousarray(proj.T).tobytes()
         # with no sectors the sum is 0, for one pixel too
-        for om in (w[inside], proj, np.zeros((1, 0)), np.zeros((2, 0))):
-            p = len(om)
+        for om in (w[:, inside], proj, np.zeros((0, 1)), np.zeros((0, 2))):
+            p = om.shape[1]
             assert _feasible(np.zeros(p), np.zeros((1, p)), om, 1.0)
-            assert all(_feasible(np.zeros(1), np.zeros((1, 1)), row[None], 1.0)
-                       for row in om)
+            assert all(_feasible(np.zeros(1), np.zeros((1, 1)), om[:, [j]], 1.0)
+                       for j in range(p))
+
+    def test_ground_share_is_never_negative(self):
+        # _mix's ground share pi - sum(w) reads the sum the cap is tested
+        # on, so weights the projection puts on or inside the cap never
+        # reflect a negative share of the ground, in a batch or alone
+        w, _ = self._cap_disagreements()
+        proj = _proj_cap(w)
+        q, p = proj.shape
+        share = _mix(proj, np.zeros((q, 1)), np.ones((1, 1)))
+        assert share.shape == (1, p) and (share >= 0.0).all()
+        for j in range(p):
+            one = _mix(np.ascontiguousarray(proj[:, [j]]), np.zeros((q, 1)),
+                       np.ones((1, 1)))
+            assert one.tobytes() == np.ascontiguousarray(share[:, [j]]).tobytes()
 
 
 class TestCarriedTerms:
@@ -567,7 +587,7 @@ class TestCarriedTerms:
         d = rng.uniform(5.0, 60.0, p)
         t = rng.uniform(290.0, 300.0, p)
         eps = rng.uniform(0.5, 1.0, (k, p))
-        om = rng.uniform(0.0, 0.9, (p, 2))
+        om = rng.uniform(0.0, 0.9, (2, p))
         tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
         loss = _loss(pr, d, t, eps, mix)
         om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
@@ -596,7 +616,7 @@ class TestCarriedTerms:
         p, k = pr.y.shape[1], pr.y.shape[0]
         d, t, eps, om, loss = _phase(
             pr, np.full(p, 20.0), np.full(p, 296.0), np.full((k, p), 0.95),
-            np.zeros((p, 2)), 14, d_freeze=6)
+            np.zeros((2, p)), 14, d_freeze=6)
         npt.assert_array_equal(loss, _loss(pr, d, t, eps, _mix_of(pr, om)))
 
     def test_refine_phase_loss_is_loss_of_its_state(self):
@@ -607,14 +627,14 @@ class TestCarriedTerms:
         p, k = pr.y.shape[1], pr.y.shape[0]
         d, t, eps, om, loss = _phase(
             pr, np.full(p, 40.0), np.full(p, 296.0), np.full((k, p), 0.9),
-            np.zeros((p, 2)), 30, d_freeze=0)
+            np.zeros((2, p)), 30, d_freeze=0)
         npt.assert_array_equal(loss, _loss(pr, d, t, eps, _mix_of(pr, om)))
 
     def test_armijo_loss_is_loss_of_its_state(self):
         _, pr = self._problem(1.0, 11)
         p, k = pr.y.shape[1], pr.y.shape[0]
         d, t, eps, om, loss = _phase(pr, np.full(p, 40.0), np.full(p, 296.0),
-                                     np.full((k, p), 0.9), np.zeros((p, 2)), 6,
+                                     np.full((k, p), 0.9), np.zeros((2, p)), 6,
                                      d_freeze=0)
         tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
         d, tau, t, eps, bt, loss = _armijo_pass(pr, d, tau, t, eps, bt, mix, loss)
@@ -646,7 +666,7 @@ class TestCandidateScans:
         d = rng.uniform(5.0, 60.0, p)
         t = rng.uniform(290.0, 300.0, p)
         eps = rng.uniform(0.5, 1.0, (k, p))
-        om = rng.uniform(0.0, 0.9, (p, 3))
+        om = rng.uniform(0.0, 0.9, (3, p))
         mix = _mix_of(pr, om)
         return pr, d, t, eps, mix, _loss(pr, d, t, eps, mix)
 
@@ -737,7 +757,7 @@ class TestGaussNewtonStep:
         d = rng.uniform(10.0, 60.0, p)
         t = rng.uniform(290.0, 300.0, p)
         eps = np.tile(rng.uniform(0.5, 0.95, p), (k, 1))
-        om = rng.uniform(0.0, 0.3, (p, q))
+        om = rng.uniform(0.0, 0.3, (q, p))
         pr = _Problem(wav=wav, alpha=alpha, y=np.zeros((k, p)), sky=sky,
                       b_air=b_air, rho_eps=1e3, d_max=200.0, t_lo=283.0,
                       t_hi=307.0)
@@ -858,7 +878,7 @@ class TestArmijoPass:
                                   1e5, 200.0, 12.0)
         p, k = pr.y.shape[1], pr.y.shape[0]
         d, t, eps, om, loss = _phase(pr, np.full(p, 40.0), np.full(p, 296.0),
-                                     np.full((k, p), 0.9), np.zeros((p, 3)), sweeps,
+                                     np.full((k, p), 0.9), np.zeros((3, p)), sweeps,
                                      d_freeze=0)
         tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
         return pr, d, tau, t, eps, bt, mix, loss
@@ -885,7 +905,7 @@ class TestArmijoPass:
 
 class TestZeroSectors:
     # with no sky sectors only the sky block branches: it returns what it
-    # was given, and every other stage runs its one schedule on (P, 0) weights
+    # was given, and every other stage runs its one schedule on (0, P) weights
     def test_sky_block_returns_its_inputs(self):
         sc = micro_scene(rows=2, cols=3, bands=12, q=0, noise_sigma=0.5, seed=2)
         pr, m, n = _build_problem(sc["cube"], sc["alpha"], None, AIR,
@@ -893,7 +913,7 @@ class TestZeroSectors:
         rng = np.random.default_rng(3)
         p, k = m * n, 12
         d, t = rng.uniform(5.0, 60.0, p), rng.uniform(290.0, 300.0, p)
-        eps, om = rng.uniform(0.5, 1.0, (k, p)), np.zeros((p, 0))
+        eps, om = rng.uniform(0.5, 1.0, (k, p)), np.zeros((0, p))
         tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
         loss = _misfit(pr, tau, bt, eps, mix)
         got = _sky_block(pr, tau, bt, eps, om, mix, loss)

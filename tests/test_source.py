@@ -3,7 +3,8 @@ entry names a module-level definition, no module but the package
 ``__init__`` imports a name it never uses, every ``SolverConfig`` field
 is read outside its own ``validate``, every private module constant and
 module-level private function is read, no module calls ``np.median`` or ``np.fromfile``, the solver
-checks a caller's maps in one place and makes no BLAS or LAPACK call."""
+checks a caller's maps in one place, makes no BLAS or LAPACK call and
+transposes only at its layout boundaries, and no call passes ``band_major``."""
 
 import ast
 import re
@@ -182,4 +183,31 @@ def test_solver_makes_no_blas_call():
               and not any(k.arg == "optimize" and isinstance(k.value, ast.Constant)
                           and k.value.value is False for k in node.keywords)):
             found.append(f"einsum without optimize=False:{node.lineno}")
+    assert not found, found
+
+
+# names that transpose an array: the .T attribute and numpy's functions and methods
+_TRANSPOSE_NAMES = {"T", "transpose", "swapaxes"}
+
+
+def test_solver_transposes_only_at_its_layout_boundaries():
+    # every per-pixel array the solver holds is pixel-last, the one layout
+    # of the forward_model kernels: the public maps convert where they enter
+    # (_pixel_last) and leave (_band_maps), and the downwelling rows once
+    # into the sky block's (K, Q) columns (_sky_contrast)
+    boundaries = {"_pixel_last", "_band_maps", "_sky_contrast"}
+    found = [f"{getattr(top, 'name', '<module>')}:{node.lineno}"
+             for top in _modules()["hyperspectral.py"].body
+             if getattr(top, "name", None) not in boundaries
+             for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and node.attr in _TRANSPOSE_NAMES]
+    assert not found, found
+
+
+def test_no_call_passes_band_major():
+    # _mix has one layout; a band_major switch would bring the second back
+    found = sorted(f"{name}:{node.lineno}" for name, tree in _modules().items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and any(k.arg == "band_major" for k in node.keywords))
     assert not found, found
