@@ -58,17 +58,21 @@ product, so the solver makes no BLAS or LAPACK call, whose bits could
 depend on the batch.  The public (M, N, K) and (M, N, Q) maps are converted
 only where they enter (:func:`_pixel_last`) and leave (:func:`_band_maps`).
 
-Each sweep carries the model terms beside the state: path transmittance
-tau(d), B(T), the reflected mix(om) and the per-pixel loss.  A block takes
-the terms it reads and returns the ones it changed with the loss at the
-accepted state, so a sweep evaluates each term once, not once per block.
-Every kernel is elementwise or per pixel, so a carried term has the bits a
-recomputation at the same state would have.
+The solver state is one pixel-last record, ``_State``: the maps d, T,
+eps and om, and beside them the model terms tau(d), B(T), mix(om), the
+emissivity penalty and the per-pixel loss.  ``_state`` builds it from the
+maps, the one place every term is evaluated from scratch.  Every block takes
+a record and returns one: it evaluates only the terms of the fields it
+moves, the penalty only where eps is refit, and guards only those fields,
+so a sweep evaluates each term once, not once per block.  Every kernel is
+elementwise or per pixel, so a carried term has the bits a recomputation at
+the same state would have.
 """
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -277,23 +281,40 @@ def _penalty(pr, eps):
     return pr.rho_eps * _band_sum(np.diff(eps, axis=0) ** 2)
 
 
-def _misfit(pr, tau, bt, eps, mix):
-    # per-pixel objective from a precomputed path, B(T) and mix
-    r = _radiance(tau, _contrast(bt, eps, mix, pr.b_air), pr.b_air) - pr.y
-    return _band_sum(r * r) + _penalty(pr, eps)
+def _data(pr, tau, core):
+    # per-pixel data misfit of the model tau * core + B_air
+    r = _radiance(tau, core, pr.b_air) - pr.y
+    return _band_sum(r * r)
 
 
 def _mix_of(pr, om):
     return _mix(om, pr.sky, pr.b_air)
 
 
+# one pixel block's solver state, pixels last: the maps, (P,) range d and
+# temperature t, (K, P) emissivity eps and (Q, P) sky weights om, and the
+# terms _state evaluates at them, (K, P) tau(d), B(T) bt and mix(om), the
+# (P,) emissivity penalty pen and the (P,) loss, data misfit plus pen
+_State = namedtuple("_State", "d t eps om tau bt mix pen loss")
+
+
+def _state(pr, d, t, eps, om):
+    # the record of the maps, its every term evaluated from scratch
+    tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
+    pen = _penalty(pr, eps)
+    loss = _data(pr, tau, _contrast(bt, eps, mix, pr.b_air)) + pen
+    return _State(d, t, eps, om, tau, bt, mix, pen, loss)
+
+
+def _accept(s, ok, **new):
+    # s with the named fields replaced by new values where the (P,) mask ok
+    # holds, which broadcasts along the pixel axis of every field
+    return s._replace(**{f: np.where(ok, v, getattr(s, f)) for f, v in new.items()})
+
+
 def _sky_contrast(pr):
     # (K, Q) downwelling less the ambient fill, C-ordered like the state
     return np.ascontiguousarray(pr.sky.T - pr.b_air)
-
-
-def _loss(pr, d, t, eps, mix):
-    return _misfit(pr, _tau(d, pr.alpha), _planck_core(pr.wav, t), eps, mix)
 
 
 def _thomas(dm, off, b):
@@ -376,12 +397,6 @@ def _proj_cap(v):
     return z
 
 
-def _pick(imp, new, old):
-    # per-pixel choice between two tuples of terms: the (P,) mask broadcasts
-    # along the pixel axis of (P,) and pixel-last (K, P) and (Q, P) arrays
-    return tuple(np.where(imp, a, b) for a, b in zip(new, old))
-
-
 def _sky_gram(w2, ekq):
     # per-pixel Gram matrices (Q, Q, P) of the sky columns, sum over bands of
     # w2 e_q e_r: the products with q <= r, mirrored, since e_q e_r and
@@ -424,15 +439,14 @@ def _sky_matvec(m, v):
     return np.einsum("qrp,rp->qp", m, v, optimize=False)
 
 
-def _sky_block(pr, tau, bt, eps, om, mix, loss):
+def _sky_block(pr, s):
     # per-pixel box/cap-constrained quadratic in the (Q, P) sky weights via
-    # ADMM; returns the accepted (om, mix, loss), the carried ones untouched
-    # when the model has no sky sectors
-    q = om.shape[0]
+    # ADMM; s itself when the model has no sky sectors
+    q = s.om.shape[0]
     if q == 0:
-        return om, mix, loss
-    w = tau * (1.0 - eps) / _PI
-    y0 = _radiance(tau, _contrast(bt, eps, pr.b_air, pr.b_air), pr.b_air)
+        return s
+    w = s.tau * (1.0 - s.eps) / _PI
+    y0 = _radiance(s.tau, _contrast(s.bt, s.eps, pr.b_air, pr.b_air), pr.b_air)
     base = pr.y - y0
     ekq = _sky_contrast(pr)
     a = _sky_gram(w * w, ekq)
@@ -444,7 +458,7 @@ def _sky_block(pr, tau, bt, eps, om, mix, loss):
     m = _spd_inverse(a)
     c = _sky_matvec(m, 2.0 * _band_dot(w * base, ekq))
     m *= rho
-    z = om
+    z = s.om
     u = np.zeros_like(z)
     for _ in range(_SKY_ADMM_ITERATIONS):
         x = _sky_matvec(m, z - u)
@@ -453,8 +467,8 @@ def _sky_block(pr, tau, bt, eps, om, mix, loss):
         z = _proj_cap(u)
         u -= z
     mz = _mix_of(pr, z)
-    lz = _misfit(pr, tau, bt, eps, mz)
-    return _pick(lz <= loss, (z, mz, lz), (om, mix, loss))
+    lz = _data(pr, s.tau, _contrast(s.bt, s.eps, mz, pr.b_air)) + s.pen
+    return _accept(s, lz <= s.loss, om=z, mix=mz, loss=lz)
 
 
 def _path_scores(a, yb, paths):
@@ -464,32 +478,30 @@ def _path_scores(a, yb, paths):
     return _band_dot(a * a, paths * paths) - 2.0 * _band_dot(a * yb, paths)
 
 
-def _dist_block(pr, d, tau, bt, eps, mix, loss, local_span):
-    # scan d with everything else fixed: only the path term varies; returns
-    # the accepted (d, tau, loss).  The candidates are ranked by
-    # _path_scores, as the module docstring sets out; the first of the
-    # lowest wins, and only it pays the exact path and misfit, accepted
-    # where that does not exceed the carried loss
-    core = _contrast(bt, eps, mix, pr.b_air)
+def _dist_block(pr, s, local_span):
+    # scan d with everything else fixed: only the path term varies.  The
+    # candidates are ranked by _path_scores, as the module docstring sets
+    # out; the first of the lowest wins, and only it pays the exact path and
+    # misfit, accepted where that does not exceed the carried loss
+    core = _contrast(s.bt, s.eps, s.mix, pr.b_air)
     yb = pr.y - pr.b_air
     if local_span is None:
         cands = np.linspace(0.0, pr.d_max, _GLOBAL_SCAN_POINTS)
         scores = _path_scores(core, yb, _tau(cands, pr.alpha))
     else:
         offs = np.linspace(-local_span, local_span, _LOCAL_SCAN_POINTS)
-        shifted = d + offs[:, None]
+        shifted = s.d + offs[:, None]
         cands = np.clip(shifted, 0.0, pr.d_max)
-        scores = _path_scores(tau * core, yb, _tau(offs, pr.alpha))
+        scores = _path_scores(s.tau * core, yb, _tau(offs, pr.alpha))
         low, high = shifted < 0.0, shifted > pr.d_max
         if low.any() or high.any():
             bounds = _path_scores(core, yb, _tau(np.array([0.0, pr.d_max]), pr.alpha))
             scores = np.where(low, bounds[0], np.where(high, bounds[1], scores))
     win = np.argmin(scores, axis=0)
-    best_d = cands[win] if cands.ndim == 1 else cands[win, np.arange(d.size)]
+    best_d = cands[win] if cands.ndim == 1 else cands[win, np.arange(s.d.size)]
     tau_b = _tau(best_d, pr.alpha)
-    r = _radiance(tau_b, core, pr.b_air) - pr.y
-    loss_b = _band_sum(r * r) + _penalty(pr, eps)
-    return _pick(loss_b <= loss, (best_d, tau_b, loss_b), (d, tau, loss))
+    loss_b = _data(pr, tau_b, core) + s.pen
+    return _accept(s, loss_b <= s.loss, d=best_d, tau=tau_b, loss=loss_b)
 
 
 def _feasible(d, eps, om, d_max):
@@ -498,7 +510,7 @@ def _feasible(d, eps, om, d_max):
                 and np.all(om >= 0.0) and np.all(_band_sum(om) <= _PI))
 
 
-def _gn_moves(pr, tau, t, eps, bt, mix, d_free, t_free):
+def _gn_moves(pr, s, d_free, t_free):
     # the moves of the free coordinates, range first, and a (P,) mask of the
     # pixels whose reduced matrix is positive definite; 0 elsewhere.  The
     # (d, T, eps) normal equations reduce to their Schur complement in the
@@ -506,21 +518,21 @@ def _gn_moves(pr, tau, t, eps, bt, mix, d_free, t_free):
     # the right sides, the eps coupling of each free column and the eps
     # gradient, share one Thomas solve.  Its own function, so that its (K, P)
     # temporaries are freed before the caller's refit
-    core = _contrast(bt, eps, mix, pr.b_air)
-    r = _radiance(tau, core, pr.b_air) - pr.y
-    a = tau * (bt - mix)
+    core = _contrast(s.bt, s.eps, s.mix, pr.b_air)
+    r = _radiance(s.tau, core, pr.b_air) - pr.y
+    a = s.tau * (s.bt - s.mix)
     cols = []
     if d_free:
-        cols.append(-(_LOG10 / 10.0) * pr.alpha * tau * core)
+        cols.append(-(_LOG10 / 10.0) * pr.alpha * s.tau * core)
     if t_free:
-        cols.append(tau * eps * _planck_dT_core(pr.wav, t))
+        cols.append(s.tau * s.eps * _planck_dT_core(pr.wav, s.t))
     n = len(cols)
     # right side i < n is a times column i, right side n the eps gradient
     rhs = np.empty((a.shape[0], n + 1, a.shape[1]))
     for i, c in enumerate(cols):
         np.multiply(a, c, out=rhs[:, i])
     np.multiply(a, r, out=rhs[:, n])
-    rhs[:, n] += pr.rho_eps * _dtd(eps)
+    rhs[:, n] += pr.rho_eps * _dtd(s.eps)
     x = _thomas(_eps_diagonal(pr, a), -pr.rho_eps, rhs)
 
     def s(i, j):  # entry (i, j) of the reduced matrix
@@ -540,44 +552,41 @@ def _gn_moves(pr, tau, t, eps, bt, mix, d_free, t_free):
     return ok, [np.where(ok, v / det, 0.0) for v in num]
 
 
-def _gn_step(pr, d, tau, t, eps, bt, mix, loss, d_span, t_span):
-    # one Gauss-Newton step in (d, T) on the objective profiled over eps;
-    # returns the accepted (d, tau, T, eps, B(T), loss).  A span of 0
-    # freezes its coordinate, whose carried tau or B(T) passes through.  Each
-    # move is clipped to its span, eps is refit at the moved (d, T), and the
-    # step is accepted where the misfit does not exceed the carried loss.  A
-    # pixel whose reduced matrix is singular, such as one with eps = 0, where
-    # the misfit does not depend on T, does not move
-    ok, moves = _gn_moves(pr, tau, t, eps, bt, mix, d_span > 0.0, t_span > 0.0)
-    dn, taun, tn, btn = d, tau, t, bt
+def _gn_step(pr, s, d_span, t_span):
+    # one Gauss-Newton step in (d, T) on the objective profiled over eps.  A
+    # span of 0 freezes its coordinate, whose carried tau or B(T) passes
+    # through.  Each move is clipped to its span, eps is refit at the moved
+    # (d, T), and the step is accepted where the misfit does not exceed the
+    # carried loss.  A pixel whose reduced matrix is singular, such as one
+    # with eps = 0, where the misfit does not depend on T, does not move
+    ok, moves = _gn_moves(pr, s, d_span > 0.0, t_span > 0.0)
+    new = {}
     if d_span:
-        dn = np.clip(d + np.clip(moves[0], -d_span, d_span), 0.0, pr.d_max)
-        taun = _tau(dn, pr.alpha)
+        d = np.clip(s.d + np.clip(moves[0], -d_span, d_span), 0.0, pr.d_max)
+        new.update(d=d, tau=_tau(d, pr.alpha))
     if t_span:
-        tn = np.clip(t + np.clip(moves[-1], -t_span, t_span), pr.t_lo, pr.t_hi)
-        btn = _planck_core(pr.wav, tn)
-    en = _eps_quick(pr, taun, btn, mix)
-    ln = _misfit(pr, taun, btn, en, mix)
-    return _pick(ok & (ln <= loss), (dn, taun, tn, en, btn, ln),
-                 (d, tau, t, eps, bt, loss))
+        t = np.clip(s.t + np.clip(moves[-1], -t_span, t_span), pr.t_lo, pr.t_hi)
+        new.update(t=t, bt=_planck_core(pr.wav, t))
+    tau, bt = new.get("tau", s.tau), new.get("bt", s.bt)
+    eps = _eps_quick(pr, tau, bt, s.mix)
+    pen = _penalty(pr, eps)
+    loss = _data(pr, tau, _contrast(bt, eps, s.mix, pr.b_air)) + pen
+    return _accept(s, ok & (loss <= s.loss), **new, eps=eps, pen=pen, loss=loss)
 
 
-def _temp_block(pr, d, tau, t, eps, bt, mix, loss, span):
+def _temp_block(pr, s, span):
     # the step in T alone, within span; range and tau pass through
-    return _gn_step(pr, d, tau, t, eps, bt, mix, loss, 0.0, span)
+    return _gn_step(pr, s, 0.0, span)
 
 
-def _phase(pr, d, t, eps, om, iters, *, d_freeze, record=None):
-    # runs iters sweeps; returns the state and its per-pixel loss.  record,
-    # if given, is called after each sweep as record(it, d, eps, om, loss).
-    # A sweep takes a step in T alone within its span, then, once d_freeze
-    # sweeps have run, scans range; a sweep whose T and local range spans
-    # have both decayed to _MIN_SPAN takes one joint (d, T) step in place of
-    # the two
-    tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
-    loss = _misfit(pr, tau, bt, eps, mix)
+def _phase(pr, s, iters, *, d_freeze, record=None):
+    # runs iters sweeps from s.  record, if given, is called after each
+    # sweep as record(it, s).  A sweep takes a step in T alone within its
+    # span, then, once d_freeze sweeps have run, scans range; a sweep whose
+    # T and local range spans have both decayed to _MIN_SPAN takes one joint
+    # (d, T) step in place of the two
     for it in range(iters):
-        om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
+        s = _sky_block(pr, s)
         scan_d = it >= d_freeze
         t_span = max(_T_SPAN0 * _SPAN_DECAY ** it, _MIN_SPAN)
         if it % 10 == 0 and it < _GLOBAL_SCAN_UNTIL:
@@ -585,27 +594,24 @@ def _phase(pr, d, t, eps, om, iters, *, d_freeze, record=None):
         else:
             d_span = max(_D_SPAN0 * _SPAN_DECAY ** (it - d_freeze), _MIN_SPAN)
         if scan_d and t_span == d_span == _MIN_SPAN:
-            d, tau, t, eps, bt, loss = _gn_step(pr, d, tau, t, eps, bt, mix, loss,
-                                                _MIN_SPAN, _MIN_SPAN)
+            s = _gn_step(pr, s, _MIN_SPAN, _MIN_SPAN)
         else:
-            d, tau, t, eps, bt, loss = _temp_block(pr, d, tau, t, eps, bt, mix,
-                                                   loss, t_span)
+            s = _temp_block(pr, s, t_span)
             if scan_d:
-                d, tau, loss = _dist_block(pr, d, tau, bt, eps, mix, loss, d_span)
+                s = _dist_block(pr, s, d_span)
         if record is not None:
-            record(it, d, eps, om, loss)
-    return d, t, eps, om, loss
+            record(it, s)
+    return s
 
 
-def _polish_distance(pr, d, tau, t, eps, bt, mix, loss, span):
-    # one joint (d, T) step, range within span and T within 1 K; returns the
-    # accepted (d, tau, T, eps, B(T), loss)
-    return _gn_step(pr, d, tau, t, eps, bt, mix, loss, span, 1.0)
+def _polish_distance(pr, s, span):
+    # one joint (d, T) step, range within span and T within 1 K
+    return _gn_step(pr, s, span, 1.0)
 
 
-def _armijo_pass(pr, d, tau, t, eps, bt, mix, loss):
+def _armijo_pass(pr, s):
     # the step in range alone, within _POLISH_SPAN; T and B(T) pass through
-    return _gn_step(pr, d, tau, t, eps, bt, mix, loss, _POLISH_SPAN, 0.0)
+    return _gn_step(pr, s, _POLISH_SPAN, 0.0)
 
 
 def _gradients_flat(pr, d, t, eps, om):
@@ -820,74 +826,69 @@ def _default_temperature_init(pr):
 
 
 def _warm_start(pr, cfg, d_starts, t0):
-    # warm up every (emissivity, range) start; return each pixel's best,
-    # the first start on a tie
+    # warm up every (emissivity, range) start; the state of each pixel's
+    # best, the first start on a tie
     k, p = pr.y.shape
     sn = len(_EPS_STARTS) * len(d_starts)
     ds = np.concatenate(d_starts * len(_EPS_STARTS))
     es = np.tile(np.repeat(_EPS_STARTS, len(d_starts) * p), (k, 1))
-    ts = np.tile(t0, sn)
     os_ = np.zeros((pr.sky.shape[0], sn * p))
     prs = replace(pr, y=np.tile(pr.y, (1, sn)))
-    ds, ts, es, os_, ls = _phase(prs, ds, ts, es, os_,
-                                 min(cfg.warmup_iterations, cfg.max_iterations),
-                                 d_freeze=cfg.warmup_d_freeze)
-    best = np.argmin(ls.reshape(sn, p), axis=0) * p + np.arange(p)
+    s = _phase(prs, _state(prs, ds, np.tile(t0, sn), es, os_),
+               min(cfg.warmup_iterations, cfg.max_iterations),
+               d_freeze=cfg.warmup_d_freeze)
+    best = np.argmin(s.loss.reshape(sn, p), axis=0) * p + np.arange(p)
     # a gather along the pixel axis is column-major; the sky weights go on
     # C-ordered, so the sky block's kernels run along contiguous pixels
-    return ds[best], ts[best], es[:, best], np.ascontiguousarray(os_[:, best])
+    return _state(pr, s.d[best], s.t[best], s.eps[:, best],
+                  np.ascontiguousarray(s.om[:, best]))
 
 
-def _solve_flat(pr, cfg, d_starts, t0, init_state):
-    # the per-pixel stages of one pixel block: warmup, refine, polish and
-    # range-only steps; returns the state, its per-pixel loss and the
-    # block's history
+def _solve_flat(pr, cfg, d_starts, t0, init):
+    # the per-pixel stages of one pixel block, from the warmup or from the
+    # maps init: refine, polish and range-only steps; returns the final maps
+    # and loss, not the terms, which a worker would ship back unread, and
+    # the block's history
     hist = []
 
-    def record(label, it, d, eps, om, loss):
+    def record(label, it, s):
         # the objective these stages guard: data misfit plus smoothness
-        hist.append((label, it, float(loss.sum()), _feasible(d, eps, om, pr.d_max)))
+        hist.append((label, it, float(s.loss.sum()),
+                     _feasible(s.d, s.eps, s.om, pr.d_max)))
 
-    if init_state is None:
-        init_state = _warm_start(pr, cfg, d_starts, t0)
-    d, t, eps, om, loss = _phase(pr, *init_state,
-                                 min(cfg.refine_iterations, cfg.max_iterations),
-                                 d_freeze=0, record=partial(record, "refine"))
-
-    tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
+    s = _warm_start(pr, cfg, d_starts, t0) if init is None else _state(pr, *init)
+    s = _phase(pr, s, min(cfg.refine_iterations, cfg.max_iterations),
+               d_freeze=0, record=partial(record, "refine"))
     for rep in range(cfg.polish_rounds):
-        d, tau, t, eps, bt, loss = _polish_distance(
-            pr, d, tau, t, eps, bt, mix, loss, span=_POLISH_SPAN / (rep + 1))
-        om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
-        record("polish", rep, d, eps, om, loss)
-
+        s = _sky_block(pr, _polish_distance(pr, s, span=_POLISH_SPAN / (rep + 1)))
+        record("polish", rep, s)
     for i in range(cfg.armijo_iterations):
-        d, tau, t, eps, bt, loss = _armijo_pass(pr, d, tau, t, eps, bt, mix, loss)
-        record("armijo", i, d, eps, om, loss)
+        s = _armijo_pass(pr, s)
+        record("armijo", i, s)
+    return (s.d, s.t, s.eps, s.om, s.loss), hist
 
-    return d, t, eps, om, loss, hist
 
-
-def _tv_rounds(pr, rho_d, d, t, eps, om, loss, shape):
+def _tv_rounds(pr, s, rho_d, shape, hist):
     # the one stage that couples pixels, run on the whole (M, N) map: each
     # round takes the TV prox of the range map where that does not raise the
     # full objective, data + smoothness + rho_d * TV, then refits the other
-    # blocks.  Returns the state, its per-pixel loss and the "tv" history,
-    # whose first entry is the state received
-    def full_objective(d, loss):
-        return float(loss.sum()) + rho_d * tv_distance(d.reshape(shape))
+    # blocks.  Appends the "tv" history to hist, its first entry the state
+    # received
+    def full_objective(s):
+        return float(s.loss.sum()) + rho_d * tv_distance(s.d.reshape(shape))
 
-    tot = full_objective(d, loss)
-    hist = [("tv", 0, tot, _feasible(d, eps, om, pr.d_max))]
+    tot = full_objective(s)
+    hist.append(("tv", 0, tot, _feasible(s.d, s.eps, s.om, pr.d_max)))
     for rnd in range(_TV_ROUNDS):
-        dn = np.clip(_tv_denoise_map(d.reshape(shape), rho_d),
+        dn = np.clip(_tv_denoise_map(s.d.reshape(shape), rho_d),
                      0.0, pr.d_max).reshape(-1)
-        if full_objective(dn, _loss(pr, dn, t, eps, _mix_of(pr, om))) > tot:
+        sn = _state(pr, dn, s.t, s.eps, s.om)
+        if full_objective(sn) > tot:
             break
-        d, t, eps, om, loss = _phase(pr, dn, t, eps, om, 2, d_freeze=2)
-        tot = full_objective(d, loss)
-        hist.append(("tv", rnd + 1, tot, _feasible(d, eps, om, pr.d_max)))
-    return d, t, eps, om, loss, hist
+        s = _phase(pr, sn, 2, d_freeze=2)
+        tot = full_objective(s)
+        hist.append(("tv", rnd + 1, tot, _feasible(s.d, s.eps, s.om, pr.d_max)))
+    return s
 
 
 def _usable_cores():
@@ -924,15 +925,15 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         raise ConfigError(violations)
     pr, m, n = _build_problem(cube, alpha, dw, air_temperature,
                               cfg.rho_eps, cfg.d_max, _T_SPAN)
-    init_state = None if initial is None else _flatten_maps(initial, pr, m, n)
+    init = None if initial is None else _flatten_maps(initial, pr, m, n)
     d_starts = _range_starts(cube, alpha, dw, air_temperature, cfg.d_max)
     t0 = _default_temperature_init(pr)
 
     def job(px):
         # _solve_flat's arguments for one pixel block, all picklable
         sel = slice(px[0], px[-1] + 1)
-        ini = None if init_state is None else tuple(
-            np.ascontiguousarray(a[..., sel]) for a in init_state)
+        ini = None if init is None else tuple(
+            np.ascontiguousarray(a[..., sel]) for a in init)
         return (replace(pr, y=np.ascontiguousarray(pr.y[:, sel])), cfg,
                 [d[sel] for d in d_starts], t0[sel], ini)
 
@@ -949,17 +950,16 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
         with concurrent.futures.ProcessPoolExecutor(
                 len(jobs), mp_context=multiprocessing.get_context("fork")) as ex:
             parts = list(ex.map(_solve_flat, *zip(*jobs)))
-    *state, hists = zip(*parts)
-    # pixels are the last axis of every state array
-    d, t, eps, om, loss = (np.concatenate(a, axis=-1) for a in state)
+    maps, hists = zip(*parts)
+    # pixels are the last axis of every map
+    d, t, eps, om, loss = (np.concatenate(a, axis=-1) for a in zip(*maps))
     # every block runs the same fixed schedule, so entry i is the same stage
     # and step in each: the objectives add, in block order, and the flags AND
     history = [row[0][:2] + (sum(e[2] for e in row), all(e[3] for e in row))
                for row in zip(*hists)]
     if cfg.rho_d > 0.0:
-        d, t, eps, om, loss, tv_hist = _tv_rounds(pr, cfg.rho_d, d, t, eps, om,
-                                                  loss, (m, n))
-        history += tv_hist
+        s = _tv_rounds(pr, _state(pr, d, t, eps, om), cfg.rho_d, (m, n), history)
+        d, t, eps, om, loss = s.d, s.t, s.eps, s.om, s.loss
 
     return EstimateMaps(
         distance=d.reshape(m, n),

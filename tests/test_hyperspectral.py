@@ -41,8 +41,6 @@ from lwirange.hyperspectral import (
     _dist_block,
     _eps_quick,
     _feasible,
-    _loss,
-    _misfit,
     _flatten_maps,
     _gn_step,
     _mix_of,
@@ -54,6 +52,8 @@ from lwirange.hyperspectral import (
     _sky_gram,
     _sky_matvec,
     _spd_inverse,
+    _state,
+    _State,
     _temp_block,
     _thomas,
     _tv_denoise_map,
@@ -129,6 +129,14 @@ def record_pool_sizes(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     return sizes
+
+
+def assert_state_of_its_maps(pr, s):
+    """Every field of the state s, the carried terms included, has the bits
+    _state gives at the maps of s."""
+    want = _state(pr, s.d, s.t, s.eps, s.om)
+    for name, got, w in zip(_State._fields, s, want, strict=True):
+        assert got.shape == w.shape and got.tobytes() == w.tobytes(), name
 
 
 def as_maps(truth):
@@ -420,33 +428,25 @@ class TestBatchIndependence:
         t = rng.uniform(290.0, 300.0, p)
         eps = rng.uniform(0.5, 1.0, (k, p))
         om = rng.uniform(0.0, 0.9, (3, p))
-        tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
-        loss = _loss(pr, d, t, eps, mix)
+        s = _state(pr, d, t, eps, om)
 
         def part(a):
             return np.ascontiguousarray(a[..., cols])
 
-        def assert_terms_match(got, want):
-            # every returned term, each with pixels last
+        def assert_states_match(got, want):
+            # every field of the returned state, each with pixels last
             for g, w in zip(got, want, strict=True):
                 npt.assert_array_equal(g, part(w))
 
-        sub = replace(pr, y=part(pr.y))
-        ds, ts, es, oms = d[cols], t[cols], part(eps), part(om)
-        taus, bts, mixs, ls = part(tau), part(bt), part(mix), loss[cols]
-        npt.assert_array_equal(_eps_quick(sub, taus, bts, mixs),
-                               _eps_quick(pr, tau, bt, mix)[:, cols])
-        assert_terms_match(_sky_block(sub, taus, bts, es, oms, mixs, ls),
-                           _sky_block(pr, tau, bt, eps, om, mix, loss))
-        assert_terms_match(_temp_block(sub, ds, taus, ts, es, bts, mixs, ls, span=2.0),
-                           _temp_block(pr, d, tau, t, eps, bt, mix, loss, span=2.0))
+        sub, ss = replace(pr, y=part(pr.y)), _State(*map(part, s))
+        npt.assert_array_equal(_eps_quick(sub, ss.tau, ss.bt, ss.mix),
+                               _eps_quick(pr, s.tau, s.bt, s.mix)[:, cols])
+        assert_states_match(_sky_block(sub, ss), _sky_block(pr, s))
+        assert_states_match(_temp_block(sub, ss, span=2.0), _temp_block(pr, s, span=2.0))
         for span in (None, 3.0):
-            assert_terms_match(_dist_block(sub, ds, taus, bts, es, mixs, ls, span),
-                               _dist_block(pr, d, tau, bt, eps, mix, loss, span))
-        assert_terms_match(_gn_step(sub, ds, taus, ts, es, bts, mixs, ls, 3.0, 1.0),
-                           _gn_step(pr, d, tau, t, eps, bt, mix, loss, 3.0, 1.0))
-        assert_terms_match(_armijo_pass(sub, ds, taus, ts, es, bts, mixs, ls),
-                           _armijo_pass(pr, d, tau, t, eps, bt, mix, loss))
+            assert_states_match(_dist_block(sub, ss, span), _dist_block(pr, s, span))
+        assert_states_match(_gn_step(sub, ss, 3.0, 1.0), _gn_step(pr, s, 3.0, 1.0))
+        assert_states_match(_armijo_pass(sub, ss), _armijo_pass(pr, s))
 
     @pytest.mark.parametrize("p", [1, 7, 512])
     def test_sky_gram_has_the_bits_of_every_product(self, p):
@@ -571,8 +571,9 @@ class TestSkyKernels:
 
 
 class TestCarriedTerms:
-    # the blocks and _phase carry tau, B(T), mix and the loss beside the
-    # state; each carried term must have the bits of a recomputation
+    # the blocks and _phase carry tau, B(T), mix, the penalty and the loss
+    # beside the maps; each carried term must have the bits of a
+    # recomputation
     def _problem(self, noise_sigma, seed):
         sc = micro_scene(rows=3, cols=3, bands=12, q=2, noise_sigma=noise_sigma,
                          seed=seed)
@@ -588,36 +589,28 @@ class TestCarriedTerms:
         t = rng.uniform(290.0, 300.0, p)
         eps = rng.uniform(0.5, 1.0, (k, p))
         om = rng.uniform(0.0, 0.9, (2, p))
-        tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
-        loss = _loss(pr, d, t, eps, mix)
-        om, mix, loss = _sky_block(pr, tau, bt, eps, om, mix, loss)
-        npt.assert_array_equal(mix, _mix_of(pr, om))
-        npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
-        held = d.copy()
-        d, tau, t, eps, bt, loss = _temp_block(pr, d, tau, t, eps, bt, mix, loss,
-                                               span=2.0)
-        assert d.tobytes() == held.tobytes()
-        npt.assert_array_equal(tau, _tau(d, pr.alpha))
-        npt.assert_array_equal(bt, _planck_core(pr.wav, t))
-        npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
+        s = _sky_block(pr, _state(pr, d, t, eps, om))
+        assert not np.array_equal(s.om, om)
+        assert_state_of_its_maps(pr, s)
+        held = s.d.copy()
+        s = _temp_block(pr, s, span=2.0)
+        assert s.d.tobytes() == held.tobytes()
+        assert_state_of_its_maps(pr, s)
         for span in (None, 3.0):
-            d, tau, loss = _dist_block(pr, d, tau, bt, eps, mix, loss, span)
-            npt.assert_array_equal(tau, _tau(d, pr.alpha))
-            npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
-        moved = d.copy()
-        d, tau, t, eps, bt, loss = _gn_step(pr, d, tau, t, eps, bt, mix, loss, 3.0, 1.0)
-        assert not np.array_equal(d, moved)
-        npt.assert_array_equal(tau, _tau(d, pr.alpha))
-        npt.assert_array_equal(bt, _planck_core(pr.wav, t))
-        npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
+            s = _dist_block(pr, s, span)
+            assert_state_of_its_maps(pr, s)
+        moved = s.d.copy()
+        s = _gn_step(pr, s, 3.0, 1.0)
+        assert not np.array_equal(s.d, moved)
+        assert_state_of_its_maps(pr, s)
 
     def test_warmup_phase_loss_is_loss_of_its_state(self):
         _, pr = self._problem(0.5, 4)
         p, k = pr.y.shape[1], pr.y.shape[0]
-        d, t, eps, om, loss = _phase(
-            pr, np.full(p, 20.0), np.full(p, 296.0), np.full((k, p), 0.95),
-            np.zeros((2, p)), 14, d_freeze=6)
-        npt.assert_array_equal(loss, _loss(pr, d, t, eps, _mix_of(pr, om)))
+        s = _phase(pr, _state(pr, np.full(p, 20.0), np.full(p, 296.0),
+                              np.full((k, p), 0.95), np.zeros((2, p))),
+                   14, d_freeze=6)
+        assert_state_of_its_maps(pr, s)
 
     def test_refine_phase_loss_is_loss_of_its_state(self):
         # 30 sweeps with the range block on from the start run the global
@@ -625,22 +618,18 @@ class TestCarriedTerms:
         # the joint (d, T) steps of sweeps 27 to 29
         _, pr = self._problem(1.0, 11)
         p, k = pr.y.shape[1], pr.y.shape[0]
-        d, t, eps, om, loss = _phase(
-            pr, np.full(p, 40.0), np.full(p, 296.0), np.full((k, p), 0.9),
-            np.zeros((2, p)), 30, d_freeze=0)
-        npt.assert_array_equal(loss, _loss(pr, d, t, eps, _mix_of(pr, om)))
+        s = _phase(pr, _state(pr, np.full(p, 40.0), np.full(p, 296.0),
+                              np.full((k, p), 0.9), np.zeros((2, p))),
+                   30, d_freeze=0)
+        assert_state_of_its_maps(pr, s)
 
     def test_armijo_loss_is_loss_of_its_state(self):
         _, pr = self._problem(1.0, 11)
         p, k = pr.y.shape[1], pr.y.shape[0]
-        d, t, eps, om, loss = _phase(pr, np.full(p, 40.0), np.full(p, 296.0),
-                                     np.full((k, p), 0.9), np.zeros((2, p)), 6,
-                                     d_freeze=0)
-        tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
-        d, tau, t, eps, bt, loss = _armijo_pass(pr, d, tau, t, eps, bt, mix, loss)
-        npt.assert_array_equal(tau, _tau(d, pr.alpha))
-        npt.assert_array_equal(bt, _planck_core(pr.wav, t))
-        npt.assert_array_equal(loss, _loss(pr, d, t, eps, mix))
+        s = _phase(pr, _state(pr, np.full(p, 40.0), np.full(p, 296.0),
+                              np.full((k, p), 0.9), np.zeros((2, p))),
+                   6, d_freeze=0)
+        assert_state_of_its_maps(pr, _armijo_pass(pr, s))
 
     @pytest.mark.parametrize("rho_d", [0.0, 1.0])
     def test_solve_loss_is_loss_of_its_maps(self, rho_d):
@@ -648,16 +637,16 @@ class TestCarriedTerms:
         # stages, not a recomputation
         sc, pr = self._problem(1.0, 13)
         est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(rho_d=rho_d))
-        d, t, eps, om = _flatten_maps(est, pr, 3, 3)
         npt.assert_array_equal(est.loss.reshape(-1),
-                               _loss(pr, d, t, eps, _mix_of(pr, om)))
+                               _state(pr, *_flatten_maps(est, pr, 3, 3)).loss)
 
 
 class TestCandidateScans:
     # the range scans rank their candidates by a cheaper form of the
     # objective and guard only the winner with the exact one; every block
     # keeps the carried state where its candidate does not improve it
-    def _state(self, seed):
+    @staticmethod
+    def _random_state(seed):
         sc = micro_scene(rows=3, cols=4, bands=12, q=3, noise_sigma=0.5, seed=21)
         pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
                                   1e5, 200.0, 12.0)
@@ -667,15 +656,15 @@ class TestCandidateScans:
         t = rng.uniform(290.0, 300.0, p)
         eps = rng.uniform(0.5, 1.0, (k, p))
         om = rng.uniform(0.0, 0.9, (3, p))
-        mix = _mix_of(pr, om)
-        return pr, d, t, eps, mix, _loss(pr, d, t, eps, mix)
+        return pr, _state(pr, d, t, eps, om)
 
     def test_scan_picks_the_exact_argmin(self):
         # noise-free data of flat-emissivity pixels, three at range 0, three
         # at d_max and six inside; the carried ranges sit just inside the
         # box, so that the clipped candidate, at the truth, beats the nearest
         # one inside the box, while ranked by its unclipped path it would not
-        pr, _, t, _, mix, _ = self._state(4)
+        pr, s = self._random_state(4)
+        t, om, mix = s.t, s.om, s.mix
         rng = np.random.default_rng(9)
         p, k = t.size, pr.y.shape[0]
         eps = np.tile(rng.uniform(0.5, 1.0, p), (k, 1))
@@ -686,7 +675,7 @@ class TestCandidateScans:
                          pr.b_air)
 
         def misfits(ranges):
-            return np.array([_misfit(pr, _tau(r, pr.alpha), bt, eps, mix) for r in ranges])
+            return np.array([_state(pr, r, t, eps, om).loss for r in ranges])
 
         for span in (None, 3.0, _MIN_SPAN):
             if span is None:
@@ -699,8 +688,8 @@ class TestCandidateScans:
                 d = truth + np.concatenate([inside, -inside,
                                             rng.uniform(-span, span, 6)])
                 cands = np.clip(d + offs, 0.0, pr.d_max)
-            tau = _tau(d, pr.alpha)
-            got = _dist_block(pr, d, tau, bt, eps, mix, np.full(p, np.inf), span)[0]
+            start = _state(pr, d, t, eps, om)._replace(loss=np.full(p, np.inf))
+            got = _dist_block(pr, start, span).d
             scores = misfits(cands)
             best = cands[np.argmin(scores, axis=0), np.arange(p)]
             assert np.isin(got, cands).all()
@@ -716,31 +705,26 @@ class TestCandidateScans:
                 assert (pick[:6] != truth[:6]).all()
 
     def test_blocks_keep_the_carried_state_where_no_candidate_improves(self):
-        pr, d, t, eps, mix, loss = self._state(5)
-        tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
+        pr, s = self._random_state(5)
         # a carried loss of 0 at every other pixel, which no candidate reaches
-        keep = np.arange(t.size) % 2 == 0
-        floor = np.where(keep, 0.0, loss)
+        keep = np.arange(s.t.size) % 2 == 0
+        floor = s._replace(loss=np.where(keep, 0.0, s.loss))
 
-        def check(got, free, carried):
-            for g, f, c in zip(got, free, carried, strict=True):
+        def check(block, *args):
+            # every field: the carried one where kept, the free step's elsewhere
+            got, free = block(pr, floor, *args), block(pr, s, *args)
+            for g, f, c in zip(got, free, floor, strict=True):
                 assert g[..., keep].tobytes() == np.ascontiguousarray(c[..., keep]).tobytes()
                 assert g[..., ~keep].tobytes() == np.ascontiguousarray(f[..., ~keep]).tobytes()
             # the guard is what kept those pixels: unguarded, they move
-            assert not np.array_equal(free[-1][keep], loss[keep])
+            assert not np.array_equal(free.loss[keep], s.loss[keep])
 
-        check(_temp_block(pr, d, tau, t, eps, bt, mix, floor, 2.0),
-              _temp_block(pr, d, tau, t, eps, bt, mix, loss, 2.0),
-              (d, tau, t, eps, bt, floor))
-        check(_armijo_pass(pr, d, tau, t, eps, bt, mix, floor),
-              _armijo_pass(pr, d, tau, t, eps, bt, mix, loss),
-              (d, tau, t, eps, bt, floor))
+        check(_temp_block, 2.0)
+        check(_armijo_pass)
         for span in (None, 3.0):
-            check(_dist_block(pr, d, tau, bt, eps, mix, floor, span),
-                  _dist_block(pr, d, tau, bt, eps, mix, loss, span), (d, tau, floor))
-        check(_gn_step(pr, d, tau, t, eps, bt, mix, floor, 3.0, 1.0),
-              _gn_step(pr, d, tau, t, eps, bt, mix, loss, 3.0, 1.0),
-              (d, tau, t, eps, bt, floor))
+            check(_dist_block, span)
+        check(_gn_step, 3.0, 1.0)
+        check(_sky_block)
 
 
 class TestGaussNewtonStep:
@@ -761,23 +745,23 @@ class TestGaussNewtonStep:
         pr = _Problem(wav=wav, alpha=alpha, y=np.zeros((k, p)), sky=sky,
                       b_air=b_air, rho_eps=1e3, d_max=200.0, t_lo=283.0,
                       t_hi=307.0)
-        mix = _mix_of(pr, om)
-        pr.y = _radiance(_tau(d, alpha), _contrast(_planck_core(wav, t), eps, mix,
-                                                   b_air), b_air)
+        pr.y = _radiance(_tau(d, alpha), _contrast(_planck_core(wav, t), eps,
+                                                   _mix_of(pr, om), b_air), b_air)
         dd, dt = rng.uniform(-0.3, 0.3, p), rng.uniform(-0.1, 0.1, p)
         return (pr, d + ("d" not in held) * dd, t + ("T" not in held) * dt,
-                eps + rng.uniform(-0.01, 0.01, eps.shape), mix)
+                eps + rng.uniform(-0.01, 0.01, eps.shape), om)
 
     @staticmethod
-    def _dense_moves(pr, d, tau, t, eps, bt, mix, free):
+    def _dense_moves(pr, s, free):
         # per pixel, the moves of the free coordinates ("d", "T") that solve
         # the dense Gauss-Newton normal equations in them and the K eps
+        tau, t, eps, bt, mix = s.tau, s.t, s.eps, s.bt, s.mix
         k, n = eps.shape[0], len(free)
         dtd = np.diff(np.eye(k), axis=0).T @ np.diff(np.eye(k), axis=0)
         reg = np.zeros((k + n, k + n))
         reg[n:, n:] = pr.rho_eps * dtd
         moves = []
-        for i in range(d.size):
+        for i in range(t.size):
             core = _contrast(bt[:, i], eps[:, i], mix[:, i], pr.b_air[:, 0])
             r = tau[:, i] * core + pr.b_air[:, 0] - pr.y[:, i]
             cols = {"d": -np.log(10.0) / 10.0 * pr.alpha[:, 0] * tau[:, i] * core,
@@ -791,16 +775,13 @@ class TestGaussNewtonStep:
 
     @pytest.mark.parametrize("k", [3, 12, 64])
     def test_move_solves_the_dense_normal_equations(self, k):
-        pr, d, t, eps, mix = self._random_problem(k, 30 + k)
-        tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
-        p = d.size
-        dn, _, tn, *_ = _gn_step(pr, d, tau, t, eps, bt, mix, np.full(p, np.inf),
-                                 1e3, 1e3)
+        pr, d, t, eps, om = self._random_problem(k, 30 + k)
+        s = _state(pr, d, t, eps, om)._replace(loss=np.full(d.size, np.inf))
+        dn, tn = _gn_step(pr, s, 1e3, 1e3)[:2]
         # the move stays inside the box, so nothing clipped it
         assert ((0.0 < dn) & (dn < pr.d_max) & (pr.t_lo < tn) & (tn < pr.t_hi)).all()
         npt.assert_allclose(np.column_stack([dn - d, tn - t]),
-                            self._dense_moves(pr, d, tau, t, eps, bt, mix, "dT"),
-                            rtol=1e-9)
+                            self._dense_moves(pr, s, "dT"), rtol=1e-9)
 
     @pytest.mark.parametrize("frozen", ["d", "T"])
     @pytest.mark.parametrize("k", [3, 12, 64])
@@ -808,9 +789,8 @@ class TestGaussNewtonStep:
         # the frozen coordinate and its carried term come back bit for bit,
         # without a recomputation of the term, and the free one takes the
         # move of the dense normal equations in it and the K eps
-        pr, d, t, eps, mix = self._random_problem(k, 30 + k, held=frozen)
-        tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
-        p = d.size
+        pr, d, t, eps, om = self._random_problem(k, 30 + k, held=frozen)
+        s = _state(pr, d, t, eps, om)._replace(loss=np.full(d.size, np.inf))
         d_span, t_span = (0.0, 1e3) if frozen == "d" else (1e3, 0.0)
 
         def refused(*args):
@@ -818,18 +798,17 @@ class TestGaussNewtonStep:
 
         for name in (("_tau",) if frozen == "d" else ("_planck_core", "_planck_dT_core")):
             monkeypatch.setattr(hyperspectral, name, refused)
-        dn, taun, tn, _, btn, _ = _gn_step(pr, d, tau, t, eps, bt, mix,
-                                           np.full(p, np.inf), d_span, t_span)
+        got = _gn_step(pr, s, d_span, t_span)
         if frozen == "d":
-            carried, move, free = ((dn, d), (taun, tau)), tn - t, "T"
+            carried, move, free = ("d", "tau"), got.t - t, "T"
         else:
-            carried, move, free = ((tn, t), (btn, bt)), dn - d, "d"
-        for got, was in carried:
-            assert got.tobytes() == was.tobytes()
+            carried, move, free = ("t", "bt"), got.d - d, "d"
+        for name in carried:
+            assert getattr(got, name).tobytes() == getattr(s, name).tobytes()
         assert (move != 0.0).all()
+        dn, tn = got.d, got.t
         assert ((0.0 < dn) & (dn < pr.d_max) & (pr.t_lo < tn) & (tn < pr.t_hi)).all()
-        npt.assert_allclose(move, self._dense_moves(pr, d, tau, t, eps, bt, mix, free)[:, 0],
-                            rtol=1e-9)
+        npt.assert_allclose(move, self._dense_moves(pr, s, free)[:, 0], rtol=1e-9)
 
     @pytest.mark.parametrize("q", [1, 10])
     def test_two_steps_return_to_the_truth(self, q):
@@ -843,64 +822,59 @@ class TestGaussNewtonStep:
         mix = _mix_of(pr, om)
         d, t = d0, t0 + 0.3
         tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
-        eps = _eps_quick(pr, tau, bt, mix)
-        loss = _misfit(pr, tau, bt, eps, mix)
-        assert loss.sum() > 1.0
+        s = _state(pr, d, t, _eps_quick(pr, tau, bt, mix), om)
+        assert s.loss.sum() > 1.0
         for _ in range(2):
-            d, tau, t, eps, bt, loss = _gn_step(pr, d, tau, t, eps, bt, mix, loss,
-                                                3.0, 1.0)
-        npt.assert_allclose(d, d0, rtol=0.0, atol=1e-3)
-        npt.assert_allclose(t, t0, rtol=0.0, atol=1e-3)
-        assert loss.sum() < 1e-6
+            s = _gn_step(pr, s, 3.0, 1.0)
+        npt.assert_allclose(s.d, d0, rtol=0.0, atol=1e-3)
+        npt.assert_allclose(s.t, t0, rtol=0.0, atol=1e-3)
+        assert s.loss.sum() < 1e-6
 
     def test_zero_emissivity_pixel_does_not_move(self):
         # at eps = 0 the misfit does not depend on T, so the reduced matrix
         # is singular; the other pixels move
-        pr, d, t, eps, mix = self._random_problem(12, 5)
+        pr, d, t, eps, om = self._random_problem(12, 5)
         eps[:, 2] = 0.0
-        tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
-        loss = np.full(d.size, np.inf)
-        got = _gn_step(pr, d, tau, t, eps, bt, mix, loss, 1e3, 1e3)
-        for g, w in zip(got, (d, tau, t, eps, bt, loss), strict=True):
+        s = _state(pr, d, t, eps, om)._replace(loss=np.full(d.size, np.inf))
+        got = _gn_step(pr, s, 1e3, 1e3)
+        for g, w in zip(got, s, strict=True):
             assert g[..., 2].tobytes() == np.ascontiguousarray(w[..., 2]).tobytes()
         others = np.arange(d.size) != 2
-        assert (got[0][others] != d[others]).all()
-        assert (got[2][others] != t[others]).all()
+        assert (got.d[others] != d[others]).all()
+        assert (got.t[others] != t[others]).all()
 
 
 class TestArmijoPass:
     # the range-only Gauss-Newton step within _POLISH_SPAN.  The states come
     # from a few refine sweeps
     @staticmethod
-    def _state(sweeps):
+    def _refined(sweeps):
         sc = micro_scene(rows=3, cols=4, bands=12, q=3, noise_sigma=0.5, seed=21)
         pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
                                   1e5, 200.0, 12.0)
         p, k = pr.y.shape[1], pr.y.shape[0]
-        d, t, eps, om, loss = _phase(pr, np.full(p, 40.0), np.full(p, 296.0),
-                                     np.full((k, p), 0.9), np.zeros((3, p)), sweeps,
-                                     d_freeze=0)
-        tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
-        return pr, d, tau, t, eps, bt, mix, loss
+        return pr, _phase(pr, _state(pr, np.full(p, 40.0), np.full(p, 296.0),
+                                     np.full((k, p), 0.9), np.zeros((3, p))),
+                          sweeps, d_freeze=0)
 
     @pytest.mark.parametrize("sweeps", [6, 12])
     def test_temperature_and_sky_weights_pass_through(self, sweeps):
-        # T and B(T) come back bit for bit; the sky term is read, not written
-        pr, d, tau, t, eps, bt, mix, loss = self._state(sweeps)
-        sky = mix.tobytes()
-        _, _, tn, en, btn, _ = _armijo_pass(pr, d, tau, t, eps, bt, mix, loss)
-        assert tn.tobytes() == t.tobytes()
-        assert btn.tobytes() == bt.tobytes()
-        assert mix.tobytes() == sky
-        assert not np.array_equal(en, eps)
+        # T, B(T) and the sky terms come back bit for bit; eps is refit
+        pr, s = self._refined(sweeps)
+        sky = s.mix.tobytes()
+        got = _armijo_pass(pr, s)
+        for name in ("t", "bt", "om", "mix"):
+            assert getattr(got, name).tobytes() == getattr(s, name).tobytes(), name
+        assert s.mix.tobytes() == sky
+        assert not np.array_equal(got.eps, s.eps)
 
     @pytest.mark.parametrize("sweeps", [6, 12])
     def test_no_pixel_loss_rises(self, sweeps):
-        pr, d, tau, t, eps, bt, mix, loss = self._state(sweeps)
-        dn, _, _, _, _, ln = _armijo_pass(pr, d, tau, t, eps, bt, mix, loss)
-        assert (ln <= loss).all()
-        assert (ln < loss).any()
-        assert (np.abs(dn - d) <= hyperspectral._POLISH_SPAN).all()
+        pr, s = self._refined(sweeps)
+        got = _armijo_pass(pr, s)
+        assert (got.loss <= s.loss).all()
+        assert (got.loss < s.loss).any()
+        assert (np.abs(got.d - s.d) <= hyperspectral._POLISH_SPAN).all()
 
 
 class TestZeroSectors:
@@ -914,10 +888,9 @@ class TestZeroSectors:
         p, k = m * n, 12
         d, t = rng.uniform(5.0, 60.0, p), rng.uniform(290.0, 300.0, p)
         eps, om = rng.uniform(0.5, 1.0, (k, p)), np.zeros((0, p))
-        tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
-        loss = _misfit(pr, tau, bt, eps, mix)
-        got = _sky_block(pr, tau, bt, eps, om, mix, loss)
-        for g, w in zip(got, (om, mix, loss), strict=True):
+        s = _state(pr, d, t, eps, om)
+        got = _sky_block(pr, s)
+        for g, w in zip(got, s, strict=True):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3)])

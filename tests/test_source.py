@@ -3,8 +3,9 @@ entry names a module-level definition, no module but the package
 ``__init__`` imports a name it never uses, every ``SolverConfig`` field
 is read outside its own ``validate``, every private module constant and
 module-level private function is read, no module calls ``np.median`` or ``np.fromfile``, the solver
-checks a caller's maps in one place, makes no BLAS or LAPACK call and
-transposes only at its layout boundaries, and no call passes ``band_major``."""
+checks a caller's maps in one place, evaluates the emissivity penalty only
+where emissivity changes, makes no BLAS or LAPACK call and transposes only
+at its layout boundaries, and no call passes ``band_major``."""
 
 import ast
 import re
@@ -146,16 +147,27 @@ def test_no_module_calls_np_fromfile():
     assert not _np_calls("fromfile")
 
 
+def _callers(name):
+    """The hyperspectral functions that call name, sorted."""
+    return sorted(
+        fn.name for fn in ast.walk(_modules()["hyperspectral.py"])
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name for node in ast.walk(fn)))
+
+
+def test_penalty_is_evaluated_where_eps_changes():
+    # the solver state carries the emissivity penalty; only the record's
+    # constructor and the step that refits eps evaluate it, so no block
+    # re-evaluates the penalty of an eps it did not change
+    assert _callers("_penalty") == ["_gn_step", "_state"]
+
+
 def test_caller_maps_are_read_in_one_place():
     # _flatten_maps is the one check that a caller's maps fit the problem;
     # any other reader of the raw maps would have to restate it.  project
     # reads them without a problem to check them against
-    callers = sorted(
-        fn.name for fn in ast.walk(_modules()["hyperspectral.py"])
-        if isinstance(fn, ast.FunctionDef)
-        and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "_param_arrays" for node in ast.walk(fn)))
-    assert callers == ["_flatten_maps", "project"]
+    assert _callers("_param_arrays") == ["_flatten_maps", "project"]
 
 
 # numpy entry points that hand work to BLAS or LAPACK
