@@ -51,22 +51,23 @@ candidate are C-contiguous (K, P) arrays, K bands by P pixels, the sky
 weights (Q, P), and range and temperature (P,).  So each Thomas step,
 Planck and path evaluation and per-pixel sum over bands or sectors runs
 along contiguous rows of P values.  Every product summed over bands is
-(X, P), an einsum that sums the bands in order, and the sky block's ADMM
-runs on the (Q, P) weights beside (Q, Q, P) matrices: its inverse is
-Gauss-Jordan elimination elementwise along pixels and each sweep one einsum
-product, so the solver makes no BLAS or LAPACK call, whose bits could
-depend on the batch.  The public (M, N, K) and (M, N, Q) maps are converted
-only where they enter (:func:`_pixel_last`) and leave (:func:`_band_maps`).
+(X, P), an einsum on C-ordered operands, which sums the bands in order
+whatever the batch, and the sky block's ADMM runs on the (Q, P) weights
+beside (Q, Q, P) matrices: its inverse is Gauss-Jordan elimination
+elementwise along pixels and each sweep one einsum product, so the solver
+makes no BLAS or LAPACK call, whose bits could depend on the batch.  The
+public (M, N, K) and (M, N, Q) maps are converted only where they enter
+(:func:`_pixel_last`) and leave (:func:`_band_maps`).
 
-The solver state is one pixel-last record, ``_State``: the maps d, T,
-eps and om, and beside them the model terms tau(d), B(T), mix(om), the
+The solver state is one pixel-last record, ``_State``: the maps d, T, eps
+and om, and beside them the model terms tau(d), B(T), mix(om), the
 emissivity penalty and the per-pixel loss.  ``_state`` builds it from the
-maps, the one place every term is evaluated from scratch.  Every block takes
-a record and returns one: it evaluates only the terms of the fields it
-moves, the penalty only where eps is refit, and guards only those fields,
-so a sweep evaluates each term once, not once per block.  Every kernel is
-elementwise or per pixel, so a carried term has the bits a recomputation at
-the same state would have.
+maps, taken C-ordered, the one place every term is evaluated from scratch.
+Every block takes a record and returns one: it evaluates only the terms of
+the fields it moves, the penalty only where eps is refit, and guards only
+those fields, so a sweep evaluates each term once, not once per block.
+Every kernel is elementwise or per pixel, so a carried term has the bits a
+recomputation at the same state would have.
 """
 
 from __future__ import annotations
@@ -269,9 +270,11 @@ class _Problem:
 
 def _band_dot(a, b):
     # sum over bands of a (K, P) times b (K, X): (X, P), pixel-last, in band
-    # order.  einsum, not matmul, for the reason forward_model._mix gives;
-    # for a single pixel einsum may sum the bands in another order, so that
-    # case sums the rows of the (K, X) products instead
+    # order.  einsum, not matmul, for the reason forward_model._mix gives, on
+    # operands read C-ordered, as _band_sum does: on a column-major one it
+    # may sum the bands in another order, as it may for a single pixel,
+    # which sums the rows of the (K, X) products instead
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     if a.shape[1] == 1:
         return _band_sum(a * b)[:, None]
     return np.einsum("kx,kp->xp", b, a, optimize=False)
@@ -299,7 +302,8 @@ _State = namedtuple("_State", "d t eps om tau bt mix pen loss")
 
 
 def _state(pr, d, t, eps, om):
-    # the record of the maps, its every term evaluated from scratch
+    # the record of the maps, C-ordered, its every term evaluated from scratch
+    eps, om = np.ascontiguousarray(eps), np.ascontiguousarray(om)
     tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
     pen = _penalty(pr, eps)
     loss = _data(pr, tau, _contrast(bt, eps, mix, pr.b_air)) + pen
@@ -838,17 +842,13 @@ def _warm_start(pr, cfg, d_starts, t0):
                min(cfg.warmup_iterations, cfg.max_iterations),
                d_freeze=cfg.warmup_d_freeze)
     best = np.argmin(s.loss.reshape(sn, p), axis=0) * p + np.arange(p)
-    # a gather along the pixel axis is column-major; the sky weights go on
-    # C-ordered, so the sky block's kernels run along contiguous pixels
-    return _state(pr, s.d[best], s.t[best], s.eps[:, best],
-                  np.ascontiguousarray(s.om[:, best]))
+    return _state(pr, s.d[best], s.t[best], s.eps[:, best], s.om[:, best])
 
 
 def _solve_flat(pr, cfg, d_starts, t0, init):
     # the per-pixel stages of one pixel block, from the warmup or from the
     # maps init: refine, polish and range-only steps; returns the final maps
-    # and loss, not the terms, which a worker would ship back unread, and
-    # the block's history
+    # and loss, all that solve reads of the state, and the block's history
     hist = []
 
     def record(label, it, s):
@@ -932,8 +932,7 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     def job(px):
         # _solve_flat's arguments for one pixel block, all picklable
         sel = slice(px[0], px[-1] + 1)
-        ini = None if init is None else tuple(
-            np.ascontiguousarray(a[..., sel]) for a in init)
+        ini = None if init is None else tuple(a[..., sel] for a in init)
         return (replace(pr, y=np.ascontiguousarray(pr.y[:, sel])), cfg,
                 [d[sel] for d in d_starts], t0[sel], ini)
 

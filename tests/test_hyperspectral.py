@@ -463,17 +463,23 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("p", [1, 2, 7, 512])
     def test_band_dot_sums_the_bands_in_order(self, p):
         # pixel-last (X, P) products with the bits of an in-order loop over
-        # bands, at any batch size
+        # bands, at any batch size and for operands in either memory order,
+        # such as a gather along the pixel axis or the sky block's pair
+        # products of the (K, Q) sky columns, Q = 10, X = 55
         rng = np.random.default_rng(p)
         k, x = 64, 55
-        a = rng.normal(0.0, 1.0, (k, p))
-        b = rng.normal(0.0, 1.0, (k, x))
-        want = np.zeros((x, p))
-        for i in range(k):
-            want += b[i][:, None] * a[i]
-        got = _band_dot(a, b)
-        assert got.shape == (x, p)
-        assert got.tobytes() == want.tobytes()
+        iq, ir = np.triu_indices(10)
+        ekq = rng.normal(0.0, 1.0, (k, 10))
+        for order in ("C", "F"):
+            a = np.asarray(rng.normal(0.0, 1.0, (k, p)), order=order)
+            b = np.asarray(rng.normal(0.0, 1.0, (k, x)), order=order)
+            for cols in (b, ekq[:, iq] * ekq[:, ir]):
+                want = np.zeros((x, p))
+                for i in range(k):
+                    want += cols[i][:, None] * a[i]
+                got = _band_dot(a, cols)
+                assert got.shape == (x, p)
+                assert got.tobytes() == want.tobytes(), order
 
 
 class TestSkyKernels:
@@ -1171,13 +1177,19 @@ class TestSolve:
     @pytest.mark.parametrize("rho_d", [0.0, 1.0])
     def test_thread_count_does_not_change_bits(self, rho_d, monkeypatch):
         # on two usable cores, threads=3 on a 4x3 image and threads=2 on a
-        # 1x7 one each run two pixel blocks in two workers, then with
-        # rho_d > 0 the TV rounds on the whole map in this process
+        # 1x7 and a 16x32 one each run two pixel blocks in two workers, then
+        # with rho_d > 0 the TV rounds on the whole map in this process.  The
+        # 16x32 scene's 64 bands and 10 sky sectors give the band sums long
+        # rows, where an operand in another memory order would sum the bands
+        # in an order that depends on the block
         sizes = record_pool_sizes(monkeypatch)
         monkeypatch.setattr(hyperspectral, "_usable_cores", lambda: 2)
-        for rows, cols, threads in ((4, 3, 3), (1, 7, 2)):
-            sc = micro_scene(rows=rows, cols=cols, bands=12, q=2, noise_sigma=0.5,
-                             seed=12)
+        small = dict(bands=12, q=2, noise_sigma=0.5, seed=12)
+        for threads, scene in ((3, dict(rows=4, cols=3, **small)),
+                               (2, dict(rows=1, cols=7, **small)),
+                               (2, dict(rows=16, cols=32, bands=64, q=10,
+                                        noise_sigma=1.0, seed=0))):
+            sc = micro_scene(**scene)
             one = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
                         SolverConfig(rho_d=rho_d, threads=1))
             two = solve(sc["cube"], sc["alpha"], sc["dw"], AIR,
@@ -1186,7 +1198,7 @@ class TestSolve:
             sizes.clear()
             for name in ("distance", "temperature", "emissivity", "solid_angles",
                          "loss", "iterations"):
-                npt.assert_array_equal(getattr(one, name), getattr(two, name), name)
+                assert getattr(one, name).tobytes() == getattr(two, name).tobytes(), name
 
     @pytest.mark.parametrize("rows, threads", [(5, 3), (3, 8)])
     def test_uneven_and_oversized_splits_do_not_change_bits(self, rows, threads,
