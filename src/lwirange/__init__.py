@@ -78,6 +78,7 @@ from .evaluation import (
     write_patch_stats_csv,
 )
 from .forward_model import (
+    EstimateMaps,
     SceneCube,
     SceneTruth,
     default_panel_masks,
@@ -87,7 +88,6 @@ from .forward_model import (
     synthesize_rows,
 )
 from .hyperspectral import (
-    EstimateMaps,
     SolverConfig,
     data_loss,
     emissivity_smoothness,

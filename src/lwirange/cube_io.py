@@ -24,8 +24,7 @@ import numpy as np
 
 from .closed_form import RangeMap
 from .errors import ConstraintError, DimensionError, FormatError, GridError, _is_real
-from .forward_model import SceneCube, SceneTruth, _all_finite
-from .hyperspectral import EstimateMaps
+from .forward_model import EstimateMaps, SceneCube, SceneTruth, _all_finite
 from .radiometry import MICROFLICK, SpectralGrid, Temperature
 
 MAGIC = b"LWC1"

@@ -19,7 +19,7 @@ pixel-major signature and converts at its boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import ConstraintError, DimensionError, DomainError, GridError
 from .radiometry import SpectralGrid, Temperature, planck
 
 __all__ = [
+    "EstimateMaps",
     "SceneTruth",
     "SceneCube",
     "synthesize_rows",
@@ -91,6 +92,56 @@ def _check_feasible(d, t, e, o):
             raise ConstraintError(f"{name} must lie in [{low}, {high}]")
     if not _span(o.sum(axis=2))[1] <= _OMEGA_CAP:
         raise ConstraintError("per-pixel sky weights must sum to at most pi")
+
+
+@dataclass
+class EstimateMaps:
+    """Solver output: per-pixel state plus final per-pixel objective.
+
+    distance (M,N) m, >= 0; temperature (M,N) K; emissivity (M,N,K) in
+    [0,1]; solid_angles (M,N,Q) sr with non-negative entries summing to at
+    most pi * (1 + 2^-23) per pixel, which allows for float32 storage; loss
+    (M,N) is the per-pixel data misfit plus the weighted
+    emissivity-smoothness penalty; iterations (M,N) counts the refinement
+    sweeps the pixel ran, the refinement budget at every pixel of a
+    :func:`lwirange.hyperspectral.solve`.  history, which that solve always
+    fills, holds ``(stage, step, objective, feasible)`` per "refine" sweep
+    and per "polish", "armijo" and "tv" round, for any number of sky sectors
+    ("tv" only when rho_d > 0), with the objective that stage guards: data
+    misfit plus smoothness, summed over the image, plus rho_d * TV on "tv"
+    entries, the first of which is the state the TV stage received.  The
+    four state maps and the loss must be finite; a violation raises
+    ConstraintError.
+    """
+
+    distance: np.ndarray
+    temperature: np.ndarray
+    emissivity: np.ndarray
+    solid_angles: np.ndarray
+    loss: np.ndarray
+    iterations: np.ndarray
+    history: list | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        d, t, e, o = _state_maps(self.distance, self.temperature,
+                                 self.emissivity, self.solid_angles)
+        ls = np.asarray(self.loss, dtype=float)
+        it = np.asarray(self.iterations)
+        if ls.shape != d.shape or it.shape != d.shape:
+            raise DimensionError("loss/iterations shape mismatch")
+        _check_feasible(d, t, e, o)
+        if not np.isfinite(ls).all():
+            raise ConstraintError("loss must be finite")
+        self.distance = d
+        self.temperature = t
+        self.emissivity = e
+        self.solid_angles = o
+        self.loss = ls
+        self.iterations = it
+
+    @property
+    def shape(self):
+        return self.distance.shape
 
 
 def _read_only_f64(a):

@@ -21,7 +21,9 @@ the weights it was given.
 The one local move is a Gauss-Newton step in (d, T) on the objective
 profiled over the linear emissivity (variable projection, Golub & Pereyra,
 SIAM J. Numer. Anal. 1973), with emissivity refit by one banded
-least-squares solve, clipped to [0, 1].  A span bounds each coordinate's
+least-squares solve, clipped to [0, 1].  Its reduced system in the free
+coordinates goes through the sky block's Gauss-Jordan inverse, which masks
+the pixels where it is not positive definite.  A span bounds each coordinate's
 move, and a span of 0 freezes it.  A sweep refits the sky weights, steps
 T alone and, once the warmup's range freeze is over, scans range.  With
 everything but the path t fixed, a candidate's misfit is sum (t a - y_b)^2
@@ -74,7 +76,7 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -88,7 +90,6 @@ from .closed_form import (
 )
 from .errors import (
     ConfigError,
-    ConstraintError,
     DegenerateFitError,
     DimensionError,
     DomainError,
@@ -97,8 +98,8 @@ from .errors import (
     _is_real,
 )
 from .forward_model import (
+    EstimateMaps,
     _band_sum,
-    _check_feasible,
     _contrast,
     _mix,
     _radiance,
@@ -197,56 +198,6 @@ class SolverConfig:
             if not (_is_int(x) and x >= low):
                 v.append(f"{name} must be an integer >= {low}, got {x!r}")
         return v
-
-
-@dataclass
-class EstimateMaps:
-    """Solver output: per-pixel state plus final per-pixel objective.
-
-    distance (M,N) m, >= 0; temperature (M,N) K; emissivity (M,N,K) in
-    [0,1]; solid_angles (M,N,Q) sr with non-negative entries summing to at
-    most pi * (1 + 2^-23) per pixel, which allows for float32 storage; loss
-    (M,N) is the per-pixel data misfit plus the weighted
-    emissivity-smoothness penalty; iterations (M,N) counts the refinement
-    sweeps the pixel ran, the refinement budget at every pixel of a
-    :func:`solve`.  history, which :func:`solve` always fills, holds
-    ``(stage, step, objective, feasible)`` per "refine" sweep and per
-    "polish", "armijo" and "tv" round, for any number of sky sectors
-    ("tv" only when rho_d > 0), with the objective that stage
-    guards: data misfit plus smoothness, summed over the image, plus
-    rho_d * TV on "tv" entries, the first of which is the state the TV
-    stage received.  The four state maps and the loss must be finite; a
-    violation raises ConstraintError.
-    """
-
-    distance: np.ndarray
-    temperature: np.ndarray
-    emissivity: np.ndarray
-    solid_angles: np.ndarray
-    loss: np.ndarray
-    iterations: np.ndarray
-    history: list | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        d, t, e, o = _state_maps(self.distance, self.temperature,
-                                 self.emissivity, self.solid_angles)
-        ls = np.asarray(self.loss, dtype=float)
-        it = np.asarray(self.iterations)
-        if ls.shape != d.shape or it.shape != d.shape:
-            raise DimensionError("loss/iterations shape mismatch")
-        _check_feasible(d, t, e, o)
-        if not np.isfinite(ls).all():
-            raise ConstraintError("loss must be finite")
-        self.distance = d
-        self.temperature = t
-        self.emissivity = e
-        self.solid_angles = o
-        self.loss = ls
-        self.iterations = it
-
-    @property
-    def shape(self):
-        return self.distance.shape
 
 
 # ----------------------------------------------------------------------
@@ -415,14 +366,20 @@ def _sky_gram(w2, ekq):
 
 
 def _spd_inverse(a):
-    # inverse of every (Q, Q) matrix of a (Q, Q, P) stack, in place, by
-    # Gauss-Jordan elimination without pivoting.  Every step is elementwise
-    # along pixels, so a pixel's bits do not depend on its batch.  The sky
-    # block's matrices 2G + rho I, rho = tr G / Q, are positive definite
-    # with condition number at most 2Q + 1, so no pivot is small
-    q = a.shape[0]
+    # inverse of every (n, n) matrix of an (n, n, P) stack, in place, by
+    # Gauss-Jordan elimination without pivoting, and the (P,) mask ok of the
+    # positive definite ones, whose every pivot is > 0.  Any other goes on
+    # as the identity, so its steps stay finite; callers drop it by ok.
+    # Every step is elementwise along pixels, so a pixel's bits do not
+    # depend on its batch.  The sky block's 2G + rho I, rho = tr G / Q, is
+    # positive definite with condition number at most 2Q + 1
+    n = a.shape[0]
     tmp = np.empty_like(a)
-    for k in range(q):
+    ok = np.ones(a.shape[2], dtype=bool)
+    for k in range(n):
+        ok &= a[k, k] > 0.0
+        if not ok.all():
+            a[:, :, ~ok] = np.eye(n)[:, :, None]
         piv = 1.0 / a[k, k]
         a[k, k] = 1.0
         a[k] *= piv
@@ -431,11 +388,11 @@ def _spd_inverse(a):
         a[:, k] = 0.0
         a[k, k] = piv
         a -= np.multiply(f[:, None], a[k], out=tmp)
-    return a
+    return a, ok
 
 
-def _sky_matvec(m, v):
-    # m v per pixel for a (Q, Q, P) stack and (Q, P) columns, summing r in
+def _matvec(m, v):
+    # m v per pixel for an (n, n, P) stack and (n, P) columns, summing r in
     # order: einsum does for P >= 2 but may reorder a single pixel's sum,
     # which accumulates the products instead, as _band_dot does
     if v.shape[1] == 1:
@@ -459,13 +416,13 @@ def _sky_block(pr, s):
     a *= 2.0
     a[diag, diag] += rho
     # x = (2G + rho I)^-1 (2 rhs + rho (z - u)) = c + m (z - u)
-    m = _spd_inverse(a)
-    c = _sky_matvec(m, 2.0 * _band_dot(w * base, ekq))
+    m, _ = _spd_inverse(a)
+    c = _matvec(m, 2.0 * _band_dot(w * base, ekq))
     m *= rho
     z = s.om
     u = np.zeros_like(z)
     for _ in range(_SKY_ADMM_ITERATIONS):
-        x = _sky_matvec(m, z - u)
+        x = _matvec(m, z - u)
         x += c
         u += x
         z = _proj_cap(u)
@@ -514,46 +471,45 @@ def _feasible(d, eps, om, d_max):
                 and np.all(om >= 0.0) and np.all(_band_sum(om) <= _PI))
 
 
-def _gn_moves(pr, s, d_free, t_free):
-    # the moves of the free coordinates, range first, and a (P,) mask of the
-    # pixels whose reduced matrix is positive definite; 0 elsewhere.  The
-    # (d, T, eps) normal equations reduce to their Schur complement in the
-    # free coordinates: the eps block is _eps_quick's tridiagonal matrix, so
-    # the right sides, the eps coupling of each free column and the eps
-    # gradient, share one Thomas solve.  Its own function, so that its (K, P)
-    # temporaries are freed before the caller's refit
+def _jacobian(pr, s, d_free=True, t_free=True):
+    # the residual r at s, the model minus y, and the model's columns there,
+    # each (K, P): a = tau (B - mix), the diagonal of the eps block, and the
+    # list of the free range and temperature columns, range first.  The one
+    # place the solver forms them
     core = _contrast(s.bt, s.eps, s.mix, pr.b_air)
-    r = _radiance(s.tau, core, pr.b_air) - pr.y
-    a = s.tau * (s.bt - s.mix)
     cols = []
     if d_free:
         cols.append(-(_LOG10 / 10.0) * pr.alpha * s.tau * core)
     if t_free:
         cols.append(s.tau * s.eps * _planck_dT_core(pr.wav, s.t))
+    return _radiance(s.tau, core, pr.b_air) - pr.y, s.tau * (s.bt - s.mix), cols
+
+
+def _gn_moves(pr, s, d_free, t_free):
+    # the (n, P) moves of the n free coordinates, range first, and a (P,)
+    # mask of the pixels whose reduced matrix is positive definite; 0
+    # elsewhere.  The (d, T, eps) normal equations reduce to their Schur
+    # complement in the free coordinates: the eps block is _eps_quick's
+    # tridiagonal matrix, so the right sides, the eps coupling of each free
+    # column and the eps gradient, share one Thomas solve, and the reduced
+    # system goes through _spd_inverse.  Its own function, so that its
+    # (K, P) temporaries are freed before the caller's refit
+    r, a, cols = _jacobian(pr, s, d_free, t_free)
     n = len(cols)
     # right side i < n is a times column i, right side n the eps gradient
     rhs = np.empty((a.shape[0], n + 1, a.shape[1]))
-    for i, c in enumerate(cols):
+    for i, c in enumerate(cols + [r]):
         np.multiply(a, c, out=rhs[:, i])
-    np.multiply(a, r, out=rhs[:, n])
     rhs[:, n] += pr.rho_eps * _dtd(s.eps)
     x = _thomas(_eps_diagonal(pr, a), -pr.rho_eps, rhs)
-
-    def s(i, j):  # entry (i, j) of the reduced matrix
-        return _band_sum(cols[i] * cols[j] - rhs[:, i] * x[:, j])
-
-    g = [_band_sum(c * r - rhs[:, i] * x[:, n]) for i, c in enumerate(cols)]
-    # each move is a numerator over det (Cramer's rule)
-    if n == 1:
-        det = s(0, 0)
-        num = [-g[0]]
-    else:
-        s_dd, s_dt, s_tt = s(0, 0), s(0, 1), s(1, 1)
-        det = s_dd * s_tt - s_dt * s_dt
-        num = [s_dt * g[1] - s_tt * g[0], s_dt * g[0] - s_dd * g[1]]
-    ok = det > 0.0
-    det = np.where(ok, det, 1.0)
-    return ok, [np.where(ok, v / det, 0.0) for v in num]
+    # the reduced matrix's entries with i <= j, mirrored, as _sky_gram's
+    iu, ju = np.triu_indices(n)
+    sm = np.empty((n, n, a.shape[1]))
+    sm[iu, ju] = sm[ju, iu] = [_band_sum(cols[i] * cols[j] - rhs[:, i] * x[:, j])
+                               for i, j in zip(iu, ju)]
+    g = np.array([_band_sum(c * r - rhs[:, i] * x[:, n]) for i, c in enumerate(cols)])
+    m, ok = _spd_inverse(sm)
+    return ok, np.where(ok, -_matvec(m, g), 0.0)
 
 
 def _gn_step(pr, s, d_span, t_span):
@@ -618,17 +574,13 @@ def _armijo_pass(pr, s):
     return _gn_step(pr, s, _POLISH_SPAN, 0.0)
 
 
-def _gradients_flat(pr, d, t, eps, om):
-    tau, bt, mix = _tau(d, pr.alpha), _planck_core(pr.wav, t), _mix_of(pr, om)
-    core = _contrast(bt, eps, mix, pr.b_air)
-    r = _radiance(tau, core, pr.b_air) - pr.y
-    dtau = -(_LOG10 / 10.0) * pr.alpha * tau
-    g_d = _band_sum(2.0 * r * dtau * core)
-    dbt = _planck_dT_core(pr.wav, t)
-    g_t = _band_sum(2.0 * r * tau * eps * dbt)
-    g_e = 2.0 * r * tau * (bt - mix) + 2.0 * pr.rho_eps * _dtd(eps)
-    g_o = _band_dot(2.0 * r * tau * (1.0 - eps) / _PI, _sky_contrast(pr))
-    return g_d, g_t, g_e, g_o
+def _gradients_flat(pr, s):
+    # the partials of the loss at s in d, T, eps and om, from _jacobian's
+    # columns
+    r, a, (c_d, c_t) = _jacobian(pr, s)
+    g_e = 2.0 * r * a + 2.0 * pr.rho_eps * _dtd(s.eps)
+    g_o = _band_dot(2.0 * r * s.tau * (1.0 - s.eps) / _PI, _sky_contrast(pr))
+    return 2.0 * _band_sum(r * c_d), 2.0 * _band_sum(r * c_t), g_e, g_o
 
 
 def _tv_denoise_map(d2, lam, iters=200):
@@ -724,10 +676,7 @@ def _band_maps(a, m, n):
 def data_loss(params, cube, alpha, dw, air_temperature):
     """Total squared radiance misfit of the model at params (no penalties)."""
     pr, m, n = _build_problem(cube, alpha, dw, air_temperature, 0.0, np.inf, 1.0)
-    d, t, eps, om = _flatten_maps(params, pr, m, n)
-    core = _contrast(_planck_core(pr.wav, t), eps, _mix_of(pr, om), pr.b_air)
-    r = _radiance(_tau(d, pr.alpha), core, pr.b_air) - pr.y
-    return float((r * r).sum())
+    return float(_state(pr, *_flatten_maps(params, pr, m, n)).loss.sum())
 
 
 def emissivity_smoothness(eps):
@@ -753,8 +702,7 @@ def gradients(params, cube, alpha, dw, air_temperature, rho_eps):
     """
     pr, m, n = _build_problem(cube, alpha, dw, air_temperature, rho_eps,
                               np.inf, 1.0)
-    d, t, eps, om = _flatten_maps(params, pr, m, n)
-    g_d, g_t, g_e, g_o = _gradients_flat(pr, d, t, eps, om)
+    g_d, g_t, g_e, g_o = _gradients_flat(pr, _state(pr, *_flatten_maps(params, pr, m, n)))
     return {
         "distance": g_d.reshape(m, n),
         "temperature": g_t.reshape(m, n),

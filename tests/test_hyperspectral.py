@@ -42,7 +42,10 @@ from lwirange.hyperspectral import (
     _eps_quick,
     _feasible,
     _flatten_maps,
+    _gn_moves,
     _gn_step,
+    _jacobian,
+    _matvec,
     _mix_of,
     _phase,
     _proj_cap,
@@ -50,7 +53,6 @@ from lwirange.hyperspectral import (
     _range_starts,
     _sky_block,
     _sky_gram,
-    _sky_matvec,
     _spd_inverse,
     _state,
     _State,
@@ -338,6 +340,20 @@ class TestGradients:
                     npt.assert_allclose(fd, g[ix], rtol=1e-4,
                                         err_msg=f"{key}{ix}")
 
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3)])
+    def test_range_and_temperature_partials_read_the_solver_columns(self, rows, cols):
+        # the partials are 2 sum r * column of the columns the Gauss-Newton
+        # step solves with, bit for bit
+        sc = micro_scene(rows=rows, cols=cols, bands=8, q=2, noise_sigma=0.5, seed=7)
+        params = random_params(np.random.default_rng(12), rows, cols, 8, 2)
+        grads = gradients(params, sc["cube"], sc["alpha"], sc["dw"], AIR, rho_eps=37.0)
+        pr, m, n = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
+                                  37.0, np.inf, 1.0)
+        r, _, cols_ = _jacobian(pr, _state(pr, *_flatten_maps(params, pr, m, n)))
+        for key, c in zip(("distance", "temperature"), cols_, strict=True):
+            want = 2.0 * _band_sum(r * c)
+            assert grads[key].tobytes() == want.reshape(m, n).tobytes(), key
+
 
 class TestEmissivityRefit:
     # operands are pixel-last, (K, P), as the solver holds them
@@ -500,12 +516,43 @@ class TestSkyKernels:
     def test_spd_inverse_matches_lapack(self, p):
         rng = np.random.default_rng(p)
         a = self._sky_matrices(rng, 10, p)
-        got = _spd_inverse(a.copy())
+        got = _spd_inverse(a.copy())[0]
         want = np.linalg.inv(a.transpose(2, 0, 1)).transpose(1, 2, 0)
         npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         for j in range(p):
-            one = _spd_inverse(np.ascontiguousarray(a[:, :, [j]]))
+            one = _spd_inverse(np.ascontiguousarray(a[:, :, [j]]))[0]
             assert one.tobytes() == np.ascontiguousarray(got[:, :, [j]]).tobytes()
+
+    @staticmethod
+    def _mixed_matrices(rng, n, p):
+        # a batch of PD matrices, of the sky block's kind, with a singular
+        # one (row and column 1 zeroed, so its second pivot is exactly 0)
+        # and an indefinite one (entry (1, 1) negated) at every third pixel
+        # from 1 and 2; the (P,) mask of the PD pixels
+        a = TestSkyKernels._sky_matrices(rng, n, p)
+        kind = np.arange(p) % 3
+        a[1, :, kind == 1] = 0.0
+        a[:, 1, kind == 1] = 0.0
+        a[1, 1, kind == 2] *= -1.0
+        return a, kind == 0
+
+    @pytest.mark.parametrize("n", [2, 10])
+    @pytest.mark.parametrize("p", [1, 7, 512])
+    def test_spd_inverse_masks_the_pixels_that_are_not_pd(self, n, p):
+        # ok is false exactly where a pivot is not > 0, no warning is raised
+        # there, and every PD pixel has the bits of its one-pixel call.  At
+        # P = 1 each kind is its own batch
+        a, pd = self._mixed_matrices(np.random.default_rng(40 + p), n, max(p, 3))
+        batches = ([(a, pd)] if p > 1
+                   else [(a[:, :, [j]].copy(), pd[[j]]) for j in range(3)])
+        for b, want in batches:
+            with np.errstate(all="raise"):
+                got, ok = _spd_inverse(b.copy())
+            npt.assert_array_equal(ok, want)
+            for j in np.flatnonzero(want):
+                one, one_ok = _spd_inverse(np.ascontiguousarray(b[:, :, [j]]))
+                assert one_ok.all()
+                assert one.tobytes() == np.ascontiguousarray(got[:, :, [j]]).tobytes()
 
     @pytest.mark.parametrize("p", [2, 7, 512])
     def test_matvec_sums_in_order_at_any_batch_size(self, p):
@@ -515,14 +562,14 @@ class TestSkyKernels:
         q = 10
         m = rng.normal(0.0, 1.0, (q, q, p))
         v = rng.normal(0.0, 1.0, (q, p))
-        got = _sky_matvec(m, v)
+        got = _matvec(m, v)
         want = np.zeros((q, p))
         for r in range(q):
             want += m[:, r] * v[r]
         assert got.tobytes() == want.tobytes()
         for j in range(p):
-            one = _sky_matvec(np.ascontiguousarray(m[:, :, [j]]),
-                              np.ascontiguousarray(v[:, [j]]))
+            one = _matvec(np.ascontiguousarray(m[:, :, [j]]),
+                          np.ascontiguousarray(v[:, [j]]))
             assert one.tobytes() == np.ascontiguousarray(got[:, [j]]).tobytes()
 
     @staticmethod
@@ -848,6 +895,24 @@ class TestGaussNewtonStep:
         others = np.arange(d.size) != 2
         assert (got.d[others] != d[others]).all()
         assert (got.t[others] != t[others]).all()
+
+    @pytest.mark.parametrize("k", [3, 12, 64])
+    def test_zero_emissivity_pixel_is_masked_in_the_reduced_solve(self, k):
+        # at eps = 0 the temperature column is 0, so the reduced matrix is
+        # singular: the pixel is masked and takes no move, and the other
+        # pixels' moves are still those of the dense normal equations
+        pr, d, t, eps, om = self._random_problem(k, 30 + k)
+        eps[:, 2] = 0.0
+        s = _state(pr, d, t, eps, om)
+        assert not _jacobian(pr, s)[2][1][:, 2].any()
+        with np.errstate(all="raise"):
+            ok, moves = _gn_moves(pr, s, True, True)
+        others = np.arange(d.size) != 2
+        npt.assert_array_equal(ok, others)
+        assert not moves[:, 2].any()
+        rest = _State(*(np.ascontiguousarray(f[..., others]) for f in s))
+        npt.assert_allclose(moves[:, others].T, self._dense_moves(
+            replace(pr, y=pr.y[:, others]), rest, "dT"), rtol=1e-9)
 
 
 class TestArmijoPass:

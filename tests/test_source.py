@@ -1,6 +1,7 @@
 """Static checks on the package source, read with ast: every ``__all__``
 entry names a module-level definition, no module but the package
-``__init__`` imports a name it never uses, every ``SolverConfig`` field
+``__init__`` imports a name it never uses, no module but ``cli`` and
+``__init__`` imports the solver, every ``SolverConfig`` field
 is read outside its own ``validate``, every private module constant and
 module-level private function is read, no module calls ``np.median`` or ``np.fromfile``, the solver
 checks a caller's maps in one place, evaluates the emissivity penalty only
@@ -68,6 +69,25 @@ def test_no_module_imports_a_name_it_does_not_use():
         if imported - used:
             unused[name] = sorted(imported - used)
     assert not unused
+
+
+def test_only_the_cli_and_the_package_import_the_solver():
+    # the solver is about a quarter of the package; a module that imports it
+    # loads it into every launch that reads that module, such as a quad
+    # range or an eval, which run no solver code
+    def names(node):
+        # the dotted parts of every module an import statement names
+        mods = [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            mods.append(node.module)
+        return {part for m in mods for part in m.split(".")}
+
+    found = sorted(f"{name}:{node.lineno}" for name, tree in _modules().items()
+                   if name not in ("cli.py", "__init__.py")
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and "hyperspectral" in names(node))
+    assert not found, found
 
 
 def test_every_solver_config_field_is_read():
