@@ -81,21 +81,12 @@ from .forward_model import (
     EstimateMaps,
     SceneCube,
     SceneTruth,
+    SolverConfig,
     default_panel_masks,
     make_default_scene,
     radiance_model_batch,
     synthesize_cube,
     synthesize_rows,
-)
-from .hyperspectral import (
-    SolverConfig,
-    data_loss,
-    emissivity_smoothness,
-    gradients,
-    project,
-    solve,
-    solve_no_sky,
-    tv_distance,
 )
 from .radiometry import (
     DB_PER_M,
@@ -111,3 +102,14 @@ from .radiometry import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the solver's functions resolve on first use, so that importing the
+    # package, or the CLI for a launch that runs no solver, does not load it
+    if name in ("data_loss", "emissivity_smoothness", "gradients", "project",
+                "solve", "solve_no_sky", "tv_distance"):
+        from . import hyperspectral
+
+        return getattr(hyperspectral, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -60,8 +60,7 @@ from .evaluation import (
     render_map,
     write_patch_stats_csv,
 )
-from .forward_model import make_default_scene, synthesize_rows
-from .hyperspectral import SolverConfig, solve
+from .forward_model import SolverConfig, _row_function, make_default_scene
 from .radiometry import DB_PER_M, Spectrum, Temperature
 
 _MODES = ("bi-hot", "bi-air", "quad", "hyper")
@@ -279,14 +278,14 @@ def cmd_synth(s, args):
     truth = make_default_scene(grid, q=0 if dw is None else len(dw),
                                air_temperature=_AIR_DEFAULT,
                                rows=s["rows"], cols=s["cols"])
-    rows = synthesize_rows(truth, alpha, dw, _AIR_DEFAULT,
-                           noise_sigma=s["noise_sigma"], rng_seed=s["seed"])
+    row = _row_function(truth, alpha, dw, _AIR_DEFAULT, s["noise_sigma"], s["seed"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # the cube streams to disk row by row; it is never held whole
-    save_scene_rows(out / "cube.lwc", rows, truth.shape, grid, _AIR_DEFAULT,
-                    s["noise_sigma"])
-    save_scene_truth(out, truth, grid, zenith_angles_deg=dw.zenith_angles_deg)
+    # workers make the cube's rows and write them in spans, each holding
+    # about one chunk, while this process writes the truth files
+    save_scene_rows(out / "cube.lwc", row, truth.shape, grid, _AIR_DEFAULT,
+                    s["noise_sigma"], meanwhile=lambda: save_scene_truth(
+                        out, truth, grid, zenith_angles_deg=dw.zenith_angles_deg))
     print(f"wrote {s['rows']}x{s['cols']}x{len(grid.wavelengths)} cube to {out}")
     return 0
 
@@ -329,6 +328,9 @@ def _closed_form_range(s, args):
 
 def cmd_range(s, args):
     if s["mode"] == "hyper":
+        # imported here, so that no other launch loads the solver
+        from .hyperspectral import solve
+
         cube = load_scene_cube(args.cube)
         alpha = _load_attenuation(args.atmo)
         dw = _downwelling_set(s, args.atmo)

@@ -6,9 +6,13 @@ little endian, row major [i][j][k]; map bodies are an (M, N) binary32 plane
 followed by an (M, N) uint8 validity plane. Cube and omega values are
 finite, which writers and readers both check; map values may be NaN or inf.
 Every body streams through one reused buffer, on write and on read, and a
-read that comes up short raises FormatError. Headers carry no timestamps, so
-writing the same data twice produces identical files. Each file is written
-under a temporary name beside its path and renamed into place once whole.
+read that comes up short raises FormatError. A cube body given as a function
+of the row index is written by span instead: the file is sized first, and
+each contiguous span of rows is computed, cast and written at its offset by
+one worker, forked where the body is longer than one buffer, with the bytes
+of any worker count. Headers carry no timestamps, so writing the same data
+twice produces identical files. Each file is written under a temporary name
+beside its path and renamed into place once whole.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ import json
 import os
 import struct
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
+from ._workers import _usable_cores, fork_map
 from .closed_form import RangeMap
 from .errors import ConstraintError, DimensionError, FormatError, GridError, _is_real
 from .forward_model import EstimateMaps, SceneCube, SceneTruth, _all_finite
@@ -155,12 +161,13 @@ class CubeHeader:
         return cls(**d)
 
 
-def _write_container(path, header: CubeHeader, *planes):
-    """Write an LWC1 file: the header, then each body plane, an iterable of
-    C-ordered buffers.  The file is written beside path under a temporary
-    name and renamed onto path once whole, so an exception part way (a
-    refused value, a short disk) leaves no partial file, and any file
-    already at path keeps its bytes."""
+@contextmanager
+def _container(path, header: CubeHeader):
+    """The open file of an LWC1 container with its header written, for the
+    body to be written after it.  The file is written beside path under a
+    temporary name and renamed onto path once the block exits, so an
+    exception part way (a refused value, a short disk) leaves no partial
+    file, and any file already at path keeps its bytes."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     hj = header.to_json()
@@ -169,9 +176,7 @@ def _write_container(path, header: CubeHeader, *planes):
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(hj)))
             fh.write(hj)
-            for plane in planes:
-                for chunk in plane:
-                    fh.write(chunk)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -179,6 +184,36 @@ def _write_container(path, header: CubeHeader, *planes):
         except OSError:
             pass
         raise
+
+
+def _write_span(fd, offset, rows, shape, what):
+    # write the (S, N, K) span of a cube body given by its S rows at offset
+    # in the open file fd, in the chunks of _body_chunks
+    for chunk in _body_chunks(rows, shape, "<f4", what):
+        view = memoryview(chunk).cast("B")
+        while view:
+            done = os.pwrite(fd, view, offset)
+            view, offset = view[done:], offset + done
+
+
+def _write_row_spans(fh, shape, row, what, meanwhile):
+    """Write the (M, N, K) body whose row i is row(i) into the open file fh,
+    after what fh holds, which is flushed first: the file is sized to hold
+    the body, then contiguous spans of rows are each computed, cast and
+    written at their offsets by one worker.  There are as many spans as
+    the body fills _CHUNK_BYTES chunks, and as usable cores, at most; one
+    span is written in this process, more by forked workers, while
+    meanwhile() runs here (see :func:`fork_map`)."""
+    m, n, k = shape
+    start = fh.tell()
+    row_bytes = n * k * 4
+    fh.truncate(start + m * row_bytes)
+    spans = max(1, min(m, -(-m * row_bytes // _CHUNK_BYTES), _usable_cores()))
+    edges = [m * s // spans for s in range(spans + 1)]
+    fork_map(_write_span, [
+        (fh.fileno(), start + i * row_bytes, map(row, range(i, j)),
+         (j - i, n, k), what)
+        for i, j in zip(edges, edges[1:])], meanwhile)
 
 
 def _body_chunks(rows, shape, dtype, what=None):
@@ -282,26 +317,38 @@ def _read_file(path, kinds, dtype):
                 _read_plane(fh, path, header, np.uint8, stored=np.uint8))
 
 
-def write_cube(path, header: CubeHeader, data):
+def write_cube(path, header: CubeHeader, data, meanwhile=None):
     """Write a (rows, cols, bands) body under a cube/omega header.
 
-    data is an array of that shape, or an iterator of its rows, each a
+    data is an array of that shape, an iterator of its rows, each a
     (cols, bands) array, such as :func:`forward_model.synthesize_rows`
-    makes.  The body is cast to float32 one image row at a time (at most
-    _CHUNK_BYTES at once) and written as it is cast, so no float32 copy of
-    the whole body is made; every value must be finite once cast
-    (ConstraintError).  On any failure no file is left at path but the one
-    that was there."""
+    makes, or a function that returns row i when called with i.  The body
+    is cast to float32 one image row at a time (at most _CHUNK_BYTES at
+    once) and written as it is cast, so no float32 copy of the whole body
+    is made; every value must be finite once cast (ConstraintError).  The
+    rows of a function are computed and written in spans at their offsets,
+    by forked workers where the body is longer than one _CHUNK_BYTES chunk
+    and there is more than one usable core, each worker holding about one
+    chunk; the bytes are the same for any number of workers.  meanwhile(),
+    if given, runs in this process before the file is renamed into place,
+    while the workers write.  On any failure no file is left at path but
+    the one that was there."""
     if header.kind == "map":
         raise FormatError("write_cube cannot write map containers; use write_map")
     shape = (header.rows, header.cols, header.bands)
-    if not isinstance(data, Iterator):
+    what = f"{header.kind} values"
+    if not (callable(data) or isinstance(data, Iterator)):
         data = np.asarray(data)
         if data.shape != shape:
             raise DimensionError(
                 f"data shape {data.shape} does not match header {shape}")
-    _write_container(path, header, _body_chunks(
-        data, shape, "<f4", what=f"{header.kind} values"))
+    with _container(path, header) as fh:
+        if callable(data):
+            _write_row_spans(fh, shape, data, what, meanwhile)
+        else:
+            fh.writelines(_body_chunks(data, shape, "<f4", what))
+            if meanwhile is not None:
+                meanwhile()
 
 
 def read_cube(path):
@@ -323,8 +370,9 @@ def write_map(path, header: CubeHeader, values, flags):
     if flg.shape != val.shape:
         raise DimensionError(f"flags shape {flg.shape} does not match values")
     shape = val.shape + (1,)
-    _write_container(path, header, _body_chunks(val[:, :, None], shape, "<f4"),
-                     _body_chunks(flg[:, :, None], shape, np.uint8))
+    with _container(path, header) as fh:
+        fh.writelines(_body_chunks(val[:, :, None], shape, "<f4"))
+        fh.writelines(_body_chunks(flg[:, :, None], shape, np.uint8))
 
 
 def read_map(path):
@@ -344,11 +392,15 @@ def save_scene_cube(path, cube: SceneCube):
 
 
 def save_scene_rows(path, radiance, image_shape, grid: SpectralGrid,
-                    air_temperature: Temperature, noise_sigma: float):
+                    air_temperature: Temperature, noise_sigma: float,
+                    meanwhile=None):
     """Write a scene cube file of image_shape = (M, N) from its radiance:
-    an (M, N, K) array, or an iterator of its M (N, K) rows, such as
-    :func:`forward_model.synthesize_rows` makes.  The file is the one
-    :func:`save_scene_cube` writes of the cube those rows fill."""
+    an (M, N, K) array, an iterator of its M (N, K) rows, such as
+    :func:`forward_model.synthesize_rows` makes, or a function of the row
+    index that returns that row, whose rows are written in spans by forked
+    workers while meanwhile(), if given, runs here (see :func:`write_cube`).
+    The file is the one :func:`save_scene_cube` writes of the cube those
+    rows fill."""
     header = CubeHeader(
         kind="cube",
         rows=image_shape[0],
@@ -359,7 +411,7 @@ def save_scene_rows(path, radiance, image_shape, grid: SpectralGrid,
         air_temperature_k=air_temperature.kelvin,
         noise_sigma=noise_sigma,
     )
-    write_cube(path, header, radiance)
+    write_cube(path, header, radiance, meanwhile)
 
 
 def _scene_cube_header(fh, path):

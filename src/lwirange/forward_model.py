@@ -24,11 +24,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atmosphere import AttenuationSpectrum, DownwellingSet, _tau
-from .errors import ConstraintError, DimensionError, DomainError, GridError
+from .errors import (
+    ConstraintError,
+    DimensionError,
+    DomainError,
+    GridError,
+    _is_int,
+    _is_real,
+)
 from .radiometry import SpectralGrid, Temperature, planck
 
 __all__ = [
     "EstimateMaps",
+    "SolverConfig",
     "SceneTruth",
     "SceneCube",
     "synthesize_rows",
@@ -142,6 +150,64 @@ class EstimateMaps:
     @property
     def shape(self):
         return self.distance.shape
+
+
+@dataclass
+class SolverConfig:
+    """Knobs for :func:`lwirange.hyperspectral.solve`.
+
+    rho_eps / rho_d are the emissivity-smoothness and range-TV weights (the
+    TV of :func:`lwirange.hyperspectral.tv_distance`, over every adjacent
+    pixel pair), d_max the range box bound.  No setting picks the sky
+    sectors: the model has one per spectrum of the downwelling set passed
+    to the solve, and none when that is None.  threads caps the number of
+    pixel blocks whose per-pixel stages each run in their own worker
+    process; there are never more blocks than pixels or usable cores, and
+    the TV rounds run once on the whole map in the calling process.
+    warmup_iterations, warmup_d_freeze (warmup sweeps before the range block
+    first runs), refine_iterations and max_iterations (a cap on both) set
+    the sweep counts; every warmup start (each range start times each emissivity
+    start) runs the whole warmup budget, then each pixel's lowest-loss start
+    runs the whole refinement budget.  polish_rounds counts the joint (d, T)
+    Gauss-Newton steps after the refinement, each followed by a sky refit;
+    armijo_iterations counts the range-only Gauss-Newton steps after them,
+    each within the solver's _POLISH_SPAN with T held.  The class lives here,
+    beside :class:`EstimateMaps`, so that reading or checking the solver's
+    settings, as the CLI does at every launch, does not load the solver.
+
+    The step and scan spans, scan sizes, warmup starts and temperature box
+    are module constants (``_T_SPAN0`` and the names after it at the top of
+    :mod:`lwirange.hyperspectral`).  The hemisphere the sky sectors leave is
+    filled with ambient ground radiance, B(T_air).
+    """
+
+    rho_eps: float = 1e5
+    rho_d: float = 0.0
+    d_max: float = 200.0
+    max_iterations: int = 2000
+    warmup_iterations: int = 14
+    warmup_d_freeze: int = 6
+    refine_iterations: int = 40
+    polish_rounds: int = 3
+    armijo_iterations: int = 2
+    threads: int = 1
+
+    def validate(self) -> list[str]:
+        v = []
+        if not (_is_real(self.rho_eps) and 0.0 <= self.rho_eps < np.inf):
+            v.append(f"rho_eps must be finite and >= 0, got {self.rho_eps!r}")
+        if not (_is_real(self.rho_d) and 0.0 <= self.rho_d < np.inf):
+            v.append(f"rho_d must be finite and >= 0, got {self.rho_d!r}")
+        if not (_is_real(self.d_max) and 0.0 < self.d_max < np.inf):
+            v.append(f"d_max must be finite and > 0, got {self.d_max!r}")
+        for name, low in (("max_iterations", 1), ("warmup_iterations", 1),
+                          ("refine_iterations", 1), ("warmup_d_freeze", 0),
+                          ("polish_rounds", 0), ("armijo_iterations", 0),
+                          ("threads", 1)):
+            x = getattr(self, name)
+            if not (_is_int(x) and x >= low):
+                v.append(f"{name} must be an integer >= {low}, got {x!r}")
+        return v
 
 
 def _read_only_f64(a):
@@ -300,6 +366,47 @@ def radiance_model_batch(
     return np.ascontiguousarray(y.T)
 
 
+def _row_function(truth, alpha, dw, air_temperature, noise_sigma, rng_seed):
+    """row(i), row i of the observed cube of truth: an (N, K) float64 array,
+    the observation model plus i.i.d. Gaussian noise.  The arguments are
+    checked here, before any row is made; see :func:`synthesize_rows`."""
+    if not 0.0 <= noise_sigma < np.inf:
+        raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    k = len(alpha.grid)
+    q = 0 if dw is None else len(dw)
+    if truth.emissivity_cube.shape[2] != k:
+        raise DimensionError("emissivity band count does not match the grid")
+    if truth.solid_angle_maps.shape[2] != q:
+        raise DimensionError("solid-angle sector count does not match the downwelling set")
+    if dw is not None and dw.grid != alpha.grid:
+        raise GridError("attenuation and downwelling grids differ")
+
+    b_air = planck(alpha.grid.wavelengths, air_temperature.kelvin)
+    ld = np.zeros((0, k)) if dw is None else dw.values
+    n = truth.shape[1]
+
+    def row(i):
+        # every kernel is elementwise or a row-stable einsum, so each row
+        # carries the bits it would carry in a whole-image batch
+        y = radiance_model_batch(
+            alpha.grid.wavelengths,
+            alpha.values,
+            truth.distance_map[i],
+            truth.temperature_map[i],
+            truth.emissivity_cube[i],
+            truth.solid_angle_maps[i],
+            ld,
+            truth.ground_ambient[i],
+            b_air,
+        )
+        if noise_sigma > 0:
+            rng = np.random.default_rng(np.random.SeedSequence([rng_seed, i]))
+            y += noise_sigma * rng.standard_normal((n, k))
+        return y
+
+    return row
+
+
 def synthesize_rows(
     truth: SceneTruth,
     alpha: AttenuationSpectrum,
@@ -315,46 +422,15 @@ def synthesize_rows(
     dw may be None for a scene with no sky sectors (Q = 0). The arguments
     are checked here, before the first row is made. Row i's noise is drawn
     as one (N, K) block from a substream seeded by (seed, i): pixel (i, j)
-    takes draws j*K to (j+1)*K - 1 of it. So reruns agree bit for bit, and
-    the top-left corner of a cube equals the cube synthesized from that
-    corner of the truth.
+    takes draws j*K to (j+1)*K - 1 of it. So reruns agree bit for bit, the
+    top-left corner of a cube equals the cube synthesized from that corner
+    of the truth, and any row can be made apart from the others: the rows
+    come from one row function, which ``synth`` hands to
+    :func:`lwirange.cube_io.save_scene_rows` so that workers make and write
+    contiguous spans of rows at once.
     """
-    if not 0.0 <= noise_sigma < np.inf:
-        raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    k = len(alpha.grid)
-    q = 0 if dw is None else len(dw)
-    if truth.emissivity_cube.shape[2] != k:
-        raise DimensionError("emissivity band count does not match the grid")
-    if truth.solid_angle_maps.shape[2] != q:
-        raise DimensionError("solid-angle sector count does not match the downwelling set")
-    if dw is not None and dw.grid != alpha.grid:
-        raise GridError("attenuation and downwelling grids differ")
-
-    b_air = planck(alpha.grid.wavelengths, air_temperature.kelvin)
-    ld = np.zeros((0, k)) if dw is None else dw.values
-    m, n = truth.shape
-
-    def rows():
-        # every kernel is elementwise or a row-stable einsum, so each row
-        # carries the bits it would carry in a whole-image batch
-        for i in range(m):
-            y = radiance_model_batch(
-                alpha.grid.wavelengths,
-                alpha.values,
-                truth.distance_map[i],
-                truth.temperature_map[i],
-                truth.emissivity_cube[i],
-                truth.solid_angle_maps[i],
-                ld,
-                truth.ground_ambient[i],
-                b_air,
-            )
-            if noise_sigma > 0:
-                rng = np.random.default_rng(np.random.SeedSequence([rng_seed, i]))
-                y += noise_sigma * rng.standard_normal((n, k))
-            yield y
-
-    return rows()
+    row = _row_function(truth, alpha, dw, air_temperature, noise_sigma, rng_seed)
+    return map(row, range(truth.shape[0]))
 
 
 def synthesize_cube(

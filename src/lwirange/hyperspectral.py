@@ -74,13 +74,13 @@ recomputation at the same state would have.
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
+from ._workers import _usable_cores, fork_map
 from .atmosphere import _tau
 from .closed_form import (
     FLAG_VALID,
@@ -94,11 +94,10 @@ from .errors import (
     DimensionError,
     DomainError,
     GridError,
-    _is_int,
-    _is_real,
 )
 from .forward_model import (
     EstimateMaps,
+    SolverConfig,
     _band_sum,
     _contrast,
     _mix,
@@ -142,62 +141,6 @@ _POLISH_SPAN = 3.0
 
 # proximal TV rounds when rho_d > 0
 _TV_ROUNDS = 2
-
-
-@dataclass
-class SolverConfig:
-    """Knobs for :func:`solve`.
-
-    rho_eps / rho_d are the emissivity-smoothness and range-TV weights (the
-    TV of :func:`tv_distance`, over every adjacent pixel pair), d_max the
-    range box bound.  No setting picks the sky sectors: the
-    model has one per spectrum of the downwelling set passed to
-    :func:`solve`, and none when that is None.  threads caps the number of
-    pixel blocks whose per-pixel stages each run in their own worker
-    process; there are never more blocks than pixels or usable cores, and
-    the TV rounds run once on the whole map in the calling process.
-    warmup_iterations, warmup_d_freeze (warmup sweeps before the range block
-    first runs), refine_iterations and max_iterations (a cap on both) set
-    the sweep counts; every warmup start (each range start times each emissivity
-    start) runs the whole warmup budget, then each pixel's lowest-loss start
-    runs the whole refinement budget.  polish_rounds counts the joint (d, T)
-    Gauss-Newton steps after the refinement, each followed by a sky refit;
-    armijo_iterations counts the range-only Gauss-Newton steps after them,
-    each within _POLISH_SPAN with T held.
-
-    The step and scan spans, scan sizes, warmup starts and temperature box
-    are module constants (``_T_SPAN0`` and the names after it at the top of
-    this module).  The hemisphere the sky sectors leave is
-    filled with ambient ground radiance, B(T_air).
-    """
-
-    rho_eps: float = 1e5
-    rho_d: float = 0.0
-    d_max: float = 200.0
-    max_iterations: int = 2000
-    warmup_iterations: int = 14
-    warmup_d_freeze: int = 6
-    refine_iterations: int = 40
-    polish_rounds: int = 3
-    armijo_iterations: int = 2
-    threads: int = 1
-
-    def validate(self) -> list[str]:
-        v = []
-        if not (_is_real(self.rho_eps) and 0.0 <= self.rho_eps < np.inf):
-            v.append(f"rho_eps must be finite and >= 0, got {self.rho_eps!r}")
-        if not (_is_real(self.rho_d) and 0.0 <= self.rho_d < np.inf):
-            v.append(f"rho_d must be finite and >= 0, got {self.rho_d!r}")
-        if not (_is_real(self.d_max) and 0.0 < self.d_max < np.inf):
-            v.append(f"d_max must be finite and > 0, got {self.d_max!r}")
-        for name, low in (("max_iterations", 1), ("warmup_iterations", 1),
-                          ("refine_iterations", 1), ("warmup_d_freeze", 0),
-                          ("polish_rounds", 0), ("armijo_iterations", 0),
-                          ("threads", 1)):
-            x = getattr(self, name)
-            if not (_is_int(x) and x >= low):
-                v.append(f"{name} must be an integer >= {low}, got {x!r}")
-        return v
 
 
 # ----------------------------------------------------------------------
@@ -839,14 +782,6 @@ def _tv_rounds(pr, s, rho_d, shape, hist):
     return s
 
 
-def _usable_cores():
-    """Cores this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     """Estimate per-pixel range, temperature, emissivity and sky weights.
 
@@ -860,9 +795,11 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     downwelling spectrum.
     The per-pixel stages run on min(threads, pixels, usable cores) blocks
     of consecutive row-major pixels, one worker process per block, forked
-    from the caller; a single block runs in the calling process.  The
-    blocks' histories are summed entry by entry.  When rho_d > 0 the TV
-    rounds then run once on the whole map in the calling process.
+    from the caller by :func:`lwirange._workers.fork_map`, which sends each
+    block's maps back pickled and re-raises a worker's exception as itself;
+    a single block runs in the calling process.  The blocks' histories are
+    summed entry by entry.  When rho_d > 0 the TV rounds then run once on
+    the whole map in the calling process.
     Deterministic (the search draws no random numbers), and the maps are
     independent of the number of blocks and of workers; the history's sums
     may differ in their last bits.
@@ -877,26 +814,16 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     d_starts = _range_starts(cube, alpha, dw, air_temperature, cfg.d_max)
     t0 = _default_temperature_init(pr)
 
-    def job(px):
-        # _solve_flat's arguments for one pixel block, all picklable
+    def block(px):
+        # the per-pixel stages of one pixel block, cut from the whole
+        # problem in the worker that solves it
         sel = slice(px[0], px[-1] + 1)
         ini = None if init is None else tuple(a[..., sel] for a in init)
-        return (replace(pr, y=np.ascontiguousarray(pr.y[:, sel])), cfg,
-                [d[sel] for d in d_starts], t0[sel], ini)
+        return _solve_flat(replace(pr, y=np.ascontiguousarray(pr.y[:, sel])), cfg,
+                           [d[sel] for d in d_starts], t0[sel], ini)
 
     blocks = min(cfg.threads, m * n, _usable_cores())
-    jobs = [job(px) for px in np.array_split(np.arange(m * n), blocks)]
-    if len(jobs) == 1:
-        parts = [_solve_flat(*jobs[0])]
-    else:
-        import concurrent.futures
-        import multiprocessing
-
-        # fork, so that the workers inherit the loaded modules and do not
-        # re-import a caller's __main__, which may lack a main guard
-        with concurrent.futures.ProcessPoolExecutor(
-                len(jobs), mp_context=multiprocessing.get_context("fork")) as ex:
-            parts = list(ex.map(_solve_flat, *zip(*jobs)))
+    parts = fork_map(block, [(px,) for px in np.array_split(np.arange(m * n), blocks)])
     maps, hists = zip(*parts)
     # pixels are the last axis of every map
     d, t, eps, om, loss = (np.concatenate(a, axis=-1) for a in zip(*maps))

@@ -1,17 +1,19 @@
 """Shared fixtures."""
 
-import multiprocessing
+import os
 
 import pytest
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_worker_processes():
-    # the solver runs pixel blocks in worker processes; a pool left open or a
-    # hung worker fails the test that started it, not a later one
+    # the solver's pixel blocks and the simulator's row spans run in forked
+    # worker processes; a worker left running or unreaped fails the test that
+    # started it, not a later one
     yield
-    leaked = multiprocessing.active_children()
-    for proc in leaked:
-        proc.terminate()
-        proc.join(timeout=10)
-    assert not leaked, f"test left worker processes running: {leaked}"
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child process at all
+        return
+    assert False, ("test left a worker process running" if pid == 0 else
+                   f"test left worker process {pid} unreaped")

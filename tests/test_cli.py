@@ -207,6 +207,22 @@ class TestStartup:
         assert out.strip() == "[]"
 
 
+    def test_a_launch_that_runs_no_solver_leaves_the_solver_unloaded(self):
+        # `import lwirange.cli` and a config-dump launch read the solver's
+        # settings but not the solver, which the package resolves on first use
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, lwirange.cli; "
+             "loaded = ['lwirange.hyperspectral' in sys.modules]; "
+             "assert lwirange.cli.main(['config-dump']) == 0; "
+             "loaded.append('lwirange.hyperspectral' in sys.modules); "
+             "from lwirange import solve; "
+             "print(loaded, solve.__module__)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip().splitlines()[-1] == "[False, False] lwirange.hyperspectral"
+
     def test_quad_range_and_eval_leave_out_numpy_ma(self, capsys, tmp_path):
         # np.median would import numpy.ma, about 20 ms of each launch
         atmo, scene = tmp_path / "atmo", tmp_path / "scene"
@@ -522,9 +538,42 @@ class TestPipeline:
         for name in names:
             assert (scene / name).read_bytes() == (want / name).read_bytes(), name
 
-    def test_synth_holds_under_half_a_float64_cube(self, capsys, tmp_path):
-        # the cube streams to disk row by row; the truth writes make no
-        # whole-body float32 copy
+    @pytest.mark.parametrize("q", [2, 10])
+    @pytest.mark.parametrize("sigma", ["0", "1.5"])
+    def test_synth_in_row_spans_writes_the_files_of_the_whole_cube(
+            self, capsys, tmp_path, monkeypatch, q, sigma):
+        # a 73 x 128 x 64 float32 body fills three 1 MiB chunks, so synth
+        # writes it in as many row spans as usable cores, up to three, of
+        # uneven length on three, in forked workers beside the truth files
+        atmo, want = tmp_path / "atmo", tmp_path / "want"
+        assert run(capsys, ["atmo", "--out", str(atmo), "--q", str(q)])[0] == 0
+        alpha = AttenuationSpectrum(load_spectrum(atmo / "attenuation.csv", DB_PER_M))
+        dw = load_downwelling(atmo / "downwelling")
+        truth = make_default_scene(alpha.grid, q=q, air_temperature=AIR,
+                                   rows=73, cols=128)
+        save_scene_truth(want, truth, alpha.grid, zenith_angles_deg=dw.zenith_angles_deg)
+        save_scene_cube(want / "cube.lwc", synthesize_cube(
+            truth, alpha, dw, AIR, noise_sigma=float(sigma), rng_seed=7))
+        names = sorted(p.name for p in want.iterdir())
+        for cores in (1, 2, 3):
+            monkeypatch.setattr("lwirange.cube_io._usable_cores", lambda: cores)
+            scene = tmp_path / f"scene{cores}"
+            code, _, err = run(capsys, [
+                "synth", "--atmo", str(atmo), "--out", str(scene), "--rows", "73",
+                "--cols", "128", "--seed", "7", "--noise-sigma", sigma])
+            assert code == 0, err
+            assert sorted(p.name for p in scene.iterdir()) == names
+            for name in names:
+                assert (scene / name).read_bytes() == (want / name).read_bytes(), \
+                    (cores, name)
+
+    def test_synth_holds_under_half_a_float64_cube(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # the cube streams to disk in chunks; the truth writes make no
+        # whole-body float32 copy.  On one usable core the span writer runs
+        # in this process, where tracemalloc sees what it holds; forked
+        # workers would hide it
+        monkeypatch.setattr("lwirange.cube_io._usable_cores", lambda: 1)
         argv = ["synth", "--out", str(tmp_path / "s"), "--rows", "96",
                 "--cols", "96", "--noise-sigma", "1"]
         assert run(capsys, argv)[0] == 0  # imports stay out of the peak
@@ -637,7 +686,8 @@ class TestPipeline:
             seen.append(air_temperature.kelvin)
             raise LwirError("stop after the air temperature")
 
-        monkeypatch.setattr("lwirange.cli.solve", fake_solve)
+        # cmd_range imports solve from the solver module when it runs
+        monkeypatch.setattr("lwirange.hyperspectral.solve", fake_solve)
         cube = load_scene_cube(scene / "cube.lwc")
         for bands, lam in ((None, 13.0), ("8.42,8.46,9.49,9.57,12.0", 12.0)):
             extra = [] if bands is None else ["--bands", bands]

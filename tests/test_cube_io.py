@@ -34,6 +34,7 @@ from lwirange import (
     write_map,
 )
 from lwirange import cube_io
+from lwirange._workers import fork_map
 from lwirange.closed_form import RangeMap
 from lwirange.errors import ConstraintError, GridError
 from lwirange.forward_model import SceneTruth
@@ -649,6 +650,114 @@ class TestStreamingWriter:
         _, v, f = read_map(tmp_path / "m.lwc")
         assert np.array_equal(v, values.astype(np.float32), equal_nan=True)
         assert np.array_equal(f, flags)
+
+
+class TestSpanWriter:
+    """write_cube writes a body given as a function of the row index in
+    contiguous spans of rows, each at its offset in the sized file: one span
+    per _CHUNK_BYTES chunk the body fills and per usable core, at most, and
+    more than one span in forked workers."""
+
+    # 73 x 128 x 64 float32 is 2.3 MiB, three chunks: spans of 36 and 37
+    # rows on two cores, and of 24, 24 and 25 on three
+    shape = (73, 128, 64)
+
+    @pytest.fixture()
+    def body(self):
+        return np.random.default_rng(5).random(self.shape) * 1000.0
+
+    def header(self):
+        return CubeHeader(kind="cube", rows=self.shape[0], cols=self.shape[1],
+                          bands=self.shape[2])
+
+    @staticmethod
+    def record_spans(monkeypatch, cores):
+        # the row count of each span of every write from here on
+        monkeypatch.setattr(cube_io, "_usable_cores", lambda: cores)
+        spans = []
+
+        def recording(fn, jobs, meanwhile=None):
+            spans.append([job[3][0] for job in jobs])
+            return fork_map(fn, jobs, meanwhile)
+
+        monkeypatch.setattr(cube_io, "fork_map", recording)
+        return spans
+
+    @pytest.mark.parametrize("cores, rows", [(1, [73]), (2, [36, 37]),
+                                             (3, [24, 24, 25]), (8, [24, 24, 25])])
+    def test_any_worker_count_writes_the_array_bytes(
+            self, tmp_path, monkeypatch, body, cores, rows):
+        write_cube(tmp_path / "want.lwc", self.header(), body)
+        spans = self.record_spans(monkeypatch, cores)
+        write_cube(tmp_path / "rows.lwc", self.header(), body.__getitem__)
+        assert spans == [rows]
+        assert (tmp_path / "rows.lwc").read_bytes() == \
+            (tmp_path / "want.lwc").read_bytes()
+
+    def test_a_body_of_one_chunk_is_written_in_this_process(self, tmp_path,
+                                                             monkeypatch, body):
+        small = body[:8, :16]
+        spans = self.record_spans(monkeypatch, 8)
+        pids = set()
+
+        def row(i):
+            pids.add(os.getpid())
+            return small[i]
+
+        header = CubeHeader(kind="cube", rows=8, cols=16, bands=64)
+        write_cube(tmp_path / "c.lwc", header, row)
+        assert spans == [[8]] and pids == {os.getpid()}
+        assert read_cube(tmp_path / "c.lwc")[1].tobytes() == \
+            small.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_refused_row_in_a_worker_leaves_no_file(
+            self, tmp_path, monkeypatch, body, cores, existing):
+        # row 50 is in the last span on any worker count
+        monkeypatch.setattr(cube_io, "_usable_cores", lambda: cores)
+        target = tmp_path / "cube.lwc"
+        if existing:
+            target.write_bytes(b"earlier bytes")
+
+        def row(i):
+            return np.where(i == 50, np.nan, body[i])
+
+        with pytest.raises(ConstraintError, match="cube values must be finite"):
+            write_cube(target, self.header(), row)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            (["cube.lwc"] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"earlier bytes"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_meanwhile_runs_here_while_the_workers_write(self, tmp_path,
+                                                          monkeypatch, body):
+        monkeypatch.setattr(cube_io, "_usable_cores", lambda: 2)
+        seen = []
+        target = tmp_path / "cube.lwc"
+
+        def meanwhile():
+            seen.append((os.getpid(), target.exists()))
+
+        write_cube(target, self.header(), body.__getitem__, meanwhile)
+        assert seen == [(os.getpid(), False)]
+        assert read_cube(target)[1].tobytes() == body.astype("<f4").tobytes()
+
+    def test_an_error_in_meanwhile_stops_the_workers_and_leaves_no_file(
+            self, tmp_path, monkeypatch, body):
+        monkeypatch.setattr(cube_io, "_usable_cores", lambda: 2)
+
+        def meanwhile():
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            write_cube(tmp_path / "cube.lwc", self.header(), body.__getitem__,
+                       meanwhile)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestPipelineFidelity:

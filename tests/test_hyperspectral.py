@@ -1,5 +1,6 @@
 """Tests for the full-spectrum constrained solver and its building blocks."""
 
+import os
 from dataclasses import replace
 from functools import partial
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from lwirange import (
     ConfigError,
     DimensionError,
+    DomainError,
     EstimateMaps,
     GridError,
     SolverConfig,
@@ -33,6 +35,7 @@ from lwirange.closed_form import (
     quadspectral,
 )
 from lwirange import hyperspectral
+from lwirange._workers import fork_map
 from lwirange.hyperspectral import (
     _MIN_SPAN,
     _armijo_pass,
@@ -119,17 +122,16 @@ def random_params(rng, m, n, k, q, t_air=AIR.kelvin):
 
 
 def record_pool_sizes(monkeypatch):
-    """The worker count of every process pool started from here on."""
-    import concurrent.futures
-
+    """The worker count of every solve from here on that forks workers:
+    fork_map runs a single job in the calling process."""
     sizes = []
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def recording(fn, jobs, meanwhile=None):
+        if len(jobs) > 1:
+            sizes.append(len(jobs))
+        return fork_map(fn, jobs, meanwhile)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(hyperspectral, "fork_map", recording)
     return sizes
 
 
@@ -1293,6 +1295,25 @@ class TestSolve:
             for name in ("distance", "temperature", "emissivity", "solid_angles",
                          "loss", "iterations"):
                 npt.assert_array_equal(getattr(one, name), getattr(three, name))
+
+    def test_a_worker_error_reaches_the_caller_as_itself(self, monkeypatch):
+        # each of two pixel blocks, of 2 and 1 pixels, raises in its forked
+        # worker; the first block's error is raised here, and both workers
+        # are reaped
+        sc = micro_scene(rows=1, cols=3, bands=12, q=2, noise_sigma=0.5, seed=14)
+        caller = os.getpid()
+
+        def failing(pr, *args):
+            assert os.getpid() != caller
+            raise DomainError(f"pixels {pr.y.shape[1]} in worker {os.getpid()}")
+
+        monkeypatch.setattr(hyperspectral, "_solve_flat", failing)
+        monkeypatch.setattr(hyperspectral, "_usable_cores", lambda: 2)
+        with pytest.raises(DomainError, match="pixels 2 in worker") as info:
+            solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(threads=2))
+        assert str(caller) not in str(info.value).split()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("rho_d", [0.0, 1.0])
     def test_history_is_feasible_and_monotone(self, rho_d, monkeypatch):

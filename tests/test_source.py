@@ -1,7 +1,8 @@
 """Static checks on the package source, read with ast: every ``__all__``
 entry names a module-level definition, no module but the package
 ``__init__`` imports a name it never uses, no module but ``cli`` and
-``__init__`` imports the solver, every ``SolverConfig`` field
+``__init__`` imports the solver, only ``_workers`` forks and no module
+imports a process pool, every ``SolverConfig`` field
 is read outside its own ``validate``, every private module constant and
 module-level private function is read, no module calls ``np.median`` or ``np.fromfile``, the solver
 checks a caller's maps in one place, evaluates the emissivity penalty only
@@ -90,12 +91,29 @@ def test_only_the_cli_and_the_package_import_the_solver():
     assert not found, found
 
 
+def test_only_the_fork_helper_makes_processes():
+    # _workers.fork_map is the one place that forks, reads each worker's
+    # result and reaps it; no module starts a process pool or forks beside it
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                mods = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                if any(m.split(".")[0] in ("concurrent", "multiprocessing")
+                       for m in mods):
+                    found.append(f"{name}:{node.lineno}")
+            elif (isinstance(node, ast.Attribute) and node.attr == "fork"
+                  and name != "_workers.py"):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, found
+
+
 def test_every_solver_config_field_is_read():
     # a field that only validate reads is a knob that changes nothing.  A
     # read is any attribute load of the field's name, so this catches a dead
     # field, not one shadowed by a same-named attribute of another object
     modules = _modules()
-    cls = next(node for node in modules["hyperspectral.py"].body
+    cls = next(node for node in modules["forward_model.py"].body
                if isinstance(node, ast.ClassDef) and node.name == "SolverConfig")
     fields = {node.target.id for node in cls.body
               if isinstance(node, ast.AnnAssign)}
