@@ -7,8 +7,11 @@ is not imported again.  The package starts no threads of its own, which a
 fork would not carry into the child.  Each child sends back its result,
 or the exception it raised, pickled through a pipe; the caller reads every
 pipe before it reaps that child, and no child outlives the call.  The
-solver's pixel blocks (:func:`lwirange.hyperspectral.solve`) and the
-simulator's row spans (:func:`lwirange.cube_io.write_cube`) both run here.
+solver's pixel blocks (:func:`lwirange.hyperspectral.solve`) and the row
+spans of every cube and omega body (:func:`lwirange.cube_io.write_cube`)
+run here.  Calls nest: ``synth`` writes the truth files' bodies, each by
+its own workers, in the meanwhile of the call whose workers write the
+cube's rows.
 """
 
 from __future__ import annotations

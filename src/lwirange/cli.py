@@ -60,7 +60,7 @@ from .evaluation import (
     render_map,
     write_patch_stats_csv,
 )
-from .forward_model import SolverConfig, _row_function, make_default_scene
+from .forward_model import SolverConfig, make_default_scene, synthesize_rows
 from .radiometry import DB_PER_M, Spectrum, Temperature
 
 _MODES = ("bi-hot", "bi-air", "quad", "hyper")
@@ -278,7 +278,7 @@ def cmd_synth(s, args):
     truth = make_default_scene(grid, q=0 if dw is None else len(dw),
                                air_temperature=_AIR_DEFAULT,
                                rows=s["rows"], cols=s["cols"])
-    row = _row_function(truth, alpha, dw, _AIR_DEFAULT, s["noise_sigma"], s["seed"])
+    row = synthesize_rows(truth, alpha, dw, _AIR_DEFAULT, s["noise_sigma"], s["seed"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # workers make the cube's rows and write them in spans, each holding

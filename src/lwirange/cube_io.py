@@ -5,14 +5,15 @@ JSON header, then the body. Cube and omega bodies are IEEE-754 binary32,
 little endian, row major [i][j][k]; map bodies are an (M, N) binary32 plane
 followed by an (M, N) uint8 validity plane. Cube and omega values are
 finite, which writers and readers both check; map values may be NaN or inf.
-Every body streams through one reused buffer, on write and on read, and a
-read that comes up short raises FormatError. A cube body given as a function
-of the row index is written by span instead: the file is sized first, and
-each contiguous span of rows is computed, cast and written at its offset by
-one worker, forked where the body is longer than one buffer, with the bytes
-of any worker count. Headers carry no timestamps, so writing the same data
-twice produces identical files. Each file is written under a temporary name
-beside its path and renamed into place once whole.
+Every body is read, and a map body written, through one reused buffer, and
+a read that comes up short raises FormatError. A cube or omega body, given
+as an array or as a function of the row index, is written by span: the
+file is sized first, and each contiguous span of rows is computed, cast and
+written at its offset by one worker, forked where the body is longer than
+one buffer, with the bytes of any worker count. Headers carry no
+timestamps, so writing the same data twice produces identical files. Each
+file is written under a temporary name beside its path and renamed into
+place once whole.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -40,6 +40,12 @@ _MAX_BODY_BYTES = 2 ** 62
 # bodies stream through one reused buffer of about this many bytes: the cube
 # reader's, and each writer's when one image row is longer
 _CHUNK_BYTES = 1 << 20
+
+
+def _chunk_len(n, k, dtype):
+    """Spectra per chunk of n spectra of k values of dtype: as many as fit
+    in _CHUNK_BYTES, at least one and at most n."""
+    return min(n, max(1, _CHUNK_BYTES // (np.dtype(dtype).itemsize * max(k, 1))))
 
 
 def _count(name, v, lo):
@@ -186,11 +192,13 @@ def _container(path, header: CubeHeader):
         raise
 
 
-def _write_span(fd, offset, rows, shape, what):
-    # write the (S, N, K) span of a cube body given by its S rows at offset
-    # in the open file fd, in the chunks of _body_chunks
-    for chunk in _body_chunks(rows, shape, "<f4", what):
-        view = memoryview(chunk).cast("B")
+def _write_span(fd, offset, row, first, stop, shape, what):
+    # write rows first to stop - 1 of the (M, N, K) body whose row i is
+    # row(i) at offset in the open file fd, in the chunks of _body_chunks;
+    # an empty chunk writes nothing
+    for chunk in _body_chunks(map(row, range(first, stop)), shape, "<f4",
+                              what, first):
+        view = memoryview(chunk.reshape(-1).view(np.uint8))
         while view:
             done = os.pwrite(fd, view, offset)
             view, offset = view[done:], offset + done
@@ -211,36 +219,31 @@ def _write_row_spans(fh, shape, row, what, meanwhile):
     spans = max(1, min(m, -(-m * row_bytes // _CHUNK_BYTES), _usable_cores()))
     edges = [m * s // spans for s in range(spans + 1)]
     fork_map(_write_span, [
-        (fh.fileno(), start + i * row_bytes, map(row, range(i, j)),
-         (j - i, n, k), what)
+        (fh.fileno(), start + i * row_bytes, row, i, j, shape, what)
         for i, j in zip(edges, edges[1:])], meanwhile)
 
 
-def _body_chunks(rows, shape, dtype, what=None):
-    """The shape = (M, N, K) body given as an iterable of its M (N, K)
-    rows, cast to dtype, in chunks of whole spectra: one image row, or a
-    part of one at most _CHUNK_BYTES long, each a view of one reused buffer.
-    With what set, every cast value must be finite (ConstraintError naming
-    what).  A row of another shape, or another row count, raises
-    DimensionError."""
-    m, n, k = shape
-    step = min(n, max(1, _CHUNK_BYTES // (np.dtype(dtype).itemsize * max(k, 1))))
+def _body_chunks(rows, shape, dtype, what=None, first=0):
+    """rows, an iterable of (N, K) rows of the shape = (M, N, K) body from
+    its row first on, cast to dtype, in chunks of whole spectra: one image
+    row, or a part of one at most _CHUNK_BYTES long, each a view of one
+    reused buffer.  With what set, every cast value must be finite
+    (ConstraintError naming what).  A row of another shape raises
+    DimensionError naming its row of the body."""
+    _, n, k = shape
+    step = _chunk_len(n, k, dtype)
     buf = np.empty((step, k), dtype=dtype)
-    count = 0
-    for row in rows:
+    for i, row in enumerate(rows, first):
         row = np.asarray(row)
-        if count == m or row.shape != (n, k):
+        if row.shape != (n, k):
             raise DimensionError(
-                f"row {count} of shape {row.shape} does not match the body {shape}")
-        count += 1
+                f"row {i} of shape {row.shape} does not match the body {shape}")
         for j in range(0, n, step):
             chunk = buf[:min(step, n - j)]
             chunk[...] = row[j:j + step]
             if what is not None and not _all_finite(chunk):
                 raise ConstraintError(f"{what} must be finite")
             yield chunk
-    if count != m:
-        raise DimensionError(f"{count} rows given for the body {shape}")
 
 
 def _read_header(fh, path, kinds) -> CubeHeader:
@@ -288,7 +291,7 @@ def _read_plane(fh, path, header, dtype, idx=None, what=None, stored="<f4"):
                    + (() if header.kind == "map" else (kept,)), dtype=dtype)
     flat = out.reshape(px, kept)
     cols = slice(None) if kept == k else idx
-    step = min(px, max(1, _CHUNK_BYTES // (np.dtype(stored).itemsize * max(k, 1))))
+    step = _chunk_len(px, k, stored)
     buf = np.empty((step, k), dtype=stored)
     for start in range(0, px, step):
         chunk = buf[:min(step, px - start)]
@@ -320,35 +323,29 @@ def _read_file(path, kinds, dtype):
 def write_cube(path, header: CubeHeader, data, meanwhile=None):
     """Write a (rows, cols, bands) body under a cube/omega header.
 
-    data is an array of that shape, an iterator of its rows, each a
-    (cols, bands) array, such as :func:`forward_model.synthesize_rows`
-    makes, or a function that returns row i when called with i.  The body
-    is cast to float32 one image row at a time (at most _CHUNK_BYTES at
-    once) and written as it is cast, so no float32 copy of the whole body
-    is made; every value must be finite once cast (ConstraintError).  The
-    rows of a function are computed and written in spans at their offsets,
-    by forked workers where the body is longer than one _CHUNK_BYTES chunk
-    and there is more than one usable core, each worker holding about one
-    chunk; the bytes are the same for any number of workers.  meanwhile(),
+    data is an array of that shape, or a function that returns row i, a
+    (cols, bands) array, when called with i, such as
+    :func:`forward_model.synthesize_rows` makes; an array is written as
+    its row function.  The rows are computed, cast to float32 and written
+    in contiguous spans at their offsets, by forked workers where the body
+    is longer than one _CHUNK_BYTES chunk and there is more than one usable
+    core, each worker holding about one chunk, so no float32 copy of the
+    whole body is made; the bytes are the same for any number of workers.
+    Every value must be finite once cast (ConstraintError).  meanwhile(),
     if given, runs in this process before the file is renamed into place,
     while the workers write.  On any failure no file is left at path but
     the one that was there."""
     if header.kind == "map":
         raise FormatError("write_cube cannot write map containers; use write_map")
     shape = (header.rows, header.cols, header.bands)
-    what = f"{header.kind} values"
-    if not (callable(data) or isinstance(data, Iterator)):
+    if not callable(data):
         data = np.asarray(data)
         if data.shape != shape:
             raise DimensionError(
                 f"data shape {data.shape} does not match header {shape}")
+        data = data.__getitem__
     with _container(path, header) as fh:
-        if callable(data):
-            _write_row_spans(fh, shape, data, what, meanwhile)
-        else:
-            fh.writelines(_body_chunks(data, shape, "<f4", what))
-            if meanwhile is not None:
-                meanwhile()
+        _write_row_spans(fh, shape, data, f"{header.kind} values", meanwhile)
 
 
 def read_cube(path):
@@ -395,12 +392,11 @@ def save_scene_rows(path, radiance, image_shape, grid: SpectralGrid,
                     air_temperature: Temperature, noise_sigma: float,
                     meanwhile=None):
     """Write a scene cube file of image_shape = (M, N) from its radiance:
-    an (M, N, K) array, an iterator of its M (N, K) rows, such as
-    :func:`forward_model.synthesize_rows` makes, or a function of the row
-    index that returns that row, whose rows are written in spans by forked
-    workers while meanwhile(), if given, runs here (see :func:`write_cube`).
-    The file is the one :func:`save_scene_cube` writes of the cube those
-    rows fill."""
+    an (M, N, K) array, or a function of the row index that returns that
+    (N, K) row, such as :func:`forward_model.synthesize_rows` makes.  The
+    rows are written in spans by forked workers while meanwhile(), if given,
+    runs here (see :func:`write_cube`).  The file is the one
+    :func:`save_scene_cube` writes of the cube those rows fill."""
     header = CubeHeader(
         kind="cube",
         rows=image_shape[0],

@@ -366,10 +366,26 @@ def radiance_model_batch(
     return np.ascontiguousarray(y.T)
 
 
-def _row_function(truth, alpha, dw, air_temperature, noise_sigma, rng_seed):
-    """row(i), row i of the observed cube of truth: an (N, K) float64 array,
-    the observation model plus i.i.d. Gaussian noise.  The arguments are
-    checked here, before any row is made; see :func:`synthesize_rows`."""
+def synthesize_rows(
+    truth: SceneTruth,
+    alpha: AttenuationSpectrum,
+    dw: DownwellingSet,
+    air_temperature: Temperature,
+    noise_sigma: float = 0.0,
+    rng_seed: int = 0,
+):
+    """The observed cube of truth as its row function: row(i) is row i, an
+    (N, K) float64 array, the observation model plus i.i.d. Gaussian noise.
+
+    dw may be None for a scene with no sky sectors (Q = 0). The arguments
+    are checked here, before any row is made. Row i's noise is drawn as one
+    (N, K) block from a substream seeded by (seed, i): pixel (i, j) takes
+    draws j*K to (j+1)*K - 1 of it. So reruns agree bit for bit, the
+    top-left corner of a cube equals the cube synthesized from that corner
+    of the truth, and any row can be made apart from the others: ``synth``
+    hands the row function to :func:`lwirange.cube_io.save_scene_rows`, so
+    that workers make and write contiguous spans of rows at once.
+    """
     if not 0.0 <= noise_sigma < np.inf:
         raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     k = len(alpha.grid)
@@ -407,32 +423,6 @@ def _row_function(truth, alpha, dw, air_temperature, noise_sigma, rng_seed):
     return row
 
 
-def synthesize_rows(
-    truth: SceneTruth,
-    alpha: AttenuationSpectrum,
-    dw: DownwellingSet,
-    air_temperature: Temperature,
-    noise_sigma: float = 0.0,
-    rng_seed: int = 0,
-):
-    """The observed cube of truth, one image row at a time: an iterator of
-    M (N, K) float64 rows, each the observation model plus i.i.d. Gaussian
-    noise.
-
-    dw may be None for a scene with no sky sectors (Q = 0). The arguments
-    are checked here, before the first row is made. Row i's noise is drawn
-    as one (N, K) block from a substream seeded by (seed, i): pixel (i, j)
-    takes draws j*K to (j+1)*K - 1 of it. So reruns agree bit for bit, the
-    top-left corner of a cube equals the cube synthesized from that corner
-    of the truth, and any row can be made apart from the others: the rows
-    come from one row function, which ``synth`` hands to
-    :func:`lwirange.cube_io.save_scene_rows` so that workers make and write
-    contiguous spans of rows at once.
-    """
-    row = _row_function(truth, alpha, dw, air_temperature, noise_sigma, rng_seed)
-    return map(row, range(truth.shape[0]))
-
-
 def synthesize_cube(
     truth: SceneTruth,
     alpha: AttenuationSpectrum,
@@ -441,13 +431,14 @@ def synthesize_cube(
     noise_sigma: float = 0.0,
     rng_seed: int = 0,
 ) -> SceneCube:
-    """The whole observed cube of truth, filled from :func:`synthesize_rows`
-    with the same arguments; the rows and their noise are its."""
-    rows = synthesize_rows(truth, alpha, dw, air_temperature, noise_sigma,
-                           rng_seed)
+    """The whole observed cube of truth, filled row by row from the row
+    function :func:`synthesize_rows` returns for the same arguments; the
+    rows and their noise are its."""
+    row = synthesize_rows(truth, alpha, dw, air_temperature, noise_sigma,
+                          rng_seed)
     y = np.empty(truth.shape + (len(alpha.grid),))
-    for i, row in enumerate(rows):
-        y[i] = row
+    for i in range(truth.shape[0]):
+        y[i] = row(i)
     # read-only, so the cube holds this array rather than a copy of it
     y.setflags(write=False)
     return SceneCube(y, alpha.grid, air_temperature, noise_sigma)

@@ -24,11 +24,13 @@ from lwirange import (
     load_scene_cube,
     load_scene_truth,
     load_truth_distance,
+    make_default_grid,
     read_cube,
     read_map,
     save_estimates,
     save_range_map,
     save_scene_cube,
+    save_scene_rows,
     save_scene_truth,
     write_cube,
     write_map,
@@ -545,9 +547,9 @@ class TestWriterGuards:
 
 
 class TestStreamingWriter:
-    """write_cube casts and writes its body one image row at a time, from
-    an array or an iterator of rows, into a temporary file beside its path
-    that replaces the path only once whole."""
+    """write_cube casts and writes its body, an array or a function of the
+    row index, one image row at a time, into a temporary file beside its
+    path that replaces the path only once whole."""
 
     @pytest.fixture()
     def body(self):
@@ -565,11 +567,31 @@ class TestStreamingWriter:
         write_cube(tmp_path / "want.lwc", self.header(body), body)
         want = (tmp_path / "want.lwc").read_bytes()
         monkeypatch.setattr(cube_io, "_CHUNK_BYTES", chunk_bytes)
-        for name, data in (("array", body), ("rows", iter(body))):
+        for name, data in (("array", body), ("rows", lambda i: body[i].copy())):
             write_cube(tmp_path / name, self.header(body), data)
             assert (tmp_path / name).read_bytes() == want, name
         assert read_cube(tmp_path / "rows")[1].tobytes() == \
             body.astype("<f4").tobytes()
+
+    def test_an_iterator_of_rows_is_refused(self, tmp_path, body):
+        with pytest.raises(DimensionError, match=r"data shape \(\) does not"):
+            write_cube(tmp_path / "c.lwc", self.header(body), iter(body))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_body_of_no_bands_writes_no_body_bytes(self, tmp_path,
+                                                    monkeypatch, cores):
+        # an omega body with no sky sectors, as a no-sky solve saves it
+        monkeypatch.setattr(cube_io, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(cube_io, "_CHUNK_BYTES", 1)
+        header = CubeHeader(kind="omega", rows=2, cols=3, bands=0)
+        write_cube(tmp_path / "array.lwc", header, np.zeros((2, 3, 0)))
+        write_cube(tmp_path / "rows.lwc", header, lambda i: np.zeros((3, 0)))
+        assert (tmp_path / "rows.lwc").read_bytes() == \
+            (tmp_path / "array.lwc").read_bytes()
+        for name in ("array.lwc", "rows.lwc"):
+            back_header, values = read_cube(tmp_path / name)
+            assert back_header == header and values.shape == (2, 3, 0)
 
     def test_a_broadcast_body_is_written_without_a_whole_float32_copy(
             self, tmp_path):
@@ -588,13 +610,6 @@ class TestStreamingWriter:
                               body.astype(np.float32))
 
     @staticmethod
-    def rows_then(body, i, fault):
-        for r, row in enumerate(body):
-            if r == i:
-                fault(row)
-            yield row
-
-    @staticmethod
     def nan_row(row):
         row[1, 2] = np.nan
 
@@ -608,19 +623,31 @@ class TestStreamingWriter:
     ])
     @pytest.mark.parametrize("existing", [False, True])
     def test_a_failure_mid_body_leaves_no_partial_file(
-            self, tmp_path, body, fault, error, match, existing):
+            self, tmp_path, monkeypatch, body, fault, error, match, existing):
+        # three spectra a chunk, so each usable core writes a span
+        monkeypatch.setattr(cube_io, "_CHUNK_BYTES", 3 * 6 * 4)
         target = tmp_path / "cube.lwc"
         if existing:
             target.write_bytes(b"earlier bytes")
-        rows = self.rows_then(body.copy(), 3, getattr(self, fault))
-        with pytest.raises(error, match=match):
-            write_cube(target, self.header(body), rows)
-        left = sorted(p.name for p in tmp_path.iterdir())
-        if existing:
-            assert left == ["cube.lwc"]
-            assert target.read_bytes() == b"earlier bytes"
-        else:
-            assert left == []
+
+        def row(i):
+            r = body[i].copy()
+            if i == 3:
+                getattr(self, fault)(r)
+            return r
+
+        for cores in (1, 2):
+            monkeypatch.setattr(cube_io, "_usable_cores", lambda: cores)
+            with pytest.raises(error, match=match):
+                write_cube(target, self.header(body), row)
+            left = sorted(p.name for p in tmp_path.iterdir())
+            if existing:
+                assert left == ["cube.lwc"]
+                assert target.read_bytes() == b"earlier bytes"
+            else:
+                assert left == []
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
@@ -631,13 +658,14 @@ class TestStreamingWriter:
             write_cube(tmp_path / "c.lwc", self.header(body), body)
         assert list(tmp_path.iterdir()) == []
 
+    # row functions of a six-row body
     @pytest.mark.parametrize("rows, match", [
-        (lambda b: iter(b[:4]), "4 rows given"),
-        (lambda b: iter(np.concatenate([b, b[:1]])), "row 5 of shape"),
-        (lambda b: iter(b[:, :6]), r"row 0 of shape \(6, 6\)"),
+        (lambda b: lambda i: b[i, :6] if i == 5 else b[i], "row 5 of shape"),
+        (lambda b: lambda i: b[i, :6], r"row 0 of shape \(6, 6\)"),
     ])
     def test_rows_must_fill_the_header_shape(self, tmp_path, body, rows,
                                              match):
+        body = np.concatenate([body, body[:1]])
         with pytest.raises(DimensionError, match=match):
             write_cube(tmp_path / "c.lwc", self.header(body), rows(body))
         assert list(tmp_path.iterdir()) == []
@@ -677,7 +705,7 @@ class TestSpanWriter:
         spans = []
 
         def recording(fn, jobs, meanwhile=None):
-            spans.append([job[3][0] for job in jobs])
+            spans.append([stop - first for _, _, _, first, stop, *_ in jobs])
             return fork_map(fn, jobs, meanwhile)
 
         monkeypatch.setattr(cube_io, "fork_map", recording)
@@ -729,6 +757,40 @@ class TestSpanWriter:
             (["cube.lwc"] if existing else [])
         if existing:
             assert target.read_bytes() == b"earlier bytes"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_a_row_of_another_shape_is_named_by_its_body_row(
+            self, tmp_path, monkeypatch, body, cores):
+        # row 50 is in the last span on any worker count
+        monkeypatch.setattr(cube_io, "_usable_cores", lambda: cores)
+
+        def row(i):
+            return body[i, 1:] if i == 50 else body[i]
+
+        with pytest.raises(DimensionError, match=(
+                r"^row 50 of shape \(127, 64\) does not match the body "
+                r"\(73, 128, 64\)$")):
+            write_cube(tmp_path / "cube.lwc", self.header(), row)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_refused_truth_body_in_meanwhile_stops_the_cube_and_leaves_no_file(
+            self, tmp_path, monkeypatch, body):
+        # the array body written in meanwhile is itself longer than one
+        # chunk, so its workers are forked while the cube's workers run
+        monkeypatch.setattr(cube_io, "_usable_cores", lambda: 2)
+        bad = body.copy()
+        bad[60, 3, 7] = np.nan
+
+        def meanwhile():
+            write_cube(tmp_path / "truth.lwc", self.header(), bad)
+
+        with pytest.raises(ConstraintError, match="cube values must be finite"):
+            save_scene_rows(tmp_path / "cube.lwc", body.__getitem__,
+                            self.shape[:2], make_default_grid(self.shape[2]),
+                            Temperature(290.0), 0.0, meanwhile)
+        assert list(tmp_path.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

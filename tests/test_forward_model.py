@@ -347,8 +347,9 @@ def test_synthesize_cube_holds_one_copy_of_the_cube():
 def test_synthesize_cube_is_filled_from_the_row_generator(noise_sigma):
     s = micro_scene(rows=5, cols=3, bands=8, q=2)
     args = (s["truth"], s["alpha"], s["dw"], AIR, noise_sigma, 4)
-    rows = list(synthesize_rows(*args))
-    assert len(rows) == 5 and all(r.shape == (3, 8) for r in rows)
+    row = synthesize_rows(*args)
+    rows = [row(i) for i in range(5)]
+    assert all(r.shape == (3, 8) for r in rows)
     assert np.array_equal(np.stack(rows), synthesize_cube(*args).radiance)
 
 
