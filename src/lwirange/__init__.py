@@ -50,8 +50,8 @@ from .cube_io import (
     read_map,
     save_estimates,
     save_range_map,
+    save_scene,
     save_scene_cube,
-    save_scene_rows,
     save_scene_truth,
     write_cube,
     write_map,

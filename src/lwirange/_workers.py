@@ -8,10 +8,8 @@ fork would not carry into the child.  Each child sends back its result,
 or the exception it raised, pickled through a pipe; the caller reads every
 pipe before it reaps that child, and no child outlives the call.  The
 solver's pixel blocks (:func:`lwirange.hyperspectral.solve`) and the row
-spans of every cube and omega body (:func:`lwirange.cube_io.write_cube`)
-run here.  Calls nest: ``synth`` writes the truth files' bodies, each by
-its own workers, in the meanwhile of the call whose workers write the
-cube's rows.
+spans of every LWC1 file a save writes (:func:`lwirange.cube_io._save`)
+run here, one call per solve or save.
 """
 
 from __future__ import annotations
@@ -73,22 +71,18 @@ def _run_child(fn, job, r, w):
         os._exit(code)
 
 
-def fork_map(fn, jobs, meanwhile=None):
+def fork_map(fn, jobs):
     """[fn(*job) for job in jobs], each job run in its own forked child.
 
-    While the children run, meanwhile(), if given, runs in this process.
     Results come back in job order; the first job, in job order, that
     raised has its exception re-raised here as itself, and a child that
     ends without sending a result raises ChildProcessError.  On any
     exception every child still running is killed, and every child is
     reaped before this returns or raises.  A single job runs in this
-    process, then meanwhile, and nothing is forked.
+    process, and nothing is forked.
     """
     if len(jobs) == 1:
-        out = [fn(*jobs[0])]
-        if meanwhile is not None:
-            meanwhile()
-        return out
+        return [fn(*jobs[0])]
     children = []  # [pid, read end], each set to None once reaped or closed
     try:
         for job in jobs:
@@ -103,8 +97,6 @@ def fork_map(fn, jobs, meanwhile=None):
                 _run_child(fn, job, r, w)
             os.close(w)
             children[-1][0] = pid
-        if meanwhile is not None:
-            meanwhile()
         results = []
         for child in children:
             with open(child[1], "rb") as pipe:

@@ -49,8 +49,7 @@ from .cube_io import (
     load_truth_distance,
     save_estimates,
     save_range_map,
-    save_scene_rows,
-    save_scene_truth,
+    save_scene,
 )
 from .errors import ConfigError, DomainError, GridError, LwirError
 from .evaluation import (
@@ -280,12 +279,10 @@ def cmd_synth(s, args):
                                rows=s["rows"], cols=s["cols"])
     row = synthesize_rows(truth, alpha, dw, _AIR_DEFAULT, s["noise_sigma"], s["seed"])
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # workers make the cube's rows and write them in spans, each holding
-    # about one chunk, while this process writes the truth files
-    save_scene_rows(out / "cube.lwc", row, truth.shape, grid, _AIR_DEFAULT,
-                    s["noise_sigma"], meanwhile=lambda: save_scene_truth(
-                        out, truth, grid, zenith_angles_deg=dw.zenith_angles_deg))
+    # the same workers make the cube's rows and write them in spans, each
+    # holding about one chunk, and write the truth files' rows
+    save_scene(out, row, truth, grid, _AIR_DEFAULT, s["noise_sigma"],
+               zenith_angles_deg=dw.zenith_angles_deg)
     print(f"wrote {s['rows']}x{s['cols']}x{len(grid.wavelengths)} cube to {out}")
     return 0
 

@@ -5,23 +5,22 @@ JSON header, then the body. Cube and omega bodies are IEEE-754 binary32,
 little endian, row major [i][j][k]; map bodies are an (M, N) binary32 plane
 followed by an (M, N) uint8 validity plane. Cube and omega values are
 finite, which writers and readers both check; map values may be NaN or inf.
-Every body is read, and a map body written, through one reused buffer, and
-a read that comes up short raises FormatError. A cube or omega body, given
-as an array or as a function of the row index, is written by span: the
-file is sized first, and each contiguous span of rows is computed, cast and
-written at its offset by one worker, forked where the body is longer than
-one buffer, with the bytes of any worker count. Headers carry no
-timestamps, so writing the same data twice produces identical files. Each
-file is written under a temporary name beside its path and renamed into
-place once whole.
+Headers carry no timestamps, so writing the same data twice produces
+identical files. Every body is read through one reused buffer, and a read
+that comes up short raises FormatError. Every file is written by one save
+(:func:`_save`), which sizes each of its files under a temporary name,
+writes spans of rows of all their bodies by one set of workers, with the
+bytes of any worker count, and renames the files into place once all are
+whole.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -174,7 +173,6 @@ def _container(path, header: CubeHeader):
     temporary name and renamed onto path once the block exits, so an
     exception part way (a refused value, a short disk) leaves no partial
     file, and any file already at path keeps its bytes."""
-    path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     hj = header.to_json()
     try:
@@ -192,58 +190,61 @@ def _container(path, header: CubeHeader):
         raise
 
 
-def _write_span(fd, offset, row, first, stop, shape, what):
-    # write rows first to stop - 1 of the (M, N, K) body whose row i is
-    # row(i) at offset in the open file fd, in the chunks of _body_chunks;
-    # an empty chunk writes nothing
-    for chunk in _body_chunks(map(row, range(first, stop)), shape, "<f4",
-                              what, first):
-        view = memoryview(chunk.reshape(-1).view(np.uint8))
-        while view:
-            done = os.pwrite(fd, view, offset)
-            view, offset = view[done:], offset + done
+def _save(files):
+    """Write the LWC1 files of one save.  files lists (path, header, bodies)
+    per file, and bodies (row, shape, dtype, what) per body, in file order:
+    a cube or omega body, or a map's value or validity plane as an (M, N, 1)
+    body.  row(i) is row i of the (M, N, K) body of shape, an (N, K) array,
+    cast to dtype; with what set, every cast value must be finite
+    (ConstraintError naming what).  Every body has the save's M rows.
+
+    Every file is opened under its temporary name and sized, then spans of
+    rows of every body are written, each by one worker: one span per usable
+    core and per _CHUNK_BYTES chunk the bodies fill, at most, so a save
+    under two chunks is written here.  No file is renamed into place until
+    every body is written: a refused value or a failed write leaves none."""
+    with ExitStack() as stack:
+        placed = []
+        for path, header, bodies in files:
+            fh = stack.enter_context(_container(path, header))
+            offset = fh.tell()
+            for row, shape, dtype, what in bodies:
+                placed.append((fh.fileno(), offset, row, shape, dtype, what))
+                offset += math.prod(shape) * np.dtype(dtype).itemsize
+            fh.truncate(offset)  # flushes the header first
+        m = files[0][1].rows
+        size = sum(header.body_bytes() for _, header, _ in files)
+        spans = max(1, min(m, size // _CHUNK_BYTES, _usable_cores()))
+        edges = [m * s // spans for s in range(spans + 1)]
+        fork_map(_write_span, [(placed, i, j) for i, j in zip(edges, edges[1:])])
 
 
-def _write_row_spans(fh, shape, row, what, meanwhile):
-    """Write the (M, N, K) body whose row i is row(i) into the open file fh,
-    after what fh holds, which is flushed first: the file is sized to hold
-    the body, then contiguous spans of rows are each computed, cast and
-    written at their offsets by one worker.  There are as many spans as
-    the body fills _CHUNK_BYTES chunks, and as usable cores, at most; one
-    span is written in this process, more by forked workers, while
-    meanwhile() runs here (see :func:`fork_map`)."""
-    m, n, k = shape
-    start = fh.tell()
-    row_bytes = n * k * 4
-    fh.truncate(start + m * row_bytes)
-    spans = max(1, min(m, -(-m * row_bytes // _CHUNK_BYTES), _usable_cores()))
-    edges = [m * s // spans for s in range(spans + 1)]
-    fork_map(_write_span, [
-        (fh.fileno(), start + i * row_bytes, row, i, j, shape, what)
-        for i, j in zip(edges, edges[1:])], meanwhile)
-
-
-def _body_chunks(rows, shape, dtype, what=None, first=0):
-    """rows, an iterable of (N, K) rows of the shape = (M, N, K) body from
-    its row first on, cast to dtype, in chunks of whole spectra: one image
-    row, or a part of one at most _CHUNK_BYTES long, each a view of one
-    reused buffer.  With what set, every cast value must be finite
-    (ConstraintError naming what).  A row of another shape raises
-    DimensionError naming its row of the body."""
-    _, n, k = shape
-    step = _chunk_len(n, k, dtype)
-    buf = np.empty((step, k), dtype=dtype)
-    for i, row in enumerate(rows, first):
-        row = np.asarray(row)
-        if row.shape != (n, k):
-            raise DimensionError(
-                f"row {i} of shape {row.shape} does not match the body {shape}")
-        for j in range(0, n, step):
-            chunk = buf[:min(step, n - j)]
-            chunk[...] = row[j:j + step]
-            if what is not None and not _all_finite(chunk):
-                raise ConstraintError(f"{what} must be finite")
-            yield chunk
+def _write_span(bodies, first, stop):
+    """Write rows first to stop - 1 of every body (fd, offset, row, shape,
+    dtype, what) of :func:`_save` at its place in the open file fd.  Each
+    row is cast in chunks of whole spectra, one image row or a part of one
+    at most _CHUNK_BYTES long, each a view of one reused buffer; an empty
+    chunk writes nothing.  A row of another shape raises DimensionError
+    naming its row of the body."""
+    for fd, offset, row, shape, dtype, what in bodies:
+        _, n, k = shape
+        offset += first * n * k * np.dtype(dtype).itemsize
+        step = _chunk_len(n, k, dtype)
+        buf = np.empty((step, k), dtype=dtype)
+        for i in range(first, stop):
+            values = np.asarray(row(i))
+            if values.shape != (n, k):
+                raise DimensionError(f"row {i} of shape {values.shape} does "
+                                     f"not match the body {shape}")
+            for j in range(0, n, step):
+                chunk = buf[:min(step, n - j)]
+                chunk[...] = values[j:j + step]
+                if what is not None and not _all_finite(chunk):
+                    raise ConstraintError(f"{what} must be finite")
+                view = memoryview(chunk.reshape(-1).view(np.uint8))
+                while view:
+                    done = os.pwrite(fd, view, offset)
+                    view, offset = view[done:], offset + done
 
 
 def _read_header(fh, path, kinds) -> CubeHeader:
@@ -320,21 +321,8 @@ def _read_file(path, kinds, dtype):
                 _read_plane(fh, path, header, np.uint8, stored=np.uint8))
 
 
-def write_cube(path, header: CubeHeader, data, meanwhile=None):
-    """Write a (rows, cols, bands) body under a cube/omega header.
-
-    data is an array of that shape, or a function that returns row i, a
-    (cols, bands) array, when called with i, such as
-    :func:`forward_model.synthesize_rows` makes; an array is written as
-    its row function.  The rows are computed, cast to float32 and written
-    in contiguous spans at their offsets, by forked workers where the body
-    is longer than one _CHUNK_BYTES chunk and there is more than one usable
-    core, each worker holding about one chunk, so no float32 copy of the
-    whole body is made; the bytes are the same for any number of workers.
-    Every value must be finite once cast (ConstraintError).  meanwhile(),
-    if given, runs in this process before the file is renamed into place,
-    while the workers write.  On any failure no file is left at path but
-    the one that was there."""
+def _cube_file(path, header: CubeHeader, data):
+    # (path, header, bodies) of a cube or omega file for _save
     if header.kind == "map":
         raise FormatError("write_cube cannot write map containers; use write_map")
     shape = (header.rows, header.cols, header.bands)
@@ -344,8 +332,20 @@ def write_cube(path, header: CubeHeader, data, meanwhile=None):
             raise DimensionError(
                 f"data shape {data.shape} does not match header {shape}")
         data = data.__getitem__
-    with _container(path, header) as fh:
-        _write_row_spans(fh, shape, data, f"{header.kind} values", meanwhile)
+    return path, header, [(data, shape, "<f4", f"{header.kind} values")]
+
+
+def write_cube(path, header: CubeHeader, data):
+    """Write a (rows, cols, bands) body under a cube/omega header.
+
+    data is an array of that shape, or a function that returns row i, a
+    (cols, bands) array, when called with i, such as
+    :func:`forward_model.synthesize_rows` makes; an array is written as
+    its row function, in spans by :func:`_save`, each worker holding about
+    one _CHUNK_BYTES chunk.  Every value must be finite once cast to
+    float32 (ConstraintError).  On any failure no file is left at path but
+    the one that was there."""
+    _save([_cube_file(path, header, data)])
 
 
 def read_cube(path):
@@ -354,8 +354,8 @@ def read_cube(path):
     return _read_file(path, ("cube", "omega"), np.float32)
 
 
-def write_map(path, header: CubeHeader, values, flags):
-    """Write an (M, N) scalar map with a parallel uint8 validity plane."""
+def _map_file(path, header: CubeHeader, values, flags):
+    # (path, header, bodies) of a map file for _save
     if header.kind != "map":
         raise FormatError(f"write_map needs a map header, got kind {header.kind!r}")
     val = np.asarray(values)
@@ -367,9 +367,14 @@ def write_map(path, header: CubeHeader, values, flags):
     if flg.shape != val.shape:
         raise DimensionError(f"flags shape {flg.shape} does not match values")
     shape = val.shape + (1,)
-    with _container(path, header) as fh:
-        fh.writelines(_body_chunks(val[:, :, None], shape, "<f4"))
-        fh.writelines(_body_chunks(flg[:, :, None], shape, np.uint8))
+    return path, header, [(val[:, :, None].__getitem__, shape, "<f4", None),
+                          (flg[:, :, None].__getitem__, shape, np.uint8, None)]
+
+
+def write_map(path, header: CubeHeader, values, flags):
+    """Write an (M, N) scalar map with a parallel uint8 validity plane,
+    each plane a body of :func:`_save`."""
+    _save([_map_file(path, header, values, flags)])
 
 
 def read_map(path):
@@ -383,31 +388,29 @@ def read_map(path):
 # typed wrappers
 # ----------------------------------------------------------------------
 
+def _scene_cube_file(path, radiance, image_shape, grid: SpectralGrid,
+                     air_temperature: Temperature, noise_sigma: float):
+    return _cube_file(path, CubeHeader(
+        kind="cube", rows=image_shape[0], cols=image_shape[1], bands=len(grid),
+        wavelengths_um=tuple(grid.wavelengths), unit=MICROFLICK,
+        air_temperature_k=air_temperature.kelvin, noise_sigma=noise_sigma),
+        radiance)
+
+
 def save_scene_cube(path, cube: SceneCube):
-    save_scene_rows(path, cube.radiance, cube.shape[:2], cube.grid,
-                    cube.air_temperature, cube.noise_sigma)
+    _save([_scene_cube_file(path, cube.radiance, cube.shape[:2], cube.grid,
+                            cube.air_temperature, cube.noise_sigma)])
 
 
-def save_scene_rows(path, radiance, image_shape, grid: SpectralGrid,
-                    air_temperature: Temperature, noise_sigma: float,
-                    meanwhile=None):
-    """Write a scene cube file of image_shape = (M, N) from its radiance:
-    an (M, N, K) array, or a function of the row index that returns that
-    (N, K) row, such as :func:`forward_model.synthesize_rows` makes.  The
-    rows are written in spans by forked workers while meanwhile(), if given,
-    runs here (see :func:`write_cube`).  The file is the one
-    :func:`save_scene_cube` writes of the cube those rows fill."""
-    header = CubeHeader(
-        kind="cube",
-        rows=image_shape[0],
-        cols=image_shape[1],
-        bands=len(grid),
-        wavelengths_um=tuple(grid.wavelengths),
-        unit=MICROFLICK,
-        air_temperature_k=air_temperature.kelvin,
-        noise_sigma=noise_sigma,
-    )
-    write_cube(path, header, radiance, meanwhile)
+def save_scene(dirpath, radiance, truth: SceneTruth, grid: SpectralGrid,
+               air_temperature: Temperature, noise_sigma: float,
+               zenith_angles_deg=None):
+    """Write the files :func:`save_scene_cube` and :func:`save_scene_truth`
+    write into dirpath, in one save: cube.lwc of radiance, an array or a
+    row function (see :func:`write_cube`), and the truth files."""
+    _save_state(dirpath, truth, _TRUTH_FILES, grid, zenith_angles_deg, [
+        _scene_cube_file(Path(dirpath) / "cube.lwc", radiance, truth.shape,
+                         grid, air_temperature, noise_sigma)])
 
 
 def _scene_cube_header(fh, path):
@@ -498,25 +501,26 @@ _TRUTH_FILES = (
 )
 
 
-def _save_state(dirpath, state, files, grid, zenith_angles_deg):
+def _save_state(dirpath, state, files, grid, zenith_angles_deg, more=()):
+    """Write the files of a state directory, after the files more lists
+    (see :func:`_save`), in one save; every header is built, and so
+    checked, before any file is opened."""
     m, n = state.shape
     wav = None if grid is None else tuple(grid.wavelengths)
     ang = None if zenith_angles_deg is None else tuple(zenith_angles_deg)
-    # every header is built, and so checked, before the first file is written
-    headers = [
-        _map_header(m, n, unit) if kind == "map" else CubeHeader(
-            kind=kind, rows=m, cols=n, bands=getattr(state, attr).shape[2],
-            unit=unit, wavelengths_um=wav if kind == "cube" else None,
-            zenith_angles_deg=ang if kind == "omega" else None)
-        for attr, _, kind, unit in files]
-    out = Path(dirpath)
-    out.mkdir(parents=True, exist_ok=True)
     zeros = np.zeros((m, n), dtype=np.uint8)
-    for (attr, fname, kind, _), header in zip(files, headers):
+    out = list(more)
+    for attr, fname, kind, unit in files:
+        path, a = Path(dirpath) / fname, getattr(state, attr)
         if kind == "map":
-            write_map(out / fname, header, getattr(state, attr), zeros)
+            out.append(_map_file(path, _map_header(m, n, unit), a, zeros))
         else:
-            write_cube(out / fname, header, getattr(state, attr))
+            out.append(_cube_file(path, CubeHeader(
+                kind=kind, rows=m, cols=n, bands=a.shape[2], unit=unit,
+                wavelengths_um=wav if kind == "cube" else None,
+                zenith_angles_deg=ang if kind == "omega" else None), a))
+    Path(dirpath).mkdir(parents=True, exist_ok=True)
+    _save(out)
 
 
 def _load_state(dirpath, files):

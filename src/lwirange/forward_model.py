@@ -70,7 +70,10 @@ def _state_maps(distance, temperature, emissivity, sky_weights):
 
 
 def _span(a):
-    # (min, max) of a: NaN where a holds a NaN, (inf, -inf) where a is empty
+    # (min, max) of a: NaN where a holds a NaN, (inf, -inf) where a is empty.
+    # An axis of stride 0, as a broadcast has, is reduced at its first index
+    # only: every entry along it aliases that one
+    a = a[tuple(slice(None if s else 1) for s in a.strides)]
     return a.min(initial=np.inf), a.max(initial=-np.inf)
 
 
@@ -383,7 +386,7 @@ def synthesize_rows(
     draws j*K to (j+1)*K - 1 of it. So reruns agree bit for bit, the
     top-left corner of a cube equals the cube synthesized from that corner
     of the truth, and any row can be made apart from the others: ``synth``
-    hands the row function to :func:`lwirange.cube_io.save_scene_rows`, so
+    hands the row function to :func:`lwirange.cube_io.save_scene`, so
     that workers make and write contiguous spans of rows at once.
     """
     if not 0.0 <= noise_sigma < np.inf:

@@ -25,12 +25,13 @@ from lwirange import (
     load_scene_truth,
     load_truth_distance,
     make_default_grid,
+    make_default_scene,
     read_cube,
     read_map,
     save_estimates,
     save_range_map,
+    save_scene,
     save_scene_cube,
-    save_scene_rows,
     save_scene_truth,
     write_cube,
     write_map,
@@ -686,9 +687,9 @@ class TestSpanWriter:
     per _CHUNK_BYTES chunk the body fills and per usable core, at most, and
     more than one span in forked workers."""
 
-    # 73 x 128 x 64 float32 is 2.3 MiB, three chunks: spans of 36 and 37
-    # rows on two cores, and of 24, 24 and 25 on three
-    shape = (73, 128, 64)
+    # 73 x 128 x 96 float32 is 3.4 MiB, filling three chunks: spans of 36
+    # and 37 rows on two cores, and of 24, 24 and 25 on three
+    shape = (73, 128, 96)
 
     @pytest.fixture()
     def body(self):
@@ -704,9 +705,9 @@ class TestSpanWriter:
         monkeypatch.setattr(cube_io, "_usable_cores", lambda: cores)
         spans = []
 
-        def recording(fn, jobs, meanwhile=None):
-            spans.append([stop - first for _, _, _, first, stop, *_ in jobs])
-            return fork_map(fn, jobs, meanwhile)
+        def recording(fn, jobs):
+            spans.append([stop - first for _, first, stop in jobs])
+            return fork_map(fn, jobs)
 
         monkeypatch.setattr(cube_io, "fork_map", recording)
         return spans
@@ -732,7 +733,7 @@ class TestSpanWriter:
             pids.add(os.getpid())
             return small[i]
 
-        header = CubeHeader(kind="cube", rows=8, cols=16, bands=64)
+        header = CubeHeader(kind="cube", rows=8, cols=16, bands=96)
         write_cube(tmp_path / "c.lwc", header, row)
         assert spans == [[8]] and pids == {os.getpid()}
         assert read_cube(tmp_path / "c.lwc")[1].tobytes() == \
@@ -770,56 +771,157 @@ class TestSpanWriter:
             return body[i, 1:] if i == 50 else body[i]
 
         with pytest.raises(DimensionError, match=(
-                r"^row 50 of shape \(127, 64\) does not match the body "
-                r"\(73, 128, 64\)$")):
+                r"^row 50 of shape \(127, 96\) does not match the body "
+                r"\(73, 128, 96\)$")):
             write_cube(tmp_path / "cube.lwc", self.header(), row)
         assert list(tmp_path.iterdir()) == []
 
-    def test_a_refused_truth_body_in_meanwhile_stops_the_cube_and_leaves_no_file(
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_a_refused_truth_body_stops_the_cube_and_leaves_no_file(
             self, tmp_path, monkeypatch, body):
-        # the array body written in meanwhile is itself longer than one
-        # chunk, so its workers are forked while the cube's workers run
+        # the truth's ground holds a value finite in float64 but not once
+        # cast to float32, and is written by the workers that write the cube
         monkeypatch.setattr(cube_io, "_usable_cores", lambda: 2)
-        bad = body.copy()
-        bad[60, 3, 7] = np.nan
-
-        def meanwhile():
-            write_cube(tmp_path / "truth.lwc", self.header(), bad)
-
+        m, n, k = self.shape
+        truth = make_default_scene(make_default_grid(k), q=1, rows=m, cols=n)
+        ground = truth.ground_ambient.copy()
+        ground[60, 3, 7] = 1e39
+        truth = SceneTruth(truth.distance_map, truth.temperature_map,
+                           truth.emissivity_cube, truth.solid_angle_maps, ground)
         with pytest.raises(ConstraintError, match="cube values must be finite"):
-            save_scene_rows(tmp_path / "cube.lwc", body.__getitem__,
-                            self.shape[:2], make_default_grid(self.shape[2]),
-                            Temperature(290.0), 0.0, meanwhile)
+            save_scene(tmp_path, body.__getitem__, truth, make_default_grid(k),
+                       Temperature(290.0), 0.0)
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_meanwhile_runs_here_while_the_workers_write(self, tmp_path,
-                                                          monkeypatch, body):
-        monkeypatch.setattr(cube_io, "_usable_cores", lambda: 2)
-        seen = []
-        target = tmp_path / "cube.lwc"
-
-        def meanwhile():
-            seen.append((os.getpid(), target.exists()))
-
-        write_cube(target, self.header(), body.__getitem__, meanwhile)
-        assert seen == [(os.getpid(), False)]
-        assert read_cube(target)[1].tobytes() == body.astype("<f4").tobytes()
-
-    def test_an_error_in_meanwhile_stops_the_workers_and_leaves_no_file(
+    def test_no_file_is_renamed_until_every_body_is_written(
             self, tmp_path, monkeypatch, body):
+        # the second file's rows see neither file in place, only both
+        # temporary files, on any worker
         monkeypatch.setattr(cube_io, "_usable_cores", lambda: 2)
+        first, second = tmp_path / "first.lwc", tmp_path / "second.lwc"
 
-        def meanwhile():
-            raise OSError(28, "No space left on device")
+        def row(i):
+            assert not first.exists() and not second.exists()
+            assert len(list(tmp_path.glob("*.tmp"))) == 2
+            return body[i]
 
-        with pytest.raises(OSError, match="No space left"):
-            write_cube(tmp_path / "cube.lwc", self.header(), body.__getitem__,
-                       meanwhile)
-        assert list(tmp_path.iterdir()) == []
+        cube_io._save([cube_io._cube_file(first, self.header(), body),
+                       cube_io._cube_file(second, self.header(), row)])
+        want = body.astype("<f4").tobytes()
+        assert read_cube(first)[1].tobytes() == want
+        assert read_cube(second)[1].tobytes() == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["first.lwc", "second.lwc"]
+
+
+class TestOneSave:
+    """Every LWC1 file of a save is written in one pass, by workers forked
+    once for the save where its bodies fill two chunks or more, and renamed
+    into place only once every body is written."""
+
+    @pytest.fixture()
+    def scene(self):
+        return micro_scene(rows=5, cols=7, bands=16, q=2)
+
+    @staticmethod
+    def estimates(truth):
+        return EstimateMaps(
+            distance=truth.distance_map, temperature=truth.temperature_map,
+            emissivity=truth.emissivity_cube, solid_angles=truth.solid_angle_maps,
+            loss=np.zeros(truth.shape), iterations=np.zeros(truth.shape, np.int64))
+
+    @staticmethod
+    def huge_ground(scene):
+        t = scene["truth"]
+        ground = t.ground_ambient.copy()
+        ground[3, 2, 5] = 1e39  # finite in float64, inf in float32
+        return SceneTruth(t.distance_map, t.temperature_map, t.emissivity_cube,
+                          t.solid_angle_maps, ground)
+
+    @staticmethod
+    def nan_row(scene):
+        radiance = scene["cube"].radiance
+        return lambda i: radiance[i] * (np.nan if i == 3 else 1.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("case, kept, error, match", [
+        ("truth", "truth_distance.lwc", ConstraintError,
+         "cube values must be finite"),
+        ("synth", "cube.lwc", ConstraintError, "cube values must be finite"),
+        ("estimates", "loss.lwc", OSError, "No space left"),
+    ])
+    def test_a_failed_save_leaves_none_of_its_files(
+            self, tmp_path, monkeypatch, scene, cores, case, kept, error, match):
+        monkeypatch.setattr(cube_io, "_CHUNK_BYTES", 3 * 16 * 4)
+        monkeypatch.setattr(cube_io, "_usable_cores", lambda: cores)
+        (tmp_path / kept).write_bytes(b"earlier bytes")
+        grid, truth = scene["grid"], scene["truth"]
+        pwrite, calls = os.pwrite, []
+
+        def failing_pwrite(fd, data, offset):
+            # each worker fails on its 18th write, after it has written its
+            # rows of the first map file
+            calls.append(fd)
+            if len(calls) == 18:
+                raise OSError(28, "No space left on device")
+            return pwrite(fd, data, offset)
+
+        with pytest.raises(error, match=match):
+            if case == "truth":
+                save_scene_truth(tmp_path, self.huge_ground(scene), grid)
+            elif case == "synth":
+                save_scene(tmp_path, self.nan_row(scene), truth, grid,
+                           Temperature(290.0), 0.0)
+            else:
+                monkeypatch.setattr(os, "pwrite", failing_pwrite)
+                save_estimates(tmp_path, self.estimates(truth), grid)
+        assert [p.name for p in tmp_path.iterdir()] == [kept]
+        assert (tmp_path / kept).read_bytes() == b"earlier bytes"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_a_scene_save_is_the_cube_and_truth_saves(self, tmp_path,
+                                                      monkeypatch, scene):
+        monkeypatch.setattr(cube_io, "_CHUNK_BYTES", 3 * 16 * 4)
+        monkeypatch.setattr(cube_io, "_usable_cores", lambda: 2)
+        cube, truth, grid = scene["cube"], scene["truth"], scene["grid"]
+        save_scene_truth(tmp_path / "want", truth, grid, (0.0, 80.0))
+        save_scene_cube(tmp_path / "want" / "cube.lwc", cube)
+        save_scene(tmp_path / "got", cube.radiance.__getitem__, truth, grid,
+                   cube.air_temperature, cube.noise_sigma, (0.0, 80.0))
+        want = sorted((tmp_path / "want").iterdir())
+        assert [p.name for p in want] == sorted(
+            p.name for p in (tmp_path / "got").iterdir())
+        for p in want:
+            assert (tmp_path / "got" / p.name).read_bytes() == p.read_bytes()
+
+    def test_a_save_forks_once_and_only_from_two_chunks(self, tmp_path,
+                                                        monkeypatch, scene):
+        spans = TestSpanWriter.record_spans(monkeypatch, 2)
+        cube, truth, grid = scene["cube"], scene["truth"], scene["grid"]
+        # under two chunks: a 512 x 512 range map, 1.25 MiB of planes, and
+        # the estimates of a 32 x 32 solve of 64 bands and 10 sectors
+        rm = RangeMap(np.ones((512, 512)), np.zeros((512, 512), np.uint8))
+        save_range_map(tmp_path / "range.lwc", rm)
+        truth32 = make_default_scene(make_default_grid(64), q=10, rows=32,
+                                     cols=32)
+        save_estimates(tmp_path / "est", self.estimates(truth32))
+        assert [len(s) for s in spans] == [1, 1]
+        # every save of many chunks, its 5 x 7 maps too, forks two workers
+        # once
+        monkeypatch.setattr(cube_io, "_CHUNK_BYTES", 16)
+        spans.clear()
+        save_scene(tmp_path / "scene", cube.radiance, truth, grid,
+                   cube.air_temperature, 0.0)
+        save_scene_truth(tmp_path / "truth", truth, grid)
+        save_estimates(tmp_path / "est", self.estimates(truth))
+        save_scene_cube(tmp_path / "cube.lwc", cube)
+        save_range_map(tmp_path / "range.lwc", RangeMap(
+            truth.distance_map, np.zeros(truth.shape, np.uint8)))
+        assert [len(s) for s in spans] == [2, 2, 2, 2, 2]
 
 
 class TestPipelineFidelity:

@@ -208,6 +208,26 @@ def test_scene_truth_rejects_non_finite_values(field, bad):
         SceneTruth(**maps)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+@pytest.mark.parametrize("source", [(1, 1, 8), (1, 3, 8), (2, 1, 1)])
+@pytest.mark.parametrize("field", ["emissivity_cube", "ground_ambient"])
+def test_a_bad_value_in_a_broadcast_source_is_refused(field, source, bad):
+    # the checks reduce a stride-0 axis at its first index only, so the
+    # source's last entry, which every pixel of its broadcast aliases, is
+    # still read
+    grid = make_default_grid(bands=8)
+    good = flat_scene(grid, 10.0, 300.0, 0.5, rows=2, cols=3, q=1, omega=0.1,
+                      ground=50.0)
+    maps = {f: getattr(good, f) for f in _TRUTH_FIELDS}
+    src = np.full(source, 0.5)
+    src[-1, -1, -1] = bad
+    maps[field] = np.broadcast_to(src, (2, 3, 8))
+    with pytest.raises(ConstraintError):
+        SceneTruth(**maps)
+    maps[field] = np.broadcast_to(np.full(source, 0.5), (2, 3, 8))
+    assert SceneTruth(**maps).distance_map.shape == (2, 3)
+
+
 def test_default_scene_layout():
     grid = make_default_grid(bands=16)
     truth = make_default_scene(grid, q=3, rows=32, cols=32)

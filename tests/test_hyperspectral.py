@@ -126,10 +126,10 @@ def record_pool_sizes(monkeypatch):
     fork_map runs a single job in the calling process."""
     sizes = []
 
-    def recording(fn, jobs, meanwhile=None):
+    def recording(fn, jobs):
         if len(jobs) > 1:
             sizes.append(len(jobs))
-        return fork_map(fn, jobs, meanwhile)
+        return fork_map(fn, jobs)
 
     monkeypatch.setattr(hyperspectral, "fork_map", recording)
     return sizes
