@@ -9,7 +9,7 @@ or the exception it raised, pickled through a pipe; the caller reads every
 pipe before it reaps that child, and no child outlives the call.  The
 solver's pixel blocks (:func:`lwirange.hyperspectral.solve`) and the row
 spans of every LWC1 file a save writes (:func:`lwirange.cube_io._save`)
-run here, one call per solve or save.
+run here, one call per solve or save, each cut by :func:`spans`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ def _usable_cores():
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def spans(n, k):
+    """The k contiguous (start, stop) spans that tile range(n) in order,
+    span s from n s // k, so their sizes differ by at most 1."""
+    edges = [n * s // k for s in range(k + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def _keep_freed_heap():

@@ -43,7 +43,6 @@ from .closed_form import (
 )
 from .cube_io import (
     load_cube_grid,
-    load_estimates,
     load_range_map,
     load_scene_cube,
     load_truth_distance,
@@ -350,10 +349,9 @@ def cmd_range(s, args):
 
 
 def _load_distance_input(path):
+    # a range map file, or an estimates directory's distance.lwc alone
     p = Path(path)
-    if p.is_dir():
-        return load_estimates(p).distance
-    return load_range_map(p)
+    return load_range_map(p / "distance.lwc" if p.is_dir() else p)
 
 
 def cmd_eval(s, args):

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._workers import _usable_cores, fork_map
+from ._workers import _usable_cores, fork_map, spans
 from .closed_form import RangeMap
 from .errors import ConstraintError, DimensionError, FormatError, GridError, _is_real
 from .forward_model import EstimateMaps, SceneCube, SceneTruth, _all_finite
@@ -214,9 +214,8 @@ def _save(files):
             fh.truncate(offset)  # flushes the header first
         m = files[0][1].rows
         size = sum(header.body_bytes() for _, header, _ in files)
-        spans = max(1, min(m, size // _CHUNK_BYTES, _usable_cores()))
-        edges = [m * s // spans for s in range(spans + 1)]
-        fork_map(_write_span, [(placed, i, j) for i, j in zip(edges, edges[1:])])
+        k = max(1, min(m, size // _CHUNK_BYTES, _usable_cores()))
+        fork_map(_write_span, [(placed, i, j) for i, j in spans(m, k)])
 
 
 def _write_span(bodies, first, stop):

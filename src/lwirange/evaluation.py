@@ -51,8 +51,9 @@ def default_patches(shape, size=8):
 
 
 def _as_values_and_mask(estimate):
+    # a NaN is never a range, whatever its flag says
     if isinstance(estimate, RangeMap):
-        return estimate.distances, estimate.valid_mask
+        return estimate.distances, estimate.valid_mask & np.isfinite(estimate.distances)
     arr = np.asarray(estimate, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"estimate map must be 2-D, got shape {arr.shape}")
@@ -62,8 +63,8 @@ def _as_values_and_mask(estimate):
 def patch_stats(estimate, truth, patches):
     """Per-patch mean/std of valid estimates plus the truth median.
 
-    estimate: RangeMap (validity-aware) or a plain 2-D array (non-finite
-    entries are treated as flagged). truth: 2-D array. Returns one dict per
+    estimate: RangeMap (validity-aware) or a plain 2-D array; flagged and
+    non-finite entries are skipped. truth: 2-D array. Returns one dict per
     patch; an all-flagged patch is reported with n_valid = 0 and NaN stats.
     Std is the population form (divide by n), stated here once so the CSV
     is unambiguous.

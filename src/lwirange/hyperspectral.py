@@ -33,10 +33,9 @@ of (K, P) pixel terms with (K, X) path columns: a is the contrast and t
 tau(c) on the global scan's grid, and a is tau(d) times the contrast and t
 tau(o) for the local scan's offsets, as tau(d + o) is tau(d) tau(o) up to
 rounding; a local candidate that leaves [0, d_max] is ranked by the path
-of the bound it is clipped to.  Only the winner is scored exactly.  Once
-both spans have decayed to _MIN_SPAN, a sweep takes one joint (d, T) step
-in place of the two.  Each polish round takes a wider joint step, then
-refits the sky weights.
+of the bound it is clipped to.  Only the winner is scored exactly.  Every
+sweep has this one shape, whatever its spans.  Each polish round takes a
+joint (d, T) step, then refits the sky weights.
 
 Every step is accept-guarded: a candidate is kept only if it does not raise
 the objective its stage enforces, which is the data misfit plus emissivity
@@ -80,7 +79,7 @@ from functools import partial
 
 import numpy as np
 
-from ._workers import _usable_cores, fork_map
+from ._workers import _usable_cores, fork_map, spans
 from .atmosphere import _tau
 from .closed_form import (
     FLAG_VALID,
@@ -483,25 +482,18 @@ def _temp_block(pr, s, span):
 
 
 def _phase(pr, s, iters, *, d_freeze, record=None):
-    # runs iters sweeps from s.  record, if given, is called after each
-    # sweep as record(it, s).  A sweep takes a step in T alone within its
-    # span, then, once d_freeze sweeps have run, scans range; a sweep whose
-    # T and local range spans have both decayed to _MIN_SPAN takes one joint
-    # (d, T) step in place of the two
+    # runs iters sweeps from s, calling record(it, s), if given, after each.
+    # A sweep refits the sky weights, steps T alone within its span and,
+    # once d_freeze sweeps have run, scans range
     for it in range(iters):
         s = _sky_block(pr, s)
-        scan_d = it >= d_freeze
-        t_span = max(_T_SPAN0 * _SPAN_DECAY ** it, _MIN_SPAN)
-        if it % 10 == 0 and it < _GLOBAL_SCAN_UNTIL:
-            d_span = None
-        else:
-            d_span = max(_D_SPAN0 * _SPAN_DECAY ** (it - d_freeze), _MIN_SPAN)
-        if scan_d and t_span == d_span == _MIN_SPAN:
-            s = _gn_step(pr, s, _MIN_SPAN, _MIN_SPAN)
-        else:
-            s = _temp_block(pr, s, t_span)
-            if scan_d:
-                s = _dist_block(pr, s, d_span)
+        s = _temp_block(pr, s, max(_T_SPAN0 * _SPAN_DECAY ** it, _MIN_SPAN))
+        if it >= d_freeze:
+            if it % 10 == 0 and it < _GLOBAL_SCAN_UNTIL:
+                d_span = None
+            else:
+                d_span = max(_D_SPAN0 * _SPAN_DECAY ** (it - d_freeze), _MIN_SPAN)
+            s = _dist_block(pr, s, d_span)
         if record is not None:
             record(it, s)
     return s
@@ -814,16 +806,15 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     d_starts = _range_starts(cube, alpha, dw, air_temperature, cfg.d_max)
     t0 = _default_temperature_init(pr)
 
-    def block(px):
-        # the per-pixel stages of one pixel block, cut from the whole
-        # problem in the worker that solves it
-        sel = slice(px[0], px[-1] + 1)
+    def block(start, stop):
+        # the per-pixel stages of pixels start to stop - 1, cut from the
+        # whole problem in the worker that solves them
+        sel = slice(start, stop)
         ini = None if init is None else tuple(a[..., sel] for a in init)
         return _solve_flat(replace(pr, y=np.ascontiguousarray(pr.y[:, sel])), cfg,
                            [d[sel] for d in d_starts], t0[sel], ini)
 
-    blocks = min(cfg.threads, m * n, _usable_cores())
-    parts = fork_map(block, [(px,) for px in np.array_split(np.arange(m * n), blocks)])
+    parts = fork_map(block, spans(m * n, min(cfg.threads, m * n, _usable_cores())))
     maps, hists = zip(*parts)
     # pixels are the last axis of every map
     d, t, eps, om, loss = (np.concatenate(a, axis=-1) for a in zip(*maps))

@@ -26,13 +26,14 @@ from lwirange.cube_io import (
     load_scene_cube,
     load_truth_distance,
     read_cube,
+    save_estimates,
     save_range_map,
     save_scene_cube,
     save_scene_truth,
 )
 from lwirange.errors import LwirError
 from lwirange.evaluation import default_patches, patch_stats, write_patch_stats_csv
-from lwirange.forward_model import make_default_scene, synthesize_cube
+from lwirange.forward_model import EstimateMaps, make_default_scene, synthesize_cube
 from lwirange.hyperspectral import solve_no_sky
 from lwirange.radiometry import DB_PER_M
 from helpers import AIR, poke_cube
@@ -514,6 +515,35 @@ class TestPipeline:
                 "render", "--map", str(est), "--out", str(img)])
             assert code == 0, err
             assert img.read_bytes().startswith(b"P5\n8 8\n255\n"), mode
+
+    def test_eval_and_render_read_only_the_distance_of_an_estimates_dir(
+            self, capsys, tmp_path):
+        # a truncated emissivity.lwc beside an intact distance.lwc changes
+        # neither output
+        scene = tmp_path / "scene"
+        assert run(capsys, ["synth", "--out", str(scene), "--rows", "8",
+                            "--cols", "8", "--q", "2"])[0] == 0
+        truth = load_truth_distance(scene)
+        m, n = truth.shape
+        est = EstimateMaps(
+            distance=truth + np.random.default_rng(1).normal(0.0, 2.0, (m, n)),
+            temperature=np.full((m, n), 290.0), emissivity=np.full((m, n, 4), 0.9),
+            solid_angles=np.full((m, n, 2), 0.1), loss=np.zeros((m, n)),
+            iterations=np.zeros((m, n), dtype=np.int64))
+        intact, cut = tmp_path / "intact", tmp_path / "cut"
+        for d in (intact, cut):
+            save_estimates(d, est)
+        emis = cut / "emissivity.lwc"
+        emis.write_bytes(emis.read_bytes()[:-5])
+        for d in (intact, cut):
+            for argv in (["eval", "--est", str(d), "--truth", str(scene),
+                          "--out", str(d / "p.csv")],
+                         ["render", "--map", str(d), "--out", str(d / "d.pgm"),
+                          "--palette", "fire"]):
+                code, _, err = run(capsys, argv)
+                assert code == 0, err
+        for name in ("p.csv", "d.pgm"):
+            assert (cut / name).read_bytes() == (intact / name).read_bytes(), name
 
     @pytest.mark.parametrize("q", [2, None])
     @pytest.mark.parametrize("sigma", ["0", "1.5"])

@@ -92,6 +92,13 @@ class TestPatchStats:
         assert rows[0]["n_valid"] == 0
         assert np.isnan(rows[0]["mean_m"]) and np.isnan(rows[0]["std_m"])
 
+    def test_range_map_nan_is_flagged_whatever_its_flag(self):
+        rm = small_range_map()
+        rm.distances[0, 0] = np.nan
+        rows = patch_stats(rm, np.zeros((4, 4)), [PatchSpec(0, 0, 2, 2)])
+        assert rows[0]["n_valid"] == 3
+        npt.assert_allclose(rows[0]["mean_m"], (1 + 4 + 5) / 3.0)
+
     def test_plain_array_uses_nan_as_flag(self):
         est = np.ones((4, 4))
         est[1, 1] = np.nan
@@ -144,6 +151,13 @@ class TestRender:
         pix = raw[len(b"P6\n4 4\n255\n"):]
         assert len(pix) == 48
         assert pix[0:3] == b"\x00\x00\x00"  # flagged pixel renders black
+
+    def test_range_map_nan_renders_black_and_out_of_the_scale(self, tmp_path):
+        rm = small_range_map()
+        rm.distances[0, 0] = np.nan
+        raw = render_map(rm, "gray", tmp_path / "n.pgm").read_bytes()
+        pix = raw[len(b"P5\n4 4\n255\n"):]
+        assert pix[0] == 0 and pix[1] == 0 and pix[-1] == 255  # scale 1..15
 
     def test_all_flagged_map_renders_black(self, tmp_path):
         # no valid pixel to take vmin/vmax from: the default 0..1 range

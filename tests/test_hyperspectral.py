@@ -1,6 +1,7 @@
 """Tests for the full-spectrum constrained solver and its building blocks."""
 
 import os
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -670,7 +671,7 @@ class TestCarriedTerms:
     def test_refine_phase_loss_is_loss_of_its_state(self):
         # 30 sweeps with the range block on from the start run the global
         # range scans of sweeps 0, 10 and 20, the local scans between and
-        # the joint (d, T) steps of sweeps 27 to 29
+        # sweeps 27 to 29 at the floor spans
         _, pr = self._problem(1.0, 11)
         p, k = pr.y.shape[1], pr.y.shape[0]
         s = _phase(pr, _state(pr, np.full(p, 40.0), np.full(p, 296.0),
@@ -1270,7 +1271,7 @@ class TestSolve:
     @pytest.mark.parametrize("rows, threads", [(5, 3), (3, 8)])
     def test_uneven_and_oversized_splits_do_not_change_bits(self, rows, threads,
                                                             monkeypatch):
-        # 10 pixels in blocks of 4, 3 and 3; 6 pixels in 6 blocks, not 8; the
+        # 10 pixels in blocks of 3, 3 and 4; 6 pixels in 6 blocks, not 8; the
         # core count is raised so that these splits run on any machine
         sc = micro_scene(rows=rows, cols=2, bands=12, q=2, noise_sigma=0.5, seed=14)
         one = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(threads=1))
@@ -1297,7 +1298,7 @@ class TestSolve:
                 npt.assert_array_equal(getattr(one, name), getattr(three, name))
 
     def test_a_worker_error_reaches_the_caller_as_itself(self, monkeypatch):
-        # each of two pixel blocks, of 2 and 1 pixels, raises in its forked
+        # each of two pixel blocks, of 1 and 2 pixels, raises in its forked
         # worker; the first block's error is raised here, and both workers
         # are reaped
         sc = micro_scene(rows=1, cols=3, bands=12, q=2, noise_sigma=0.5, seed=14)
@@ -1309,7 +1310,7 @@ class TestSolve:
 
         monkeypatch.setattr(hyperspectral, "_solve_flat", failing)
         monkeypatch.setattr(hyperspectral, "_usable_cores", lambda: 2)
-        with pytest.raises(DomainError, match="pixels 2 in worker") as info:
+        with pytest.raises(DomainError, match="pixels 1 in worker") as info:
             solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(threads=2))
         assert str(caller) not in str(info.value).split()
         with pytest.raises(ChildProcessError):
@@ -1372,6 +1373,28 @@ class TestSolve:
                           + ["polish"] * cfg.polish_rounds
                           + ["armijo"] * cfg.armijo_iterations)
         assert est.history[-1][2] == pytest.approx(est.loss.sum(), rel=1e-12)
+
+    def test_every_sweep_has_one_shape(self, monkeypatch):
+        # each warmup and refine sweep refits the sky and steps T alone, and
+        # scans range once its freeze is over; the polish rounds take the
+        # only joint (d, T) steps and the Armijo rounds the range-only ones
+        sc = micro_scene(rows=2, cols=3, bands=12, q=2, noise_sigma=0.5, seed=6)
+        cfg = SolverConfig()
+        calls = []
+        for name in ("_gn_step", "_dist_block", "_sky_block"):
+            def spy(pr, s, *spans, _name=name, _fn=getattr(hyperspectral, name)):
+                calls.append((_name,) + tuple(x is None or x > 0 for x in spans))
+                return _fn(pr, s, *spans)
+            monkeypatch.setattr(hyperspectral, name, spy)
+        solve(sc["cube"], sc["alpha"], sc["dw"], AIR, cfg)
+        sweeps = cfg.warmup_iterations + cfg.refine_iterations
+        assert Counter(calls) == {
+            ("_sky_block",): sweeps + cfg.polish_rounds,
+            ("_gn_step", False, True): sweeps,
+            ("_dist_block", True): sweeps - cfg.warmup_d_freeze,
+            ("_gn_step", True, True): cfg.polish_rounds,
+            ("_gn_step", True, False): cfg.armijo_iterations,
+        }
 
     def test_rejected_tv_round_keeps_the_per_pixel_solve(self, monkeypatch):
         # a prox that returns a checkerboard of 0 and d_max raises the full

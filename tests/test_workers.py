@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from lwirange._workers import fork_map
+from lwirange._workers import fork_map, spans
 from lwirange.errors import ConfigError, ConstraintError
 
 
@@ -24,6 +24,16 @@ def no_children():
 class Unpicklable(Exception):
     def __reduce__(self):
         raise TypeError("refuses to pickle")
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (7, 1), (7, 2), (10, 3), (73, 3),
+                                  (73, 8), (6, 6)])
+def test_spans_tile_the_range_in_order_evenly(n, k):
+    out = spans(n, k)
+    assert len(out) == k
+    assert [i for a, b in out for i in range(a, b)] == list(range(n))
+    sizes = [b - a for a, b in out]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
 def test_results_come_back_in_job_order_from_forked_workers():
