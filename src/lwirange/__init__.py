@@ -103,12 +103,43 @@ from .radiometry import (
 
 __version__ = "0.1.0"
 
+# the public names: those imported above and the solver's functions, which
+# __getattr__ resolves; not the submodule names the imports bind
+__all__ = [
+    "DEFAULT_ZENITH_ANGLES", "AtmosphereParams", "AttenuationSpectrum",
+    "DownwellingSet", "load_downwelling", "load_spectrum",
+    "make_default_grid", "save_downwelling", "save_spectrum",
+    "synth_attenuation", "synth_downwelling", "transmittance",
+    "DENOMINATOR_TOL", "FLAG_CLIPPED", "FLAG_NONPOSITIVE_RATIO",
+    "FLAG_VALID", "FLAG_ZERO_DENOMINATOR", "BandSelection", "OzoneSlope",
+    "RangeMap", "bispectral_air", "bispectral_hot",
+    "estimate_air_temperature", "fit_ozone_slope", "quadspectral",
+    "CubeHeader", "load_cube_grid", "load_estimates", "load_range_map",
+    "load_scene_cube", "load_scene_truth", "load_truth_distance",
+    "read_cube", "read_map", "save_estimates", "save_range_map",
+    "save_scene", "save_scene_cube", "save_scene_truth", "write_cube",
+    "write_map",
+    "AllInvalidError", "ConfigError", "ConstraintError",
+    "DegenerateFitError", "DimensionError", "DomainError", "FormatError",
+    "GridError", "LwirError", "SpectrumParseError", "UnitMismatchError",
+    "PATCH_CSV_COLUMNS", "PatchSpec", "default_patches", "patch_stats",
+    "render_map", "write_patch_stats_csv",
+    "EstimateMaps", "SceneCube", "SceneTruth", "SolverConfig",
+    "default_panel_masks", "make_default_scene", "radiance_model_batch",
+    "synthesize_cube", "synthesize_rows",
+    "DB_PER_M", "DIMENSIONLESS", "MICROFLICK", "SpectralGrid", "Spectrum",
+    "Temperature", "as_kelvin", "brightness_temperature", "planck",
+    "planck_dT",
+    "data_loss", "emissivity_smoothness", "gradients", "project", "solve",
+    "tv_distance",
+]
+
 
 def __getattr__(name):
     # the solver's functions resolve on first use, so that importing the
     # package, or the CLI for a launch that runs no solver, does not load it
     if name in ("data_loss", "emissivity_smoothness", "gradients", "project",
-                "solve", "solve_no_sky", "tv_distance"):
+                "solve", "tv_distance"):
         from . import hyperspectral
 
         return getattr(hyperspectral, name)

@@ -6,8 +6,10 @@ scene cube), range (run an estimator), eval (patch statistics CSV), render
 
 Settings resolve in precedence order: command line flags beat LWIRANGE_*
 environment variables, which beat `key=value` lines in --config, which beat
-built-in defaults. Unknown keys anywhere are rejected, and every violation
-is reported at once rather than just the first.
+built-in defaults. Each subcommand takes flags only for the settings it
+reads (see _SETTINGS), so a stray flag is a usage error; a config file or
+environment variable may set any key. Unknown keys anywhere are rejected,
+and every violation is reported at once rather than just the first.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,30 +68,6 @@ _MODES = ("bi-hot", "bi-air", "quad", "hyper")
 _ENV_PREFIX = "LWIRANGE_"
 
 _SOLVER = SolverConfig()
-_DEFAULTS = {
-    "mode": "hyper",
-    "seed": 0,
-    "threads": _SOLVER.threads,
-    "q": None,
-    "rho_eps": _SOLVER.rho_eps,
-    "rho_d": _SOLVER.rho_d,
-    "d_max": _SOLVER.d_max,
-    "bands": None,
-    "rows": 32,
-    "cols": 32,
-    "noise_sigma": 0.0,
-    "palette": "gray",
-    "vmin": None,
-    "vmax": None,
-    "patches": 8,
-}
-
-_HELP = {
-    "threads": "hyper mode: the most pixel blocks to solve at once, one worker "
-               "process each, capped at the pixels and the usable cores "
-               "(default 1, in this process); the --rho-d TV rounds run "
-               "once on the whole map in this process",
-}
 
 
 def _to_bands(text):
@@ -98,27 +77,42 @@ def _to_bands(text):
     return tuple(float(p) for p in parts)
 
 
-_CONVERTERS = {
-    "mode": str,
-    "seed": int,
-    "threads": int,
-    "q": int,
-    "rho_eps": float,
-    "rho_d": float,
-    "d_max": float,
-    "bands": _to_bands,
-    "rows": int,
-    "cols": int,
-    "noise_sigma": float,
-    "palette": str,
-    "vmin": float,
-    "vmax": float,
-    "patches": int,
+class _Setting(NamedTuple):
+    default: object
+    convert: Callable[[str], object]
+    commands: tuple   # the subcommands that read it, and so take its flag
+    help: str | None = None
+
+
+# one row per setting.  A subcommand's parser takes the flags of the settings
+# it reads (config-dump takes every flag); a config file or LWIRANGE_*
+# variable may set any key, so that one file serves every command
+_SETTINGS = {
+    "mode": _Setting("hyper", str, ("range",)),
+    "seed": _Setting(0, int, ("synth",)),
+    "threads": _Setting(
+        _SOLVER.threads, int, ("range",),
+        "hyper mode: the most pixel blocks to solve at once, one worker "
+        "process each, capped at the pixels and the usable cores "
+        "(default 1, in this process); the --rho-d TV rounds run "
+        "once on the whole map in this process"),
+    "q": _Setting(None, int, ("atmo", "synth", "range")),
+    "rho_eps": _Setting(_SOLVER.rho_eps, float, ("range",)),
+    "rho_d": _Setting(_SOLVER.rho_d, float, ("range",)),
+    "d_max": _Setting(_SOLVER.d_max, float, ("range",)),
+    "bands": _Setting(None, _to_bands, ("range",)),
+    "rows": _Setting(32, int, ("synth",)),
+    "cols": _Setting(32, int, ("synth",)),
+    "noise_sigma": _Setting(0.0, float, ("synth",)),
+    "palette": _Setting("gray", str, ("render",)),
+    "vmin": _Setting(None, float, ("render",)),
+    "vmax": _Setting(None, float, ("render",)),
+    "patches": _Setting(8, int, ("eval",)),
 }
 
 
 def _apply(settings, key, text, source, violations):
-    if key not in _DEFAULTS:
+    if key not in _SETTINGS:
         violations.append(f"{source}: unknown key {key!r}")
         return
     text = text.strip()
@@ -126,7 +120,7 @@ def _apply(settings, key, text, source, violations):
         settings[key] = None
         return
     try:
-        settings[key] = _CONVERTERS[key](text)
+        settings[key] = _SETTINGS[key].convert(text)
     except ValueError:
         violations.append(f"{source}: bad value for {key}: {text!r}")
 
@@ -195,12 +189,12 @@ def _validate(s):
 
 def resolve_settings(args, environ=None):
     """Layer defaults <- config file <- environment <- flags, then validate."""
-    settings = dict(_DEFAULTS)
+    settings = {key: row.default for key, row in _SETTINGS.items()}
     violations = []
     if getattr(args, "config", None):
         _read_config_file(args.config, settings, violations)
     _read_env(settings, violations, os.environ if environ is None else environ)
-    for key in _DEFAULTS:
+    for key in _SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             _apply(settings, key, flag, f"--{key.replace('_', '-')}", violations)
@@ -382,59 +376,41 @@ def _format_value(v):
 
 
 def cmd_config_dump(s, args):
-    for key in sorted(_DEFAULTS):
+    for key in sorted(_SETTINGS):
         print(f"{key}={_format_value(s[key])}")
     return 0
 
 
-_DISPATCH = {
-    "atmo": cmd_atmo,
-    "synth": cmd_synth,
-    "range": cmd_range,
-    "eval": cmd_eval,
-    "render": cmd_render,
-    "config-dump": cmd_config_dump,
+# one row per subcommand: its function, its help and its path flags, each
+# with whether it is required
+_COMMANDS = {
+    "atmo": (cmd_atmo, "synthesize attenuation and downwelling spectra",
+             {"out": True}),
+    "synth": (cmd_synth, "synthesize a scene cube plus ground truth",
+              {"atmo": False, "out": True}),
+    "range": (cmd_range, "estimate per-pixel range",
+              {"cube": True, "atmo": True, "out": True}),
+    "eval": (cmd_eval, "patch statistics against ground truth",
+             {"est": True, "truth": True, "out": True}),
+    "render": (cmd_render, "render a map to PGM/PPM", {"map": True, "out": True}),
+    "config-dump": (cmd_config_dump, "print the resolved settings", {}),
 }
 
 
 def build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    for key in _DEFAULTS:
-        shared.add_argument(f"--{key.replace('_', '-')}", default=None,
-                            help=_HELP.get(key))
-    shared.add_argument("--config", default=None, help="key=value settings file")
-
     parser = argparse.ArgumentParser(
         prog="lwirange",
         description="passive LWIR absorption ranging toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("atmo", parents=[shared],
-                       help="synthesize attenuation and downwelling spectra")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("synth", parents=[shared],
-                       help="synthesize a scene cube plus ground truth")
-    p.add_argument("--atmo", default=None)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("range", parents=[shared], help="estimate per-pixel range")
-    p.add_argument("--cube", required=True)
-    p.add_argument("--atmo", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("eval", parents=[shared],
-                       help="patch statistics against ground truth")
-    p.add_argument("--est", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("render", parents=[shared], help="render a map to PGM/PPM")
-    p.add_argument("--map", required=True)
-    p.add_argument("--out", required=True)
-
-    sub.add_parser("config-dump", parents=[shared],
-                   help="print the resolved settings")
+    for command, (_, help_text, paths) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, row in _SETTINGS.items():
+            if command in row.commands or command == "config-dump":
+                p.add_argument(f"--{key.replace('_', '-')}", default=None,
+                               help=row.help)
+        p.add_argument("--config", default=None, help="key=value settings file")
+        for name, required in paths.items():
+            p.add_argument(f"--{name}", required=required, default=None)
     return parser
 
 
@@ -447,14 +423,11 @@ def main(argv=None):
         return 0 if code in (0, None) else 2
     try:
         settings = resolve_settings(args)
-        return _DISPATCH[args.command](settings, args)
+        return _COMMANDS[args.command][0](settings, args)
     except ConfigError as exc:
         print(f"error[ConfigError]: {exc}", file=sys.stderr)
         return 2
-    except LwirError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LwirError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -36,15 +36,18 @@ MAGIC = b"LWC1"
 _CREATED = "lwirange-0.1.0"
 _KINDS = ("cube", "map", "omega")
 _MAX_BODY_BYTES = 2 ** 62
-# bodies stream through one reused buffer of about this many bytes: the cube
-# reader's, and each writer's when one image row is longer
+# bodies stream through one reused buffer of at most this many bytes, or of
+# one spectrum where that is longer: the cube reader's and each span writer's
 _CHUNK_BYTES = 1 << 20
 
 
 def _chunk_len(n, k, dtype):
-    """Spectra per chunk of n spectra of k values of dtype: as many as fit
-    in _CHUNK_BYTES, at least one and at most n."""
-    return min(n, max(1, _CHUNK_BYTES // (np.dtype(dtype).itemsize * max(k, 1))))
+    """Spectra per chunk of n >= 1 spectra of k values of dtype: n cut into
+    the fewest chunks that fit in _CHUNK_BYTES, as even as can be, and at
+    least one spectrum each."""
+    fit = max(1, _CHUNK_BYTES // (np.dtype(dtype).itemsize * max(k, 1)))
+    chunks = -(-n // fit)  # ceil(n / fit)
+    return -(-n // chunks)
 
 
 def _count(name, v, lo):
@@ -220,30 +223,36 @@ def _save(files):
 
 def _write_span(bodies, first, stop):
     """Write rows first to stop - 1 of every body (fd, offset, row, shape,
-    dtype, what) of :func:`_save` at its place in the open file fd.  Each
-    row is cast in chunks of whole spectra, one image row or a part of one
-    at most _CHUNK_BYTES long, each a view of one reused buffer; an empty
-    chunk writes nothing.  A row of another shape raises DimensionError
-    naming its row of the body."""
+    dtype, what) of :func:`_save` at its place in the open file fd.  The
+    span's spectra, in row-major order, are cast in chunks of whole spectra
+    at most _CHUNK_BYTES long, each a view of one reused buffer, so that a
+    chunk holds several short rows or a part of a long one.  A row of
+    another shape raises DimensionError naming its row of the body."""
     for fd, offset, row, shape, dtype, what in bodies:
         _, n, k = shape
         offset += first * n * k * np.dtype(dtype).itemsize
-        step = _chunk_len(n, k, dtype)
+        end = stop * n
+        step = _chunk_len(end - first * n, k, dtype)
         buf = np.empty((step, k), dtype=dtype)
-        for i in range(first, stop):
-            values = np.asarray(row(i))
-            if values.shape != (n, k):
-                raise DimensionError(f"row {i} of shape {values.shape} does "
-                                     f"not match the body {shape}")
-            for j in range(0, n, step):
-                chunk = buf[:min(step, n - j)]
-                chunk[...] = values[j:j + step]
-                if what is not None and not _all_finite(chunk):
-                    raise ConstraintError(f"{what} must be finite")
-                view = memoryview(chunk.reshape(-1).view(np.uint8))
-                while view:
-                    done = os.pwrite(fd, view, offset)
-                    view, offset = view[done:], offset + done
+        i = None
+        for lo in range(first * n, end, step):
+            hi = min(lo + step, end)
+            chunk = buf[:hi - lo]
+            # spectra lo to hi - 1 of the body, from the rows they lie in
+            for r in range(lo // n, (hi - 1) // n + 1):
+                if r != i:
+                    i, values = r, np.asarray(row(r))
+                    if values.shape != (n, k):
+                        raise DimensionError(f"row {r} of shape {values.shape} "
+                                             f"does not match the body {shape}")
+                a, b = max(lo, r * n), min(hi, r * n + n)
+                chunk[a - lo:b - lo] = values[a - r * n:b - r * n]
+            if what is not None and not _all_finite(chunk):
+                raise ConstraintError(f"{what} must be finite")
+            view = memoryview(chunk.reshape(-1).view(np.uint8))
+            while view:
+                done = os.pwrite(fd, view, offset)
+                view, offset = view[done:], offset + done
 
 
 def _read_header(fh, path, kinds) -> CubeHeader:

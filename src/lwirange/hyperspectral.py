@@ -836,9 +836,3 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
                            dtype=np.int64),
         history=history,
     )
-
-
-def solve_no_sky(cube, alpha, air_temperature, config=None):
-    """Downwelling-neglecting baseline: :func:`solve` with no downwelling
-    set, which turns the sky term off (zero sky sectors)."""
-    return solve(cube, alpha, None, air_temperature, config)

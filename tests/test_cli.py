@@ -1,6 +1,7 @@
 """Command-line layering, validation, and the end-to-end file pipeline."""
 
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -34,7 +35,7 @@ from lwirange.cube_io import (
 from lwirange.errors import LwirError
 from lwirange.evaluation import default_patches, patch_stats, write_patch_stats_csv
 from lwirange.forward_model import EstimateMaps, make_default_scene, synthesize_cube
-from lwirange.hyperspectral import solve_no_sky
+from lwirange.hyperspectral import solve
 from lwirange.radiometry import DB_PER_M
 from helpers import AIR, poke_cube
 
@@ -194,35 +195,48 @@ class TestValidation:
 
 
 class TestStartup:
+    @staticmethod
+    def python(code):
+        # the last line code prints, in a fresh interpreter
+        src = Path(__file__).resolve().parent.parent / "src"
+        return subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True).stdout.strip().splitlines()[-1]
+
     def test_importing_the_cli_leaves_out_the_process_pool(self):
         # every stage pays for what `import lwirange.cli` loads; only the
         # multi-block solve needs concurrent.futures (and its logging)
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, lwirange.cli; "
-             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
-             " if m in sys.modules))"],
-            env=env, capture_output=True, text=True, check=True).stdout
-        assert out.strip() == "[]"
-
+        assert self.python(
+            "import sys, lwirange.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+            " if m in sys.modules))") == "[]"
 
     def test_a_launch_that_runs_no_solver_leaves_the_solver_unloaded(self):
-        # `import lwirange.cli` and a config-dump launch read the solver's
-        # settings but not the solver, which the package resolves on first use
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, lwirange.cli; "
-             "loaded = ['lwirange.hyperspectral' in sys.modules]; "
-             "assert lwirange.cli.main(['config-dump']) == 0; "
-             "loaded.append('lwirange.hyperspectral' in sys.modules); "
-             "from lwirange import solve; "
-             "print(loaded, solve.__module__)"],
-            env=env, capture_output=True, text=True, check=True).stdout
-        assert out.strip().splitlines()[-1] == "[False, False] lwirange.hyperspectral"
+        # `import lwirange`, `import lwirange.cli` and a config-dump launch
+        # read the solver's settings but not the solver, which the package
+        # resolves on first use
+        assert self.python(
+            "import sys, lwirange; "
+            "loaded = ['lwirange.hyperspectral' in sys.modules]; "
+            "import lwirange.cli; "
+            "assert lwirange.cli.main(['config-dump']) == 0; "
+            "loaded.append('lwirange.hyperspectral' in sys.modules); "
+            "from lwirange import solve; "
+            "print(loaded, solve.__module__)"
+        ) == "[False, False] lwirange.hyperspectral"
+
+    def test_a_star_import_binds_the_declared_names_and_no_submodule(self):
+        # every name of __all__ resolves, the solver's lazy ones too, and the
+        # submodule names the package's own imports bind stay out
+        assert self.python(
+            "import pkgutil, lwirange\n"
+            "ns = {}\n"
+            "exec('from lwirange import *', ns)\n"
+            "subs = {m.name for m in pkgutil.iter_modules(lwirange.__path__)}\n"
+            "print(sorted(set(lwirange.__all__) - set(ns)),"
+            " sorted(subs & set(ns)), sorted(subs & set(lwirange.__all__)),"
+            " ns['solve'].__module__, len(subs) > 7)"
+        ) == "[] [] [] lwirange.hyperspectral True"
 
     def test_quad_range_and_eval_leave_out_numpy_ma(self, capsys, tmp_path):
         # np.median would import numpy.ma, about 20 ms of each launch
@@ -258,6 +272,89 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, ["--help"])[0] == 0
+
+
+# the settings each subcommand reads, and so takes flags for; config-dump
+# takes every flag
+OWN = {
+    "atmo": {"q"},
+    "synth": {"q", "rows", "cols", "noise_sigma", "seed"},
+    "range": {"mode", "q", "threads", "rho_eps", "rho_d", "d_max", "bands"},
+    "eval": {"patches"},
+    "render": {"palette", "vmin", "vmax"},
+}
+# a valid value of every setting, as text
+VALUE = {"mode": "quad", "seed": "3", "threads": "2", "q": "3", "rho_eps": "7.0",
+         "rho_d": "0.5", "d_max": "50.0", "bands": "8.42,8.46,9.49,9.57,13.0",
+         "rows": "3", "cols": "4", "noise_sigma": "0.25", "palette": "fire",
+         "vmin": "1.0", "vmax": "9.0", "patches": "2"}
+# each subcommand's path flags
+PATHS = {"atmo": ["--out"], "synth": ["--atmo", "--out"],
+         "range": ["--cube", "--atmo", "--out"],
+         "eval": ["--est", "--truth", "--out"], "render": ["--map", "--out"],
+         "config-dump": []}
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def resolved(argv, environ=None):
+    return resolve_settings(build_parser().parse_args(argv), environ=environ or {})
+
+
+def with_paths(command, tmp_path):
+    return [command] + [a for f in PATHS[command]
+                        for a in (f, str(tmp_path / f.strip("-")))]
+
+
+STRAY = [(c, k) for c in OWN for k in sorted(VALUE) if k not in OWN[c]]
+TAKEN = [(c, k) for c in OWN for k in sorted(OWN[c])] + \
+    [("config-dump", k) for k in sorted(VALUE)]
+
+
+class TestPerCommandSettings:
+    def test_the_tables_cover_every_setting(self, capsys):
+        assert set(VALUE) == set(dump(capsys))
+        assert len(STRAY) == 58 and len(TAKEN) == 17 + 15
+
+    @pytest.mark.parametrize("command, key", STRAY)
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(
+            self, capsys, tmp_path, command, key):
+        code, out, err = run(capsys, with_paths(command, tmp_path)
+                             + [flag(key), VALUE[key]])
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag(key)} {VALUE[key]}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, key", TAKEN)
+    def test_a_flag_the_command_reads_sets_its_value(self, tmp_path, command,
+                                                     key):
+        want = resolved(["config-dump", flag(key), VALUE[key]])[key]
+        assert resolved(with_paths(command, tmp_path)
+                        + [flag(key), VALUE[key]])[key] == want
+        assert want != resolved(["config-dump"])[key]
+
+    @pytest.mark.parametrize("command, key", STRAY)
+    def test_a_config_file_and_the_environment_set_any_key(
+            self, tmp_path, command, key):
+        # one settings file serves every command
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={VALUE[key]}\n")
+        want = resolved(["config-dump", flag(key), VALUE[key]])[key]
+        assert resolved(with_paths(command, tmp_path)
+                        + ["--config", str(cfg)])[key] == want
+        assert resolved(with_paths(command, tmp_path),
+                        {"LWIRANGE_" + key.upper(): VALUE[key]})[key] == want
+
+    @pytest.mark.parametrize("command", [*OWN, "config-dump"])
+    def test_help_lists_only_the_settings_the_command_reads(self, capsys,
+                                                            command):
+        code, out, _ = run(capsys, [command, "--help"])
+        assert code == 0
+        listed = set(re.findall(r"^  (--[a-z-]+)", out, re.M))
+        own = OWN.get(command, set(VALUE))
+        assert listed == {flag(k) for k in own} | {"--config"} | set(PATHS[command])
 
 
 class TestRuntimeErrors:
@@ -626,18 +723,21 @@ class TestPipeline:
             assert code == 0, err
         assert (a / "cube.lwc").read_bytes() == (b / "cube.lwc").read_bytes()
 
-    def test_hyper_range_is_independent_of_seed(self, capsys, tmp_path):
-        # the solver draws no random numbers: --seed only seeds synth
+    def test_hyper_range_is_independent_of_seed(self, capsys, tmp_path,
+                                                clean_env):
+        # the solver draws no random numbers: the seed only seeds synth, so
+        # range takes no --seed flag, and a seed set in the environment, as
+        # a settings file shared by every command may set it, changes nothing
         atmo, scene = tmp_path / "atmo", tmp_path / "scene"
         assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
         assert run(capsys, ["synth", "--atmo", str(atmo), "--out", str(scene),
                             "--rows", "4", "--cols", "4",
                             "--noise-sigma", "0.5"])[0] == 0
         for seed in ("0", "7"):
+            clean_env.setenv("LWIRANGE_SEED", seed)
             code, _, err = run(capsys, [
                 "range", "--mode", "hyper", "--cube", str(scene / "cube.lwc"),
-                "--atmo", str(atmo), "--out", str(tmp_path / f"est{seed}"),
-                "--seed", seed])
+                "--atmo", str(atmo), "--out", str(tmp_path / f"est{seed}")])
             assert code == 0, err
         names = sorted(p.name for p in (tmp_path / "est0").iterdir())
         assert len(names) == 6
@@ -695,8 +795,8 @@ class TestPipeline:
         assert header.sectors == 0 and header.zenith_angles_deg is None
         cube = load_scene_cube(scene / "cube.lwc")
         alpha = AttenuationSpectrum(load_spectrum(atmo / "attenuation.csv", DB_PER_M))
-        want = solve_no_sky(cube, alpha,
-                            estimate_air_temperature(cube, lambda_sat=13.0))
+        want = solve(cube, alpha, None,
+                     estimate_air_temperature(cube, lambda_sat=13.0))
         got = load_estimates(est)
         for name in ("distance", "temperature", "emissivity", "solid_angles",
                      "loss"):

@@ -595,7 +595,11 @@ class TestStreamingWriter:
             assert back_header == header and values.shape == (2, 3, 0)
 
     def test_a_broadcast_body_is_written_without_a_whole_float32_copy(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
+        # a chunk is a sixteenth of the body, which is written in this
+        # process, so the traced peak counts its buffer
+        monkeypatch.setattr(cube_io, "_CHUNK_BYTES", 1 << 16)
+        monkeypatch.setattr(cube_io, "_usable_cores", lambda: 1)
         flat = np.random.default_rng(4).random((64, 64, 1))
         body = np.broadcast_to(flat, (64, 64, 64))
         header = CubeHeader(kind="cube", rows=64, cols=64, bands=64)
@@ -739,6 +743,24 @@ class TestSpanWriter:
         assert read_cube(tmp_path / "c.lwc")[1].tobytes() == \
             small.astype("<f4").tobytes()
 
+    def test_a_chunk_gathers_short_rows(self, tmp_path, monkeypatch):
+        # a 512 x 512 range map's planes, 1 MiB and 256 KiB, are one chunk
+        # each, so each is one write, not one write per 2 KiB row
+        pwrite, calls = os.pwrite, []
+
+        def counting(fd, data, offset):
+            calls.append(len(data))
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", counting)
+        values = np.random.default_rng(6).random((512, 512))
+        rm = RangeMap(values, (values > 0.5).astype(np.uint8))
+        save_range_map(tmp_path / "range.lwc", rm)
+        assert calls == [512 * 512 * 4, 512 * 512]
+        back = load_range_map(tmp_path / "range.lwc")
+        assert np.array_equal(back.distances, values.astype(np.float32))
+        assert np.array_equal(back.validity, rm.validity)
+
     @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("existing", [False, True])
     def test_a_refused_row_in_a_worker_leaves_no_file(
@@ -862,10 +884,11 @@ class TestOneSave:
         pwrite, calls = os.pwrite, []
 
         def failing_pwrite(fd, data, offset):
-            # each worker fails on its 18th write, after it has written its
-            # rows of the first map file
+            # each worker fails on its 10th write, in the emissivity body,
+            # after it has written its rows of the four map files: a write
+            # of each map plane, then 3 spectra a write
             calls.append(fd)
-            if len(calls) == 18:
+            if len(calls) == 10:
                 raise OSError(28, "No space left on device")
             return pwrite(fd, data, offset)
 

@@ -14,6 +14,7 @@ from lwirange import (
     ConfigError,
     DimensionError,
     DomainError,
+    DownwellingSet,
     EstimateMaps,
     GridError,
     SolverConfig,
@@ -24,7 +25,6 @@ from lwirange import (
     planck,
     project,
     solve,
-    solve_no_sky,
     tv_distance,
 )
 from lwirange.atmosphere import _tau
@@ -1231,10 +1231,14 @@ class TestSolve:
         npt.assert_allclose(est.solid_angles, tr.solid_angle_maps, atol=1e-12)
         assert est.loss.max() == 0.0
 
-    def test_no_sky_equals_zero_q_config(self):
+    def test_no_sky_equals_an_air_temperature_sky(self):
+        # with no downwelling set the model has no sky sector, and it fits
+        # what a sky radiating B(T_air), the ambient fill, would give
         sc = micro_scene(rows=3, cols=3, bands=12, q=0, noise_sigma=0.0, seed=5)
-        a = solve_no_sky(sc["cube"], sc["alpha"], AIR)
-        b = solve(sc["cube"], sc["alpha"], None, AIR)
+        a = solve(sc["cube"], sc["alpha"], None, AIR)
+        sky = np.tile(planck(sc["grid"].wavelengths, AIR), (2, 1))
+        b = solve(sc["cube"], sc["alpha"],
+                  DownwellingSet((0.0, 60.0), sky, sc["grid"]), AIR)
         npt.assert_array_equal(a.distance, b.distance)
         npt.assert_array_equal(a.temperature, b.temperature)
         npt.assert_array_equal(a.emissivity, b.emissivity)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import micro_scene, rewrite_header
 from lwirange.atmosphere import load_downwelling, load_spectrum, save_downwelling, save_spectrum
-from lwirange.cli import _DEFAULTS, resolve_settings
+from lwirange.cli import _SETTINGS as _CLI_SETTINGS, resolve_settings
 from lwirange.cube_io import (
     CubeHeader,
     load_cube_grid,
@@ -194,7 +194,7 @@ def test_downwelling_loader(valid, work, name, content):
                               and np.all(np.isfinite(loaded.zenith_angles_deg)))
 
 
-_KEYS = sorted(_DEFAULTS)
+_KEYS = sorted(_CLI_SETTINGS)
 _LINE = st.one_of(
     st.text(max_size=30),
     st.builds(lambda k, v: f"{k}={v}", st.sampled_from(_KEYS), st.text(max_size=20)),
