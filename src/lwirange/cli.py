@@ -7,9 +7,11 @@ scene cube), range (run an estimator), eval (patch statistics CSV), render
 Settings resolve in precedence order: command line flags beat LWIRANGE_*
 environment variables, which beat `key=value` lines in --config, which beat
 built-in defaults. Each subcommand takes flags only for the settings it
-reads (see _SETTINGS), so a stray flag is a usage error; a config file or
-environment variable may set any key. Unknown keys anywhere are rejected,
-and every violation is reported at once rather than just the first.
+reads (see _SETTINGS), so a stray flag is a usage error, and a range run
+takes only the flags its mode reads, so another range flag is a
+ConfigError; a config file or environment variable may set any key.
+Unknown keys anywhere are rejected, and every violation is reported at once
+rather than just the first.
 """
 
 from __future__ import annotations
@@ -80,27 +82,30 @@ def _to_bands(text):
 class _Setting(NamedTuple):
     default: object
     convert: Callable[[str], object]
-    commands: tuple   # the subcommands that read it, and so take its flag
+    commands: tuple = ()  # the subcommands but range that read it
+    modes: tuple = ()     # the range modes that read it
     help: str | None = None
 
 
 # one row per setting.  A subcommand's parser takes the flags of the settings
-# it reads (config-dump takes every flag); a config file or LWIRANGE_*
-# variable may set any key, so that one file serves every command
+# it reads, range's those that any mode reads and config-dump's every flag;
+# a range run takes only the flags its mode reads.  A config file or
+# LWIRANGE_* variable may set any key, so that one file serves every command
+# and mode
 _SETTINGS = {
-    "mode": _Setting("hyper", str, ("range",)),
+    "mode": _Setting("hyper", str, modes=_MODES),
     "seed": _Setting(0, int, ("synth",)),
     "threads": _Setting(
-        _SOLVER.threads, int, ("range",),
-        "hyper mode: the most pixel blocks to solve at once, one worker "
-        "process each, capped at the pixels and the usable cores "
-        "(default 1, in this process); the --rho-d TV rounds run "
-        "once on the whole map in this process"),
-    "q": _Setting(None, int, ("atmo", "synth", "range")),
-    "rho_eps": _Setting(_SOLVER.rho_eps, float, ("range",)),
-    "rho_d": _Setting(_SOLVER.rho_d, float, ("range",)),
-    "d_max": _Setting(_SOLVER.d_max, float, ("range",)),
-    "bands": _Setting(None, _to_bands, ("range",)),
+        _SOLVER.threads, int, modes=("hyper",),
+        help="the most pixel blocks the solver runs at once, one worker "
+        "process each, capped at the pixels and the usable cores (default "
+        "1, in this process); the --rho-d TV rounds run once on the whole "
+        "map in this process"),
+    "q": _Setting(None, int, ("atmo", "synth"), ("quad", "hyper")),
+    "rho_eps": _Setting(_SOLVER.rho_eps, float, modes=("hyper",)),
+    "rho_d": _Setting(_SOLVER.rho_d, float, modes=("hyper",)),
+    "d_max": _Setting(_SOLVER.d_max, float, modes=("hyper",)),
+    "bands": _Setting(None, _to_bands, modes=_MODES),
     "rows": _Setting(32, int, ("synth",)),
     "cols": _Setting(32, int, ("synth",)),
     "noise_sigma": _Setting(0.0, float, ("synth",)),
@@ -109,6 +114,22 @@ _SETTINGS = {
     "vmax": _Setting(None, float, ("render",)),
     "patches": _Setting(8, int, ("eval",)),
 }
+
+
+def _flag(key):
+    return f"--{key.replace('_', '-')}"
+
+
+def _modes_text(modes):
+    return " and ".join(modes) + (" modes" if len(modes) > 1 else " mode")
+
+
+def _flag_help(row, command):
+    # a range flag that only some modes read names them, ahead of its help
+    if command != "range" or row.modes == _MODES:
+        return row.help
+    note = _modes_text(row.modes) + " only"
+    return note if row.help is None else f"{note}: {row.help}"
 
 
 def _apply(settings, key, text, source, violations):
@@ -188,16 +209,22 @@ def _validate(s):
 
 
 def resolve_settings(args, environ=None):
-    """Layer defaults <- config file <- environment <- flags, then validate."""
+    """Layer defaults <- config file <- environment <- flags, then validate;
+    a range flag that the resolved mode does not read is a violation."""
     settings = {key: row.default for key, row in _SETTINGS.items()}
     violations = []
     if getattr(args, "config", None):
         _read_config_file(args.config, settings, violations)
     _read_env(settings, violations, os.environ if environ is None else environ)
-    for key in _SETTINGS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            _apply(settings, key, flag, f"--{key.replace('_', '-')}", violations)
+    given = [key for key in _SETTINGS if getattr(args, key, None) is not None]
+    for key in given:
+        _apply(settings, key, getattr(args, key), _flag(key), violations)
+    mode = settings["mode"]
+    if getattr(args, "command", None) == "range" and mode in _MODES:
+        violations.extend(
+            f"{_flag(key)}: range mode {mode} does not read {key} (read by "
+            f"the {_modes_text(_SETTINGS[key].modes)})"
+            for key in given if mode not in _SETTINGS[key].modes)
     violations.extend(_validate(settings))
     if violations:
         raise ConfigError(violations)
@@ -211,7 +238,7 @@ def resolve_settings(args, environ=None):
 _AIR_DEFAULT = Temperature(295.0)
 
 
-def _zenith_angles(q):
+def _sector_angles(q):
     if q <= len(DEFAULT_ZENITH_ANGLES):
         return tuple(DEFAULT_ZENITH_ANGLES[:q])
     return tuple(np.linspace(0.0, 89.0, q))
@@ -230,7 +257,7 @@ def _default_atmosphere(q):
     params = AtmosphereParams(air_temperature=_AIR_DEFAULT)
     if q is None:
         q = len(DEFAULT_ZENITH_ANGLES)
-    dw = synth_downwelling(params, grid, _zenith_angles(q)) if q else None
+    dw = synth_downwelling(params, grid, _sector_angles(q)) if q else None
     return synth_attenuation(params, grid), dw
 
 
@@ -405,9 +432,10 @@ def build_parser():
     for command, (_, help_text, paths) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for key, row in _SETTINGS.items():
-            if command in row.commands or command == "config-dump":
-                p.add_argument(f"--{key.replace('_', '-')}", default=None,
-                               help=row.help)
+            if (command in row.commands or command == "config-dump"
+                    or command == "range" and row.modes):
+                p.add_argument(_flag(key), default=None,
+                               help=_flag_help(row, command))
         p.add_argument("--config", default=None, help="key=value settings file")
         for name, required in paths.items():
             p.add_argument(f"--{name}", required=required, default=None)

@@ -238,7 +238,9 @@ def _write_span(bodies, first, stop):
         for lo in range(first * n, end, step):
             hi = min(lo + step, end)
             chunk = buf[:hi - lo]
-            # spectra lo to hi - 1 of the body, from the rows they lie in
+            # spectra lo to hi - 1 of the body, from the rows they lie in.  A
+            # value beyond the dtype's range casts to inf, which a checked
+            # body refuses below and a map keeps
             for r in range(lo // n, (hi - 1) // n + 1):
                 if r != i:
                     i, values = r, np.asarray(row(r))
@@ -246,7 +248,8 @@ def _write_span(bodies, first, stop):
                         raise DimensionError(f"row {r} of shape {values.shape} "
                                              f"does not match the body {shape}")
                 a, b = max(lo, r * n), min(hi, r * n + n)
-                chunk[a - lo:b - lo] = values[a - r * n:b - r * n]
+                with np.errstate(over="ignore"):
+                    chunk[a - lo:b - lo] = values[a - r * n:b - r * n]
             if what is not None and not _all_finite(chunk):
                 raise ConstraintError(f"{what} must be finite")
             view = memoryview(chunk.reshape(-1).view(np.uint8))

@@ -136,7 +136,9 @@ def render_map(estimate, palette, path, vmin=None, vmax=None):
     if span <= 0.0:
         u = np.where(mask, 1.0, 0.0)
     else:
-        u = np.clip((values - lo) / span, 0.0, 1.0)
+        # clipped before the division, so that a subnormal span cannot
+        # overflow it; each u has the bits of clip((values - lo) / span)
+        u = np.clip(values - lo, 0.0, span) / span
         u = np.where(mask, u, 0.0)
     m, n = values.shape
     try:

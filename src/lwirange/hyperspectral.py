@@ -220,33 +220,44 @@ def _thomas(dm, off, b):
     # (K, R, P) for R right sides per pixel, which share the elimination
     # factors of dm.  Every step writes into a row, so the sweeps allocate
     # no temporaries; x holds the forward sweep's right side, then the
-    # solution.
+    # solution.  Returns x and the (P,) mask ok of the pixels whose every
+    # pivot is > 0: the eps block diag(a^2) + rho_eps D'D is only positive
+    # semidefinite, with a zero last pivot where a = 0 in every band.  As in
+    # _spd_inverse, a pixel not ok goes on with unit pivots, so its x stays
+    # finite, and callers drop it by ok
     n = b.shape[0]
     cp = np.empty_like(dm)
     x = np.empty_like(b)
     den = dm[0].copy()
     tmp = np.empty_like(den)
     tmp_x = np.empty_like(b[0])
-    np.divide(b[0], den, out=x[0])
-    for i in range(1, n):
-        np.divide(off, den, out=cp[i - 1])
-        np.subtract(dm[i], np.multiply(off, cp[i - 1], out=tmp), out=den)
-        np.subtract(b[i], np.multiply(off, x[i - 1], out=tmp_x), out=x[i])
+    ok = np.ones(den.shape, dtype=bool)
+    x[0] = b[0]
+    for i in range(n):
+        if i:
+            np.divide(off, den, out=cp[i - 1])
+            np.subtract(dm[i], np.multiply(off, cp[i - 1], out=tmp), out=den)
+            np.subtract(b[i], np.multiply(off, x[i - 1], out=tmp_x), out=x[i])
+        if not den.min() > 0.0:
+            bad = ~(den > 0.0)
+            ok &= ~bad
+            den[bad] = 1.0
         x[i] /= den
     for i in range(n - 2, -1, -1):
         x[i] -= np.multiply(cp[i], x[i + 1], out=tmp_x)
-    return x
+    return x, ok
 
 
 def _eps_quick(pr, tau, bt, mix):
     # the model is linear in eps, a * eps + b with b the model at eps = 0, so
     # the refit solves the banded normal equations
     # (diag(a^2) + rho_eps D'D) eps = a (y - b) once and clips to [0, 1];
+    # returns the refit and _thomas's mask of the pixels it solved, and
     # callers accept-guard the result
     a = tau * (bt - mix)
     rb = pr.y - _radiance(tau, mix - pr.b_air, pr.b_air)
-    x = _thomas(_eps_diagonal(pr, a), -pr.rho_eps, a * rb)
-    return np.clip(x, 0.0, 1.0, out=x)
+    x, ok = _thomas(_eps_diagonal(pr, a), -pr.rho_eps, a * rb)
+    return np.clip(x, 0.0, 1.0, out=x), ok
 
 
 def _eps_diagonal(pr, a):
@@ -429,13 +440,13 @@ def _jacobian(pr, s, d_free=True, t_free=True):
 
 def _gn_moves(pr, s, d_free, t_free):
     # the (n, P) moves of the n free coordinates, range first, and a (P,)
-    # mask of the pixels whose reduced matrix is positive definite; 0
-    # elsewhere.  The (d, T, eps) normal equations reduce to their Schur
-    # complement in the free coordinates: the eps block is _eps_quick's
-    # tridiagonal matrix, so the right sides, the eps coupling of each free
-    # column and the eps gradient, share one Thomas solve, and the reduced
-    # system goes through _spd_inverse.  Its own function, so that its
-    # (K, P) temporaries are freed before the caller's refit
+    # mask of the pixels whose eps block and reduced matrix are positive
+    # definite; 0 elsewhere.  The (d, T, eps) normal equations reduce to
+    # their Schur complement in the free coordinates: the eps block is
+    # _eps_quick's tridiagonal matrix, so the right sides, the eps coupling
+    # of each free column and the eps gradient, share one Thomas solve, and
+    # the reduced system goes through _spd_inverse.  Its own function, so
+    # that its (K, P) temporaries are freed before the caller's refit
     r, a, cols = _jacobian(pr, s, d_free, t_free)
     n = len(cols)
     # right side i < n is a times column i, right side n the eps gradient
@@ -443,7 +454,7 @@ def _gn_moves(pr, s, d_free, t_free):
     for i, c in enumerate(cols + [r]):
         np.multiply(a, c, out=rhs[:, i])
     rhs[:, n] += pr.rho_eps * _dtd(s.eps)
-    x = _thomas(_eps_diagonal(pr, a), -pr.rho_eps, rhs)
+    x, solved = _thomas(_eps_diagonal(pr, a), -pr.rho_eps, rhs)
     # the reduced matrix's entries with i <= j, mirrored, as _sky_gram's
     iu, ju = np.triu_indices(n)
     sm = np.empty((n, n, a.shape[1]))
@@ -451,6 +462,7 @@ def _gn_moves(pr, s, d_free, t_free):
                                for i, j in zip(iu, ju)]
     g = np.array([_band_sum(c * r - rhs[:, i] * x[:, n]) for i, c in enumerate(cols)])
     m, ok = _spd_inverse(sm)
+    ok &= solved
     return ok, np.where(ok, -_matvec(m, g), 0.0)
 
 
@@ -459,8 +471,9 @@ def _gn_step(pr, s, d_span, t_span):
     # span of 0 freezes its coordinate, whose carried tau or B(T) passes
     # through.  Each move is clipped to its span, eps is refit at the moved
     # (d, T), and the step is accepted where the misfit does not exceed the
-    # carried loss.  A pixel whose reduced matrix is singular, such as one
-    # with eps = 0, where the misfit does not depend on T, does not move
+    # carried loss.  A pixel whose reduced matrix or eps block is singular,
+    # such as one with eps = 0, where the misfit does not depend on T, or
+    # one with tau = 0 in every band, does not move
     ok, moves = _gn_moves(pr, s, d_span > 0.0, t_span > 0.0)
     new = {}
     if d_span:
@@ -470,7 +483,8 @@ def _gn_step(pr, s, d_span, t_span):
         t = np.clip(s.t + np.clip(moves[-1], -t_span, t_span), pr.t_lo, pr.t_hi)
         new.update(t=t, bt=_planck_core(pr.wav, t))
     tau, bt = new.get("tau", s.tau), new.get("bt", s.bt)
-    eps = _eps_quick(pr, tau, bt, s.mix)
+    eps, solved = _eps_quick(pr, tau, bt, s.mix)
+    ok &= solved
     pen = _penalty(pr, eps)
     loss = _data(pr, tau, _contrast(bt, eps, s.mix, pr.b_air)) + pen
     return _accept(s, ok & (loss <= s.loss), **new, eps=eps, pen=pen, loss=loss)
@@ -549,7 +563,7 @@ def _tv_denoise_map(d2, lam, iters=200):
 # public loss / gradient / projection operations
 # ----------------------------------------------------------------------
 
-def _build_problem(cube, alpha, dw, air_temperature, rho_eps, d_max, t_span):
+def _build_problem(cube, alpha, dw, air_temperature, rho_eps, d_max):
     # one sky sector per downwelling spectrum; none when dw is None
     if alpha.grid != cube.grid:
         raise GridError("attenuation grid does not match cube grid")
@@ -564,11 +578,11 @@ def _build_problem(cube, alpha, dw, air_temperature, rho_eps, d_max, t_span):
     t_air = as_kelvin(air_temperature)
     col = wav.reshape(k, 1)
     m, n = cube.radiance.shape[:2]
-    t_lo = max(t_air - t_span, 1e-2)
+    t_lo = max(t_air - _T_SPAN, 1e-2)
     return _Problem(wav=col, alpha=np.asarray(alpha.values, float).reshape(k, 1),
                     y=_pixel_last(cube.radiance), sky=sky,
                     b_air=_planck_core(col, t_air), rho_eps=rho_eps,
-                    d_max=d_max, t_lo=t_lo, t_hi=t_air + t_span), m, n
+                    d_max=d_max, t_lo=t_lo, t_hi=t_air + _T_SPAN), m, n
 
 
 def _param_arrays(params):
@@ -610,7 +624,7 @@ def _band_maps(a, m, n):
 
 def data_loss(params, cube, alpha, dw, air_temperature):
     """Total squared radiance misfit of the model at params (no penalties)."""
-    pr, m, n = _build_problem(cube, alpha, dw, air_temperature, 0.0, np.inf, 1.0)
+    pr, m, n = _build_problem(cube, alpha, dw, air_temperature, 0.0, np.inf)
     return float(_state(pr, *_flatten_maps(params, pr, m, n)).loss.sum())
 
 
@@ -635,8 +649,7 @@ def gradients(params, cube, alpha, dw, air_temperature, rho_eps):
     The TV term is excluded by design; it is handled by a proximal step,
     not by gradient descent.
     """
-    pr, m, n = _build_problem(cube, alpha, dw, air_temperature, rho_eps,
-                              np.inf, 1.0)
+    pr, m, n = _build_problem(cube, alpha, dw, air_temperature, rho_eps, np.inf)
     g_d, g_t, g_e, g_o = _gradients_flat(pr, _state(pr, *_flatten_maps(params, pr, m, n)))
     return {
         "distance": g_d.reshape(m, n),
@@ -801,7 +814,7 @@ def solve(cube, alpha, dw, air_temperature, config=None, initial=None):
     if violations:
         raise ConfigError(violations)
     pr, m, n = _build_problem(cube, alpha, dw, air_temperature,
-                              cfg.rho_eps, cfg.d_max, _T_SPAN)
+                              cfg.rho_eps, cfg.d_max)
     init = None if initial is None else _flatten_maps(initial, pr, m, n)
     d_starts = _range_starts(cube, alpha, dw, air_temperature, cfg.d_max)
     t0 = _default_temperature_init(pr)

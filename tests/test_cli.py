@@ -357,6 +357,98 @@ class TestPerCommandSettings:
         assert listed == {flag(k) for k in own} | {"--config"} | set(PATHS[command])
 
 
+# the settings each range mode reads, and so takes flags for
+MODE_OWN = {"bi-hot": {"mode", "bands"}, "bi-air": {"mode", "bands"},
+            "quad": {"mode", "bands", "q"}, "hyper": OWN["range"]}
+MODE_STRAY = [(m, k) for m in MODE_OWN for k in sorted(OWN["range"])
+              if k not in MODE_OWN[m]]
+MODE_TAKEN = [(m, k) for m in MODE_OWN for k in sorted(MODE_OWN[m]) if k != "mode"]
+
+
+def mode_argv(mode, tmp_path):
+    return with_paths("range", tmp_path) + ["--mode", mode]
+
+
+class TestPerModeSettings:
+    def test_the_table_covers_every_range_flag(self):
+        assert set().union(*MODE_OWN.values()) == OWN["range"]
+        assert [len(MODE_OWN[m]) for m in MODE_OWN] == [2, 2, 3, 7]
+        assert len(MODE_STRAY) == 14
+
+    @pytest.mark.parametrize("mode, key", MODE_STRAY)
+    def test_a_flag_the_mode_does_not_read_is_a_config_error(
+            self, capsys, tmp_path, mode, key):
+        code, out, err = run(capsys, mode_argv(mode, tmp_path)
+                             + [flag(key), VALUE[key]])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error[ConfigError]: {flag(key)}: range mode "
+                              f"{mode} does not read {key} (read by the ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode, key", MODE_TAKEN)
+    def test_a_flag_the_mode_reads_sets_its_value(self, tmp_path, mode, key):
+        want = resolved(["config-dump", flag(key), VALUE[key]])[key]
+        got = resolved(mode_argv(mode, tmp_path) + [flag(key), VALUE[key]])
+        assert got[key] == want and got["mode"] == mode
+
+    def test_the_mode_violations_join_the_others(self, capsys, tmp_path):
+        code, out, err = run(capsys, mode_argv("bi-air", tmp_path)
+                             + ["--q", "3", "--threads", "abc", "--d-max", "-1"])
+        assert code == 2 and out == "" and err.count("\n") == 1
+        for message in ("--threads: bad value for threads: 'abc'",
+                        "--q: range mode bi-air does not read q (read by the "
+                        "quad and hyper modes)",
+                        "--threads: range mode bi-air does not read threads "
+                        "(read by the hyper mode)",
+                        "--d-max: range mode bi-air does not read d_max",
+                        "d_max must be"):
+            assert message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode, key", MODE_STRAY)
+    def test_a_config_file_and_the_environment_set_any_key(
+            self, tmp_path, mode, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={VALUE[key]}\n")
+        want = resolved(["config-dump", flag(key), VALUE[key]])[key]
+        assert resolved(mode_argv(mode, tmp_path) + ["--config", str(cfg)])[key] == want
+        assert resolved(mode_argv(mode, tmp_path),
+                        {"LWIRANGE_" + key.upper(): VALUE[key]})[key] == want
+
+    def test_a_key_the_mode_does_not_read_leaves_its_map_as_it_is(
+            self, capsys, tmp_path, clean_env):
+        atmo, scene = tmp_path / "atmo", tmp_path / "scene"
+        assert run(capsys, ["atmo", "--out", str(atmo)])[0] == 0
+        assert run(capsys, ["synth", "--atmo", str(atmo), "--out", str(scene),
+                            "--rows", "3", "--cols", "3", "--noise-sigma", "1"])[0] == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rho_eps=7\nd_max=5\nrho_d=3\n")
+        argv = ["range", "--mode", "quad", "--cube", str(scene / "cube.lwc"),
+                "--atmo", str(atmo)]
+        assert run(capsys, [*argv, "--out", str(tmp_path / "a.lwc")])[0] == 0
+        assert run(capsys, [*argv, "--out", str(tmp_path / "b.lwc"),
+                            "--config", str(cfg)])[0] == 0
+        clean_env.setenv("LWIRANGE_THREADS", "2")
+        assert run(capsys, [*argv, "--out", str(tmp_path / "c.lwc")])[0] == 0
+        want = (tmp_path / "a.lwc").read_bytes()
+        assert (tmp_path / "b.lwc").read_bytes() == want
+        assert (tmp_path / "c.lwc").read_bytes() == want
+
+    def test_help_names_the_modes_of_a_flag_some_modes_read(self, capsys):
+        code, out, _ = run(capsys, ["range", "--help"])
+        assert code == 0
+        text = " ".join(out.split())
+        for key in sorted(OWN["range"]):
+            modes = [m for m in MODE_OWN if key in MODE_OWN[m]]
+            if len(modes) == len(MODE_OWN):
+                assert f"{flag(key)} {key.upper()} --" in text, key
+            else:
+                noun = "modes" if len(modes) > 1 else "mode"
+                note = f"{flag(key)} {key.upper()} {' and '.join(modes)} {noun} only"
+                assert note in text, key
+
+
 class TestRuntimeErrors:
     def test_missing_cube_exits_1(self, capsys, tmp_path):
         code, out, err = run(capsys, [
@@ -527,6 +619,15 @@ class TestRuntimeErrors:
         assert code == 1
         assert err == "error[ConstraintError]: radiance must be finite\n"
         assert not (tmp_path / "r.lwc").exists()
+
+    def test_synth_noise_beyond_float32_is_refused_alone(self, capsys, tmp_path):
+        # the noisy cube is finite in float64 but not in its stored float32;
+        # the refusal is the one line on stderr
+        code, out, err = run(capsys, ["synth", "--rows", "2", "--cols", "2",
+                                      "--noise-sigma", "1e200",
+                                      "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert err == "error[ConstraintError]: cube values must be finite\n"
 
     def test_missing_map_exits_1(self, capsys, tmp_path):
         code, out, err = run(capsys, [

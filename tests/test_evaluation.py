@@ -177,6 +177,15 @@ class TestRender:
         assert pix[2] == 255    # at vmax
         assert pix[3] == 255    # above vmax clamps
 
+    def test_a_subnormal_span_renders_without_overflow(self, tmp_path):
+        # values far beyond a subnormal span clamp, as any value above vmax
+        est = np.array([[0.0, 1e-320], [1.0, 20.0]])
+        for palette, magic, size in (("gray", b"P5", 4), ("fire", b"P6", 12)):
+            raw = render_map(est, palette, tmp_path / f"s.{palette}",
+                             vmin=0.0, vmax=1e-320).read_bytes()
+            header = magic + b"\n2 2\n255\n"
+            assert raw == header + bytes(size // 4) + b"\xff" * (size * 3 // 4), palette
+
     def test_zero_span_renders_valid_as_full(self, tmp_path):
         est = np.full((2, 2), 3.0)
         out = render_map(est, "gray", tmp_path / "z.pgm")

@@ -17,10 +17,12 @@ from lwirange import (
     DownwellingSet,
     EstimateMaps,
     GridError,
+    SceneCube,
     SolverConfig,
     Temperature,
     data_loss,
     emissivity_smoothness,
+    estimate_air_temperature,
     gradients,
     planck,
     project,
@@ -351,7 +353,7 @@ class TestGradients:
         params = random_params(np.random.default_rng(12), rows, cols, 8, 2)
         grads = gradients(params, sc["cube"], sc["alpha"], sc["dw"], AIR, rho_eps=37.0)
         pr, m, n = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                                  37.0, np.inf, 1.0)
+                                  37.0, np.inf)
         r, _, cols_ = _jacobian(pr, _state(pr, *_flatten_maps(params, pr, m, n)))
         for key, c in zip(("distance", "temperature"), cols_, strict=True):
             want = 2.0 * _band_sum(r * c)
@@ -367,7 +369,8 @@ class TestEmissivityRefit:
         off = -rng.uniform(0.1, 4.0)
         dm = 2.0 * abs(off) + rng.uniform(0.1, 5.0, (p, k)).T
         b = rng.normal(0.0, 3.0, (p, k)).T.copy()
-        x = _thomas(dm, off, b)
+        x, ok = _thomas(dm, off, b)
+        assert ok.all()
         for i in range(p):
             a = np.diag(dm[:, i]) + off * (np.eye(k, k=1) + np.eye(k, k=-1))
             npt.assert_allclose(x[:, i], np.linalg.solve(a, b[:, i]),
@@ -389,8 +392,8 @@ class TestEmissivityRefit:
         dm_eps[-1] -= abs(off)
         for dm in (dm_eps, 2.0 * abs(off) + rng.uniform(0.1, 5.0, (k, p))):
             for b in (rng.normal(0.0, 3.0, (k, p)), rng.normal(0.0, 3.0, (k, 2, p))):
-                x = _thomas(dm, off, b)
-                assert x.shape == b.shape
+                x, ok = _thomas(dm, off, b)
+                assert x.shape == b.shape and ok.all()
                 for i in range(p):
                     m = np.diag(dm[:, i]) + off * (np.eye(k, k=1) + np.eye(k, k=-1))
                     want = np.linalg.solve(m, b[..., i])
@@ -402,10 +405,31 @@ class TestEmissivityRefit:
         rng = np.random.default_rng(30 + k)
         dm = rng.uniform(2.0, 5.0, (k, 7))
         b = rng.normal(0.0, 3.0, (k, 3, 7))
-        x = _thomas(dm, -0.7, b)
+        x, _ = _thomas(dm, -0.7, b)
         for j in range(3):
-            one = _thomas(dm, -0.7, np.ascontiguousarray(b[:, j]))
+            one, _ = _thomas(dm, -0.7, np.ascontiguousarray(b[:, j]))
             assert x[:, j].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_thomas_flags_a_zero_pivot_and_solves_the_rest(self, k):
+        # a = 0 in every band leaves rho_eps D'D, singular with a zero last
+        # pivot: that pixel is flagged and its x stays finite, and every
+        # other pixel has the bits of its solve alone
+        rng = np.random.default_rng(60 + k)
+        rho = 2.0
+        a = rng.uniform(0.5, 3.0, (k, 5))
+        a[:, 1] = 0.0
+        dm = a * a + 2.0 * rho
+        dm[0] -= rho
+        dm[-1] -= rho
+        b = rng.normal(0.0, 3.0, (k, 2, 5))
+        with np.errstate(all="raise"):
+            x, ok = _thomas(dm, -rho, b)
+        npt.assert_array_equal(ok, np.arange(5) != 1)
+        assert np.isfinite(x).all()
+        for i in (0, 2, 3, 4):
+            one, one_ok = _thomas(dm[:, i:i + 1].copy(), -rho, b[..., i:i + 1].copy())
+            assert one_ok.all() and one.tobytes() == x[..., i:i + 1].copy().tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_eps_quick_is_clipped_dense_least_squares(self, k):
@@ -420,7 +444,8 @@ class TestEmissivityRefit:
         tau = rng.uniform(0.5, 1.0, (p, k)).T
         bt = rng.uniform(500.0, 1000.0, (p, k)).T
         mix = rng.uniform(100.0, 400.0, (p, k)).T
-        got = _eps_quick(pr, tau, bt, mix)
+        got, ok = _eps_quick(pr, tau, bt, mix)
+        assert ok.all()
         a = tau * (bt - mix)
         r = pr.y - (tau * (mix - pr.b_air) + pr.b_air)
         dtd = np.diff(np.eye(k), axis=0).T @ np.diff(np.eye(k), axis=0)
@@ -440,7 +465,7 @@ class TestBatchIndependence:
     def test_blocks_match_on_a_column_subset(self, cols):
         sc = micro_scene(rows=3, cols=4, bands=12, q=3, noise_sigma=0.5, seed=21)
         pr, m, n = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                                  1e5, 200.0, 12.0)
+                                  1e5, 200.0)
         p, k = m * n, 12
         rng = np.random.default_rng(7)
         d = rng.uniform(5.0, 60.0, p)
@@ -458,8 +483,10 @@ class TestBatchIndependence:
                 npt.assert_array_equal(g, part(w))
 
         sub, ss = replace(pr, y=part(pr.y)), _State(*map(part, s))
-        npt.assert_array_equal(_eps_quick(sub, ss.tau, ss.bt, ss.mix),
-                               _eps_quick(pr, s.tau, s.bt, s.mix)[:, cols])
+        part_eps, part_ok = _eps_quick(sub, ss.tau, ss.bt, ss.mix)
+        eps, ok = _eps_quick(pr, s.tau, s.bt, s.mix)
+        npt.assert_array_equal(part_eps, eps[:, cols])
+        npt.assert_array_equal(part_ok, ok[cols])
         assert_states_match(_sky_block(sub, ss), _sky_block(pr, s))
         assert_states_match(_temp_block(sub, ss, span=2.0), _temp_block(pr, s, span=2.0))
         for span in (None, 3.0):
@@ -634,7 +661,7 @@ class TestCarriedTerms:
         sc = micro_scene(rows=3, cols=3, bands=12, q=2, noise_sigma=noise_sigma,
                          seed=seed)
         pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                                  1e5, 200.0, 12.0)
+                                  1e5, 200.0)
         return sc, pr
 
     def test_blocks_return_terms_of_their_state(self):
@@ -705,7 +732,7 @@ class TestCandidateScans:
     def _random_state(seed):
         sc = micro_scene(rows=3, cols=4, bands=12, q=3, noise_sigma=0.5, seed=21)
         pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                                  1e5, 200.0, 12.0)
+                                  1e5, 200.0)
         rng = np.random.default_rng(seed)
         p, k = pr.y.shape[1], pr.y.shape[0]
         d = rng.uniform(5.0, 60.0, p)
@@ -873,12 +900,12 @@ class TestGaussNewtonStep:
         # reach the truth
         sc = micro_scene(rows=6, cols=6, bands=64, q=q)
         pr, m, n = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                                  1e5, 200.0, 12.0)
+                                  1e5, 200.0)
         d0, t0, _, om = _flatten_maps(as_maps(sc["truth"]), pr, m, n)
         mix = _mix_of(pr, om)
         d, t = d0, t0 + 0.3
         tau, bt = _tau(d, pr.alpha), _planck_core(pr.wav, t)
-        s = _state(pr, d, t, _eps_quick(pr, tau, bt, mix), om)
+        s = _state(pr, d, t, _eps_quick(pr, tau, bt, mix)[0], om)
         assert s.loss.sum() > 1.0
         for _ in range(2):
             s = _gn_step(pr, s, 3.0, 1.0)
@@ -925,7 +952,7 @@ class TestArmijoPass:
     def _refined(sweeps):
         sc = micro_scene(rows=3, cols=4, bands=12, q=3, noise_sigma=0.5, seed=21)
         pr, _, _ = _build_problem(sc["cube"], sc["alpha"], sc["dw"], AIR,
-                                  1e5, 200.0, 12.0)
+                                  1e5, 200.0)
         p, k = pr.y.shape[1], pr.y.shape[0]
         return pr, _phase(pr, _state(pr, np.full(p, 40.0), np.full(p, 296.0),
                                      np.full((k, p), 0.9), np.zeros((3, p))),
@@ -957,7 +984,7 @@ class TestZeroSectors:
     def test_sky_block_returns_its_inputs(self):
         sc = micro_scene(rows=2, cols=3, bands=12, q=0, noise_sigma=0.5, seed=2)
         pr, m, n = _build_problem(sc["cube"], sc["alpha"], None, AIR,
-                                  1e5, 200.0, 12.0)
+                                  1e5, 200.0)
         rng = np.random.default_rng(3)
         p, k = m * n, 12
         d, t = rng.uniform(5.0, 60.0, p), rng.uniform(290.0, 300.0, p)
@@ -1218,6 +1245,26 @@ class TestSolve:
             got, want = getattr(tiny, name), getattr(none, name)
             assert np.isfinite(got).all(), name
             npt.assert_allclose(got, want, rtol=1e-9, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("d_max", [1e6, 1e20, 1e308])
+    def test_a_far_d_max_solves_without_a_zero_pivot(self, d_max):
+        # far ranges take tau to 0, and with it every band of the eps
+        # block's a, whose Thomas solve then meets a zero pivot; the pixel
+        # is masked, not divided by 0, and the maps stay in their box
+        sc = micro_scene(rows=2, cols=2, bands=16, q=2, noise_sigma=1.0)
+        est = solve(sc["cube"], sc["alpha"], sc["dw"], AIR, SolverConfig(d_max=d_max))
+        assert ((est.distance >= 0.0) & (est.distance <= d_max)).all()
+        assert np.isfinite(est.loss).all()
+
+    @pytest.mark.parametrize("value", [1e-40, 1e-300])
+    def test_a_near_zero_cube_solves_without_a_zero_pivot(self, value):
+        # radiance near 0 puts the air temperature, and so B(T) and a, near
+        # 0 in every band
+        sc = micro_scene(rows=2, cols=2, bands=64, q=2)
+        cube = SceneCube(np.full((2, 2, 64), value), sc["grid"], AIR)
+        t_air = estimate_air_temperature(cube)
+        est = solve(cube, sc["alpha"], sc["dw"], t_air)
+        assert np.isfinite(est.loss).all()
 
     @pytest.mark.parametrize("q", [0, 2])
     def test_truth_is_a_fixed_point(self, q):

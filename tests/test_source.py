@@ -5,7 +5,8 @@ entry names a module-level definition or a name the module's
 ``__init__`` imports the solver, only ``_workers`` forks and no module
 imports a process pool, every ``SolverConfig`` field
 is read outside its own ``validate``, every private module constant and
-module-level private function is read, no module calls ``np.median`` or ``np.fromfile``, the solver
+module-level private function is read, no private module-level name is
+defined in two modules, no module calls ``np.median`` or ``np.fromfile``, the solver
 checks a caller's maps in one place, evaluates the emissivity penalty only
 where emissivity changes, makes no BLAS or LAPACK call and transposes only
 at its layout boundaries, and no call passes ``band_major``."""
@@ -22,19 +23,23 @@ def _modules():
             for p in sorted(_PKG.glob("*.py"))}
 
 
-def _defined(tree):
-    """Names bound at module level."""
+def _made(tree):
+    """Names a module's own definitions and assignments bind at module level."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update(_bound_by(node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(n.id for t in targets for n in ast.walk(t)
                          if isinstance(n, ast.Name))
     return names
+
+
+def _defined(tree):
+    """Names bound at module level, imports included."""
+    return _made(tree).union(*(_bound_by(node) for node in tree.body
+                               if isinstance(node, (ast.Import, ast.ImportFrom))))
 
 
 def _bound_by(node):
@@ -171,6 +176,18 @@ def test_every_private_function_is_read():
     loaded = _loaded_names(modules)
     dead = sorted(f for f in functions if f.split(":")[1] not in loaded)
     assert functions and not dead, dead
+
+
+def test_no_private_name_is_defined_in_two_modules():
+    # the read checks above match loads by bare name, so a load of one
+    # module's _name would count as a read of another module's _name too
+    where = {}
+    for name, tree in _modules().items():
+        for made in _made(tree):
+            if made.startswith("_") and not made.startswith("__"):
+                where.setdefault(made, []).append(name)
+    twice = {made: names for made, names in where.items() if len(names) > 1}
+    assert not twice, twice
 
 
 def _np_calls(attr):
